@@ -77,6 +77,7 @@ class PartitionState:
         self.size = 0
         self._heaps: dict[float, list] = {}
         self._keys: list[float] = []  # current group key per id
+        self._key_of: dict[bytes, float] = {}  # level-vector bytes -> key
         self.f_min = np.inf
         self.x_min: Optional[np.ndarray] = None
         self._min_key = np.inf
@@ -89,8 +90,18 @@ class PartitionState:
         self._levels = np.resize(self._levels, (cap, self.n))
         self._values = np.resize(self._values, cap)
 
+    def group_key(self, levels: np.ndarray) -> float:
+        """Group key of a level vector, computed once per distinct vector."""
+        row = np.asarray(levels, dtype=np.int16)
+        raw = row.tobytes()
+        key = self._key_of.get(raw)
+        if key is None:
+            key = self._key_of[raw] = _group_key(measure(row))
+        return key
+
     def add(self, center: np.ndarray, levels: np.ndarray, exact: tuple,
-            value: float) -> int:
+            value: float, key: Optional[float] = None) -> int:
+        """Store a rectangle; `key`, when given, is `group_key(levels)`."""
         if self.size == self._centers.shape[0]:
             self._grow()
         rid = self.size
@@ -99,7 +110,8 @@ class PartitionState:
         self._levels[rid] = levels
         self._values[rid] = value
         self._exact.append(tuple(exact))
-        key = _group_key(measure(levels))
+        if key is None:
+            key = self.group_key(self._levels[rid])
         self._keys.append(key)
         heapq.heappush(self._heaps.setdefault(key, []), (value, rid))
         if key < self._min_key:
@@ -109,11 +121,14 @@ class PartitionState:
             self.x_min = np.array(center, dtype=float)
         return rid
 
-    def rekey(self, rid: int, levels: np.ndarray, exact: tuple) -> None:
-        """Re-index a rectangle after its levels changed in a division."""
+    def rekey(self, rid: int, levels: np.ndarray, exact: tuple,
+              key: Optional[float] = None) -> None:
+        """Re-index a rectangle after its levels changed in a division;
+        `key`, when given, is `group_key(levels)`."""
         self._levels[rid] = levels
         self._exact[rid] = tuple(exact)
-        key = _group_key(measure(levels))
+        if key is None:
+            key = self.group_key(self._levels[rid])
         self._keys[rid] = key
         heapq.heappush(self._heaps.setdefault(key, []), (self._values[rid], rid))
         if key < self._min_key:
@@ -221,47 +236,49 @@ def sample_and_divide(rid: int, state: PartitionState,
     exhaustion nothing is mutated (already-spent evaluations stay counted) and
     BudgetExhausted propagates.
     """
-    levels = state._levels[rid].astype(int)
-    center = state._centers[rid]
-    exact = list(state._exact[rid])
-    min_lvl = int(levels.min())
-    I = np.flatnonzero(levels == min_lvl)
-    new_lvl = min_lvl + 1
-    denom = 2.0 * 3.0 ** new_lvl
+    tmpl_levels = state._levels[rid].copy()
+    tmpl_center = state._centers[rid].copy()
+    tmpl_exact = list(state._exact[rid])
+    min_lvl = int(tmpl_levels.min())
+    I = np.flatnonzero(tmpl_levels == min_lvl)
+    denom = 2.0 * 3.0 ** (min_lvl + 1)
 
-    # evaluate all probe points before touching any state
+    # evaluate all probe points before touching any state; the probes move
+    # one coordinate of the template center, which is restored after each
     probes = []  # (dim, num_plus, coord_plus, f_plus, num_minus, coord_minus, f_minus)
-    for dim in I:
-        scaled = 3 * exact[dim]
+    for dim in I.tolist():
+        scaled = 3 * tmpl_exact[dim]
         num_p, num_m = scaled + 2, scaled - 2
         coord_p, coord_m = num_p / denom, num_m / denom
-        point = center.copy()
-        point[dim] = coord_p
-        f_p = nproblem.evaluate_counted(point, state.counter)
-        point[dim] = coord_m
-        f_m = nproblem.evaluate_counted(point, state.counter)
-        probes.append((int(dim), num_p, coord_p, f_p, num_m, coord_m, f_m))
+        coord = tmpl_center[dim]
+        tmpl_center[dim] = coord_p
+        f_p = nproblem.evaluate_counted(tmpl_center, state.counter)
+        tmpl_center[dim] = coord_m
+        f_m = nproblem.evaluate_counted(tmpl_center, state.counter)
+        tmpl_center[dim] = coord
+        probes.append((dim, num_p, coord_p, f_p, num_m, coord_m, f_m))
 
-    w = np.array([min(p[3], p[6]) for p in probes])
-    order = np.lexsort((I, w))
+    # the sort is stable and the probes are in dimension order, so ties on
+    # w = min(f+, f-) keep the lower dimension first
+    probes.sort(key=lambda p: min(p[3], p[6]))
 
-    tmpl_levels = levels.copy()
-    tmpl_exact = exact
-    tmpl_center = center.copy()
+    # the children of one dimension differ from the template in that
+    # coordinate only; add() copies what it stores, so the template is set
+    # to each child in place and then refined to the parent's new numerator
     new_ids = []
-    for pos in order:
-        dim, num_p, coord_p, f_p, num_m, coord_m, f_m = probes[pos]
+    for dim, num_p, coord_p, f_p, num_m, coord_m, f_m in probes:
         tmpl_levels[dim] += 1
-        tmpl_exact[dim] = 3 * tmpl_exact[dim]
-        for num, coord, val in ((num_p, coord_p, f_p), (num_m, coord_m, f_m)):
-            child_exact = list(tmpl_exact)
-            child_exact[dim] = num
-            child_center = tmpl_center.copy()
-            child_center[dim] = coord
-            new_ids.append(
-                state.add(child_center, tmpl_levels, tuple(child_exact), val)
-            )
-    state.rekey(rid, tmpl_levels, tuple(tmpl_exact))
+        key = state.group_key(tmpl_levels)  # shared by both children
+        num, coord = tmpl_exact[dim], tmpl_center[dim]
+        for child_num, child_coord, value in ((num_p, coord_p, f_p),
+                                              (num_m, coord_m, f_m)):
+            tmpl_exact[dim] = child_num
+            tmpl_center[dim] = child_coord
+            new_ids.append(state.add(tmpl_center, tmpl_levels,
+                                     tuple(tmpl_exact), value, key=key))
+        tmpl_exact[dim] = 3 * num
+        tmpl_center[dim] = coord
+    state.rekey(rid, tmpl_levels, tuple(tmpl_exact), key=key)
     return new_ids
 
 

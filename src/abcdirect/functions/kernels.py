@@ -2,7 +2,7 @@
 
 Each kernel takes a 1-D float64 array and returns a float. The hot path is
 compiled with numba when available; set ABCDIRECT_NUMBA=0 to force the plain
-numpy fallback (benchmarks/bench_kernels.py compares the two).
+numpy fallback.
 """
 
 from __future__ import annotations

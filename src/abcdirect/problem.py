@@ -6,6 +6,7 @@ points are in the original (user-space) box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -85,7 +86,7 @@ class Problem:
 
     def __call__(self, x: np.ndarray) -> float:
         value = float(self.objective(np.asarray(x, dtype=float)))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NonFiniteValueError(
                 f"objective returned non-finite value {value!r} at {x!r}"
             )
@@ -142,17 +143,22 @@ def denormalize(z: np.ndarray, bounds: Bounds) -> np.ndarray:
 class NormalizedProblem:
     """The problem re-expressed over the unit hypercube.
 
-    Evaluating at z gives the original objective at lower + z*(upper-lower).
+    Evaluating at z gives the original objective at lower + z*(upper-lower);
+    `lower` and `width` are those of the original (user-space) box.
     """
 
     original: Problem
     bounds: Bounds = field(init=False)
+    lower: np.ndarray = field(init=False, repr=False)
+    width: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.original.n
         object.__setattr__(
             self, "bounds", Bounds(np.zeros(n), np.ones(n))
         )
+        object.__setattr__(self, "lower", self.original.bounds.lower)
+        object.__setattr__(self, "width", self.original.bounds.width)
 
     @property
     def n(self) -> int:
@@ -166,8 +172,11 @@ class NormalizedProblem:
         return self.original(denormalize(z, self.original.bounds))
 
     def evaluate_counted(self, z: np.ndarray, counter: EvalCounter) -> float:
+        """Charge one evaluation and evaluate at a float array z built inside
+        the unit cube (DIRECT's base-3 centers), so it skips the cube check;
+        the mapping is the one `denormalize` applies."""
         counter.charge()
-        return self(z)
+        return self.original(self.lower + z * self.width)
 
     def to_user(self, z: np.ndarray) -> np.ndarray:
         return denormalize(z, self.original.bounds)

@@ -218,40 +218,46 @@ def aggregate(reports: list[RunReport]) -> SuiteReport:
     return SuiteReport(reports, success_counts, median_evals, ratio)
 
 
+def _spec_rows(spec: RunSpec) -> list[RunReport]:
+    """All repetitions of one spec; a spec that raises becomes one row with
+    termination 'global_stall' and best_f = inf instead of an exception."""
+    try:
+        return run_one(spec)
+    except Exception as exc:  # keep the suite alive, record the row
+        return [RunReport(
+            function=spec.function, dim=spec.dim or -1,
+            algorithm=spec.algorithm, seed=spec.seed, repetition=0,
+            best_f=float("inf"), best_x=[],
+            evals=0, elapsed_seconds=0.0,
+            termination="global_stall",
+            trace=[[0, f"error:{exc}", 0.0]],
+        )]
+
+
 def run_suite(specs: list[RunSpec], parallelism: int = 1,
               report_sink=None) -> SuiteReport:
     """Run every spec (optionally across processes) and aggregate.
 
     Individual run failures are recorded as rows with termination
-    'global_stall' and best_f = inf rather than aborting the suite.
+    'global_stall' and best_f = inf rather than aborting the suite, on the
+    serial and the parallel path alike.
     """
     if not specs:
         raise ConfigError("suite needs at least one run spec")
     reports: list[RunReport] = []
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for result in pool.map(run_one, specs):
-                reports.extend(result)
-                if report_sink is not None:
-                    for r in result:
-                        report_sink(r)
-    else:
-        for spec in specs:
-            try:
-                result = run_one(spec)
-            except Exception as exc:  # keep the suite alive, record the row
-                result = [RunReport(
-                    function=spec.function, dim=spec.dim or -1,
-                    algorithm=spec.algorithm, seed=spec.seed, repetition=0,
-                    best_f=float("inf"), best_x=[],
-                    evals=0, elapsed_seconds=0.0,
-                    termination="global_stall",
-                    trace=[[0, f"error:{exc}", 0.0]],
-                )]
+
+    def collect(results):
+        for result in results:
             reports.extend(result)
             if report_sink is not None:
                 for r in result:
                     report_sink(r)
+
+    if parallelism > 1:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            collect(pool.map(_spec_rows, specs))
+    else:
+        collect(map(_spec_rows, specs))
     return aggregate(reports)
 
 

@@ -124,11 +124,13 @@ class TestRunSuite:
                          max_evals=500, max_wall_seconds=None, repetitions=1),
                  RunSpec(function="ackley", algorithm="direct",
                          max_evals=500, repetitions=1)]  # missing dim
-        suite = run_suite(specs)
-        assert len(suite.reports) == 2
-        errored = [r for r in suite.reports if r.best_f == float("inf")]
-        assert len(errored) == 1
-        assert errored[0].function == "ackley"
+        for parallelism in (1, 2):
+            suite = run_suite(specs, parallelism=parallelism)
+            assert len(suite.reports) == 2
+            errored = [r for r in suite.reports if r.best_f == float("inf")]
+            assert len(errored) == 1
+            assert errored[0].function == "ackley"
+            assert errored[0].termination == "global_stall"
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ConfigError):
