@@ -1,9 +1,28 @@
-"""Adaptive block coordinate DIRECT: coordinate-wise DIRECT subproblems,
-one quasi-Newton local search on stall, then random-block subproblems.
+"""Adaptive block coordinate DIRECT (ABCD) as a phase machine.
 
-Phase order is coordinate -> local -> block (local first when `sqp_first`).
-The incumbent never worsens; every subproblem routes evaluations through one
-shared counter so global budgets are exact.
+After an optimistic start sample, a loop runs one step at a time over one
+run state; each step is at most one solver call and picks the next phase.
+Before every step one stop check ends the run on the first that holds of:
+target reached, time, subproblem and evaluation budget. The phases:
+
+* coordinate: DIRECT over the next m1 coordinates in sequence; after t1
+  stalls in a row, local (block when `sqp_first`; restart when
+  `coordinate_only`).
+* local: one quasi-Newton polish, then block; with `sqp_first` it opens
+  every cycle and is followed by coordinate.
+* block: DIRECT over m2 random coordinates; after min(n, 6) stalls in a
+  row, intensify.
+* intensify: a polish from the best point, then a new cycle if the best
+  moved, else sweep.
+* sweep: deep DIRECT subproblems over every coordinate once; then a new
+  cycle if the best moved, else restart.
+* restart: a fresh start sample replaces the working incumbent and a new
+  cycle starts; without `restart_on_stall` or any budget the run ends.
+
+The best point never worsens. `max_evals` is checked before every step and
+clips each DIRECT subproblem's cap, so a run ends at most one DIRECT
+iteration past it, or past it by a polish that started with budget left. A
+capped `EvalCounter` is a hard cap; `runner.run_single` passes one.
 """
 
 from __future__ import annotations
@@ -26,12 +45,17 @@ from .problem import (
     evaluate_counted,
 )
 
+GLOBAL_STALL_EPS = 1e-6  # block-phase and intensify descent threshold
+DEEP_CAP_FACTOR = 5      # sweep subproblems get this many times the cap
+
 
 class Phase(str, Enum):
     COORDINATE = "coordinate"
     LOCAL = "local"
     BLOCK = "block"
-    DONE = "done"
+    INTENSIFY = "intensify"
+    SWEEP = "sweep"
+    RESTART = "restart"
 
 
 class CoordMode(str, Enum):
@@ -41,46 +65,49 @@ class CoordMode(str, Enum):
 
 @dataclass
 class AbcdConfig:
-    m1: int = 1                     # phase-1 block size
-    m2: int = 2                     # phase-3 block size
-    t1: int = 3                     # stall patience before the switch
+    """One ABCD run; the module docstring describes the phases."""
+
+    m1: int = 1                     # coordinate and sweep block size
+    m2: int = 2                     # random block size
+    t1: int = 3                     # stalled coordinate steps before leaving
     switch_eps: float = 1e-3        # descent at or below this counts as a stall
-    global_stall_eps: float = 1e-6  # phase-3 stall threshold
     target_accuracy: float = 1e-4
-    sub_eval_cap: Optional[int] = None   # default 100 * block size
-    max_evals: Optional[int] = None
+    sub_eval_cap: Optional[int] = None   # per subproblem, default 100 * block
+    max_evals: Optional[int] = None      # checked per step, clips subproblems
     max_subproblems: Optional[int] = None
     max_seconds: Optional[float] = None
-    q: Optional[int] = None         # starting-point samples, default min(2n, 32)
     seed: int = 0
-    sqp_first: bool = False
-    enable_switch: bool = True
-    enable_sqp: bool = True
-    restart_on_stall: bool = True   # stall with budget left starts a new cycle
-    # per-subproblem DIRECT stops
+    sqp_first: bool = False         # every cycle opens with the polish
+    coordinate_only: bool = False   # no polish, no blocks: a stall restarts
+    restart_on_stall: bool = True   # restart a stall if a budget is set
+    # per-subproblem DIRECT stops (the deep sweep uses none)
     sub_min_measure: float = 1e-6
     sub_stall_eps: float = 1e-8
     sub_stall_iters: int = 5
     poh_eps: float = 1e-4
-    local: LocalConfig = field(default_factory=LocalConfig)
 
     def validate(self, n: int) -> None:
         if not (1 <= self.m1 <= n and 1 <= self.m2 <= n):
             raise ConfigError("block sizes must lie in [1, n]")
         if self.t1 < 1 or self.switch_eps <= 0:
             raise ConfigError("t1 >= 1 and switch_eps > 0 required")
-        if self.q is not None and self.q < 1:
-            raise ConfigError("q must be >= 1")
 
 
 @dataclass
 class AbcdState:
+    """The phase machine's mutable state. The working incumbent is replaced
+    by a restart; the best pair is monotone and is what the run reports."""
+
     incumbent_x: np.ndarray
     incumbent_f: float
     phase: Phase
-    cursor: int = 0
-    stall_streak: int = 0
+    cursor: int = 0               # next coordinate of a sequential block
+    stall_streak: int = 0         # stalled subproblems in a row, this phase
     subproblem_index: int = 0
+    best_x: Optional[np.ndarray] = None
+    best_f: float = np.inf
+    sweep_left: int = 0           # deep subproblems left in the sweep
+    intensify_from: float = np.inf  # best value when intensify began
 
 
 @dataclass
@@ -91,6 +118,11 @@ class AbcdResult:
     subproblems: int
     reason: str
     trace: list = field(default_factory=list)  # (evals, subproblem, phase, f)
+
+
+def start_samples(n: int) -> int:
+    """Size of the optimistic start sample in n dimensions."""
+    return min(2 * n, 32)
 
 
 def choose_start(problem: Problem, q: int, rng: np.random.Generator,
@@ -155,261 +187,222 @@ def stall_update(streak: int, f_prev: float, f_new: float, eps1: float,
     return streak, streak >= t1
 
 
+class _Run:
+    """One `abcd_solve` call: its inputs, random streams, trace and machine
+    state. Each phase has one step method, which sets the next phase and
+    returns a reason to stop, or None."""
+
+    def __init__(self, problem: Problem, config: AbcdConfig,
+                 counter: EvalCounter):
+        self.problem, self.config, self.counter = problem, config, counter
+        self.n = problem.n
+        self.t_start = time.monotonic()
+        self.start_count = counter.count
+        # dedicated streams: block draws stay reproducible no matter how many
+        # evaluations earlier phases consumed
+        ss = np.random.SeedSequence(config.seed)
+        self.start_rng, self.block_rng = (np.random.default_rng(s)
+                                          for s in ss.spawn(2))
+        self.trace: list[tuple] = []
+        self.state: Optional[AbcdState] = None
+
+    def spent(self) -> int:
+        return self.counter.count - self.start_count
+
+    def draw_start(self) -> tuple[np.ndarray, float]:
+        return choose_start(self.problem, start_samples(self.n),
+                            self.start_rng, self.counter)
+
+    def stop_reason(self) -> Optional[str]:
+        """The one stop check, run before every step."""
+        cfg, s = self.config, self.state
+        target = self.problem.known_optimum
+        if (target is not None
+                and abs(s.best_f - target) <= cfg.target_accuracy):
+            return "target"
+        if (cfg.max_seconds is not None
+                and time.monotonic() - self.t_start > cfg.max_seconds):
+            return "time_budget"
+        if (cfg.max_subproblems is not None
+                and s.subproblem_index >= cfg.max_subproblems):
+            return "subproblem_budget"
+        if cfg.max_evals is not None and self.spent() >= cfg.max_evals:
+            return "eval_budget"
+        return None
+
+    def record(self, label: Phase) -> None:
+        s = self.state
+        self.trace.append((self.spent(), s.subproblem_index, label.value,
+                           s.best_f))
+
+    def replace(self, x: np.ndarray, f: float) -> None:
+        """Make (x, f) the working incumbent and keep the best pair."""
+        s = self.state
+        s.incumbent_x, s.incumbent_f = x, f
+        if f < s.best_f:
+            s.best_x, s.best_f = x.copy(), f
+
+    def adopt(self, x: np.ndarray, f: float) -> None:
+        """The adopt-incumbent rule: take (x, f) if it improves."""
+        if f < self.state.incumbent_f:
+            self.replace(x, f)
+
+    def new_cycle(self) -> None:
+        s, cfg = self.state, self.config
+        s.stall_streak, s.cursor = 0, 0
+        opening_polish = cfg.sqp_first and not cfg.coordinate_only
+        s.phase = Phase.LOCAL if opening_polish else Phase.COORDINATE
+
+    def best_moved(self) -> bool:
+        s = self.state
+        return s.best_f < s.intensify_from - GLOBAL_STALL_EPS
+
+    def subproblem(self, idx: np.ndarray, label: Phase,
+                   deep: bool = False) -> Optional[str]:
+        """One block-restricted DIRECT run. A deep run gets a larger cap and
+        no early stops, so it can separate near-equal basins the regular
+        stops would merge."""
+        cfg, s = self.config, self.state
+        cap = cfg.sub_eval_cap
+        if cap is None:
+            cap = 100 * len(idx)
+        if deep:
+            cap *= DEEP_CAP_FACTOR
+        if cfg.max_evals is not None:
+            cap = min(cap, cfg.max_evals - self.spent())
+        stops = {} if deep else dict(min_measure=cfg.sub_min_measure,
+                                     stall_eps=cfg.sub_stall_eps,
+                                     stall_iters=cfg.sub_stall_iters)
+        sub_cfg = DirectConfig(poh_eps=cfg.poh_eps, max_evals=cap,
+                               target_accuracy=cfg.target_accuracy, **stops)
+        res = direct_solve(make_subproblem(self.problem, s.incumbent_x, idx),
+                           sub_cfg, counter=self.counter)
+        s.subproblem_index += 1
+        x = s.incumbent_x.copy()
+        x[idx] = res.x_min
+        self.adopt(x, res.f_min)
+        self.record(label)
+        return "eval_budget" if res.reason == "budget" else None
+
+    def polish(self) -> Optional[str]:
+        res = sqp_local(self.problem, self.state.incumbent_x, LocalConfig(),
+                        self.counter)
+        self.adopt(res.x, res.f)
+        self.record(Phase.LOCAL)
+        exhausted = res.status is LocalStatus.BUDGET_EXHAUSTED
+        return "eval_budget" if exhausted else None
+
+    def coordinate(self) -> Optional[str]:
+        cfg, s = self.config, self.state
+        f_prev = s.incumbent_f
+        idx = select_coords(s, self.n, cfg.m1, CoordMode.SEQUENTIAL)
+        reason = self.subproblem(idx, Phase.COORDINATE)
+        s.stall_streak, switched = stall_update(
+            s.stall_streak, f_prev, s.incumbent_f, cfg.switch_eps, cfg.t1)
+        if switched:
+            # coordinate-only mode has no later phase to escape a
+            # coordinate-wise trap; the opening polish already ran
+            if cfg.coordinate_only:
+                s.phase = Phase.RESTART
+            elif cfg.sqp_first:
+                s.stall_streak, s.phase = 0, Phase.BLOCK
+            else:
+                s.phase = Phase.LOCAL
+        return reason
+
+    def local(self) -> Optional[str]:
+        s = self.state
+        if self.config.sqp_first:
+            s.phase = Phase.COORDINATE
+        else:
+            s.stall_streak, s.phase = 0, Phase.BLOCK
+        return self.polish()
+
+    def block(self) -> Optional[str]:
+        s = self.state
+        f_prev = s.incumbent_f
+        idx = select_coords(s, self.n, self.config.m2, CoordMode.RANDOM,
+                            self.block_rng)
+        reason = self.subproblem(idx, Phase.BLOCK)
+        if f_prev - s.incumbent_f <= GLOBAL_STALL_EPS:
+            s.stall_streak += 1
+            if s.stall_streak >= min(self.n, 6):
+                s.phase = Phase.INTENSIFY
+        else:
+            s.stall_streak = 0
+        return reason
+
+    def intensify(self) -> Optional[str]:
+        s = self.state
+        s.intensify_from = s.best_f
+        self.replace(s.best_x, s.best_f)
+        reason = self.polish()
+        if self.best_moved():
+            self.new_cycle()
+        else:
+            # coordinate may have switched away before visiting every
+            # coordinate: sweep them all
+            s.cursor = 0
+            s.sweep_left = -(-self.n // self.config.m1)
+            s.phase = Phase.SWEEP
+        return reason
+
+    def sweep(self) -> Optional[str]:
+        s = self.state
+        idx = select_coords(s, self.n, self.config.m1, CoordMode.SEQUENTIAL)
+        reason = self.subproblem(idx, Phase.COORDINATE, deep=True)
+        s.sweep_left -= 1
+        if s.sweep_left == 0:
+            if self.best_moved():
+                self.new_cycle()
+            else:
+                s.phase = Phase.RESTART
+        return reason
+
+    def restart(self) -> Optional[str]:
+        cfg = self.config
+        if not cfg.restart_on_stall or (cfg.max_evals is None
+                                        and cfg.max_subproblems is None
+                                        and cfg.max_seconds is None):
+            # without any budget a restart loop could never terminate
+            return "global_stall"
+        try:
+            x, f = self.draw_start()
+        except BudgetExhausted:
+            return "eval_budget"
+        self.replace(x, f)
+        self.record(Phase.COORDINATE)
+        self.new_cycle()
+        return None
+
+
+_STEPS = {
+    Phase.COORDINATE: _Run.coordinate,
+    Phase.LOCAL: _Run.local,
+    Phase.BLOCK: _Run.block,
+    Phase.INTENSIFY: _Run.intensify,
+    Phase.SWEEP: _Run.sweep,
+    Phase.RESTART: _Run.restart,
+}
+
+
 def abcd_solve(problem: Problem, config: Optional[AbcdConfig] = None,
                counter: Optional[EvalCounter] = None) -> AbcdResult:
     config = config or AbcdConfig()
-    n = problem.n
-    config.validate(n)
-    counter = counter if counter is not None else EvalCounter()
-    target = problem.known_optimum
-    t_start = time.monotonic()
-    start_count = counter.count
-
-    # dedicated streams: phase-3 block draws stay reproducible no matter how
-    # many evaluations earlier phases consumed
-    ss = np.random.SeedSequence(config.seed)
-    start_rng, block_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-
-    trace: list[tuple] = []
-    reason = None
-
-    def spent():
-        return counter.count - start_count
-
-    q = config.q if config.q is not None else min(2 * n, 32)
+    config.validate(problem.n)
+    run = _Run(problem, config,
+               counter if counter is not None else EvalCounter())
     try:
-        x0, f0 = choose_start(problem, q, start_rng, counter)
+        x0, f0 = run.draw_start()
     except BudgetExhausted:
         mid = problem.bounds.lower + 0.5 * problem.bounds.width
-        return AbcdResult(np.inf, mid, spent(), 0, "budget", trace)
-
-    state = AbcdState(incumbent_x=x0, incumbent_f=f0, phase=Phase.COORDINATE)
-    # the working incumbent may be replaced by a restart; the best pair is
-    # monotone and is what the result and trace report
-    best_x, best_f = x0.copy(), f0
-    trace.append((spent(), 0, Phase.COORDINATE.value, best_f))
-
-    def note_best():
-        nonlocal best_x, best_f
-        if state.incumbent_f < best_f:
-            best_x, best_f = state.incumbent_x.copy(), state.incumbent_f
-
-    def target_hit():
-        return (target is not None
-                and abs(best_f - target) <= config.target_accuracy)
-
-    def out_of_budget():
-        if config.max_evals is not None and spent() >= config.max_evals:
-            return True
-        if (config.max_subproblems is not None
-                and state.subproblem_index >= config.max_subproblems):
-            return True
-        if (config.max_seconds is not None
-                and time.monotonic() - t_start > config.max_seconds):
-            return True
-        return False
-
-    def classify_budget():
-        if config.max_seconds is not None and time.monotonic() - t_start > config.max_seconds:
-            return "time_budget"
-        if (config.max_subproblems is not None
-                and state.subproblem_index >= config.max_subproblems):
-            return "subproblem_budget"
-        return "eval_budget"
-
-    def run_subproblem(idx, phase, deep=False):
-        """One block-restricted DIRECT run; adopt its best into the incumbent.
-
-        A deep run gets a larger evaluation cap and no early stops so it can
-        separate near-equal basins the regular stops would merge."""
-        sub = make_subproblem(problem, state.incumbent_x, idx)
-        cap = config.sub_eval_cap
-        cap = cap if cap is not None else 100 * len(idx)
-        if deep:
-            sub_cfg = DirectConfig(
-                poh_eps=config.poh_eps,
-                max_evals=5 * cap,
-                target_accuracy=config.target_accuracy,
-            )
-        else:
-            sub_cfg = DirectConfig(
-                poh_eps=config.poh_eps,
-                max_evals=cap,
-                target_accuracy=config.target_accuracy,
-                min_measure=config.sub_min_measure,
-                stall_eps=config.sub_stall_eps,
-                stall_iters=config.sub_stall_iters,
-            )
-        res = direct_solve(sub, sub_cfg, counter=counter)
-        state.subproblem_index += 1
-        if res.f_min < state.incumbent_f:
-            x = state.incumbent_x.copy()
-            x[np.asarray(idx, dtype=int)] = res.x_min
-            state.incumbent_x = x
-            state.incumbent_f = res.f_min
-            note_best()
-        trace.append((spent(), state.subproblem_index, phase.value, best_f))
-        return res.reason
-
-    def run_local():
-        state.phase = Phase.LOCAL
-        res = sqp_local(problem, state.incumbent_x, config.local, counter)
-        if res.f < state.incumbent_f:
-            state.incumbent_x = res.x.copy()
-            state.incumbent_f = res.f
-            note_best()
-        trace.append((spent(), state.subproblem_index, Phase.LOCAL.value,
-                      best_f))
-        return res.status
-
-    def restart() -> bool:
-        """Replace the working incumbent with a fresh optimistic draw; the
-        global best is kept aside. Returns False on budget exhaustion."""
-        nonlocal reason
-        try:
-            x_new, f_new = choose_start(problem, q, start_rng, counter)
-        except BudgetExhausted:
-            reason = "eval_budget"
-            return False
-        state.incumbent_x, state.incumbent_f = x_new, f_new
-        note_best()
-        state.stall_streak = 0
-        state.cursor = 0
-        trace.append((spent(), state.subproblem_index,
-                      Phase.COORDINATE.value, best_f))
-        return True
-
-    # a cycle is one pass through the phases; a stalled cycle restarts from a
-    # fresh draw when budget remains and restarts are enabled
+        return AbcdResult(np.inf, mid, run.spent(), 0, "budget", run.trace)
+    run.state = s = AbcdState(x0, f0, Phase.COORDINATE, best_x=x0.copy(),
+                              best_f=f0)
+    run.record(Phase.COORDINATE)
+    run.new_cycle()
+    reason = None
     while reason is None:
-        if config.sqp_first and config.enable_sqp and not target_hit():
-            status = run_local()
-            if status is LocalStatus.BUDGET_EXHAUSTED:
-                reason = "eval_budget"
-                break
-
-        # phase 1: sequential coordinate blocks of size m1
-        state.phase = Phase.COORDINATE
-        while reason is None:
-            if target_hit():
-                reason = "target"
-                break
-            if out_of_budget():
-                reason = classify_budget()
-                break
-            f_prev = state.incumbent_f
-            sub_reason = run_subproblem(
-                select_coords(state, n, config.m1, CoordMode.SEQUENTIAL),
-                Phase.COORDINATE)
-            if sub_reason == "budget":
-                reason = "eval_budget"
-                break
-            state.stall_streak, switched = stall_update(
-                state.stall_streak, f_prev, state.incumbent_f,
-                config.switch_eps, config.t1)
-            if switched:
-                if config.enable_switch:
-                    break
-                # coordinate-only mode has no later phase to escape a
-                # coordinate-wise trap: restart immediately
-                if not restart():
-                    break
-
-        # phase 2: one local polish
-        if reason is None and config.enable_sqp and not config.sqp_first:
-            if not target_hit() and not out_of_budget():
-                status = run_local()
-                if status is LocalStatus.BUDGET_EXHAUSTED:
-                    reason = "eval_budget"
-
-        # phase 3: random coordinate blocks of size m2
-        stalled = False
-        if reason is None:
-            state.phase = Phase.BLOCK
-            global_stall = 0
-            patience = min(n, 6)
-            while reason is None:
-                if target_hit():
-                    reason = "target"
-                    break
-                if out_of_budget():
-                    reason = classify_budget()
-                    break
-                f_prev = state.incumbent_f
-                sub_reason = run_subproblem(
-                    select_coords(state, n, config.m2, CoordMode.RANDOM,
-                                  block_rng),
-                    Phase.BLOCK)
-                if sub_reason == "budget":
-                    reason = "eval_budget"
-                    break
-                if f_prev - state.incumbent_f <= config.global_stall_eps:
-                    global_stall += 1
-                    if global_stall >= patience:
-                        stalled = True
-                        break
-                else:
-                    global_stall = 0
-
-        if reason is None:
-            if target_hit():
-                reason = "target"
-            elif out_of_budget():
-                reason = classify_budget()
-            elif not stalled:
-                continue
-            else:
-                # intensify around the global best before abandoning it: one
-                # more polish, then a full coordinate sweep (phase 1 may have
-                # switched away before visiting every coordinate)
-                f_before = best_f
-                state.incumbent_x = best_x.copy()
-                state.incumbent_f = best_f
-                if config.enable_sqp:
-                    status = run_local()
-                    if status is LocalStatus.BUDGET_EXHAUSTED:
-                        reason = "eval_budget"
-                if reason is None and best_f >= f_before - config.global_stall_eps:
-                    state.cursor = 0
-                    for _ in range(-(-n // config.m1)):
-                        if target_hit():
-                            reason = "target"
-                            break
-                        if out_of_budget():
-                            reason = classify_budget()
-                            break
-                        sub_reason = run_subproblem(
-                            select_coords(state, n, config.m1,
-                                          CoordMode.SEQUENTIAL),
-                            Phase.COORDINATE, deep=True)
-                        if sub_reason == "budget":
-                            reason = "eval_budget"
-                            break
-                if reason is not None:
-                    break
-                if target_hit():
-                    reason = "target"
-                elif best_f < f_before - config.global_stall_eps:
-                    state.stall_streak = 0
-                    state.cursor = 0
-                    continue  # the best moved: run the phases again from it
-                elif not config.restart_on_stall or (
-                        config.max_evals is None
-                        and config.max_subproblems is None
-                        and config.max_seconds is None):
-                    # without any budget a restart loop could never terminate
-                    reason = "global_stall"
-                elif not restart():
-                    break
-
-    if reason is None:
-        reason = "target" if target_hit() else classify_budget()
-    state.phase = Phase.DONE
-    return AbcdResult(
-        f_min=best_f,
-        x_min=best_x,
-        evals=spent(),
-        subproblems=state.subproblem_index,
-        reason=reason,
-        trace=trace,
-    )
+        reason = run.stop_reason() or _STEPS[s.phase](run)
+    return AbcdResult(s.best_f, s.best_x, run.spent(), s.subproblem_index,
+                      reason, run.trace)

@@ -1,14 +1,12 @@
 """Benchmark-function evaluation kernels.
 
-Each kernel takes a 1-D float64 array and returns a float. The hot path is
-compiled with numba when available; set ABCDIRECT_NUMBA=0 to force the plain
-numpy fallback.
+Each kernel takes a 1-D float64 array and returns a float. `KERNELS` maps
+the registry's kernel names to them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -23,11 +21,6 @@ from .data import (
 # sin(s) + (s/2) cos(s) = 0 with s = sqrt(x).
 SCHWEFEL_XSTAR = 420.96874635998205
 SCHWEFEL_OFFSET = 418.9828872724337
-
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("ABCDIRECT_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
 
 
 def ackley(x):
@@ -224,7 +217,7 @@ def hartman6(x):
     return total
 
 
-PY_KERNELS = {
+KERNELS = {
     "ackley": ackley,
     "dixon-price": dixon_price,
     "griewank": griewank,
@@ -248,26 +241,3 @@ PY_KERNELS = {
     "H3": hartman3,
     "H6": hartman6,
 }
-
-
-def compile_kernels(use_numba: bool) -> dict:
-    """Return the kernel table, jit-compiled when requested and possible."""
-    if not use_numba:
-        return dict(PY_KERNELS)
-    try:
-        from numba import njit
-    except ImportError:
-        return dict(PY_KERNELS)
-    jit_shekel = njit(cache=True)(_shekel)
-    out = {}
-    for name, fn in PY_KERNELS.items():
-        if name in ("S5", "S7", "S10"):
-            m = {"S5": 5, "S7": 7, "S10": 10}[name]
-            out[name] = (lambda mm: (lambda x: jit_shekel(x, mm)))(m)
-        else:
-            out[name] = njit(cache=True)(fn)
-    return out
-
-
-NUMBA_ENABLED = _env_wants_numba()
-KERNELS = compile_kernels(NUMBA_ENABLED)

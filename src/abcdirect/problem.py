@@ -148,15 +148,10 @@ class NormalizedProblem:
     """
 
     original: Problem
-    bounds: Bounds = field(init=False)
     lower: np.ndarray = field(init=False, repr=False)
     width: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.original.n
-        object.__setattr__(
-            self, "bounds", Bounds(np.zeros(n), np.ones(n))
-        )
         object.__setattr__(self, "lower", self.original.bounds.lower)
         object.__setattr__(self, "width", self.original.bounds.width)
 

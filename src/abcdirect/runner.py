@@ -13,16 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from .abcd import AbcdConfig, AbcdResult, abcd_solve, choose_start
+from .abcd import AbcdConfig, abcd_solve, choose_start, start_samples
 from .direct import DirectConfig, direct_solve
 from .local import LocalConfig, LocalStatus, sqp_local
 from .problem import BudgetExhausted, ConfigError, EvalCounter
 from .functions import get_function
 
 ALGORITHMS = ("direct", "abcd-coordinate", "abcd", "sqp")
-
-TERMINATIONS = ("target_reached", "global_stall", "time_budget",
-                "eval_budget", "iter_budget")
 
 
 @dataclass
@@ -71,23 +68,30 @@ class RunReport:
         return json.dumps(asdict(self), separators=(",", ":"))
 
 
+# report termination of every stop reason a solver returns
+_TERMINATION = {
+    "target": "target_reached",
+    "eval_budget": "eval_budget",
+    "budget": "eval_budget",
+    "iter_budget": "iter_budget",
+    "subproblem_budget": "iter_budget",
+    "time_budget": "time_budget",
+    "global_stall": "global_stall",
+    "converged": "global_stall",
+}
+
+
 def _classify(reason: str) -> str:
-    return {
-        "target": "target_reached",
-        "eval_budget": "eval_budget",
-        "budget": "eval_budget",
-        "iter_budget": "iter_budget",
-        "subproblem_budget": "iter_budget",
-        "time_budget": "time_budget",
-        "global_stall": "global_stall",
-        "converged": "global_stall",
-    }.get(reason, "global_stall")
+    try:
+        return _TERMINATION[reason]
+    except KeyError:
+        raise ValueError(f"unknown stop reason {reason!r}") from None
 
 
 def _run_sqp(problem, spec: RunSpec, seed: int, counter: EvalCounter):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     try:
-        x0, f0 = choose_start(problem, min(2 * problem.n, 32), rng, counter)
+        x0, f0 = choose_start(problem, start_samples(problem.n), rng, counter)
     except BudgetExhausted:
         mid = problem.bounds.lower + 0.5 * problem.bounds.width
         return mid, np.inf, "eval_budget", []
@@ -120,7 +124,6 @@ def run_single(spec: RunSpec, repetition: int) -> RunReport:
         best_x, best_f, reason = res.x_min, res.f_min, res.reason
         trace = [[e, "direct", f] for e, _, f in res.trace]
     elif spec.algorithm in ("abcd", "abcd-coordinate"):
-        coordinate_only = spec.algorithm == "abcd-coordinate"
         cfg = AbcdConfig(
             m1=spec.m1, m2=spec.m2, t1=spec.t1,
             switch_eps=spec.switch_eps,
@@ -129,8 +132,7 @@ def run_single(spec: RunSpec, repetition: int) -> RunReport:
             max_seconds=spec.max_wall_seconds,
             seed=seed,
             sqp_first=spec.sqp_first,
-            enable_switch=not coordinate_only,
-            enable_sqp=not coordinate_only,
+            coordinate_only=spec.algorithm == "abcd-coordinate",
             poh_eps=spec.poh_eps,
         )
         res = abcd_solve(problem, cfg, counter=counter)

@@ -224,7 +224,7 @@ def test_7_degeneration_equivalence():
         pa, pts_abcd = recording(problem)
         q = min(2 * n, 32)
         abcd_solve(pa, AbcdConfig(
-            m1=n, enable_switch=False, enable_sqp=False,
+            m1=n, coordinate_only=True,
             restart_on_stall=False, sub_eval_cap=2000, sub_min_measure=0.0,
             sub_stall_eps=0.0, sub_stall_iters=0, max_evals=q + 2000,
             seed=0, target_accuracy=0.0))

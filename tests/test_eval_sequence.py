@@ -2,9 +2,12 @@
 
 A pure speed-up of the evaluation or bookkeeping path must leave every
 evaluated point and value bit-identical. These tests hash the in-order
-(point bytes, value) sequence of three fixed runs and compare it with the
-digest recorded before the DIRECT hot path was streamlined; a changed digest
-means the algorithm's behaviour changed, not just its speed.
+(point bytes, value) sequence of fixed runs and compare it with a recorded
+digest; a changed digest means the algorithm's behaviour changed, not just
+its speed. The DIRECT digests were recorded before the DIRECT hot path was
+streamlined, the two capped-counter ABCD digests before ABCD became a phase
+machine; the griewank n=6 digest was re-recorded when subproblem caps began
+to be clipped to the evaluation budget left.
 """
 
 import hashlib
@@ -16,14 +19,16 @@ import pytest
 from abcdirect.abcd import AbcdConfig, abcd_solve
 from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.functions import get_function
-from abcdirect.problem import NormalizedProblem, Problem
+from abcdirect.problem import EvalCounter, NormalizedProblem, Problem
 
 
-def hashing(problem):
+def hashing(problem, prefix=None):
     """Wrap a problem so every evaluated user-space point and its value feed
-    one sha256 digest, in evaluation order."""
+    one sha256 digest, in evaluation order. `prefixes` receives the digest of
+    the first `prefix` evaluations."""
     digest = hashlib.sha256()
     count = [0]
+    prefixes = []
     base = problem.objective
 
     def obj(x):
@@ -31,21 +36,27 @@ def hashing(problem):
         digest.update(np.asarray(x, dtype="<f8").tobytes())
         digest.update(struct.pack("<d", float(value)))
         count[0] += 1
+        if count[0] == prefix:
+            prefixes.append(digest.hexdigest())
         return value
 
-    return Problem(obj, problem.bounds, problem.known_optimum), digest, count
+    wrapped = Problem(obj, problem.bounds, problem.known_optimum)
+    return wrapped, digest, count, prefixes
 
 
 def run_direct(name, dim, max_evals):
-    problem, digest, count = hashing(get_function(name, dim)[0])
+    problem, digest, count, _ = hashing(get_function(name, dim)[0])
     direct_solve(problem, DirectConfig(max_evals=max_evals,
                                        target_accuracy=0.0))
     return digest.hexdigest(), count[0]
 
 
-def run_abcd(name, dim, max_evals, seed):
-    problem, digest, count = hashing(get_function(name, dim)[0])
-    abcd_solve(problem, AbcdConfig(max_evals=max_evals, seed=seed))
+def run_abcd(name, dim, max_evals, seed, capped=False, **config):
+    """A seeded ABCD run; `capped` also caps the counter at max_evals."""
+    problem, digest, count, _ = hashing(get_function(name, dim)[0])
+    counter = EvalCounter(cap=max_evals) if capped else None
+    abcd_solve(problem, AbcdConfig(max_evals=max_evals, seed=seed, **config),
+               counter=counter)
     return digest.hexdigest(), count[0]
 
 
@@ -58,12 +69,30 @@ CASES = {
         lambda: run_direct("S5", None, 2000),
         "d86ed4c1c22d77960e49a83ff431d1a7516cd892efe393ecab59eefa8f5efbee",
         2001),
-    # all three phases: coordinate, local polish and random blocks
+    # all three phases: coordinate, local polish and random blocks; the
+    # counter is uncapped, so the last subproblem's cap is clipped
     "abcd-griewank-6-seed3": (
         lambda: run_abcd("griewank", 6, 4000, 3),
-        "85023f94eb17fa481367db5f5cd13fc4c874a2bed67e0895838533f1d1334a0d",
-        4125),
+        "65c5f13402deec45254402bf75321b486d2b2d127da4264d7b5f63e3515562af",
+        4001),
+    # coordinate-only: stalls restart from a fresh sample (twice here)
+    "abcd-coordinate-S5-seed0": (
+        lambda: run_abcd("S5", None, 3000, 0, capped=True,
+                         coordinate_only=True),
+        "5eaa832d89c48b85d22050ec77b3df2e41b0239456db5b4ba3b062ee364ff426",
+        2454),
+    # polish first, all three phases, intensify and one restart
+    "abcd-sqp-first-griewank-4-seed3": (
+        lambda: run_abcd("griewank", 4, 10000, 3, capped=True,
+                         sqp_first=True),
+        "cb5acd854b551b20537352e5c9c95183abe0c60b75fb9ce743df910219d206a3",
+        10000),
 }
+
+# the first 4000 evaluations of abcd-griewank-6-seed3, which are also all
+# the evaluations of the same run on a counter capped at 4000
+GRIEWANK_4000 = (
+    "a2dbf2c09bfa50d813b6e9ccb58b50e06551bbf87cfec47adefb935d3c74bff2")
 
 
 @pytest.fixture
@@ -90,3 +119,11 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
     assert unit_cube_probes
     z = np.concatenate(unit_cube_probes)
     assert ((z > 0.0) & (z < 1.0)).all()
+
+
+def test_budget_clip_only_cuts_the_tail():
+    problem, _, _, prefixes = hashing(get_function("griewank", 6)[0], 4000)
+    abcd_solve(problem, AbcdConfig(max_evals=4000, seed=3))
+    assert prefixes == [GRIEWANK_4000]
+    assert run_abcd("griewank", 6, 4000, 3, capped=True) == (
+        GRIEWANK_4000, 4000)

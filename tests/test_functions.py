@@ -1,4 +1,4 @@
-"""Registry metadata, kernel values and the compiled/pure path agreement."""
+"""Registry metadata, coefficient tables and kernel values."""
 
 import hashlib
 import math
@@ -115,7 +115,7 @@ class TestAdjustBounds:
 
 class TestKernels:
     def test_known_values(self):
-        k = kernels.PY_KERNELS
+        k = kernels.KERNELS
         assert k["sphere"](np.zeros(4)) == 0.0
         assert k["rosenbrock"](np.ones(5)) == 0.0
         assert k["rastrigin"](np.zeros(3)) == 0.0
@@ -125,26 +125,6 @@ class TestKernels:
         assert k["ackley"](np.zeros(6)) == pytest.approx(0.0, abs=1e-12)
         assert k["levy"](np.ones(7)) == pytest.approx(0.0, abs=1e-12)
         assert k["griewank"](np.zeros(8)) == 0.0
-
-    def test_compiled_and_pure_paths_agree(self):
-        compiled = kernels.compile_kernels(True)
-        rng = np.random.default_rng(0)
-        dims = {"BR": 2, "GP": 2, "C6": 2, "SHU": 2, "H3": 3, "H6": 6,
-                "S5": 4, "S7": 4, "S10": 4}
-        for name, fn in kernels.PY_KERNELS.items():
-            n = dims.get(name, 8)
-            for _ in range(5):
-                x = rng.uniform(-1.5, 1.5, size=n)
-                assert compiled[name](x) == pytest.approx(
-                    fn(x), rel=1e-12, abs=1e-12), name
-
-    def test_env_flag_parsing(self, monkeypatch):
-        for raw, want in [("0", False), ("false", False), ("no", False),
-                          ("off", False), ("1", True), ("", True)]:
-            monkeypatch.setenv("ABCDIRECT_NUMBA", raw)
-            assert kernels._env_wants_numba() is want, raw
-        monkeypatch.delenv("ABCDIRECT_NUMBA")
-        assert kernels._env_wants_numba() is True
 
 
 class TestValidateRegistry:

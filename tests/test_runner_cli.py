@@ -13,6 +13,7 @@ from abcdirect.runner import (
     ALGORITHMS,
     RunReport,
     RunSpec,
+    _classify,
     aggregate,
     export_trace,
     run_one,
@@ -74,6 +75,21 @@ class TestRunSingle:
         rep = run_single(spec, 0)
         hit = abs(rep.best_f - 0.0) <= spec.target_accuracy
         assert (rep.termination == "target_reached") == hit
+
+    def test_coordinate_only_stops_on_target_before_restart(self):
+        # this run reaches the target on the stalled subproblem that would
+        # trigger a restart; the stop check runs first, so no fresh start
+        # sample is drawn (the run used to end at 881 evaluations)
+        spec = RunSpec("H6", algorithm="abcd-coordinate", max_evals=2000,
+                       max_wall_seconds=None, seed=16, repetitions=1)
+        rep = run_single(spec, 0)
+        assert rep.termination == "target_reached"
+        assert rep.evals == 869
+
+    def test_unknown_stop_reason_raises(self):
+        assert _classify("converged") == "global_stall"
+        with pytest.raises(ValueError, match="unknown stop reason"):
+            _classify("stalled")
 
     def test_report_json_round_trip(self):
         spec = RunSpec(function="sphere", dim=2, algorithm="direct",
