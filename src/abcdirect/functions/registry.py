@@ -213,9 +213,8 @@ def get_function(name: str, dim: Optional[int] = None,
         oracle_derived=entry.oracle_derived,
     )
     solve_bounds = adjust_bounds(bounds, x_star) if adjust else bounds
-    kernel = KERNELS[entry.kernel_name]
     problem = Problem(
-        objective=lambda x, _k=kernel: _k(np.asarray(x, dtype=float)),
+        objective=KERNELS[entry.kernel_name],
         bounds=solve_bounds,
         known_optimum=f_star,
     )

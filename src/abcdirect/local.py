@@ -94,14 +94,14 @@ def box_qp_step(g: np.ndarray, B: np.ndarray, x: np.ndarray, bounds: Bounds,
     step = 1.0 / L
     p = np.zeros_like(g)
     for _ in range(iters):
-        p = np.clip(p - step * (g + B @ p), lo, hi)
+        p = (p - step * (g + B @ p)).clip(lo, hi)
     if g @ p + 0.5 * p @ B @ p > 0.0:
         return np.zeros_like(g)
     return p
 
 
 def _projected_gradient_norm(x, g, bounds):
-    return float(np.abs(np.clip(x - g, bounds.lower, bounds.upper) - x).max())
+    return float(np.abs((x - g).clip(bounds.lower, bounds.upper) - x).max())
 
 
 def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,

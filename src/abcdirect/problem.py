@@ -65,7 +65,7 @@ class Bounds:
         )
 
     def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+        return np.asarray(x, dtype=float).clip(self.lower, self.upper)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,11 @@ class Problem:
         return self.bounds.n
 
     def __call__(self, x: np.ndarray) -> float:
-        value = float(self.objective(np.asarray(x, dtype=float)))
+        try:
+            value = float(self.objective(np.asarray(x, dtype=float)))
+        except OverflowError:
+            # Python-float arithmetic raises where numpy would give inf
+            value = math.inf
         if not math.isfinite(value):
             raise NonFiniteValueError(
                 f"objective returned non-finite value {value!r} at {x!r}"

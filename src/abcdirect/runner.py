@@ -29,7 +29,7 @@ class RunSpec:
     algorithm: str = "abcd"
     target_accuracy: float = 1e-4
     max_evals: int = 200000
-    max_wall_seconds: Optional[float] = 20.0
+    max_wall_seconds: Optional[float] = None
     seed: int = 0
     repetitions: int = 5
     m1: int = 1
@@ -222,7 +222,7 @@ def aggregate(reports: list[RunReport]) -> SuiteReport:
 
 def _spec_rows(spec: RunSpec) -> list[RunReport]:
     """All repetitions of one spec; a spec that raises becomes one row with
-    termination 'global_stall' and best_f = inf instead of an exception."""
+    termination 'error' and best_f = inf instead of an exception."""
     try:
         return run_one(spec)
     except Exception as exc:  # keep the suite alive, record the row
@@ -231,7 +231,7 @@ def _spec_rows(spec: RunSpec) -> list[RunReport]:
             algorithm=spec.algorithm, seed=spec.seed, repetition=0,
             best_f=float("inf"), best_x=[],
             evals=0, elapsed_seconds=0.0,
-            termination="global_stall",
+            termination="error",
             trace=[[0, f"error:{exc}", 0.0]],
         )]
 
@@ -240,9 +240,9 @@ def run_suite(specs: list[RunSpec], parallelism: int = 1,
               report_sink=None) -> SuiteReport:
     """Run every spec (optionally across processes) and aggregate.
 
-    Individual run failures are recorded as rows with termination
-    'global_stall' and best_f = inf rather than aborting the suite, on the
-    serial and the parallel path alike.
+    Individual run failures are recorded as rows with termination 'error'
+    and best_f = inf rather than aborting the suite, on the serial and the
+    parallel path alike.
     """
     if not specs:
         raise ConfigError("suite needs at least one run spec")

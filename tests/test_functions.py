@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from abcdirect.functions import data, kernels
+from abcdirect.functions import data, kernels, registry
 from abcdirect.functions.registry import (
     HEDAR_NAMES,
     JONES_NAMES,
@@ -125,6 +125,67 @@ class TestKernels:
         assert k["ackley"](np.zeros(6)) == pytest.approx(0.0, abs=1e-12)
         assert k["levy"](np.ones(7)) == pytest.approx(0.0, abs=1e-12)
         assert k["griewank"](np.zeros(8)) == 0.0
+
+
+# sha256 of the "<d" bytes of each function's kernel values at 500 points per
+# dimension (default_rng(0), redrawn per dimension) in its canonical box
+# stretched 1.2x about the centre; dimensions are the fixed one, or the
+# minimum and each of 6, 12, 18 above it. Recorded with element-wise numpy
+# kernels, so a rewrite that changes any value's bits fails here.
+KERNEL_SHA256 = {
+    "S5": "7a4b13fb0833208dd4c98d59832c0b8c183b33a68c4d47937c4fb29dfa57f855",
+    "S7": "41414d79c7604d7dfb9eb5f5233a0a82acd14de1f58b4d45f14e748f79467166",
+    "S10": "02507b187d6a914604fad8025886313388fa9f4d457b408bfc8131d44effc8c0",
+    "H3": "f7799d817314b35ca66dff1e7fe8ce3053213ae06ffffa0a1ee6b5772cace890",
+    "H6": "81d198d61ccf8d09292cc79d0f4308ad66b67a7cc07f8920c6ff70e719c0a0f3",
+    "BR": "16134995870b7d8906ce66ef79f72423f4de87edbf38fc6cfd8194e0b2292389",
+    "GP": "bd0c182a44063088cd269a0ed9fab8b3213c91a4248ffbb64cdd69745037647b",
+    "C6": "3666c9ed1344dd198574dcc867c2138b2cd60cfc295b6778a927f2076af9d298",
+    "SHU": "7af86b66b896d1db4368486a0eabe1191b446fa090667e512111de47f3d17022",
+    "ackley": "69d48c95e8c17a3d2b6630064a33702eafe24be675e5f311fab4ab87bae15f00",
+    "dixon-price": "e38c6b0d744d3f608a8c54ac488b0c8ec30ed95d4122b00c3a304e48678ce8cd",
+    "griewank": "7691665f5f5a69fc15b4a90e3de7e9c6307e36ee193dc8aaac123fe7b6c8051a",
+    "levy": "6ff5435925ad4e60178c2364f3c0e311cf3a39af05332d8e21b5693a7f694697",
+    "michalewicz": "0f5c09b9457c16921717e9e0f94313f2ecea128d8e3346273d2074e47c488732",
+    "powell": "da96524740796bc4f35a063c5766bfd4165c81acfeb78cb5f265aa8d60b525fb",
+    "rastrigin": "2f1841fbb57da36ee58e51fa59774a9bd72086dc57262dc210ab5ba9f85dbba5",
+    "rosenbrock": "9d05bf370051c2f1732cfb4a2d3449f5cca7e3a744c7ee52e0e399795ca750ed",
+    "schwefel": "798b3d26c2f6f2b99dc8b116f34490a95b197481f67ca3842b13150488ae5f21",
+    "sphere": "4b00d0fedbd4682efb73df5042ef6318ba56701e87edeb5493ed951c616df182",
+    "sum-square": "7d26c4aa01a47bb95bf3faee309dc75f8551343742597cfd5d37b9f05e3de514",
+    "trid": "b6a5ebd0a3d38185d5433d10dfbc4dc8e997c6cfeeddf3ebb10663ee1e477c83",
+    "zakharov": "3932b5211c656ac575654987886e2ea5907568a93b1b19f099a02171a8db8fba",
+}
+
+
+def _pin_dims(name):
+    dims = registry._REGISTRY[name].dims
+    if isinstance(dims, int):
+        return [dims]
+    return [dims[0]] + [d for d in (6, 12, 18) if d > dims[0]]
+
+
+class TestKernelValues:
+    @pytest.mark.parametrize("name", list_functions())
+    def test_values_are_pinned(self, name):
+        kernel = kernels.KERNELS[registry._REGISTRY[name].kernel_name]
+        digest = hashlib.sha256()
+        for n in _pin_dims(name):
+            _, meta = get_function(name, n, adjust=False)
+            mid = 0.5 * (meta.bounds.lower + meta.bounds.upper)
+            half = 0.6 * meta.bounds.width
+            pts = np.random.default_rng(0).uniform(mid - half, mid + half,
+                                                   size=(500, n))
+            values = np.array([kernel(p) for p in pts], dtype="<f8")
+            digest.update(values.tobytes())
+        assert digest.hexdigest() == KERNEL_SHA256[name]
+
+    def test_objective_is_the_kernel(self):
+        for name in list_functions():
+            problem, _ = get_function(name, _pin_dims(name)[0])
+            kernel = kernels.KERNELS[registry._REGISTRY[name].kernel_name]
+            assert problem.objective is kernel
+            assert type(kernel(problem.bounds.lower)) is float
 
 
 class TestValidateRegistry:

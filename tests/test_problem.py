@@ -57,6 +57,13 @@ class TestProblem:
         with pytest.raises(NonFiniteValueError):
             p(np.array([0.5]))
 
+    def test_overflow_is_non_finite(self):
+        # Python-float `**` raises OverflowError where numpy returns inf
+        p = Problem(lambda x: x.tolist()[0] ** 2,
+                    Bounds(np.zeros(1), np.ones(1)))
+        with pytest.raises(NonFiniteValueError):
+            p(np.array([1e200]))
+
     def test_call_is_float(self):
         p = sphere_problem(2)
         assert p(np.array([1.0, 2.0])) == 5.0

@@ -28,6 +28,7 @@ class TestRunSpec:
         assert spec.algorithm == "abcd"
         assert spec.max_evals == 200000
         assert spec.target_accuracy == 1e-4
+        assert spec.max_wall_seconds is None
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ConfigError):
@@ -146,7 +147,7 @@ class TestRunSuite:
             errored = [r for r in suite.reports if r.best_f == float("inf")]
             assert len(errored) == 1
             assert errored[0].function == "ackley"
-            assert errored[0].termination == "global_stall"
+            assert errored[0].termination == "error"
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ConfigError):
