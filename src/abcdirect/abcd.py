@@ -163,11 +163,13 @@ def make_subproblem(problem: Problem, incumbent_x: np.ndarray,
     the incumbent. Evaluations still count against the caller's counter."""
     idx = np.asarray(idx, dtype=int)
     frozen = np.array(incumbent_x, dtype=float)
+    full_objective = problem.objective
 
     def objective(y):
+        # a fresh copy per call, since an objective may keep its argument
         x = frozen.copy()
         x[idx] = y
-        return problem.objective(x)
+        return full_objective(x)
 
     return Problem(
         objective=objective,
@@ -196,7 +198,8 @@ class _Run:
                  counter: EvalCounter):
         self.problem, self.config, self.counter = problem, config, counter
         self.n = problem.n
-        self.t_start = time.monotonic()
+        self.deadline = (None if config.max_seconds is None
+                         else time.monotonic() + config.max_seconds)
         self.start_count = counter.count
         # dedicated streams: block draws stay reproducible no matter how many
         # evaluations earlier phases consumed
@@ -220,8 +223,7 @@ class _Run:
         if (target is not None
                 and abs(s.best_f - target) <= cfg.target_accuracy):
             return "target"
-        if (cfg.max_seconds is not None
-                and time.monotonic() - self.t_start > cfg.max_seconds):
+        if self.deadline is not None and time.monotonic() > self.deadline:
             return "time_budget"
         if (cfg.max_subproblems is not None
                 and s.subproblem_index >= cfg.max_subproblems):
@@ -286,11 +288,14 @@ class _Run:
 
     def polish(self) -> Optional[str]:
         res = sqp_local(self.problem, self.state.incumbent_x, LocalConfig(),
-                        self.counter)
+                        self.counter, self.deadline)
         self.adopt(res.x, res.f)
         self.record(Phase.LOCAL)
-        exhausted = res.status is LocalStatus.BUDGET_EXHAUSTED
-        return "eval_budget" if exhausted else None
+        if res.status is LocalStatus.BUDGET_EXHAUSTED:
+            return "eval_budget"
+        if res.status is LocalStatus.TIME_BUDGET:
+            return "time_budget"
+        return None
 
     def coordinate(self) -> Optional[str]:
         cfg, s = self.config, self.state

@@ -9,6 +9,7 @@ certified with integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -39,8 +40,11 @@ def measure(levels: np.ndarray) -> float:
     return 0.5 * float(np.sqrt(np.sum(3.0 ** (-2.0 * levels))))
 
 
-def _group_key(d: float) -> float:
-    return round(d, GROUP_KEY_DIGITS)
+@functools.lru_cache(maxsize=256)
+def _shared_group_key(levels: tuple) -> float:
+    """Group key of a level tuple, shared by every partition in the process.
+    `measure` is looked up per call, so a wrapped `measure` sees each miss."""
+    return round(measure(np.array(levels, dtype=np.int16)), GROUP_KEY_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,11 @@ class PartitionState:
     Groups map a rounded measure to a lazy min-heap of (value, id) entries;
     stale entries (rectangles whose measure changed after division) are purged
     on access.
+
+    Group keys are cached in two layers (see `group_key`): a per-state dict
+    that holds every level vector this partition has seen, and behind it a
+    small process-wide cache that carries keys over to new partitions, such
+    as ABCD's many short subproblem runs.
     """
 
     def __init__(self, n: int, counter: Optional[EvalCounter] = None):
@@ -77,7 +86,7 @@ class PartitionState:
         self.size = 0
         self._heaps: dict[float, list] = {}
         self._keys: list[float] = []  # current group key per id
-        self._key_of: dict[bytes, float] = {}  # level-vector bytes -> key
+        self._key_of: dict[tuple, float] = {}  # level tuple -> key
         self.f_min = np.inf
         self.x_min: Optional[np.ndarray] = None
         self._min_key = np.inf
@@ -90,13 +99,25 @@ class PartitionState:
         self._levels = np.resize(self._levels, (cap, self.n))
         self._values = np.resize(self._values, cap)
 
-    def group_key(self, levels: np.ndarray) -> float:
-        """Group key of a level vector, computed once per distinct vector."""
-        row = np.asarray(levels, dtype=np.int16)
-        raw = row.tobytes()
-        key = self._key_of.get(raw)
+    def group_key(self, levels) -> float:
+        """Group key `round(measure(levels), GROUP_KEY_DIGITS)` of a level
+        vector (list, tuple or integer array), computed with `measure` on
+        int16 levels so the bits never depend on the input's type.
+
+        The per-state dict is unbounded, so a long run never recomputes a key,
+        and dies with the partition. On a miss the key comes from a 256-entry
+        process-wide LRU cache, so a new partition reuses the keys earlier
+        ones computed. Neither layer alone serves both: a process-wide cache
+        large enough for one long run's distinct vectors would hold thousands
+        of keys for the life of the process, and a small one alone thrashes
+        on a long run.
+        """
+        if isinstance(levels, np.ndarray):
+            levels = levels.tolist()
+        levels = tuple(levels)
+        key = self._key_of.get(levels)
         if key is None:
-            key = self._key_of[raw] = _group_key(measure(row))
+            key = self._key_of[levels] = _shared_group_key(levels)
         return key
 
     def add(self, center: np.ndarray, levels: np.ndarray, exact: tuple,
@@ -236,17 +257,20 @@ def sample_and_divide(rid: int, state: PartitionState,
     exhaustion nothing is mutated (already-spent evaluations stay counted) and
     BudgetExhausted propagates.
     """
+    # the levels are read once into a list: the division bookkeeping runs on
+    # Python ints, the int16 template only feeds add()/rekey()
     tmpl_levels = state._levels[rid].copy()
+    levels = tmpl_levels.tolist()
     tmpl_center = state._centers[rid].copy()
     tmpl_exact = list(state._exact[rid])
-    min_lvl = int(tmpl_levels.min())
-    I = np.flatnonzero(tmpl_levels == min_lvl)
+    min_lvl = min(levels)
+    I = [d for d, lvl in enumerate(levels) if lvl == min_lvl]
     denom = 2.0 * 3.0 ** (min_lvl + 1)
 
     # evaluate all probe points before touching any state; the probes move
     # one coordinate of the template center, which is restored after each
     probes = []  # (dim, num_plus, coord_plus, f_plus, num_minus, coord_minus, f_minus)
-    for dim in I.tolist():
+    for dim in I:
         scaled = 3 * tmpl_exact[dim]
         num_p, num_m = scaled + 2, scaled - 2
         coord_p, coord_m = num_p / denom, num_m / denom
@@ -268,7 +292,8 @@ def sample_and_divide(rid: int, state: PartitionState,
     new_ids = []
     for dim, num_p, coord_p, f_p, num_m, coord_m, f_m in probes:
         tmpl_levels[dim] += 1
-        key = state.group_key(tmpl_levels)  # shared by both children
+        levels[dim] += 1
+        key = state.group_key(levels)  # shared by both children
         num, coord = tmpl_exact[dim], tmpl_center[dim]
         for child_num, child_coord, value in ((num_p, coord_p, f_p),
                                               (num_m, coord_m, f_m)):
@@ -364,15 +389,16 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             reason = "converged"
             break
         poh = identify_poh(state, config.poh_eps)
-        changed = []
+        changed = [] if iteration_hook is not None else None
         for rid in poh:
             try:
                 children = sample_and_divide(rid, state, nproblem)
             except BudgetExhausted:
                 reason = "budget"
                 break
-            changed.append(rid)
-            changed.extend(children)
+            if changed is not None:
+                changed.append(rid)
+                changed.extend(children)
             if target_hit():
                 reason = "target"
                 break

@@ -6,6 +6,7 @@ wherever a smooth local polish is wanted from a warm start.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -42,6 +43,7 @@ class LocalStatus(str, Enum):
     STATIONARY = "stationary"
     ITER_CAP = "iter_cap"
     BUDGET_EXHAUSTED = "budget_exhausted"
+    TIME_BUDGET = "time_budget"
     LINE_SEARCH_FAILURE = "line_search_failure"
 
 
@@ -105,11 +107,15 @@ def _projected_gradient_norm(x, g, bounds):
 
 
 def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
-              counter: Optional[EvalCounter] = None) -> LocalResult:
+              counter: Optional[EvalCounter] = None,
+              deadline: Optional[float] = None) -> LocalResult:
     """Quasi-Newton descent from x0; returns the best point seen.
 
     Powell-damped BFGS keeps the model positive definite; non-finite values
-    during probing are treated as a rejected step, never a crash.
+    during probing are treated as a rejected step, never a crash. `deadline`
+    is a `time.monotonic()` instant checked at the top of every iteration;
+    past it the search stops with `TIME_BUDGET` (after the start point and
+    its gradient, 1 + n evaluations, at the least).
     """
     counter = counter if counter is not None else EvalCounter()
     bounds = problem.bounds
@@ -134,6 +140,9 @@ def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
     try:
         g = fd_gradient(problem, x, counter, config.grad_step, f0=f)
         for it in range(1, config.max_iters + 1):
+            if deadline is not None and time.monotonic() > deadline:
+                status = LocalStatus.TIME_BUDGET
+                break
             if _projected_gradient_norm(x, g, bounds) <= config.pg_tol:
                 status = LocalStatus.STATIONARY
                 break

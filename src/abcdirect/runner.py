@@ -89,17 +89,21 @@ def _classify(reason: str) -> str:
 
 
 def _run_sqp(problem, spec: RunSpec, seed: int, counter: EvalCounter):
+    deadline = (None if spec.max_wall_seconds is None
+                else time.monotonic() + spec.max_wall_seconds)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     try:
         x0, f0 = choose_start(problem, start_samples(problem.n), rng, counter)
     except BudgetExhausted:
         mid = problem.bounds.lower + 0.5 * problem.bounds.width
         return mid, np.inf, "eval_budget", []
-    res = sqp_local(problem, x0, LocalConfig(), counter)
+    res = sqp_local(problem, x0, LocalConfig(), counter, deadline)
     trace = [[counter.count - res.evals, "local", f0]]
     trace += [[e, "local", f] for e, f in res.trace]
     if res.status is LocalStatus.BUDGET_EXHAUSTED:
         reason = "eval_budget"
+    elif res.status is LocalStatus.TIME_BUDGET:
+        reason = "time_budget"
     else:
         reason = "global_stall"
     best_x, best_f = (res.x, res.f) if res.f < f0 else (x0, f0)

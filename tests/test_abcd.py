@@ -1,5 +1,7 @@
 """Block-coordinate solver: start selection, subproblems, phase switching."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,41 @@ class TestMakeSubproblem:
         assert np.array_equal(sub.bounds.lower, [-4.0, -4.0])
         assert np.array_equal(sub.bounds.upper, [2.0, 2.0])
 
+    def test_objective_matches_fancy_index_reference(self):
+        n = 7
+        weights = np.arange(1.0, n + 1)
+        received = []
+
+        def kernel(x):
+            received.append(x)
+            return float(np.sum(np.sin(x) * weights))
+
+        p = Problem(kernel, Bounds(np.full(n, -3.0), np.full(n, 3.0)))
+        rng = np.random.default_rng(5)
+        incumbent = rng.uniform(-3.0, 3.0, n)
+        incumbent_before = incumbent.copy()
+        references = []
+        # one, two and all coordinates, and a block that wraps around
+        for idx in ([4], [1, 5], list(range(n)), [6, 0, 1]):
+            idx = np.array(idx)
+            sub = make_subproblem(p, incumbent, idx)
+            for _ in range(3):
+                y = rng.uniform(-3.0, 3.0, idx.size)
+                y_before = y.copy()
+                ref = incumbent.copy()
+                ref[idx] = y
+                value = sub(y)
+                assert value == float(np.sum(np.sin(ref) * weights))
+                assert received[-1].tobytes() == ref.tobytes()
+                assert y.tobytes() == y_before.tobytes()
+                references.append(ref)
+        assert incumbent.tobytes() == incumbent_before.tobytes()
+        # a fresh array per call: a kernel that keeps its argument keeps
+        # the point it was given
+        assert len({id(x) for x in received}) == len(received)
+        for x, ref in zip(received, references):
+            assert x.tobytes() == ref.tobytes()
+
 
 class TestStallUpdate:
     def test_descent_at_threshold_counts_as_stall(self):
@@ -130,6 +167,24 @@ class TestAbcdSolve:
             res = abcd_solve(p, AbcdConfig(max_evals=500, seed=seed))
             assert res.reason == "eval_budget", seed
             assert res.evals <= 501, seed
+
+    def test_polish_checks_time_budget(self):
+        # the first polish evaluation outlasts the time budget: the polish
+        # stops at the top of its first iteration, after its start point and
+        # gradient, and the run ends on time there
+        n, q = 2, 4
+        count = [0]
+
+        def slow_once(x):
+            count[0] += 1
+            if count[0] == q + 1:
+                time.sleep(0.3)
+            return float(np.sum(x * x))
+
+        p = Problem(slow_once, Bounds(np.full(n, -2.0), np.full(n, 3.0)))
+        res = abcd_solve(p, AbcdConfig(max_seconds=0.2, sqp_first=True))
+        assert res.reason == "time_budget"
+        assert res.evals == q + 1 + n
 
     def test_subproblem_budget(self):
         p = sphere(4)

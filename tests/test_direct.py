@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abcdirect.direct import (
+    GROUP_KEY_DIGITS,
     DirectConfig,
     PartitionState,
     assert_disjoint_interiors,
@@ -74,6 +75,29 @@ class TestMeasure:
     def test_rejects_negative_levels(self):
         with pytest.raises(ValueError):
             measure(np.array([-1, 0]))
+
+
+class TestGroupKey:
+    def test_equals_rounded_measure_for_any_level_vector(self):
+        # arbitrary vectors, not only DIRECT-shaped ones (levels within one),
+        # and more of them than the process-wide cache holds
+        rng = np.random.default_rng(11)
+        first, second = PartitionState(1), PartitionState(1)
+        vectors = [rng.integers(0, 31, size=rng.integers(1, 21))
+                   for _ in range(400)]
+        for v in vectors:
+            want = round(measure(v), GROUP_KEY_DIGITS).hex()
+            for form in (v.tolist(), tuple(v.tolist()), v.astype(np.int16)):
+                assert first.group_key(form).hex() == want
+        for v in vectors:
+            assert (second.group_key(v.tolist()).hex()
+                    == first.group_key(v.tolist()).hex())
+
+    def test_rejects_negative_levels(self):
+        state = PartitionState(2)
+        for form in ([0, -1], (0, -1), np.array([0, -1], dtype=np.int16)):
+            with pytest.raises(ValueError):
+                state.group_key(form)
 
 
 class TestDivision:

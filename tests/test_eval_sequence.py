@@ -7,7 +7,9 @@ digest; a changed digest means the algorithm's behaviour changed, not just
 its speed. The DIRECT digests were recorded before the DIRECT hot path was
 streamlined, the two capped-counter ABCD digests before ABCD became a phase
 machine; the griewank n=6 digest was re-recorded when subproblem caps began
-to be clipped to the evaluation budget left.
+to be clipped to the evaluation budget left. The griewank n=12 and n=7
+digests were recorded before division stopped using numpy for its
+bookkeeping and group keys became shared across partitions.
 """
 
 import hashlib
@@ -87,6 +89,16 @@ CASES = {
                          sqp_first=True),
         "cb5acd854b551b20537352e5c9c95183abe0c60b75fb9ce743df910219d206a3",
         10000),
+    # n = 12 is wide enough for numpy's 8-way pairwise sum inside measure()
+    "direct-griewank-12": (
+        lambda: run_direct("griewank", 12, 2000),
+        "46dd106776826cae34de0fa75ff074849acd5f5dd1231f06bfa1c8043648a2f3",
+        2001),
+    # three-coordinate blocks over n = 7 wrap around unsorted ([6, 0, 1])
+    "abcd-m1-3-griewank-7-seed1": (
+        lambda: run_abcd("griewank", 7, 3000, 1, capped=True, m1=3),
+        "61d96a7ac2288208a060a83d8350aca37227a962d47ee0f54dff0b789a5e66b0",
+        3000),
 }
 
 # the first 4000 evaluations of abcd-griewank-6-seed3, which are also all

@@ -1,5 +1,7 @@
 """Finite-difference gradients, box QP step and the quasi-Newton loop."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,26 @@ class TestSqpLocal:
         assert res.status is LocalStatus.BUDGET_EXHAUSTED
         assert counter.count == 10
         assert res.evals == 10
+
+    def test_past_deadline_stops_after_start_and_gradient(self):
+        p = Problem(lambda x: float(np.sum(x * x)),
+                    Bounds(np.full(4, -1.0), np.full(4, 1.0)))
+        counter = EvalCounter()
+        res = sqp_local(p, np.full(4, 0.9), LocalConfig(), counter,
+                        deadline=time.monotonic() - 1.0)
+        assert res.status is LocalStatus.TIME_BUDGET
+        assert counter.count == res.evals == 1 + 4
+        assert np.array_equal(res.x, np.full(4, 0.9))
+
+    def test_distant_deadline_changes_nothing(self):
+        p = Problem(lambda x: float(np.sum(x * x)),
+                    Bounds(np.full(3, -1.0), np.full(3, 1.0)))
+        free = sqp_local(p, np.full(3, 0.7), LocalConfig())
+        timed = sqp_local(p, np.full(3, 0.7), LocalConfig(),
+                          deadline=time.monotonic() + 1e6)
+        assert (timed.f, timed.evals, timed.status) == (
+            free.f, free.evals, free.status)
+        assert np.array_equal(timed.x, free.x)
 
     def test_start_clipped_into_box(self):
         p = Problem(lambda x: float(x[0] ** 2),

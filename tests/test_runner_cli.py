@@ -87,6 +87,15 @@ class TestRunSingle:
         assert rep.termination == "target_reached"
         assert rep.evals == 869
 
+    def test_sqp_polish_checks_time_budget(self):
+        # the deadline passes during the start sample; the polish stops at
+        # the top of its first iteration, after its start point and gradient
+        spec = RunSpec("rastrigin", 4, algorithm="sqp", max_wall_seconds=1e-9,
+                       repetitions=1)
+        rep = run_single(spec, 0)
+        assert rep.termination == "time_budget"
+        assert rep.evals == 8 + 1 + 4  # start sample, polish start, gradient
+
     def test_unknown_stop_reason_raises(self):
         assert _classify("converged") == "global_stall"
         with pytest.raises(ValueError, match="unknown stop reason"):
