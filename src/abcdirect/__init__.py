@@ -6,6 +6,7 @@ from .problem import (
     EvalCounter,
     NonFiniteValueError,
     Problem,
+    Reason,
     denormalize,
     evaluate_counted,
     normalize,
@@ -35,6 +36,7 @@ __all__ = [
     "EvalCounter",
     "NonFiniteValueError",
     "Problem",
+    "Reason",
     "denormalize",
     "evaluate_counted",
     "normalize",

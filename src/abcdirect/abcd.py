@@ -3,7 +3,9 @@
 After an optimistic start sample, a loop runs one step at a time over one
 run state; each step is at most one solver call and picks the next phase.
 Before every step one stop check ends the run on the first that holds of:
-target reached, time, subproblem and evaluation budget. The phases:
+target reached, time, subproblem budget, and evaluation budget (`max_evals`
+or the shared counter's cap spent). So no step passes a solver's stop on;
+only a restart ends a run itself, on a global stall. The phases:
 
 * coordinate: DIRECT over the next m1 coordinates in sequence; after t1
   stalls in a row, local (block when `sqp_first`; restart when
@@ -22,7 +24,8 @@ target reached, time, subproblem and evaluation budget. The phases:
 The best point never worsens. `max_evals` is checked before every step and
 clips each DIRECT subproblem's cap, so a run ends at most one DIRECT
 iteration past it, or past it by a polish that started with budget left. A
-capped `EvalCounter` is a hard cap; `runner.run_single` passes one.
+capped `EvalCounter` is a hard cap; `runner.run_single` passes one. Each
+DIRECT subproblem and polish runs under the time left before `max_seconds`.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ from typing import Optional
 import numpy as np
 
 from .direct import DirectConfig, direct_solve
-from .local import LocalConfig, LocalStatus, sqp_local
+from .local import LocalConfig, sqp_local
 from .problem import (
     Bounds,
     BudgetExhausted,
     ConfigError,
     EvalCounter,
     Problem,
+    Reason,
     evaluate_counted,
 )
 
@@ -116,7 +120,7 @@ class AbcdResult:
     x_min: np.ndarray
     evals: int
     subproblems: int
-    reason: str
+    reason: Reason
     trace: list = field(default_factory=list)  # (evals, subproblem, phase, f)
 
 
@@ -191,8 +195,8 @@ def stall_update(streak: int, f_prev: float, f_new: float, eps1: float,
 
 class _Run:
     """One `abcd_solve` call: its inputs, random streams, trace and machine
-    state. Each phase has one step method, which sets the next phase and
-    returns a reason to stop, or None."""
+    state. Each phase has one step method, which sets the next phase; only
+    `restart` returns a reason to stop."""
 
     def __init__(self, problem: Problem, config: AbcdConfig,
                  counter: EvalCounter):
@@ -216,20 +220,21 @@ class _Run:
         return choose_start(self.problem, start_samples(self.n),
                             self.start_rng, self.counter)
 
-    def stop_reason(self) -> Optional[str]:
+    def stop_reason(self) -> Optional[Reason]:
         """The one stop check, run before every step."""
         cfg, s = self.config, self.state
         target = self.problem.known_optimum
         if (target is not None
                 and abs(s.best_f - target) <= cfg.target_accuracy):
-            return "target"
+            return Reason.TARGET_REACHED
         if self.deadline is not None and time.monotonic() > self.deadline:
-            return "time_budget"
+            return Reason.TIME_BUDGET
         if (cfg.max_subproblems is not None
                 and s.subproblem_index >= cfg.max_subproblems):
-            return "subproblem_budget"
-        if cfg.max_evals is not None and self.spent() >= cfg.max_evals:
-            return "eval_budget"
+            return Reason.ITER_BUDGET
+        if ((cfg.max_evals is not None and self.spent() >= cfg.max_evals)
+                or self.counter.remaining == 0):
+            return Reason.EVAL_BUDGET
         return None
 
     def record(self, label: Phase) -> None:
@@ -260,7 +265,7 @@ class _Run:
         return s.best_f < s.intensify_from - GLOBAL_STALL_EPS
 
     def subproblem(self, idx: np.ndarray, label: Phase,
-                   deep: bool = False) -> Optional[str]:
+                   deep: bool = False) -> None:
         """One block-restricted DIRECT run. A deep run gets a larger cap and
         no early stops, so it can separate near-equal basins the regular
         stops would merge."""
@@ -275,8 +280,11 @@ class _Run:
         stops = {} if deep else dict(min_measure=cfg.sub_min_measure,
                                      stall_eps=cfg.sub_stall_eps,
                                      stall_iters=cfg.sub_stall_iters)
+        max_seconds = (None if self.deadline is None
+                       else self.deadline - time.monotonic())
         sub_cfg = DirectConfig(poh_eps=cfg.poh_eps, max_evals=cap,
-                               target_accuracy=cfg.target_accuracy, **stops)
+                               target_accuracy=cfg.target_accuracy,
+                               max_seconds=max_seconds, **stops)
         res = direct_solve(make_subproblem(self.problem, s.incumbent_x, idx),
                            sub_cfg, counter=self.counter)
         s.subproblem_index += 1
@@ -284,24 +292,18 @@ class _Run:
         x[idx] = res.x_min
         self.adopt(x, res.f_min)
         self.record(label)
-        return "eval_budget" if res.reason == "budget" else None
 
-    def polish(self) -> Optional[str]:
+    def polish(self) -> None:
         res = sqp_local(self.problem, self.state.incumbent_x, LocalConfig(),
                         self.counter, self.deadline)
         self.adopt(res.x, res.f)
         self.record(Phase.LOCAL)
-        if res.status is LocalStatus.BUDGET_EXHAUSTED:
-            return "eval_budget"
-        if res.status is LocalStatus.TIME_BUDGET:
-            return "time_budget"
-        return None
 
-    def coordinate(self) -> Optional[str]:
+    def coordinate(self) -> None:
         cfg, s = self.config, self.state
         f_prev = s.incumbent_f
         idx = select_coords(s, self.n, cfg.m1, CoordMode.SEQUENTIAL)
-        reason = self.subproblem(idx, Phase.COORDINATE)
+        self.subproblem(idx, Phase.COORDINATE)
         s.stall_streak, switched = stall_update(
             s.stall_streak, f_prev, s.incumbent_f, cfg.switch_eps, cfg.t1)
         if switched:
@@ -313,35 +315,33 @@ class _Run:
                 s.stall_streak, s.phase = 0, Phase.BLOCK
             else:
                 s.phase = Phase.LOCAL
-        return reason
 
-    def local(self) -> Optional[str]:
+    def local(self) -> None:
         s = self.state
         if self.config.sqp_first:
             s.phase = Phase.COORDINATE
         else:
             s.stall_streak, s.phase = 0, Phase.BLOCK
-        return self.polish()
+        self.polish()
 
-    def block(self) -> Optional[str]:
+    def block(self) -> None:
         s = self.state
         f_prev = s.incumbent_f
         idx = select_coords(s, self.n, self.config.m2, CoordMode.RANDOM,
                             self.block_rng)
-        reason = self.subproblem(idx, Phase.BLOCK)
+        self.subproblem(idx, Phase.BLOCK)
         if f_prev - s.incumbent_f <= GLOBAL_STALL_EPS:
             s.stall_streak += 1
             if s.stall_streak >= min(self.n, 6):
                 s.phase = Phase.INTENSIFY
         else:
             s.stall_streak = 0
-        return reason
 
-    def intensify(self) -> Optional[str]:
+    def intensify(self) -> None:
         s = self.state
         s.intensify_from = s.best_f
         self.replace(s.best_x, s.best_f)
-        reason = self.polish()
+        self.polish()
         if self.best_moved():
             self.new_cycle()
         else:
@@ -350,31 +350,29 @@ class _Run:
             s.cursor = 0
             s.sweep_left = -(-self.n // self.config.m1)
             s.phase = Phase.SWEEP
-        return reason
 
-    def sweep(self) -> Optional[str]:
+    def sweep(self) -> None:
         s = self.state
         idx = select_coords(s, self.n, self.config.m1, CoordMode.SEQUENTIAL)
-        reason = self.subproblem(idx, Phase.COORDINATE, deep=True)
+        self.subproblem(idx, Phase.COORDINATE, deep=True)
         s.sweep_left -= 1
         if s.sweep_left == 0:
             if self.best_moved():
                 self.new_cycle()
             else:
                 s.phase = Phase.RESTART
-        return reason
 
-    def restart(self) -> Optional[str]:
+    def restart(self) -> Optional[Reason]:
         cfg = self.config
         if not cfg.restart_on_stall or (cfg.max_evals is None
                                         and cfg.max_subproblems is None
                                         and cfg.max_seconds is None):
             # without any budget a restart loop could never terminate
-            return "global_stall"
+            return Reason.GLOBAL_STALL
         try:
             x, f = self.draw_start()
         except BudgetExhausted:
-            return "eval_budget"
+            return None  # the stop check ends the run on the spent counter
         self.replace(x, f)
         self.record(Phase.COORDINATE)
         self.new_cycle()
@@ -401,7 +399,8 @@ def abcd_solve(problem: Problem, config: Optional[AbcdConfig] = None,
         x0, f0 = run.draw_start()
     except BudgetExhausted:
         mid = problem.bounds.lower + 0.5 * problem.bounds.width
-        return AbcdResult(np.inf, mid, run.spent(), 0, "budget", run.trace)
+        return AbcdResult(np.inf, mid, run.spent(), 0, Reason.EVAL_BUDGET,
+                          run.trace)
     run.state = s = AbcdState(x0, f0, Phase.COORDINATE, best_x=x0.copy(),
                               best_f=f0)
     run.record(Phase.COORDINATE)

@@ -23,6 +23,7 @@ from .problem import (
     EvalCounter,
     NormalizedProblem,
     Problem,
+    Reason,
     normalize,
 )
 
@@ -315,7 +316,7 @@ class DirectConfig:
     max_iters: Optional[int] = None
     max_evals: Optional[int] = None
     target_accuracy: float = 1e-4
-    max_seconds: Optional[float] = None
+    max_seconds: Optional[float] = None  # counted from the call's start
     # subproblem-style stops (disabled by default for plain DIRECT)
     min_measure: float = 0.0
     stall_eps: float = 0.0
@@ -328,7 +329,7 @@ class DirectResult:
     x_min: np.ndarray  # user space
     evals: int
     iterations: int
-    reason: str
+    reason: Reason
     trace: list = field(default_factory=list)  # (evals, iteration, f_min)
     state: Optional[PartitionState] = None
 
@@ -346,6 +347,8 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     (used by invariant-checking tests).
     """
     config = config or DirectConfig()
+    deadline = (None if config.max_seconds is None
+                else time.monotonic() + config.max_seconds)
     counter = counter if counter is not None else EvalCounter()
     nproblem = normalize(problem)
     n = problem.n
@@ -356,7 +359,7 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
         state = _initial_state(n, nproblem, counter)
     except BudgetExhausted:
         mid = problem.bounds.lower + 0.5 * problem.bounds.width
-        return DirectResult(np.inf, mid, 0, 0, "budget", [])
+        return DirectResult(np.inf, mid, 0, 0, Reason.EVAL_BUDGET, [])
 
     def local_evals():
         return counter.count - start_count
@@ -371,22 +374,20 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
         return target is not None and abs(state.f_min - target) <= config.target_accuracy
 
     if target_hit():
-        reason = "target"
+        reason = Reason.TARGET_REACHED
 
-    t_start = time.monotonic()
     while reason is None:
         if config.max_iters is not None and t >= config.max_iters:
-            reason = "iter_budget"
+            reason = Reason.ITER_BUDGET
             break
-        if (config.max_seconds is not None
-                and time.monotonic() - t_start > config.max_seconds):
-            reason = "time_budget"
+        if deadline is not None and time.monotonic() > deadline:
+            reason = Reason.TIME_BUDGET
             break
         if config.max_evals is not None and local_evals() >= config.max_evals:
-            reason = "eval_budget"
+            reason = Reason.EVAL_BUDGET
             break
         if config.min_measure > 0.0 and state.min_measure < config.min_measure:
-            reason = "converged"
+            reason = Reason.GLOBAL_STALL
             break
         poh = identify_poh(state, config.poh_eps)
         changed = [] if iteration_hook is not None else None
@@ -394,16 +395,16 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             try:
                 children = sample_and_divide(rid, state, nproblem)
             except BudgetExhausted:
-                reason = "budget"
+                reason = Reason.EVAL_BUDGET
                 break
             if changed is not None:
                 changed.append(rid)
                 changed.extend(children)
             if target_hit():
-                reason = "target"
+                reason = Reason.TARGET_REACHED
                 break
             if config.max_evals is not None and local_evals() >= config.max_evals:
-                reason = "eval_budget"
+                reason = Reason.EVAL_BUDGET
                 break
         t += 1
         trace.append((local_evals(), t, state.f_min))
@@ -413,7 +414,7 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             if prev_fmin - state.f_min <= config.stall_eps:
                 stall_streak += 1
                 if stall_streak >= config.stall_iters:
-                    reason = "converged"
+                    reason = Reason.GLOBAL_STALL
             else:
                 stall_streak = 0
             prev_fmin = state.f_min

@@ -19,6 +19,7 @@ from .problem import (
     EvalCounter,
     NonFiniteValueError,
     Problem,
+    Reason,
     evaluate_counted,
 )
 
@@ -40,10 +41,10 @@ class LocalConfig:
 
 
 class LocalStatus(str, Enum):
+    """How a search ended on its own; a budget stop is a `Reason`."""
+
     STATIONARY = "stationary"
     ITER_CAP = "iter_cap"
-    BUDGET_EXHAUSTED = "budget_exhausted"
-    TIME_BUDGET = "time_budget"
     LINE_SEARCH_FAILURE = "line_search_failure"
 
 
@@ -52,7 +53,7 @@ class LocalResult:
     x: np.ndarray
     f: float
     iterations: int
-    status: LocalStatus
+    status: LocalStatus | Reason
     evals: int = 0
     trace: list = field(default_factory=list)  # (evals, f_best)
 
@@ -114,8 +115,9 @@ def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
     Powell-damped BFGS keeps the model positive definite; non-finite values
     during probing are treated as a rejected step, never a crash. `deadline`
     is a `time.monotonic()` instant checked at the top of every iteration;
-    past it the search stops with `TIME_BUDGET` (after the start point and
-    its gradient, 1 + n evaluations, at the least).
+    past it the search stops with `Reason.TIME_BUDGET` (after the start point
+    and its gradient, 1 + n evaluations, at the least). A spent counter
+    stops it with `Reason.EVAL_BUDGET`.
     """
     counter = counter if counter is not None else EvalCounter()
     bounds = problem.bounds
@@ -130,7 +132,7 @@ def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
     try:
         f = evaluate_counted(problem, x, counter)
     except BudgetExhausted:
-        return LocalResult(x, np.inf, 0, LocalStatus.BUDGET_EXHAUSTED, 0, trace)
+        return LocalResult(x, np.inf, 0, Reason.EVAL_BUDGET, 0, trace)
     best_x, best_f = x.copy(), f
     trace.append((spent(), best_f))
     B = np.eye(n)
@@ -141,7 +143,7 @@ def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
         g = fd_gradient(problem, x, counter, config.grad_step, f0=f)
         for it in range(1, config.max_iters + 1):
             if deadline is not None and time.monotonic() > deadline:
-                status = LocalStatus.TIME_BUDGET
+                status = Reason.TIME_BUDGET
                 break
             if _projected_gradient_norm(x, g, bounds) <= config.pg_tol:
                 status = LocalStatus.STATIONARY
@@ -186,6 +188,6 @@ def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
                 best_x, best_f = x.copy(), f
                 trace.append((spent(), best_f))
     except BudgetExhausted:
-        status = LocalStatus.BUDGET_EXHAUSTED
+        status = Reason.EVAL_BUDGET
 
     return LocalResult(best_x, best_f, it, status, spent(), trace)

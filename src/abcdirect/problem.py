@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +28,16 @@ class NonFiniteValueError(RuntimeError):
 
 class BudgetExhausted(Exception):
     """Raised when the evaluation cap is hit; solvers must terminate gracefully."""
+
+
+class Reason(str, Enum):
+    """Why a solver stopped; each value is a report's termination label."""
+
+    TARGET_REACHED = "target_reached"
+    EVAL_BUDGET = "eval_budget"
+    ITER_BUDGET = "iter_budget"
+    TIME_BUDGET = "time_budget"
+    GLOBAL_STALL = "global_stall"
 
 
 @dataclass(frozen=True)

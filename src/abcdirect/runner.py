@@ -15,8 +15,8 @@ import numpy as np
 
 from .abcd import AbcdConfig, abcd_solve, choose_start, start_samples
 from .direct import DirectConfig, direct_solve
-from .local import LocalConfig, LocalStatus, sqp_local
-from .problem import BudgetExhausted, ConfigError, EvalCounter
+from .local import LocalConfig, sqp_local
+from .problem import BudgetExhausted, ConfigError, EvalCounter, Reason
 from .functions import get_function
 
 ALGORITHMS = ("direct", "abcd-coordinate", "abcd", "sqp")
@@ -60,32 +60,12 @@ class RunReport:
     best_x: list
     evals: int
     elapsed_seconds: float
-    termination: str
+    termination: str  # a `Reason` value, or "error" for a spec that raised
     trace: list = field(default_factory=list)  # [eval_count, phase, f]
 
     def to_json(self) -> str:
         # allow_nan stays on so an errored row (best_f = inf) still serializes
         return json.dumps(asdict(self), separators=(",", ":"))
-
-
-# report termination of every stop reason a solver returns
-_TERMINATION = {
-    "target": "target_reached",
-    "eval_budget": "eval_budget",
-    "budget": "eval_budget",
-    "iter_budget": "iter_budget",
-    "subproblem_budget": "iter_budget",
-    "time_budget": "time_budget",
-    "global_stall": "global_stall",
-    "converged": "global_stall",
-}
-
-
-def _classify(reason: str) -> str:
-    try:
-        return _TERMINATION[reason]
-    except KeyError:
-        raise ValueError(f"unknown stop reason {reason!r}") from None
 
 
 def _run_sqp(problem, spec: RunSpec, seed: int, counter: EvalCounter):
@@ -96,16 +76,14 @@ def _run_sqp(problem, spec: RunSpec, seed: int, counter: EvalCounter):
         x0, f0 = choose_start(problem, start_samples(problem.n), rng, counter)
     except BudgetExhausted:
         mid = problem.bounds.lower + 0.5 * problem.bounds.width
-        return mid, np.inf, "eval_budget", []
+        return mid, np.inf, Reason.EVAL_BUDGET, []
     res = sqp_local(problem, x0, LocalConfig(), counter, deadline)
     trace = [[counter.count - res.evals, "local", f0]]
     trace += [[e, "local", f] for e, f in res.trace]
-    if res.status is LocalStatus.BUDGET_EXHAUSTED:
-        reason = "eval_budget"
-    elif res.status is LocalStatus.TIME_BUDGET:
-        reason = "time_budget"
-    else:
-        reason = "global_stall"
+    # a polish that ends on its own (stationary, iteration cap, failed line
+    # search) is a stall
+    reason = (res.status if isinstance(res.status, Reason)
+              else Reason.GLOBAL_STALL)
     best_x, best_f = (res.x, res.f) if res.f < f0 else (x0, f0)
     return best_x, best_f, reason, trace
 
@@ -146,11 +124,11 @@ def run_single(spec: RunSpec, repetition: int) -> RunReport:
         best_x, best_f, reason, trace = _run_sqp(problem, spec, seed, counter)
 
     elapsed = time.perf_counter() - t0
-    termination = _classify(reason)
     if meta.f_star is not None:
         hit = abs(best_f - meta.f_star) <= spec.target_accuracy
-        termination = "target_reached" if hit else (
-            termination if termination != "target_reached" else "global_stall")
+        reason = Reason.TARGET_REACHED if hit else (
+            reason if reason is not Reason.TARGET_REACHED
+            else Reason.GLOBAL_STALL)
     return RunReport(
         function=spec.function,
         dim=meta.dim,
@@ -161,7 +139,7 @@ def run_single(spec: RunSpec, repetition: int) -> RunReport:
         best_x=[float(v) for v in np.asarray(best_x)],
         evals=counter.count,
         elapsed_seconds=elapsed,
-        termination=termination,
+        termination=reason.value,
         trace=[[int(e), str(p), float(f)] for e, p, f in trace],
     )
 
@@ -198,12 +176,12 @@ def aggregate(reports: list[RunReport]) -> SuiteReport:
         key = (rep.function, rep.dim, rep.algorithm)
         cases.setdefault((rep.function, rep.dim), set()).add(rep.algorithm)
         success_counts.setdefault(key, 0)
-        if rep.termination == "target_reached":
+        if rep.termination == Reason.TARGET_REACHED:
             success_counts[key] += 1
     for key in success_counts:
         evals = [r.evals for r in reports
                  if (r.function, r.dim, r.algorithm) == key
-                 and r.termination == "target_reached"]
+                 and r.termination == Reason.TARGET_REACHED]
         median_evals[key] = statistics.median(evals) if evals else None
 
     algorithms = sorted({r.algorithm for r in reports})

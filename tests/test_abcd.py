@@ -17,7 +17,7 @@ from abcdirect.abcd import (
     stall_update,
 )
 from abcdirect.direct import DirectConfig, direct_solve
-from abcdirect.problem import Bounds, ConfigError, EvalCounter, Problem
+from abcdirect.problem import Bounds, ConfigError, EvalCounter, Problem, Reason
 
 
 def sphere(n, lo=-2.0, hi=3.0, target=None):
@@ -156,7 +156,7 @@ class TestAbcdSolve:
     def test_reaches_target_on_separable_function(self):
         p = sphere(4, target=0.0)
         res = abcd_solve(p, AbcdConfig(max_evals=20000, seed=0))
-        assert res.reason == "target"
+        assert res.reason is Reason.TARGET_REACHED
         assert abs(res.f_min) <= 1e-4
 
     def test_respects_eval_budget(self):
@@ -186,11 +186,24 @@ class TestAbcdSolve:
         assert res.reason == "time_budget"
         assert res.evals == q + 1 + n
 
+    def test_subproblems_check_time_budget(self):
+        # one DIRECT subproblem over all four coordinates could spend its
+        # 400-evaluation cap at 2 ms each; it gets the time left instead
+        def slow_sphere(x):
+            time.sleep(0.002)
+            return float(np.sum(x * x))
+
+        p = Problem(slow_sphere, Bounds(np.full(4, -2.0), np.full(4, 3.0)))
+        t0 = time.monotonic()
+        res = abcd_solve(p, AbcdConfig(max_seconds=0.05, m1=4, seed=0))
+        assert res.reason is Reason.TIME_BUDGET
+        assert time.monotonic() - t0 < 0.25
+
     def test_subproblem_budget(self):
         p = sphere(4)
         res = abcd_solve(p, AbcdConfig(max_subproblems=3, max_evals=10 ** 6,
                                        seed=0))
-        assert res.reason == "subproblem_budget"
+        assert res.reason is Reason.ITER_BUDGET
         assert res.subproblems == 3
 
     def test_stall_terminates_without_restarts(self):

@@ -26,7 +26,7 @@ from abcdirect.direct import (
 from abcdirect.functions import get_function
 from abcdirect.functions.registry import HEDAR_NAMES, JONES_NAMES
 from abcdirect.local import LocalConfig, fd_gradient, sqp_local
-from abcdirect.problem import Bounds, EvalCounter, Problem, normalize
+from abcdirect.problem import Bounds, EvalCounter, Problem, Reason, normalize
 from abcdirect.runner import RunSpec, run_one, run_single
 
 
@@ -158,7 +158,7 @@ def test_4_flat_one_dim_convergence():
         known_optimum=0.0,
     )
     res = direct_solve(problem, DirectConfig(max_iters=10))
-    ok = res.reason == "target" and abs(res.f_min) <= 1e-4
+    ok = res.reason is Reason.TARGET_REACHED and abs(res.f_min) <= 1e-4
     report(4, "flat 1-D sixth-power convergence", ok,
            f"f_min={res.f_min:.2e} after {res.iterations} iterations")
 

@@ -1,5 +1,7 @@
 """Partition geometry, potentially-optimal selection and the DIRECT loop."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from abcdirect.direct import (
     sample_and_divide,
     volume_fraction,
 )
-from abcdirect.problem import Bounds, EvalCounter, Problem, normalize
+from abcdirect.problem import Bounds, EvalCounter, Problem, Reason, normalize
 
 
 def box_problem(fn, n, lo=0.0, hi=1.0, target=None):
@@ -212,7 +214,7 @@ class TestDirectSolve:
             known_optimum=0.0,
         )
         res = direct_solve(problem, DirectConfig(max_iters=10))
-        assert res.reason == "target"
+        assert res.reason is Reason.TARGET_REACHED
         assert abs(res.f_min) <= 1e-4
         assert res.iterations <= 10
 
@@ -235,22 +237,38 @@ class TestDirectSolve:
         problem = box_problem(lambda x: float(np.sum(x * x)), 2)
         counter = EvalCounter(cap=20)
         res = direct_solve(problem, DirectConfig(), counter=counter)
-        assert res.reason == "budget"
+        assert res.reason is Reason.EVAL_BUDGET
         assert counter.count == 20
         assert np.isfinite(res.f_min)
 
     def test_min_measure_stop(self):
         problem = box_problem(lambda x: float(np.sum(x * x)), 1)
         res = direct_solve(problem, DirectConfig(min_measure=1e-3))
-        assert res.reason == "converged"
+        assert res.reason is Reason.GLOBAL_STALL
 
     def test_stall_stop(self):
         # constant objective: f_min can never improve
         problem = box_problem(lambda x: 1.0, 2)
         res = direct_solve(problem,
                            DirectConfig(stall_eps=1e-8, stall_iters=4))
-        assert res.reason == "converged"
+        assert res.reason is Reason.GLOBAL_STALL
         assert res.iterations >= 4
+
+    def test_time_budget_counts_from_the_call(self):
+        # the center evaluation outlasts the time budget; the clock starts
+        # when direct_solve is entered, so no division follows it
+        count = [0]
+
+        def slow_center(x):
+            count[0] += 1
+            if count[0] == 1:
+                time.sleep(0.2)
+            return float(np.sum(x * x))
+
+        res = direct_solve(box_problem(slow_center, 2),
+                           DirectConfig(max_seconds=0.1))
+        assert res.reason is Reason.TIME_BUDGET
+        assert res.evals == 1 and res.iterations == 0
 
     def test_trace_is_monotone(self):
         problem = box_problem(lambda x: float(np.sum((x - 0.37) ** 2)), 2)

@@ -7,12 +7,11 @@ import pytest
 
 from abcdirect.local import (
     LocalConfig,
-    LocalStatus,
     box_qp_step,
     fd_gradient,
     sqp_local,
 )
-from abcdirect.problem import Bounds, EvalCounter, Problem
+from abcdirect.problem import Bounds, EvalCounter, Problem, Reason
 
 
 def quadratic_problem(A, b, bounds):
@@ -115,7 +114,7 @@ class TestSqpLocal:
                     Bounds(np.full(4, -1.0), np.full(4, 1.0)))
         counter = EvalCounter(cap=10)
         res = sqp_local(p, np.full(4, 0.9), LocalConfig(), counter)
-        assert res.status is LocalStatus.BUDGET_EXHAUSTED
+        assert res.status is Reason.EVAL_BUDGET
         assert counter.count == 10
         assert res.evals == 10
 
@@ -125,7 +124,7 @@ class TestSqpLocal:
         counter = EvalCounter()
         res = sqp_local(p, np.full(4, 0.9), LocalConfig(), counter,
                         deadline=time.monotonic() - 1.0)
-        assert res.status is LocalStatus.TIME_BUDGET
+        assert res.status is Reason.TIME_BUDGET
         assert counter.count == res.evals == 1 + 4
         assert np.array_equal(res.x, np.full(4, 0.9))
 

@@ -13,7 +13,6 @@ from abcdirect.runner import (
     ALGORITHMS,
     RunReport,
     RunSpec,
-    _classify,
     aggregate,
     export_trace,
     run_one,
@@ -95,11 +94,6 @@ class TestRunSingle:
         rep = run_single(spec, 0)
         assert rep.termination == "time_budget"
         assert rep.evals == 8 + 1 + 4  # start sample, polish start, gradient
-
-    def test_unknown_stop_reason_raises(self):
-        assert _classify("converged") == "global_stall"
-        with pytest.raises(ValueError, match="unknown stop reason"):
-            _classify("stalled")
 
     def test_report_json_round_trip(self):
         spec = RunSpec(function="sphere", dim=2, algorithm="direct",
