@@ -19,7 +19,8 @@ only a restart ends a run itself, on a global stall. The phases:
 * sweep: deep DIRECT subproblems over every coordinate once; then a new
   cycle if the best moved, else restart.
 * restart: a fresh start sample replaces the working incumbent and a new
-  cycle starts; without `restart_on_stall` or any budget the run ends.
+  cycle starts; without `restart_on_stall`, or without any budget (neither
+  a config budget nor a capped counter), the run ends.
 
 The best point never worsens. `max_evals` is checked before every step and
 clips each DIRECT subproblem's cap, so a run ends at most one DIRECT
@@ -366,7 +367,8 @@ class _Run:
         cfg = self.config
         if not cfg.restart_on_stall or (cfg.max_evals is None
                                         and cfg.max_subproblems is None
-                                        and cfg.max_seconds is None):
+                                        and cfg.max_seconds is None
+                                        and self.counter.cap is None):
             # without any budget a restart loop could never terminate
             return Reason.GLOBAL_STALL
         try:

@@ -64,7 +64,20 @@ class Rectangle:
 
 
 class PartitionState:
-    """Flat-array rectangle store with a measure-keyed group index.
+    """Rectangle store with a measure-keyed group index.
+
+    Layout, by rectangle id:
+    - `_centers`: a float64 `(capacity, n)` array. The centers' bits come
+      from the division (`num / denom` per probe) and cannot be recomputed
+      from the numerators, and the evaluation path takes them as float
+      arrays, so they stay numpy.
+    - `_level_tuples`: one level tuple per rectangle, interned per state, so
+      every rectangle with the same levels (both children of a division step
+      and the rekeyed parent) shares one tuple object. `_levels` builds the
+      int16 `(size, n)` array from them on demand, for readers off the hot
+      path.
+    - `_values`, `_exact`, `_keys`: Python lists of the value, the integer
+      numerators and the current group key.
 
     Groups map a rounded measure to a lazy min-heap of (value, id) entries;
     stale entries (rectangles whose measure changed after division) are purged
@@ -79,26 +92,36 @@ class PartitionState:
     def __init__(self, n: int, counter: Optional[EvalCounter] = None):
         self.n = n
         self.counter = counter if counter is not None else EvalCounter()
-        cap = 256
-        self._centers = np.empty((cap, n), dtype=float)
-        self._levels = np.zeros((cap, n), dtype=np.int16)
-        self._values = np.empty(cap, dtype=float)
+        self._centers = np.empty((256, n), dtype=float)
+        self._level_tuples: list[tuple] = []
+        self._values: list[float] = []
         self._exact: list[tuple] = []
         self.size = 0
         self._heaps: dict[float, list] = {}
         self._keys: list[float] = []  # current group key per id
-        self._key_of: dict[tuple, float] = {}  # level tuple -> key
+        # level tuple -> (its interned tuple, its group key)
+        self._key_of: dict[tuple, tuple[tuple, float]] = {}
         self.f_min = np.inf
         self.x_min: Optional[np.ndarray] = None
         self._min_key = np.inf
 
     # -- storage ---------------------------------------------------------
 
-    def _grow(self):
-        cap = self._centers.shape[0] * 2
-        self._centers = np.resize(self._centers, (cap, self.n))
-        self._levels = np.resize(self._levels, (cap, self.n))
-        self._values = np.resize(self._values, cap)
+    @property
+    def _levels(self) -> np.ndarray:
+        """int16 `(size, n)` array of the levels, built on each access."""
+        return np.array(self._level_tuples,
+                        dtype=np.int16).reshape(self.size, self.n)
+
+    def _intern(self, levels) -> tuple[tuple, float]:
+        """The interned tuple and the group key of a level vector (tuple,
+        list or integer array), with one dict lookup for a tuple."""
+        if type(levels) is not tuple:
+            levels = tuple(np.asarray(levels).tolist())
+        entry = self._key_of.get(levels)
+        if entry is None:
+            entry = self._key_of[levels] = (levels, _shared_group_key(levels))
+        return entry
 
     def group_key(self, levels) -> float:
         """Group key `round(measure(levels), GROUP_KEY_DIGITS)` of a level
@@ -113,54 +136,55 @@ class PartitionState:
         of keys for the life of the process, and a small one alone thrashes
         on a long run.
         """
-        if isinstance(levels, np.ndarray):
-            levels = levels.tolist()
-        levels = tuple(levels)
-        key = self._key_of.get(levels)
-        if key is None:
-            key = self._key_of[levels] = _shared_group_key(levels)
-        return key
+        return self._intern(levels)[1]
 
-    def add(self, center: np.ndarray, levels: np.ndarray, exact: tuple,
-            value: float, key: Optional[float] = None) -> int:
-        """Store a rectangle; `key`, when given, is `group_key(levels)`."""
-        if self.size == self._centers.shape[0]:
-            self._grow()
-        rid = self.size
-        self.size += 1
-        self._centers[rid] = center
-        self._levels[rid] = levels
-        self._values[rid] = value
-        self._exact.append(tuple(exact))
-        if key is None:
-            key = self.group_key(self._levels[rid])
-        self._keys.append(key)
-        heapq.heappush(self._heaps.setdefault(key, []), (value, rid))
+    def _push(self, key: float, value: float, rid: int) -> None:
+        heap = self._heaps.get(key)
+        if heap is None:
+            self._heaps[key] = [(value, rid)]
+        else:
+            heapq.heappush(heap, (value, rid))
         if key < self._min_key:
             self._min_key = key
+
+    def add(self, center: np.ndarray, levels, exact: tuple, value: float,
+            key: Optional[float] = None) -> int:
+        """Store a rectangle. `levels` is a tuple, list or integer array;
+        with `key` a tuple is taken as given, as the interned tuple whose
+        group key is `key`."""
+        if key is None or type(levels) is not tuple:
+            levels, key = self._intern(levels)
+        rid = self.size
+        if rid == self._centers.shape[0]:
+            self._centers = np.resize(self._centers, (2 * rid, self.n))
+        self.size = rid + 1
+        self._centers[rid] = center
+        self._level_tuples.append(levels)
+        self._values.append(value)
+        self._exact.append(exact)
+        self._keys.append(key)
+        self._push(key, value, rid)
         if value < self.f_min:
             self.f_min = value
             self.x_min = np.array(center, dtype=float)
         return rid
 
-    def rekey(self, rid: int, levels: np.ndarray, exact: tuple,
+    def rekey(self, rid: int, levels, exact: tuple,
               key: Optional[float] = None) -> None:
         """Re-index a rectangle after its levels changed in a division;
-        `key`, when given, is `group_key(levels)`."""
-        self._levels[rid] = levels
-        self._exact[rid] = tuple(exact)
-        if key is None:
-            key = self.group_key(self._levels[rid])
+        `levels` and `key` as in `add`."""
+        if key is None or type(levels) is not tuple:
+            levels, key = self._intern(levels)
+        self._level_tuples[rid] = levels
+        self._exact[rid] = exact
         self._keys[rid] = key
-        heapq.heappush(self._heaps.setdefault(key, []), (self._values[rid], rid))
-        if key < self._min_key:
-            self._min_key = key
+        self._push(key, self._values[rid], rid)
 
     def rectangle(self, rid: int) -> Rectangle:
         return Rectangle(
             id=rid,
             center=self._centers[rid].copy(),
-            levels=self._levels[rid].astype(int),
+            levels=np.array(self._level_tuples[rid], dtype=int),
             exact=self._exact[rid],
             value=float(self._values[rid]),
         )
@@ -244,7 +268,7 @@ def _initial_state(n: int, nproblem: NormalizedProblem,
     state = PartitionState(n, counter)
     center = np.full(n, 0.5)
     value = nproblem.evaluate_counted(center, counter)
-    state.add(center, np.zeros(n, dtype=np.int16), (1,) * n, value)
+    state.add(center, (0,) * n, (1,) * n, value)
     return state
 
 
@@ -258,10 +282,8 @@ def sample_and_divide(rid: int, state: PartitionState,
     exhaustion nothing is mutated (already-spent evaluations stay counted) and
     BudgetExhausted propagates.
     """
-    # the levels are read once into a list: the division bookkeeping runs on
-    # Python ints, the int16 template only feeds add()/rekey()
-    tmpl_levels = state._levels[rid].copy()
-    levels = tmpl_levels.tolist()
+    # the level bookkeeping runs on a list copy of the parent's tuple
+    levels = list(state._level_tuples[rid])
     tmpl_center = state._centers[rid].copy()
     tmpl_exact = list(state._exact[rid])
     min_lvl = min(levels)
@@ -285,26 +307,27 @@ def sample_and_divide(rid: int, state: PartitionState,
 
     # the sort is stable and the probes are in dimension order, so ties on
     # w = min(f+, f-) keep the lower dimension first
-    probes.sort(key=lambda p: min(p[3], p[6]))
+    if len(probes) > 1:
+        probes.sort(key=lambda p: min(p[3], p[6]))
 
     # the children of one dimension differ from the template in that
-    # coordinate only; add() copies what it stores, so the template is set
-    # to each child in place and then refined to the parent's new numerator
+    # coordinate only; add() copies the center, so the template is set to
+    # each child in place and then refined to the parent's new numerator.
+    # Both children and the rekeyed parent share one interned level tuple.
     new_ids = []
     for dim, num_p, coord_p, f_p, num_m, coord_m, f_m in probes:
-        tmpl_levels[dim] += 1
         levels[dim] += 1
-        key = state.group_key(levels)  # shared by both children
+        level_tuple, key = state._intern(tuple(levels))
         num, coord = tmpl_exact[dim], tmpl_center[dim]
         for child_num, child_coord, value in ((num_p, coord_p, f_p),
                                               (num_m, coord_m, f_m)):
             tmpl_exact[dim] = child_num
             tmpl_center[dim] = child_coord
-            new_ids.append(state.add(tmpl_center, tmpl_levels,
+            new_ids.append(state.add(tmpl_center, level_tuple,
                                      tuple(tmpl_exact), value, key=key))
         tmpl_exact[dim] = 3 * num
         tmpl_center[dim] = coord
-    state.rekey(rid, tmpl_levels, tuple(tmpl_exact), key=key)
+    state.rekey(rid, level_tuple, tuple(tmpl_exact), key=key)
     return new_ids
 
 
@@ -403,6 +426,9 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             if target_hit():
                 reason = Reason.TARGET_REACHED
                 break
+            if deadline is not None and time.monotonic() > deadline:
+                reason = Reason.TIME_BUDGET
+                break
             if config.max_evals is not None and local_evals() >= config.max_evals:
                 reason = Reason.EVAL_BUDGET
                 break
@@ -435,7 +461,7 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
 
 def volume_fraction(state: PartitionState) -> Fraction:
     """Exact total volume of the partition as a fraction of the unit cube."""
-    sums = state._levels[:state.size].astype(np.int64).sum(axis=1)
+    sums = state._levels.astype(np.int64).sum(axis=1)
     L = int(sums.max()) if state.size else 0
     # integer arithmetic at the common denominator 3^L
     total = 0
@@ -454,7 +480,7 @@ def interval_table(state: PartitionState):
     Returns (starts, ends, L): rectangle i spans
     [starts[i,d], ends[i,d]] / 3^L in dimension d.
     """
-    levels = state._levels[:state.size].astype(np.int64)
+    levels = state._levels.astype(np.int64)
     L = int(levels.max())
     if L > 38:
         raise OverflowError("refinement too deep for int64 interval table")

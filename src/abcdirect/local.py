@@ -88,6 +88,10 @@ def box_qp_step(g: np.ndarray, B: np.ndarray, x: np.ndarray, bounds: Bounds,
     Projected gradient with a fixed step 1/L (L = largest eigenvalue of B)
     starting from p = 0; every iterate is feasible and the QP objective never
     rises above 0.
+
+    The loop stops early at an iterate whose bytes equal the previous one's:
+    each iterate is a function of the previous one's bits, so every later
+    iterate would be the same and the result is that of all `iters`.
     """
     lo = bounds.lower - x
     hi = bounds.upper - x
@@ -96,8 +100,17 @@ def box_qp_step(g: np.ndarray, B: np.ndarray, x: np.ndarray, bounds: Bounds,
         return np.zeros_like(g)
     step = 1.0 / L
     p = np.zeros_like(g)
+    q = np.empty_like(g)
     for _ in range(iters):
-        p = (p - step * (g + B @ p)).clip(lo, hi)
+        # q = (p - step * (g + B @ p)).clip(lo, hi), in place
+        np.matmul(B, p, out=q)
+        np.add(g, q, out=q)
+        np.multiply(step, q, out=q)
+        np.subtract(p, q, out=q)
+        q.clip(lo, hi, out=q)
+        if q.tobytes() == p.tobytes():
+            break
+        p, q = q, p
     if g @ p + 0.5 * p @ B @ p > 0.0:
         return np.zeros_like(g)
     return p

@@ -219,6 +219,16 @@ class TestAbcdSolve:
         res = abcd_solve(p, AbcdConfig(seed=0))
         assert res.reason == "global_stall"
 
+    def test_stall_with_capped_counter_restarts(self):
+        # no config budget, but the shared counter is capped: a stall must
+        # restart and the run spend the cap, not end as a global stall
+        p = Problem(lambda x: float(np.sum(np.sin(5.0 * x))),
+                    Bounds(np.zeros(3), np.ones(3)))
+        counter = EvalCounter(cap=20000)
+        res = abcd_solve(p, AbcdConfig(seed=0), counter=counter)
+        assert res.reason is Reason.EVAL_BUDGET
+        assert res.evals == counter.count == 20000
+
     def test_trace_best_is_monotone(self):
         p = sphere(3, target=0.0)
         res = abcd_solve(p, AbcdConfig(max_evals=5000, seed=1))

@@ -1,11 +1,14 @@
 """Partition geometry, potentially-optimal selection and the DIRECT loop."""
 
 import time
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abcdirect.direct as direct_mod
 from abcdirect.direct import (
     GROUP_KEY_DIGITS,
     DirectConfig,
@@ -100,6 +103,73 @@ class TestGroupKey:
         for form in ([0, -1], (0, -1), np.array([0, -1], dtype=np.int16)):
             with pytest.raises(ValueError):
                 state.group_key(form)
+
+
+class TestStore:
+    def test_levels_array_matches_the_inputs(self):
+        # `_levels` is built from the level tuples; the reference is built
+        # from what `add` and `rekey` were given, in every accepted form
+        rng = np.random.default_rng(3)
+        n = 4
+        state = PartitionState(n)
+        want = []
+        for i in range(40):
+            lv = rng.integers(0, 7, size=n)
+            forms = (lv.tolist(), tuple(lv.tolist()), lv.astype(np.int16))
+            form = forms[i % 3]
+            state.add(np.full(n, 0.5), form, (1,) * n, float(i))
+            want.append(lv)
+            if i % 4 == 3:
+                rid = int(rng.integers(0, i + 1))
+                lv = rng.integers(0, 7, size=n)
+                state.rekey(rid, lv.tolist(), (1,) * n)
+                want[rid] = lv
+        levels = state._levels
+        assert levels.dtype == np.int16 and levels.shape == (40, n)
+        assert np.array_equal(levels, np.array(want, dtype=np.int16))
+        assert PartitionState(3)._levels.shape == (0, 3)
+
+    def test_level_tuples_are_interned(self):
+        def f(x):
+            return float(np.sum((x - 0.3) ** 2))
+
+        res = direct_solve(box_problem(f, 3), DirectConfig(max_evals=600),
+                           keep_state=True)
+        tuples = res.state._level_tuples
+        assert len(tuples) == res.state.size > 100
+        assert len({id(t) for t in tuples}) == len(set(tuples))
+        for t in tuples:
+            assert all(type(v) is int for v in t)
+
+    def test_add_accepts_any_level_form(self):
+        # without a key every form is looked up and the interned tuple is
+        # stored; with a key a tuple is stored as given (the division passes
+        # the interned one), other forms are still looked up
+        state = PartitionState(3)
+        key = state.group_key([2, 1, 1])
+        interned = state._intern([2, 1, 1])[0]
+        given = tuple([2, 1, 1])
+        cases = [([2, 1, 1], None, interned), (given, None, interned),
+                 (np.array([2, 1, 1], dtype=np.int16), None, interned),
+                 ([2, 1, 1], key, interned), (given, key, given),
+                 (np.array([2, 1, 1], dtype=np.int16), key, interned)]
+        for levels, k, stored in cases:
+            rid = state.add(np.full(3, 0.5), levels, (1, 1, 1), 1.0, key=k)
+            assert state._level_tuples[rid] is stored
+            assert state._keys[rid] == key
+        for r in state.rectangles():
+            assert r.measure == measure(np.array([2, 1, 1]))
+
+    def test_rectangle_levels_and_volume_fraction(self):
+        state = PartitionState(2)
+        vectors = [(0, 1), (2, 1), (1, 1), (3, 0)]
+        for i, lv in enumerate(vectors):
+            state.add(np.full(2, 0.5), lv, (1, 1), float(i))
+        for r, lv in zip(state.rectangles(), vectors):
+            assert r.levels.dtype == np.dtype(int)
+            assert r.levels.tolist() == list(lv)
+        assert volume_fraction(state) == sum(
+            Fraction(1, 3 ** sum(lv)) for lv in vectors)
 
 
 class TestDivision:
@@ -269,6 +339,47 @@ class TestDirectSolve:
                            DirectConfig(max_seconds=0.1))
         assert res.reason is Reason.TIME_BUDGET
         assert res.evals == 1 and res.iterations == 0
+
+    def test_deadline_checked_after_each_division(self, monkeypatch):
+        # a clock that every evaluation advances by one second: the run must
+        # stop at the first division that ends past the deadline, not at the
+        # end of that iteration
+        def f(x):
+            return float(np.sum((x - 0.3) ** 2))
+
+        problem = box_problem(f, 2)
+        clock = [0.0]
+
+        def ticking(x):
+            clock[0] += 1.0
+            return f(x)
+
+        divide = direct_mod.sample_and_divide
+        ends = []
+
+        def record(rid, state, nproblem):
+            children = divide(rid, state, nproblem)
+            ends.append(state.counter.count)
+            return children
+
+        iteration_ends = []
+        with monkeypatch.context() as patch:
+            patch.setattr(direct_mod, "sample_and_divide", record)
+            direct_solve(problem,
+                         DirectConfig(max_evals=60, target_accuracy=0.0),
+                         iteration_hook=lambda state, changed:
+                         iteration_ends.append(state.counter.count))
+
+        max_seconds = 20.0
+        first_past = min(e for e in ends if e > max_seconds)
+        assert first_past not in iteration_ends   # it ends mid-iteration
+        monkeypatch.setattr(direct_mod, "time",
+                            SimpleNamespace(monotonic=lambda: clock[0]))
+        res = direct_solve(box_problem(ticking, 2),
+                           DirectConfig(max_seconds=max_seconds,
+                                        target_accuracy=0.0))
+        assert res.reason is Reason.TIME_BUDGET
+        assert res.evals == first_past
 
     def test_trace_is_monotone(self):
         problem = box_problem(lambda x: float(np.sum((x - 0.37) ** 2)), 2)

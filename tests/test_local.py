@@ -24,6 +24,22 @@ def quadratic_problem(A, b, bounds):
     return Problem(f, bounds)
 
 
+def reference_box_qp_step(g, B, x, bounds, iters=50):
+    """`box_qp_step` as a plain loop that runs all `iters` iterations."""
+    lo = bounds.lower - x
+    hi = bounds.upper - x
+    L = float(np.linalg.eigvalsh(B)[-1])
+    if L <= 0:
+        return np.zeros_like(g)
+    step = 1.0 / L
+    p = np.zeros_like(g)
+    for _ in range(iters):
+        p = (p - step * (g + B @ p)).clip(lo, hi)
+    if g @ p + 0.5 * p @ B @ p > 0.0:
+        return np.zeros_like(g)
+    return p
+
+
 class TestFdGradient:
     def test_matches_analytic_gradient(self):
         A = np.array([[4.0, 1.0], [1.0, 3.0]])
@@ -65,6 +81,26 @@ class TestBoxQpStep:
         bounds = Bounds(np.zeros(2), np.ones(2))
         p = box_qp_step(g, B, x, bounds, iters=200)
         assert bounds.contains(x + p)
+
+    def test_bit_identical_to_the_full_loop(self):
+        # the early exit at a fixed point must not change a single bit; the
+        # identity model reaches one in two iterations, tight boxes make
+        # bounds active and the badly scaled models run all 50
+        rng = np.random.default_rng(17)
+        for n in range(1, 19):
+            A = rng.normal(size=(n, n))
+            models = [np.eye(n), A @ A.T + 0.1 * np.eye(n),
+                      np.diag(np.logspace(0, 4, n)),
+                      A @ A.T * 1e-3 + np.eye(n)]
+            for B in models:
+                for radius in (10.0, 0.05):
+                    x = rng.uniform(0.0, 1.0, size=n)
+                    bounds = Bounds(x - rng.uniform(0.0, radius, size=n),
+                                    x + rng.uniform(1e-3, radius, size=n))
+                    g = rng.normal(0.0, 3.0, size=n)
+                    got = box_qp_step(g, B, x, bounds)
+                    want = reference_box_qp_step(g, B, x, bounds)
+                    assert got.tobytes() == want.tobytes(), (n, radius)
 
     def test_degenerate_model_gives_zero_step(self):
         p = box_qp_step(np.array([1.0]), np.array([[0.0]]), np.zeros(1),

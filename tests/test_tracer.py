@@ -29,3 +29,25 @@ def test_counts_every_evaluation_and_uninstalls(monkeypatch):
     assert tracer.evals == sum(r.evals for r in reports)
     assert tracer.metrics()["functions.calls"][0] == tracer.evals
     assert abcd_mod.make_subproblem is make_subproblem
+
+
+def test_every_rectangle_goes_through_add_and_rekey(monkeypatch):
+    # the tracer times the partition store by wrapping `PartitionState.add`
+    # and `rekey`; a store that filled itself another way would drop out of
+    # `direct.add_s` / `direct.rekey_s` unseen. The run reaches its target,
+    # so no budget cuts a division short: one `add` per evaluation (the
+    # center and two per probed dimension) and one `rekey` per division.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    tracer = Tracer().install()
+    try:
+        report = runner_mod.run_single(
+            RunSpec("BR", algorithm="direct", max_evals=300, repetitions=1), 0)
+    finally:
+        tracer.uninstall()
+    assert report.termination == "target_reached"
+    metrics = tracer.metrics()
+    assert metrics["direct.add_calls"][0] == tracer.evals == report.evals
+    assert (metrics["direct.rekey_calls"][0]
+            == metrics["direct.divide_calls"][0] > 0)
