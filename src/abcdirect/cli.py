@@ -44,6 +44,14 @@ def _load_config(path) -> list[dict]:
     if not isinstance(data, list):
         click.echo("config must be a JSON object or list of objects", err=True)
         sys.exit(1)
+    if not data:
+        click.echo("configuration error: config holds no run spec", err=True)
+        sys.exit(1)
+    for i, raw in enumerate(data):
+        if not isinstance(raw, dict):
+            click.echo(f"configuration error: config entry {i} is not an "
+                       f"object: {raw!r}", err=True)
+            sys.exit(1)
     return data
 
 

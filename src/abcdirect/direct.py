@@ -1,10 +1,12 @@
 """DIRECT partition machinery: rectangle store, sampling/dividing, POH
 identification and the main dividing-rectangles loop.
 
-Geometry lives in the unit hypercube. Rectangle centers are carried both as
-floats and as exact base-3 integer numerators (center_i = num_i / (2*3^level_i),
-num_i odd), so repeated trisection never drifts and tiling/disjointness can be
-certified with integer arithmetic.
+Rectangle geometry lives in the unit hypercube: each rectangle carries its
+trisection levels and exact base-3 integer numerators (unit-cube center_i =
+num_i / (2*3^level_i), num_i odd), so repeated trisection never drifts and
+tiling/disjointness can be certified with integer arithmetic. The float
+centers are kept in the problem's user space, lower + z*width per coordinate,
+so a probe maps only the coordinate it moves (`NormalizedProblem.probe`).
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ class Rectangle:
     """Read-only view of one partition cell."""
 
     id: int
-    center: np.ndarray
+    center: np.ndarray  # user space
     levels: np.ndarray
-    exact: tuple  # integer numerators; center_i = exact[i] / (2*3^levels[i])
+    # integer numerators; unit-cube center_i = exact[i] / (2*3^levels[i])
+    exact: tuple
     value: float
 
     @property
@@ -67,10 +70,10 @@ class PartitionState:
     """Rectangle store with a measure-keyed group index.
 
     Layout, by rectangle id:
-    - `_centers`: a float64 `(capacity, n)` array. The centers' bits come
-      from the division (`num / denom` per probe) and cannot be recomputed
-      from the numerators, and the evaluation path takes them as float
-      arrays, so they stay numpy.
+    - `_centers`: a float64 `(capacity, n)` array of the centers in the
+      problem's user space. Each coordinate is `lower + z * width` for the
+      unit-cube coordinate `z = num / denom` of the probe that set it, and the
+      evaluation path takes the centers as float arrays, so they stay numpy.
     - `_level_tuples`: one level tuple per rectangle, interned per state, so
       every rectangle with the same levels (both children of a division step
       and the rekeyed parent) shares one tuple object. `_levels` builds the
@@ -78,6 +81,9 @@ class PartitionState:
       path.
     - `_values`, `_exact`, `_keys`: Python lists of the value, the integer
       numerators and the current group key.
+
+    Levels and numerators are unit-cube quantities, so the tiling
+    certificates never look at the user-space centers.
 
     Groups map a rounded measure to a lazy min-heap of (value, id) entries;
     stale entries (rectangles whose measure changed after division) are purged
@@ -266,9 +272,9 @@ def identify_poh(state: PartitionState, eps: float) -> list[int]:
 def _initial_state(n: int, nproblem: NormalizedProblem,
                    counter: EvalCounter) -> PartitionState:
     state = PartitionState(n, counter)
-    center = np.full(n, 0.5)
-    value = nproblem.evaluate_counted(center, counter)
-    state.add(center, (0,) * n, (1,) * n, value)
+    z = np.full(n, 0.5)
+    value = nproblem.evaluate_counted(z, counter)
+    state.add(nproblem.lower + z * nproblem.width, (0,) * n, (1,) * n, value)
     return state
 
 
@@ -284,49 +290,46 @@ def sample_and_divide(rid: int, state: PartitionState,
     """
     # the level bookkeeping runs on a list copy of the parent's tuple
     levels = list(state._level_tuples[rid])
-    tmpl_center = state._centers[rid].copy()
+    center = state._centers[rid]
     tmpl_exact = list(state._exact[rid])
     min_lvl = min(levels)
     I = [d for d, lvl in enumerate(levels) if lvl == min_lvl]
     denom = 2.0 * 3.0 ** (min_lvl + 1)
 
-    # evaluate all probe points before touching any state; the probes move
-    # one coordinate of the template center, which is restored after each
-    probes = []  # (dim, num_plus, coord_plus, f_plus, num_minus, coord_minus, f_minus)
+    # evaluate all probe points before touching any state; each probe is the
+    # parent's user-space center with one coordinate moved, and it becomes
+    # the child's center
+    probe, counter = nproblem.probe, state.counter
+    probes = []  # (dim, num_plus, x_plus, f_plus, num_minus, x_minus, f_minus)
     for dim in I:
         scaled = 3 * tmpl_exact[dim]
         num_p, num_m = scaled + 2, scaled - 2
-        coord_p, coord_m = num_p / denom, num_m / denom
-        coord = tmpl_center[dim]
-        tmpl_center[dim] = coord_p
-        f_p = nproblem.evaluate_counted(tmpl_center, state.counter)
-        tmpl_center[dim] = coord_m
-        f_m = nproblem.evaluate_counted(tmpl_center, state.counter)
-        tmpl_center[dim] = coord
-        probes.append((dim, num_p, coord_p, f_p, num_m, coord_m, f_m))
+        x_p, f_p = probe(center, dim, num_p / denom, counter)
+        x_m, f_m = probe(center, dim, num_m / denom, counter)
+        probes.append((dim, num_p, x_p, f_p, num_m, x_m, f_m))
 
     # the sort is stable and the probes are in dimension order, so ties on
     # w = min(f+, f-) keep the lower dimension first
     if len(probes) > 1:
         probes.sort(key=lambda p: min(p[3], p[6]))
 
-    # the children of one dimension differ from the template in that
-    # coordinate only; add() copies the center, so the template is set to
-    # each child in place and then refined to the parent's new numerator.
-    # Both children and the rekeyed parent share one interned level tuple.
+    # the children of one dimension differ from the parent's numerators in
+    # that coordinate only; the template is set to each child's numerator
+    # and then refined to the parent's new one. Both children and the
+    # rekeyed parent share one interned level tuple; the parent's center
+    # does not move.
     new_ids = []
-    for dim, num_p, coord_p, f_p, num_m, coord_m, f_m in probes:
+    for dim, num_p, x_p, f_p, num_m, x_m, f_m in probes:
         levels[dim] += 1
         level_tuple, key = state._intern(tuple(levels))
-        num, coord = tmpl_exact[dim], tmpl_center[dim]
-        for child_num, child_coord, value in ((num_p, coord_p, f_p),
-                                              (num_m, coord_m, f_m)):
-            tmpl_exact[dim] = child_num
-            tmpl_center[dim] = child_coord
-            new_ids.append(state.add(tmpl_center, level_tuple,
-                                     tuple(tmpl_exact), value, key=key))
+        num = tmpl_exact[dim]
+        tmpl_exact[dim] = num_p
+        new_ids.append(state.add(x_p, level_tuple, tuple(tmpl_exact), f_p,
+                                 key=key))
+        tmpl_exact[dim] = num_m
+        new_ids.append(state.add(x_m, level_tuple, tuple(tmpl_exact), f_m,
+                                 key=key))
         tmpl_exact[dim] = 3 * num
-        tmpl_center[dim] = coord
     state.rekey(rid, level_tuple, tuple(tmpl_exact), key=key)
     return new_ids
 
@@ -445,10 +448,9 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
                 stall_streak = 0
             prev_fmin = state.f_min
 
-    x_user = nproblem.to_user(state.x_min)
     return DirectResult(
         f_min=state.f_min,
-        x_min=x_user,
+        x_min=state.x_min,
         evals=local_evals(),
         iterations=t,
         reason=reason,

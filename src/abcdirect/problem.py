@@ -1,7 +1,8 @@
 """Optimization problem abstraction: bounds, evaluation counting, normalization.
 
-All solver-internal geometry lives in the unit hypercube [0,1]^n; user-facing
-points are in the original (user-space) box.
+Solver-internal geometry (DIRECT's trisection levels and base-3 numerators)
+lives in the unit hypercube [0,1]^n; evaluated and user-facing points are in
+the original (user-space) box.
 """
 
 from __future__ import annotations
@@ -159,16 +160,24 @@ class NormalizedProblem:
     """The problem re-expressed over the unit hypercube.
 
     Evaluating at z gives the original objective at lower + z*(upper-lower);
-    `lower` and `width` are those of the original (user-space) box.
+    `lower` and `width` are those of the original (user-space) box. DIRECT
+    keeps its rectangle centers in user space and moves one coordinate per
+    probe, so `probe` maps that coordinate alone, on Python-float copies of
+    the box (`_lower_f`, `_width_f`): one IEEE multiply and one add, the
+    same two operations numpy does per element.
     """
 
     original: Problem
     lower: np.ndarray = field(init=False, repr=False)
     width: np.ndarray = field(init=False, repr=False)
+    _lower_f: list = field(init=False, repr=False)
+    _width_f: list = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lower", self.original.bounds.lower)
         object.__setattr__(self, "width", self.original.bounds.width)
+        object.__setattr__(self, "_lower_f", self.lower.tolist())
+        object.__setattr__(self, "_width_f", self.width.tolist())
 
     @property
     def n(self) -> int:
@@ -188,8 +197,16 @@ class NormalizedProblem:
         counter.charge()
         return self.original(self.lower + z * self.width)
 
-    def to_user(self, z: np.ndarray) -> np.ndarray:
-        return denormalize(z, self.original.bounds)
+    def probe(self, center: np.ndarray, dim: int, z: float,
+              counter: EvalCounter) -> tuple[np.ndarray, float]:
+        """Charge one evaluation and evaluate at the user-space `center`
+        with coordinate `dim` moved to unit-cube coordinate `z` (strictly
+        inside the cube, as in `evaluate_counted`); returns the evaluated
+        point, a new array, and its value."""
+        counter.charge()
+        x = center.copy()
+        x[dim] = self._lower_f[dim] + z * self._width_f[dim]
+        return x, self.original(x)
 
 
 def normalize(problem: Problem) -> NormalizedProblem:

@@ -20,7 +20,14 @@ from abcdirect.direct import (
     sample_and_divide,
     volume_fraction,
 )
-from abcdirect.problem import Bounds, EvalCounter, Problem, Reason, normalize
+from abcdirect.problem import (
+    Bounds,
+    EvalCounter,
+    Problem,
+    Reason,
+    denormalize,
+    normalize,
+)
 
 
 def box_problem(fn, n, lo=0.0, hi=1.0, target=None):
@@ -230,6 +237,30 @@ class TestDivision:
                      for num, lv in zip(r.exact, r.levels)]
             assert np.allclose(exact, r.center, atol=1e-15)
             assert all(num % 2 == 1 for num in r.exact)
+
+    def test_user_space_centers_are_bit_exact(self):
+        # on an asymmetric box the user-space centers and the unit-cube
+        # numerators have different bits; every center must be exactly the
+        # numpy mapping of its exact unit-cube center
+        bounds = Bounds(np.array([-5.12, 3.0, -1e-3]),
+                        np.array([2.0, 1000.0, 7.0]))
+        shift = bounds.lower + 0.37 * bounds.width
+
+        def f(x):
+            return float(np.sum(((x - shift) / bounds.width) ** 2))
+
+        res = direct_solve(Problem(f, bounds), DirectConfig(max_evals=600),
+                           keep_state=True)
+        rects = res.state.rectangles()
+        assert len(rects) == res.evals
+        for r in rects:
+            z = np.array(r.exact) / (2 * 3.0 ** r.levels)
+            want = bounds.lower + z * bounds.width
+            assert r.center.tobytes() == want.tobytes()
+        best = min(rects, key=lambda r: (r.value, r.id))
+        z = np.array(best.exact) / (2 * 3.0 ** best.levels)
+        assert res.x_min.tobytes() == denormalize(z, bounds).tobytes()
+        assert res.f_min == best.value == f(res.x_min)
 
 
 class TestPoh:

@@ -109,15 +109,34 @@ GRIEWANK_4000 = (
 
 @pytest.fixture
 def unit_cube_probes(monkeypatch):
-    """Every unit-cube point handed to NormalizedProblem.evaluate_counted."""
+    """Every unit-cube point or coordinate DIRECT evaluates: the start
+    centers handed to NormalizedProblem.evaluate_counted and the moved
+    coordinate of every NormalizedProblem.probe. Each probe is checked as it
+    happens: its coordinate lies strictly inside the cube, and the point it
+    evaluates lies in the closed user box and equals the parent's center
+    bit for bit outside the moved coordinate."""
     seen = []
-    original = NormalizedProblem.evaluate_counted
+    evaluate_counted = NormalizedProblem.evaluate_counted
+    probe = NormalizedProblem.probe
 
-    def recording(self, z, counter):
+    def recording_evaluate(self, z, counter):
         seen.append(np.array(z, dtype=float))
-        return original(self, z, counter)
+        return evaluate_counted(self, z, counter)
 
-    monkeypatch.setattr(NormalizedProblem, "evaluate_counted", recording)
+    def recording_probe(self, center, dim, z, counter):
+        assert 0.0 < z < 1.0
+        center = np.array(center, dtype=float)
+        x, value = probe(self, center, dim, z, counter)
+        bounds = self.original.bounds
+        assert ((bounds.lower <= x) & (x <= bounds.upper)).all()
+        assert (np.delete(x, dim).tobytes()
+                == np.delete(center, dim).tobytes())
+        seen.append(np.array([z]))
+        return x, value
+
+    monkeypatch.setattr(NormalizedProblem, "evaluate_counted",
+                        recording_evaluate)
+    monkeypatch.setattr(NormalizedProblem, "probe", recording_probe)
     return seen
 
 
@@ -129,6 +148,9 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
     # probes are odd base-3 numerators over 2*3^l: strictly inside the cube,
     # which is why the counted evaluation path skips the cube check
     assert unit_cube_probes
+    if case.startswith("direct-"):
+        # plain DIRECT evaluates only through these two methods
+        assert len(unit_cube_probes) == count
     z = np.concatenate(unit_cube_probes)
     assert ((z > 0.0) & (z < 1.0)).all()
 

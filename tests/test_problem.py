@@ -105,7 +105,27 @@ class TestNormalization:
         np_ = normalize(p)
         z = np.array([0.25, 0.5, 1.0])
         assert np_(z) == pytest.approx(p(denormalize(z, p.bounds)))
-        assert np.allclose(np_.to_user(z), denormalize(z, p.bounds))
+
+    def test_probe_maps_one_coordinate(self):
+        # a probe moves one coordinate of a user-space center; the point is
+        # the bits `denormalize` gives for the moved unit-cube point, and
+        # the center itself is left as it was
+        p = Problem(lambda x: float(np.sum(x * x)),
+                    Bounds(np.array([-5.12, 3.0, -1e-3]),
+                           np.array([2.0, 1000.0, 7.0])))
+        np_ = normalize(p)
+        z = np.array([0.5, 5.0 / 18.0, 1.0 / 6.0])
+        center = denormalize(z, p.bounds)
+        before = center.copy()
+        counter = EvalCounter()
+        x, value = np_.probe(center, 1, 13.0 / 18.0, counter)
+        z[1] = 13.0 / 18.0
+        assert x.tobytes() == denormalize(z, p.bounds).tobytes()
+        assert value == p(x)
+        assert counter.count == 1
+        assert center.tobytes() == before.tobytes()
+        with pytest.raises(BudgetExhausted):
+            np_.probe(center, 0, 0.25, EvalCounter(count=1, cap=1))
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
     def test_round_trip_property(self, zs):

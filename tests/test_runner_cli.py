@@ -237,6 +237,20 @@ class TestCli:
         res = self.invoke("run", "--config", str(cfg))
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    @pytest.mark.parametrize("config", [[], [1], [{"function": "sphere"}, 1],
+                                        ["sphere"], [None]])
+    def test_malformed_config_is_config_error(self, tmp_path, command,
+                                              config):
+        # an uncaught exception also exits 1, so the message and the
+        # SystemExit are what tell a rejected config from a crash
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        res = self.invoke(command, "--config", str(cfg))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "configuration error" in res.output
+
     def test_unreadable_config_is_io_error(self):
         res = self.invoke("run", "--config", "/nonexistent/cfg.json")
         assert res.exit_code == 2

@@ -7,8 +7,13 @@ other test passes.
 
 from pathlib import Path
 
+import pytest
+
 import abcdirect.abcd as abcd_mod
 import abcdirect.runner as runner_mod
+from abcdirect.abcd import AbcdConfig
+from abcdirect.direct import DirectConfig
+from abcdirect.functions import get_function
 from abcdirect.runner import ALGORITHMS, RunSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -51,3 +56,38 @@ def test_every_rectangle_goes_through_add_and_rekey(monkeypatch):
     assert metrics["direct.add_calls"][0] == tracer.evals == report.evals
     assert (metrics["direct.rekey_calls"][0]
             == metrics["direct.divide_calls"][0] > 0)
+
+
+# digests and counts pinned in tests/test_eval_sequence.py
+PINNED = {
+    "direct-rastrigin-4": (
+        lambda p: runner_mod.direct_solve(
+            p, DirectConfig(max_evals=3000, target_accuracy=0.0)),
+        ("rastrigin", 4),
+        "9d517abe0d6b1dadbdca69050f01d1a71758ae5c431fc5a605a93d27dd9b33bd",
+        3005),
+    "abcd-griewank-6-seed3": (
+        lambda p: runner_mod.abcd_solve(p, AbcdConfig(max_evals=4000,
+                                                      seed=3)),
+        ("griewank", 6),
+        "65c5f13402deec45254402bf75321b486d2b2d127da4264d7b5f63e3515562af",
+        4001),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_digest_equals_the_pinned_sequence(monkeypatch, case):
+    # `--trace 1` reports the tracer's digest of the evaluation sequence;
+    # on a pinned run it must equal the digest the pin records
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    solve, (name, dim), want_digest, want_count = PINNED[case]
+    tracer = Tracer().install()
+    try:
+        solve(get_function(name, dim)[0])  # kernels bind at build time
+    finally:
+        tracer.uninstall()
+    assert (tracer.digest.hexdigest(), tracer.evals) == (want_digest,
+                                                         want_count)
+    assert tracer.metrics()["functions.calls"][0] == want_count
