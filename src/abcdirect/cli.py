@@ -128,7 +128,15 @@ def _run_options(fn):
               help="JSON-lines report path, '-' for stdout")
 def run(config_path, trace_out, report_out, **flags):
     """Run one benchmark spec (possibly repeated)."""
-    raw = _load_config(config_path)[0] if config_path else {}
+    raw = {}
+    if config_path:
+        specs = _load_config(config_path)
+        if len(specs) > 1:
+            click.echo(f"configuration error: run takes one spec and the "
+                       f"config holds {len(specs)}; use suite to run them "
+                       f"all", err=True)
+            sys.exit(1)
+        raw = specs[0]
     overrides = {
         {"function_name": "function"}.get(k, k): v
         for k, v in flags.items() if v is not None

@@ -12,10 +12,10 @@ so a probe maps only the coordinate it moves (`NormalizedProblem.probe`).
 from __future__ import annotations
 
 import functools
-import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Optional
 
 import numpy as np
@@ -70,10 +70,12 @@ class PartitionState:
     """Rectangle store with a measure-keyed group index.
 
     Layout, by rectangle id:
-    - `_centers`: a float64 `(capacity, n)` array of the centers in the
-      problem's user space. Each coordinate is `lower + z * width` for the
-      unit-cube coordinate `z = num / denom` of the probe that set it, and the
-      evaluation path takes the centers as float arrays, so they stay numpy.
+    - `_centers`: a list of the centers in the problem's user space, each a
+      float64 array of length n. Each coordinate is `lower + z * width` for
+      the unit-cube coordinate `z = num / denom` of the probe that set it. A
+      child's center is the fresh array `NormalizedProblem.probe` evaluated,
+      kept as it is (no copy), and `x_min` refers to the best one; readers
+      that hand a center out copy it (`Rectangle.center`, `direct_solve`).
     - `_level_tuples`: one level tuple per rectangle, interned per state, so
       every rectangle with the same levels (both children of a division step
       and the rekeyed parent) shares one tuple object. `_levels` builds the
@@ -98,7 +100,7 @@ class PartitionState:
     def __init__(self, n: int, counter: Optional[EvalCounter] = None):
         self.n = n
         self.counter = counter if counter is not None else EvalCounter()
-        self._centers = np.empty((256, n), dtype=float)
+        self._centers: list[np.ndarray] = []
         self._level_tuples: list[tuple] = []
         self._values: list[float] = []
         self._exact: list[tuple] = []
@@ -144,35 +146,31 @@ class PartitionState:
         """
         return self._intern(levels)[1]
 
-    def _push(self, key: float, value: float, rid: int) -> None:
-        heap = self._heaps.get(key)
-        if heap is None:
-            self._heaps[key] = [(value, rid)]
-        else:
-            heapq.heappush(heap, (value, rid))
-        if key < self._min_key:
-            self._min_key = key
-
     def add(self, center: np.ndarray, levels, exact: tuple, value: float,
             key: Optional[float] = None) -> int:
-        """Store a rectangle. `levels` is a tuple, list or integer array;
-        with `key` a tuple is taken as given, as the interned tuple whose
-        group key is `key`."""
+        """Store a rectangle; `center` is a float array the state keeps, not
+        a copy. `levels` is a tuple, list or integer array; with `key` a
+        tuple is taken as given, as the interned tuple whose group key is
+        `key`."""
         if key is None or type(levels) is not tuple:
             levels, key = self._intern(levels)
         rid = self.size
-        if rid == self._centers.shape[0]:
-            self._centers = np.resize(self._centers, (2 * rid, self.n))
         self.size = rid + 1
-        self._centers[rid] = center
+        self._centers.append(center)
         self._level_tuples.append(levels)
         self._values.append(value)
         self._exact.append(exact)
         self._keys.append(key)
-        self._push(key, value, rid)
+        heap = self._heaps.get(key)
+        if heap is None:
+            self._heaps[key] = [(value, rid)]
+        else:
+            heappush(heap, (value, rid))
+        if key < self._min_key:
+            self._min_key = key
         if value < self.f_min:
             self.f_min = value
-            self.x_min = np.array(center, dtype=float)
+            self.x_min = center
         return rid
 
     def rekey(self, rid: int, levels, exact: tuple,
@@ -184,7 +182,13 @@ class PartitionState:
         self._level_tuples[rid] = levels
         self._exact[rid] = exact
         self._keys[rid] = key
-        self._push(key, self._values[rid], rid)
+        heap = self._heaps.get(key)
+        if heap is None:
+            self._heaps[key] = [(self._values[rid], rid)]
+        else:
+            heappush(heap, (self._values[rid], rid))
+        if key < self._min_key:
+            self._min_key = key
 
     def rectangle(self, rid: int) -> Rectangle:
         return Rectangle(
@@ -208,15 +212,18 @@ class PartitionState:
         """Per-measure-group minimum-value representatives, sorted by measure
         ascending. Ties on value resolve to the lowest id (heap order)."""
         reps = []
-        for key in list(self._heaps):
-            heap = self._heaps[key]
-            while heap and self._keys[heap[0][1]] != key:
-                heapq.heappop(heap)
-            if not heap:
-                del self._heaps[key]
-                continue
-            value, rid = heap[0]
-            reps.append((key, value, rid))
+        keys = self._keys
+        empty = []
+        for key, heap in self._heaps.items():
+            while heap and keys[heap[0][1]] != key:
+                heappop(heap)
+            if heap:
+                value, rid = heap[0]
+                reps.append((key, value, rid))
+            else:
+                empty.append(key)
+        for key in empty:
+            del self._heaps[key]
         reps.sort()
         return reps
 
@@ -252,20 +259,21 @@ def identify_poh(state: PartitionState, eps: float) -> list[int]:
 
     # only vertices right of (and including) the rightmost minimum value can
     # admit a positive rate-of-change constant
-    fs = [p[1] for p in hull]
-    fmin_hull = min(fs)
-    q = len(fs) - 1 - fs[::-1].index(fmin_hull)
-    chain = hull[q:]
+    q = 0
+    fmin_hull = hull[0][1]
+    for i, pt in enumerate(hull):
+        if pt[1] <= fmin_hull:
+            q, fmin_hull = i, pt[1]
 
     threshold = state.f_min - eps * abs(state.f_min)
     poh = []
-    for j in range(len(chain) - 1):
-        dj, fj, rid = chain[j]
-        dn, fn, _ = chain[j + 1]
+    dj, fj, rid = hull[q]
+    for dn, fn, next_rid in hull[q + 1:]:
         k_max = (fn - fj) / (dn - dj)
         if fj - k_max * dj <= threshold:
             poh.append(rid)
-    poh.append(chain[-1][2])  # unbounded K: always potentially optimal
+        dj, fj, rid = dn, fn, next_rid
+    poh.append(rid)  # unbounded K: always potentially optimal
     return poh
 
 
@@ -387,19 +395,17 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
         mid = problem.bounds.lower + 0.5 * problem.bounds.width
         return DirectResult(np.inf, mid, 0, 0, Reason.EVAL_BUDGET, [])
 
-    def local_evals():
-        return counter.count - start_count
-
-    trace = [(local_evals(), 0, state.f_min)]
+    # this run's evaluations are counter.count - start_count
+    stop_count = (None if config.max_evals is None
+                  else start_count + config.max_evals)
+    tol = config.target_accuracy
+    trace = [(counter.count - start_count, 0, state.f_min)]
     reason = None
     t = 0
     stall_streak = 0
     prev_fmin = state.f_min
 
-    def target_hit():
-        return target is not None and abs(state.f_min - target) <= config.target_accuracy
-
-    if target_hit():
+    if target is not None and abs(state.f_min - target) <= tol:
         reason = Reason.TARGET_REACHED
 
     while reason is None:
@@ -409,7 +415,7 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
         if deadline is not None and time.monotonic() > deadline:
             reason = Reason.TIME_BUDGET
             break
-        if config.max_evals is not None and local_evals() >= config.max_evals:
+        if stop_count is not None and counter.count >= stop_count:
             reason = Reason.EVAL_BUDGET
             break
         if config.min_measure > 0.0 and state.min_measure < config.min_measure:
@@ -426,17 +432,17 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             if changed is not None:
                 changed.append(rid)
                 changed.extend(children)
-            if target_hit():
+            if target is not None and abs(state.f_min - target) <= tol:
                 reason = Reason.TARGET_REACHED
                 break
             if deadline is not None and time.monotonic() > deadline:
                 reason = Reason.TIME_BUDGET
                 break
-            if config.max_evals is not None and local_evals() >= config.max_evals:
+            if stop_count is not None and counter.count >= stop_count:
                 reason = Reason.EVAL_BUDGET
                 break
         t += 1
-        trace.append((local_evals(), t, state.f_min))
+        trace.append((counter.count - start_count, t, state.f_min))
         if iteration_hook is not None:
             iteration_hook(state, changed)
         if reason is None and config.stall_iters > 0:
@@ -450,8 +456,8 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
 
     return DirectResult(
         f_min=state.f_min,
-        x_min=state.x_min,
-        evals=local_evals(),
+        x_min=state.x_min.copy(),  # the state keeps the best center itself
+        evals=counter.count - start_count,
         iterations=t,
         reason=reason,
         trace=trace,

@@ -12,6 +12,9 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+# the clip ufunc itself, which ndarray.clip reaches through a Python-level
+# dispatcher; np.minimum/np.maximum would differ from it on signed zeros
+from numpy._core.umath import clip as _clip
 
 from .problem import (
     Bounds,
@@ -64,20 +67,22 @@ def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
     """One-sided finite differences, n extra evaluations.
 
     Forward step h_i = grad_step*max(1, |x_i|); switches to backward when the
-    forward probe would leave the upper bound.
+    forward probe would leave the upper bound. The steps are computed on
+    Python floats, the same IEEE operations as on numpy scalars; each probe
+    is a fresh array.
     """
     x = np.asarray(x, dtype=float)
     if f0 is None:
         f0 = evaluate_counted(problem, x, counter)
-    bounds = problem.bounds
+    upper = problem.bounds.upper.tolist()
     g = np.empty_like(x)
-    for i in range(x.size):
-        h = grad_step * max(1.0, abs(x[i]))
-        if x[i] + h > bounds.upper[i]:
+    for i, xi in enumerate(x.tolist()):
+        h = grad_step * max(1.0, abs(xi))
+        if xi + h > upper[i]:
             h = -h
-        xi = x.copy()
-        xi[i] += h
-        g[i] = (evaluate_counted(problem, xi, counter) - f0) / h
+        probe = x.copy()
+        probe[i] = xi + h
+        g[i] = (evaluate_counted(problem, probe, counter) - f0) / h
     return g
 
 
@@ -89,9 +94,12 @@ def box_qp_step(g: np.ndarray, B: np.ndarray, x: np.ndarray, bounds: Bounds,
     starting from p = 0; every iterate is feasible and the QP objective never
     rises above 0.
 
-    The loop stops early at an iterate whose bytes equal the previous one's:
-    each iterate is a function of the previous one's bits, so every later
-    iterate would be the same and the result is that of all `iters`.
+    The loop stops early at the first iterate k whose bytes repeat an
+    earlier iterate `first`: each iterate is a function of the previous
+    one's bits, so from `first` on the iterates cycle with period
+    k - first, and iterate `iters` is iterate
+    first + (iters - k) % (k - first). A fixed point is the period-1 case.
+    The result is that of all `iters` iterations, bit for bit.
     """
     lo = bounds.lower - x
     hi = bounds.upper - x
@@ -100,24 +108,27 @@ def box_qp_step(g: np.ndarray, B: np.ndarray, x: np.ndarray, bounds: Bounds,
         return np.zeros_like(g)
     step = 1.0 / L
     p = np.zeros_like(g)
-    q = np.empty_like(g)
-    for _ in range(iters):
-        # q = (p - step * (g + B @ p)).clip(lo, hi), in place
-        np.matmul(B, p, out=q)
+    iterates = [p]
+    seen = {p.tobytes(): 0}
+    for k in range(1, iters + 1):
+        # p = (p - step * (g + B @ p)).clip(lo, hi), on one new array
+        q = np.matmul(B, p)
         np.add(g, q, out=q)
         np.multiply(step, q, out=q)
         np.subtract(p, q, out=q)
-        q.clip(lo, hi, out=q)
-        if q.tobytes() == p.tobytes():
+        p = _clip(q, lo, hi, out=q)
+        first = seen.setdefault(p.tobytes(), k)
+        if first != k:
+            p = iterates[first + (iters - k) % (k - first)]
             break
-        p, q = q, p
+        iterates.append(p)
     if g @ p + 0.5 * p @ B @ p > 0.0:
         return np.zeros_like(g)
     return p
 
 
 def _projected_gradient_norm(x, g, bounds):
-    return float(np.abs((x - g).clip(bounds.lower, bounds.upper) - x).max())
+    return float(np.abs(_clip(x - g, bounds.lower, bounds.upper) - x).max())
 
 
 def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
@@ -169,7 +180,7 @@ def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
             alpha = 1.0
             accepted = False
             for _ in range(config.max_backtracks):
-                x_new = bounds.clip(x + alpha * p)
+                x_new = _clip(x + alpha * p, bounds.lower, bounds.upper)
                 try:
                     f_new = evaluate_counted(problem, x_new, counter)
                 except NonFiniteValueError:

@@ -167,6 +167,42 @@ class TestStore:
         for r in state.rectangles():
             assert r.measure == measure(np.array([2, 1, 1]))
 
+    def test_result_x_min_is_the_callers_copy(self):
+        # the state keeps the best center as stored, with no copy; the
+        # result hands out a copy, so writing to it leaves the partition as
+        # it was
+        def f(x):
+            return float(np.sum((x - 0.3) ** 2))
+
+        res = direct_solve(box_problem(f, 3), DirectConfig(max_evals=300),
+                           keep_state=True)
+        state = res.state
+        best = min(state.rectangles(), key=lambda r: (r.value, r.id))
+        kept = best.center.tobytes()
+        assert res.x_min.tobytes() == state.x_min.tobytes() == kept
+        res.x_min[:] = -1.0
+        assert state.x_min.tobytes() == kept
+        assert state.rectangle(best.id).center.tobytes() == kept
+
+    def test_rectangle_center_is_a_copy(self):
+        state = PartitionState(2)
+        rid = state.add(np.array([0.25, 0.75]), (1, 1), (1, 1), 0.0)
+        state.rectangle(rid).center[:] = 9.0
+        assert state.rectangle(rid).center.tolist() == [0.25, 0.75]
+        assert state.x_min.tolist() == [0.25, 0.75]
+
+    def test_rekey_into_a_level_vector_with_no_group_yet(self):
+        state = PartitionState(2)
+        old_key = state.group_key((0, 0))
+        rid = state.add(np.full(2, 0.5), (0, 0), (1, 1), 1.0)
+        other = state.add(np.full(2, 0.5), (0, 0), (1, 1), 2.0)
+        new_key = state.group_key((1, 0))
+        assert new_key not in state._heaps
+        state.rekey(rid, (1, 0), (3, 1))
+        assert state.min_measure == new_key < old_key
+        assert state.group_representatives() == [(new_key, 1.0, rid),
+                                                  (old_key, 2.0, other)]
+
     def test_rectangle_levels_and_volume_fraction(self):
         state = PartitionState(2)
         vectors = [(0, 1), (2, 1), (1, 1), (3, 0)]

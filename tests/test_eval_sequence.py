@@ -9,7 +9,9 @@ streamlined, the two capped-counter ABCD digests before ABCD became a phase
 machine; the griewank n=6 digest was re-recorded when subproblem caps began
 to be clipped to the evaluation budget left. The griewank n=12 and n=7
 digests were recorded before division stopped using numpy for its
-bookkeeping and group keys became shared across partitions.
+bookkeeping and group keys became shared across partitions. The `sqp`
+digest was recorded before the QP step of the polish began to exit at a
+repeated iterate.
 """
 
 import hashlib
@@ -18,9 +20,10 @@ import struct
 import numpy as np
 import pytest
 
-from abcdirect.abcd import AbcdConfig, abcd_solve
+from abcdirect.abcd import AbcdConfig, abcd_solve, choose_start, start_samples
 from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.functions import get_function
+from abcdirect.local import LocalConfig, sqp_local
 from abcdirect.problem import EvalCounter, NormalizedProblem, Problem
 
 
@@ -62,6 +65,17 @@ def run_abcd(name, dim, max_evals, seed, capped=False, **config):
     return digest.hexdigest(), count[0]
 
 
+def run_sqp(name, dim, max_evals, seed):
+    """The runner's `sqp` algorithm at run seed `seed`: a start sample and
+    one polish on a counter capped at max_evals."""
+    problem, digest, count, _ = hashing(get_function(name, dim)[0])
+    counter = EvalCounter(cap=max_evals)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x0, _ = choose_start(problem, start_samples(problem.n), rng, counter)
+    sqp_local(problem, x0, LocalConfig(), counter)
+    return digest.hexdigest(), count[0]
+
+
 CASES = {
     "direct-rastrigin-4": (
         lambda: run_direct("rastrigin", 4, 3000),
@@ -99,6 +113,12 @@ CASES = {
         lambda: run_abcd("griewank", 7, 3000, 1, capped=True, m1=3),
         "61d96a7ac2288208a060a83d8350aca37227a962d47ee0f54dff0b789a5e66b0",
         3000),
+    # the polish alone: 82 QP steps, many of which end in a repeated
+    # iterate (a fixed point or a 2-cycle), until the budget runs out
+    "sqp-S5-seed0": (
+        lambda: run_sqp("S5", None, 2000, 0),
+        "bbeda55fb7a2e721edfed3b2da5d0c0de1213fb48517b1d155a4d5492f72996b",
+        2000),
 }
 
 # the first 4000 evaluations of abcd-griewank-6-seed3, which are also all
@@ -145,6 +165,10 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
     run, want_digest, want_count = CASES[case]
     digest, count = run()
     assert (digest, count) == (want_digest, want_count)
+    if case.startswith("sqp-"):
+        # the polish evaluates in user space only
+        assert not unit_cube_probes
+        return
     # probes are odd base-3 numerators over 2*3^l: strictly inside the cube,
     # which is why the counted evaluation path skips the cube check
     assert unit_cube_probes

@@ -83,9 +83,10 @@ class TestBoxQpStep:
         assert bounds.contains(x + p)
 
     def test_bit_identical_to_the_full_loop(self):
-        # the early exit at a fixed point must not change a single bit; the
-        # identity model reaches one in two iterations, tight boxes make
-        # bounds active and the badly scaled models run all 50
+        # the early exit at a repeated iterate must not change a single bit,
+        # whatever the iteration count; the identity model reaches a fixed
+        # point in two iterations, tight boxes make bounds active and the
+        # badly scaled models run all 50
         rng = np.random.default_rng(17)
         for n in range(1, 19):
             A = rng.normal(size=(n, n))
@@ -98,9 +99,41 @@ class TestBoxQpStep:
                     bounds = Bounds(x - rng.uniform(0.0, radius, size=n),
                                     x + rng.uniform(1e-3, radius, size=n))
                     g = rng.normal(0.0, 3.0, size=n)
-                    got = box_qp_step(g, B, x, bounds)
-                    want = reference_box_qp_step(g, B, x, bounds)
-                    assert got.tobytes() == want.tobytes(), (n, radius)
+                    for iters in (0, 1, 2, 3, 7, 50, 51):
+                        got = box_qp_step(g, B, x, bounds, iters)
+                        want = reference_box_qp_step(g, B, x, bounds, iters)
+                        assert got.tobytes() == want.tobytes(), (
+                            n, radius, iters)
+
+    def test_two_cycle_exit_is_bit_identical(self):
+        # the 10th QP step of `sqp` on S5 at run seed 0 (budget 2000): its
+        # iterate 21 repeats iterate 19 byte for byte, so the loop exits
+        # there and picks the iterate of the same parity
+        def arr(hexes):
+            return np.array([float.fromhex(h) for h in hexes])
+
+        g = arr(["-0x1.228904eb75427p-13", "0x1.00fe5e0c93ea4p-9",
+                 "-0x1.92a110e0fc66ep-11", "0x1.297c562375c7dp-10"])
+        B = arr(["0x1.6d70c8e50a85ap+5", "-0x1.61a9e11b08288p+1",
+                 "0x1.9f6f4bd377ee0p-3", "0x1.31629163c7320p+0",
+                 "-0x1.61a9e11b08288p+1", "0x1.7dc7b06ad021ap+5",
+                 "0x1.d8828378b8da0p-3", "0x1.05e784fc5a870p+0",
+                 "0x1.9f6f4bd377ee0p-3", "0x1.d8828378b8da0p-3",
+                 "0x1.89b57f9b986c0p+5", "-0x1.9d16762e577e0p-4",
+                 "0x1.31629163c7320p+0", "0x1.05e784fc5a870p+0",
+                 "-0x1.9d16762e577e0p-4", "0x1.866848c17dbcbp+5"])
+        B = B.reshape(4, 4)
+        x = arr(["0x1.0008706313993p+0", "0x1.000cd00d0a1fcp+0",
+                 "0x1.00079d30d07b8p+0", "0x1.000bbaf162275p+0"])
+        bounds = Bounds(np.zeros(4), np.full(4, 10.0))
+        ref = {k: reference_box_qp_step(g, B, x, bounds, k).tobytes()
+               for k in range(18, 52)}
+        # the premise: a 2-cycle that starts at iterate 19, not a fixed point
+        assert ref[21] == ref[19] != ref[20] == ref[22]
+        assert ref[18] not in (ref[19], ref[20])
+        for iters in (20, 21, 22, 23, 50, 51):
+            got = box_qp_step(g, B, x, bounds, iters)
+            assert got.tobytes() == ref[iters], iters
 
     def test_degenerate_model_gives_zero_step(self):
         p = box_qp_step(np.array([1.0]), np.array([[0.0]]), np.zeros(1),

@@ -251,6 +251,23 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)
         assert "configuration error" in res.output
 
+    def test_run_rejects_a_config_with_several_specs(self, tmp_path):
+        # `run` runs one spec; a list of several would otherwise lose all
+        # but the first without a word
+        spec = {"function": "sphere", "dim": 2, "algorithm": "direct",
+                "max_evals": 200, "repetitions": 1}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([spec, dict(spec, function="rastrigin")]))
+        res = self.invoke("run", "--config", str(cfg))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "configuration error" in res.output
+        assert "suite" in res.output
+        cfg.write_text(json.dumps([spec]))
+        res = self.invoke("run", "--config", str(cfg))
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output.splitlines()[0])["function"] == "sphere"
+
     def test_unreadable_config_is_io_error(self):
         res = self.invoke("run", "--config", "/nonexistent/cfg.json")
         assert res.exit_code == 2

@@ -14,6 +14,7 @@ import abcdirect.runner as runner_mod
 from abcdirect.abcd import AbcdConfig
 from abcdirect.direct import DirectConfig
 from abcdirect.functions import get_function
+from abcdirect.problem import EvalCounter
 from abcdirect.runner import ALGORITHMS, RunSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -72,6 +73,13 @@ PINNED = {
         ("griewank", 6),
         "65c5f13402deec45254402bf75321b486d2b2d127da4264d7b5f63e3515562af",
         4001),
+    "sqp-S5-seed0": (
+        lambda p: runner_mod._run_sqp(
+            p, RunSpec("S5", algorithm="sqp", max_evals=2000), 0,
+            EvalCounter(cap=2000)),
+        ("S5", None),
+        "bbeda55fb7a2e721edfed3b2da5d0c0de1213fb48517b1d155a4d5492f72996b",
+        2000),
 }
 
 
