@@ -165,7 +165,12 @@ def select_coords(state: AbcdState, n: int, size: int, mode: CoordMode,
 def make_subproblem(problem: Problem, incumbent_x: np.ndarray,
                     idx: np.ndarray) -> Problem:
     """Restrict the problem to the chosen coordinates, freezing the rest at
-    the incumbent. Evaluations still count against the caller's counter."""
+    the incumbent. Evaluations still count against the caller's counter.
+
+    ABCD does not call this: its subproblems run `direct_solve` with
+    `coords=idx, base=incumbent_x`, DIRECT on a view of the full problem.
+    This standalone restriction is the reference that view is tested
+    against, evaluation for evaluation and bit for bit."""
     idx = np.asarray(idx, dtype=int)
     frozen = np.array(incumbent_x, dtype=float)
     full_objective = problem.objective
@@ -267,8 +272,9 @@ class _Run:
 
     def subproblem(self, idx: np.ndarray, label: Phase,
                    deep: bool = False) -> None:
-        """One block-restricted DIRECT run. A deep run gets a larger cap and
-        no early stops, so it can separate near-equal basins the regular
+        """One DIRECT run over the coordinates `idx`, the rest held at the
+        incumbent; its `x_min` is a full point. A deep run gets a larger cap
+        and no early stops, so it can separate near-equal basins the regular
         stops would merge."""
         cfg, s = self.config, self.state
         cap = cfg.sub_eval_cap
@@ -286,12 +292,10 @@ class _Run:
         sub_cfg = DirectConfig(poh_eps=cfg.poh_eps, max_evals=cap,
                                target_accuracy=cfg.target_accuracy,
                                max_seconds=max_seconds, **stops)
-        res = direct_solve(make_subproblem(self.problem, s.incumbent_x, idx),
-                           sub_cfg, counter=self.counter)
+        res = direct_solve(self.problem, sub_cfg, counter=self.counter,
+                           coords=idx, base=s.incumbent_x)
         s.subproblem_index += 1
-        x = s.incumbent_x.copy()
-        x[idx] = res.x_min
-        self.adopt(x, res.f_min)
+        self.adopt(res.x_min, res.f_min)
         self.record(label)
 
     def polish(self) -> None:

@@ -1,12 +1,17 @@
 """DIRECT partition machinery: rectangle store, sampling/dividing, POH
 identification and the main dividing-rectangles loop.
 
-Rectangle geometry lives in the unit hypercube: each rectangle carries its
-trisection levels and exact base-3 integer numerators (unit-cube center_i =
-num_i / (2*3^level_i), num_i odd), so repeated trisection never drifts and
-tiling/disjointness can be certified with integer arithmetic. The float
-centers are kept in the problem's user space, lower + z*width per coordinate,
-so a probe maps only the coordinate it moves (`NormalizedProblem.probe`).
+A run divides a block of the problem's coordinates (`coords`, all of them
+for plain DIRECT) with every other coordinate held at a base point, so an
+ABCD subproblem is DIRECT on a view of the full problem, not a problem of
+its own. Rectangle geometry lives in the block's unit hypercube: each
+rectangle carries its trisection levels and exact base-3 integer numerators
+(unit-cube center_i = num_i / (2*3^level_i), num_i odd) for the block
+dimensions, so repeated trisection never drifts and tiling/disjointness can
+be certified with integer arithmetic. The float centers are full points of
+the problem, in its user space, lower + z*width in each block coordinate
+and the base elsewhere, so a probe maps only the coordinate it moves
+(`NormalizedProblem.probe`) and evaluates the problem once.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 from .problem import (
     BudgetExhausted,
+    ConfigError,
     EvalCounter,
     NormalizedProblem,
     Problem,
@@ -55,7 +61,7 @@ class Rectangle:
     """Read-only view of one partition cell."""
 
     id: int
-    center: np.ndarray  # user space
+    center: np.ndarray  # a full user-space point
     levels: np.ndarray
     # integer numerators; unit-cube center_i = exact[i] / (2*3^levels[i])
     exact: tuple
@@ -69,23 +75,28 @@ class Rectangle:
 class PartitionState:
     """Rectangle store with a measure-keyed group index.
 
-    Layout, by rectangle id:
-    - `_centers`: a list of the centers in the problem's user space, each a
-      float64 array of length n. Each coordinate is `lower + z * width` for
-      the unit-cube coordinate `z = num / denom` of the probe that set it. A
-      child's center is the fresh array `NormalizedProblem.probe` evaluated,
-      kept as it is (no copy), and `x_min` refers to the best one; readers
-      that hand a center out copy it (`Rectangle.center`, `direct_solve`).
-    - `_level_tuples`: one level tuple per rectangle, interned per state, so
-      every rectangle with the same levels (both children of a division step
-      and the rekeyed parent) shares one tuple object. `_levels` builds the
-      int16 `(size, n)` array from them on demand, for readers off the hot
-      path.
-    - `_values`, `_exact`, `_keys`: Python lists of the value, the integer
-      numerators and the current group key.
+    The partition is over `n` block dimensions; `coords[d]` is the problem
+    coordinate of block dimension d (`range(n)` by default, plain DIRECT).
 
-    Levels and numerators are unit-cube quantities, so the tiling
-    certificates never look at the user-space centers.
+    Layout, by rectangle id:
+    - `_centers`: a list of the centers, each a full user-space point of
+      the problem (a float64 array as long as the problem's dimension, not
+      n). Block coordinate `coords[d]` is `lower + z * width` for the
+      unit-cube coordinate `z = num / denom` of the probe that set it; every
+      other coordinate is the run's base point. A child's center is the
+      fresh array `NormalizedProblem.probe` evaluated, kept as it is (no
+      copy), and `x_min` refers to the best one; readers that hand a center
+      out copy it (`Rectangle.center`, `direct_solve`).
+    - `_level_tuples`: one level tuple of length n per rectangle, interned
+      per state, so every rectangle with the same levels (both children of
+      a division step and the rekeyed parent) shares one tuple object.
+      `_levels` builds the int16 `(size, n)` array from them on demand, for
+      readers off the hot path.
+    - `_values`, `_exact`, `_keys`: Python lists of the value, the integer
+      numerators (length n) and the current group key.
+
+    Levels and numerators are unit-cube quantities of the block, so the
+    tiling certificates never look at the user-space centers.
 
     Groups map a rounded measure to a lazy min-heap of (value, id) entries;
     stale entries (rectangles whose measure changed after division) are purged
@@ -97,8 +108,10 @@ class PartitionState:
     as ABCD's many short subproblem runs.
     """
 
-    def __init__(self, n: int, counter: Optional[EvalCounter] = None):
+    def __init__(self, n: int, counter: Optional[EvalCounter] = None,
+                 coords: Optional[tuple] = None):
         self.n = n
+        self.coords = tuple(range(n)) if coords is None else coords
         self.counter = counter if counter is not None else EvalCounter()
         self._centers: list[np.ndarray] = []
         self._level_tuples: list[tuple] = []
@@ -277,12 +290,14 @@ def identify_poh(state: PartitionState, eps: float) -> list[int]:
     return poh
 
 
-def _initial_state(n: int, nproblem: NormalizedProblem,
-                   counter: EvalCounter) -> PartitionState:
-    state = PartitionState(n, counter)
-    z = np.full(n, 0.5)
-    value = nproblem.evaluate_counted(z, counter)
-    state.add(nproblem.lower + z * nproblem.width, (0,) * n, (1,) * n, value)
+def _initial_state(nproblem: NormalizedProblem, coords: tuple,
+                   base: np.ndarray, counter: EvalCounter) -> PartitionState:
+    """The one-rectangle partition of the block `coords`, its center the
+    base point with the block at its midpoint (one evaluation)."""
+    m = len(coords)
+    state = PartitionState(m, counter, coords)
+    x, value = nproblem.probe_midpoint(base, coords, counter)
+    state.add(x, (0,) * m, (1,) * m, value)
     return state
 
 
@@ -290,10 +305,11 @@ def sample_and_divide(rid: int, state: PartitionState,
                       nproblem: NormalizedProblem) -> list[int]:
     """Algorithm-1 division of one rectangle along all its longest sides.
 
-    Samples c +/- delta*e_i for each longest dimension (2 evaluations per
-    dimension), then trisects in ascending order of w_i = min(f+, f-), ties
-    resolved to the lower dimension index. The state stays a tiling; on budget
-    exhaustion nothing is mutated (already-spent evaluations stay counted) and
+    Samples c +/- delta*e_i for each longest block dimension i, which moves
+    problem coordinate `state.coords[i]` (2 evaluations per dimension), then
+    trisects in ascending order of w_i = min(f+, f-), ties resolved to the
+    lower dimension index. The state stays a tiling; on budget exhaustion
+    nothing is mutated (already-spent evaluations stay counted) and
     BudgetExhausted propagates.
     """
     # the level bookkeeping runs on a list copy of the parent's tuple
@@ -307,13 +323,14 @@ def sample_and_divide(rid: int, state: PartitionState,
     # evaluate all probe points before touching any state; each probe is the
     # parent's user-space center with one coordinate moved, and it becomes
     # the child's center
-    probe, counter = nproblem.probe, state.counter
+    probe, counter, coords = nproblem.probe, state.counter, state.coords
     probes = []  # (dim, num_plus, x_plus, f_plus, num_minus, x_minus, f_minus)
     for dim in I:
         scaled = 3 * tmpl_exact[dim]
         num_p, num_m = scaled + 2, scaled - 2
-        x_p, f_p = probe(center, dim, num_p / denom, counter)
-        x_m, f_m = probe(center, dim, num_m / denom, counter)
+        coord = coords[dim]
+        x_p, f_p = probe(center, coord, num_p / denom, counter)
+        x_m, f_m = probe(center, coord, num_m / denom, counter)
         probes.append((dim, num_p, x_p, f_p, num_m, x_m, f_m))
 
     # the sort is stable and the probes are in dimension order, so ties on
@@ -360,7 +377,7 @@ class DirectConfig:
 @dataclass
 class DirectResult:
     f_min: float
-    x_min: np.ndarray  # user space
+    x_min: np.ndarray  # a full user-space point
     evals: int
     iterations: int
     reason: Reason
@@ -368,11 +385,43 @@ class DirectResult:
     state: Optional[PartitionState] = None
 
 
+def _block(problem: Problem, coords, base) -> tuple[tuple, np.ndarray]:
+    """`coords` as a tuple of distinct coordinates of the problem (all of
+    them by default) and `base` as a float array of its dimension (the box
+    midpoint by default); raises ConfigError on anything else. Like
+    `abcd.make_subproblem`, this does not check that `base` lies in the
+    box."""
+    n = problem.n
+    idx = np.asarray(range(n) if coords is None else coords)
+    if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+        raise ConfigError("coords must be a non-empty 1-D sequence of "
+                          "integers")
+    coords = tuple(idx.tolist())
+    if (min(coords) < 0 or max(coords) >= n
+            or len(set(coords)) != len(coords)):
+        raise ConfigError(f"coords must be distinct integers in [0, {n}), "
+                          f"got {list(coords)}")
+    if base is None:
+        base = problem.bounds.lower + 0.5 * problem.bounds.width
+    base = np.asarray(base, dtype=float)
+    if base.shape != (n,):
+        raise ConfigError(f"base must have shape ({n},), got {base.shape}")
+    return coords, base
+
+
 def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
                  counter: Optional[EvalCounter] = None,
                  keep_state: bool = False,
-                 iteration_hook=None) -> DirectResult:
-    """Run DIRECT on a problem (Algorithm-2 loop).
+                 iteration_hook=None, *, coords=None,
+                 base: Optional[np.ndarray] = None) -> DirectResult:
+    """Run DIRECT (Algorithm-2 loop) over the coordinates `coords` of a
+    problem, every other coordinate held at `base`.
+
+    Plain DIRECT is the block of all coordinates, the default. A block run
+    is DIRECT on the problem restricted to the block (`abcd.make_subproblem`),
+    evaluation for evaluation and bit for bit, but every center, the
+    evaluated points and `x_min` are full points of `problem`. `base` is
+    read, never written; its block coordinates are ignored.
 
     `counter` may be a shared (capped) global counter; local accounting of
     this run's evaluations is kept separately so per-run caps compose with a
@@ -384,16 +433,16 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     deadline = (None if config.max_seconds is None
                 else time.monotonic() + config.max_seconds)
     counter = counter if counter is not None else EvalCounter()
+    coords, base = _block(problem, coords, base)
     nproblem = normalize(problem)
-    n = problem.n
     target = problem.known_optimum
 
     start_count = counter.count
     try:
-        state = _initial_state(n, nproblem, counter)
+        state = _initial_state(nproblem, coords, base, counter)
     except BudgetExhausted:
-        mid = problem.bounds.lower + 0.5 * problem.bounds.width
-        return DirectResult(np.inf, mid, 0, 0, Reason.EVAL_BUDGET, [])
+        return DirectResult(np.inf, nproblem.midpoint(base, coords), 0, 0,
+                            Reason.EVAL_BUDGET, [])
 
     # this run's evaluations are counter.count - start_count
     stop_count = (None if config.max_evals is None

@@ -159,25 +159,25 @@ def denormalize(z: np.ndarray, bounds: Bounds) -> np.ndarray:
 class NormalizedProblem:
     """The problem re-expressed over the unit hypercube.
 
-    Evaluating at z gives the original objective at lower + z*(upper-lower);
-    `lower` and `width` are those of the original (user-space) box. DIRECT
-    keeps its rectangle centers in user space and moves one coordinate per
-    probe, so `probe` maps that coordinate alone, on Python-float copies of
-    the box (`_lower_f`, `_width_f`): one IEEE multiply and one add, the
-    same two operations numpy does per element.
+    Evaluating at z gives the original objective at lower + z*(upper-lower),
+    with `lower` and `upper` those of the original (user-space) box. DIRECT
+    keeps its rectangle centers in user space, as full points of the
+    original problem, and moves one coordinate per probe, so `probe` maps
+    that coordinate alone, on Python-float copies of the box's lower bound
+    and width (`_lower_f`, `_width_f`): one IEEE multiply and one add, the
+    same two operations numpy does per element. `probe_midpoint` evaluates
+    a run's start center the same way, one coordinate of its block at a
+    time.
     """
 
     original: Problem
-    lower: np.ndarray = field(init=False, repr=False)
-    width: np.ndarray = field(init=False, repr=False)
     _lower_f: list = field(init=False, repr=False)
     _width_f: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", self.original.bounds.lower)
-        object.__setattr__(self, "width", self.original.bounds.width)
-        object.__setattr__(self, "_lower_f", self.lower.tolist())
-        object.__setattr__(self, "_width_f", self.width.tolist())
+        bounds = self.original.bounds
+        object.__setattr__(self, "_lower_f", bounds.lower.tolist())
+        object.__setattr__(self, "_width_f", bounds.width.tolist())
 
     @property
     def n(self) -> int:
@@ -190,19 +190,32 @@ class NormalizedProblem:
     def __call__(self, z: np.ndarray) -> float:
         return self.original(denormalize(z, self.original.bounds))
 
-    def evaluate_counted(self, z: np.ndarray, counter: EvalCounter) -> float:
-        """Charge one evaluation and evaluate at a float array z built inside
-        the unit cube (DIRECT's base-3 centers), so it skips the cube check;
-        the mapping is the one `denormalize` applies."""
+    def midpoint(self, base: np.ndarray, coords) -> np.ndarray:
+        """A new array: `base` with each coordinate in `coords` moved to the
+        middle of its range (unit-cube coordinate 0.5), mapped as `probe`
+        maps one coordinate."""
+        x = np.array(base, dtype=float)
+        lower, width = self._lower_f, self._width_f
+        for c in coords:
+            x[c] = lower[c] + 0.5 * width[c]
+        return x
+
+    def probe_midpoint(self, base: np.ndarray, coords,
+                       counter: EvalCounter) -> tuple[np.ndarray, float]:
+        """Charge one evaluation and evaluate at `midpoint(base, coords)`,
+        the start center of a DIRECT run over `coords`; returns the point,
+        a new array, and its value."""
         counter.charge()
-        return self.original(self.lower + z * self.width)
+        x = self.midpoint(base, coords)
+        return x, self.original(x)
 
     def probe(self, center: np.ndarray, dim: int, z: float,
               counter: EvalCounter) -> tuple[np.ndarray, float]:
         """Charge one evaluation and evaluate at the user-space `center`
-        with coordinate `dim` moved to unit-cube coordinate `z` (strictly
-        inside the cube, as in `evaluate_counted`); returns the evaluated
-        point, a new array, and its value."""
+        with coordinate `dim` moved to unit-cube coordinate `z`, which
+        DIRECT's base-3 numerators keep strictly inside the cube, so no cube
+        check is made; returns the evaluated point, a new array, and its
+        value."""
         counter.charge()
         x = center.copy()
         x[dim] = self._lower_f[dim] + z * self._width_f[dim]

@@ -102,7 +102,8 @@ def test_2_measure_after_repeated_division():
         counter = EvalCounter()
         state = PartitionState(n, counter)
         state.add(np.full(n, 0.5), np.zeros(n, dtype=np.int16), (1,) * n,
-                  nproblem.evaluate_counted(np.full(n, 0.5), counter))
+                  nproblem.probe_midpoint(np.full(n, 0.5), range(n),
+                                          counter)[1])
 
         def formula(r):
             k, p = divmod(r, n)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abcdirect.direct as direct_mod
+from abcdirect.abcd import make_subproblem
 from abcdirect.direct import (
     GROUP_KEY_DIGITS,
     DirectConfig,
@@ -22,6 +23,7 @@ from abcdirect.direct import (
 )
 from abcdirect.problem import (
     Bounds,
+    ConfigError,
     EvalCounter,
     Problem,
     Reason,
@@ -227,7 +229,8 @@ class TestDivision:
         counter = EvalCounter()
         state = PartitionState(2, counter)
         state.add(np.full(2, 0.5), np.zeros(2, dtype=np.int16), (1, 1),
-                  nproblem.evaluate_counted(np.full(2, 0.5), counter))
+                  nproblem.probe_midpoint(np.full(2, 0.5), range(2),
+                                          counter)[1])
 
         new_ids = sample_and_divide(0, state, nproblem)
         assert counter.count == 5
@@ -253,7 +256,8 @@ class TestDivision:
         counter = EvalCounter()
         state = PartitionState(2, counter)
         state.add(np.full(2, 0.5), np.zeros(2, dtype=np.int16), (1, 1),
-                  nproblem.evaluate_counted(np.full(2, 0.5), counter))
+                  nproblem.probe_midpoint(np.full(2, 0.5), range(2),
+                                          counter)[1])
         sample_and_divide(0, state, nproblem)
         got = {tuple(np.round(r.center, 12)): tuple(r.levels)
                for r in state.rectangles()}
@@ -462,3 +466,149 @@ class TestDirectSolve:
         res = direct_solve(problem, DirectConfig(max_evals=400))
         assert problem.bounds.contains(res.x_min)
         assert np.allclose(res.x_min, 5.0, atol=0.2)
+
+
+# a 7-dimensional box with no two coordinates alike, so a coordinate mixed
+# up with another one changes the bits
+BLOCK_BOUNDS = Bounds(np.array([-3.0, -1.0, 0.5, -5.12, 2.0, -1e-3, -7.0]),
+                      np.array([2.0, 4.0, 0.75, 5.12, 1000.0, 7.0, -6.5]))
+BLOCK_WEIGHTS = np.arange(1.0, 8.0)
+
+
+def recording_block_problem():
+    """A non-separable 7-dimensional problem that records every point it
+    evaluates (as bytes) and the value, in order."""
+    seen = []
+
+    def f(x):
+        value = float(np.sum(np.sin(x) * BLOCK_WEIGHTS) + 0.01 * x[0] * x[4]
+                      + np.cos(x[3] * x[6]))
+        seen.append((np.asarray(x, dtype=float).tobytes(), value))
+        return value
+
+    return Problem(f, BLOCK_BOUNDS), seen
+
+
+class TestBlockView:
+    """`direct_solve(p, cfg, coords=idx, base=x)` is DIRECT on
+    `make_subproblem(p, x, idx)`, evaluation for evaluation, with full
+    points for centers and `x_min`."""
+
+    BASE = (BLOCK_BOUNDS.lower + np.array([0.1, 0.9, 0.4, 0.55, 0.02, 0.7,
+                                           0.3]) * BLOCK_BOUNDS.width)
+    # one, two and all coordinates, and a block that wraps around unsorted;
+    # each with the evaluations a capped counter allows, chosen so that the
+    # cap falls in the middle of a division
+    BLOCKS = {(4,): 96, (1, 5): 100, tuple(range(7)): 120, (6, 0, 1): 102}
+
+    def run_both(self, idx, capped):
+        config = DirectConfig(max_evals=300, target_accuracy=0.0)
+        results, sequences, counters = [], [], []
+        for view in (False, True):
+            problem, seen = recording_block_problem()
+            counter = (EvalCounter(count=7, cap=7 + self.BLOCKS[idx])
+                       if capped else EvalCounter(count=7))
+            base = self.BASE.copy()
+            if view:
+                res = direct_solve(problem, config, counter, keep_state=True,
+                                   coords=np.array(idx), base=base)
+            else:
+                res = direct_solve(make_subproblem(problem, base,
+                                                   np.array(idx)),
+                                   config, counter, keep_state=True)
+            assert base.tobytes() == self.BASE.tobytes()
+            results.append(res)
+            sequences.append(seen)
+            counters.append(counter.count)
+        return results, sequences, counters
+
+    @pytest.mark.parametrize("capped", [False, True],
+                             ids=["uncapped", "capped"])
+    @pytest.mark.parametrize("idx", sorted(BLOCKS),
+                             ids=lambda idx: "-".join(map(str, idx)))
+    def test_equals_the_restricted_problem_bit_for_bit(self, idx, capped):
+        (ref, view), (ref_seen, view_seen), counts = self.run_both(idx,
+                                                                   capped)
+        assert view_seen == ref_seen
+        assert counts[0] == counts[1]
+        assert ((view.f_min, view.evals, view.iterations, view.reason)
+                == (ref.f_min, ref.evals, ref.iterations, ref.reason))
+        want = self.BASE.copy()
+        want[list(idx)] = ref.x_min
+        assert view.x_min.tobytes() == want.tobytes()
+        # the same partition, its centers full points of the problem
+        state, ref_state = view.state, ref.state
+        assert state.coords == idx and state.n == len(idx)
+        assert state._level_tuples == ref_state._level_tuples
+        assert state._exact == ref_state._exact
+        assert state._values == ref_state._values
+        for center, ref_center in zip(state._centers, ref_state._centers):
+            want = self.BASE.copy()
+            want[list(idx)] = ref_center
+            assert center.tobytes() == want.tobytes()
+        if capped:
+            # the premise: the cap cut a division short, whose probes were
+            # evaluated but never became rectangles
+            assert view.reason is Reason.EVAL_BUDGET
+            assert view.evals == self.BLOCKS[idx] > state.size
+        else:
+            assert view.evals == state.size >= 300
+
+    def test_plain_direct_is_the_block_of_all_coordinates(self):
+        problem, seen = recording_block_problem()
+        plain = direct_solve(problem, DirectConfig(max_evals=200))
+        plain_seen = list(seen)
+        seen.clear()
+        # the base's coordinates are all replaced by the block's midpoint
+        base = self.BASE.copy()
+        block = direct_solve(problem, DirectConfig(max_evals=200),
+                             coords=range(7), base=base)
+        assert base.tobytes() == self.BASE.tobytes()
+        assert seen == plain_seen
+        assert block.x_min.tobytes() == plain.x_min.tobytes()
+
+    @pytest.mark.parametrize("coords", [[], [1, 1], [7], [-1], [0.0],
+                                        [[0, 1]]])
+    def test_rejects_bad_coords(self, coords):
+        problem, seen = recording_block_problem()
+        with pytest.raises(ConfigError):
+            direct_solve(problem, DirectConfig(max_evals=20), coords=coords,
+                         base=self.BASE)
+        assert not seen
+
+    @pytest.mark.parametrize("base", [np.zeros(6), np.zeros(8),
+                                      np.zeros((1, 7))])
+    def test_rejects_a_base_of_the_wrong_shape(self, base):
+        problem, seen = recording_block_problem()
+        with pytest.raises(ConfigError):
+            direct_solve(problem, DirectConfig(max_evals=20), coords=[2],
+                         base=base)
+        assert not seen
+
+    def test_base_is_read_only_and_x_min_is_fresh(self):
+        problem, _ = recording_block_problem()
+        base = self.BASE.copy()
+        res = direct_solve(problem, DirectConfig(max_evals=100),
+                           keep_state=True, coords=[1, 5], base=base)
+        assert base.tobytes() == self.BASE.tobytes()
+        assert not np.shares_memory(res.x_min, base)
+        assert not any(np.shares_memory(res.x_min, c)
+                       for c in res.state._centers)
+        assert problem(res.x_min) == res.f_min
+
+    def test_spent_counter_returns_the_base_with_the_block_at_its_midpoint(
+            self):
+        problem, seen = recording_block_problem()
+        base = self.BASE.copy()
+        counter = EvalCounter(count=3, cap=3)
+        res = direct_solve(problem, DirectConfig(), counter,
+                           coords=[6, 0, 1], base=base)
+        assert not seen and counter.count == 3
+        assert (res.f_min, res.evals, res.iterations, res.reason) == (
+            np.inf, 0, 0, Reason.EVAL_BUDGET)
+        mid = BLOCK_BOUNDS.lower + 0.5 * BLOCK_BOUNDS.width
+        want = self.BASE.copy()
+        want[[6, 0, 1]] = mid[[6, 0, 1]]
+        assert res.x_min.tobytes() == want.tobytes()
+        assert base.tobytes() == self.BASE.tobytes()
+        assert not np.shares_memory(res.x_min, base)

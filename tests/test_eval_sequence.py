@@ -129,33 +129,42 @@ GRIEWANK_4000 = (
 
 @pytest.fixture
 def unit_cube_probes(monkeypatch):
-    """Every unit-cube point or coordinate DIRECT evaluates: the start
-    centers handed to NormalizedProblem.evaluate_counted and the moved
-    coordinate of every NormalizedProblem.probe. Each probe is checked as it
-    happens: its coordinate lies strictly inside the cube, and the point it
-    evaluates lies in the closed user box and equals the parent's center
-    bit for bit outside the moved coordinate."""
+    """Every unit-cube point or coordinate DIRECT evaluates: the block
+    midpoint of each start center (NormalizedProblem.probe_midpoint) and the
+    moved coordinate of every NormalizedProblem.probe. Each evaluation is
+    checked as it happens: its unit-cube coordinates lie strictly inside the
+    cube, and the point it evaluates is a full point of the problem that
+    lies in the closed user box and equals, bit for bit, the start's base
+    outside the block or the parent's center outside the moved
+    coordinate."""
     seen = []
-    evaluate_counted = NormalizedProblem.evaluate_counted
+    probe_midpoint = NormalizedProblem.probe_midpoint
     probe = NormalizedProblem.probe
 
-    def recording_evaluate(self, z, counter):
-        seen.append(np.array(z, dtype=float))
-        return evaluate_counted(self, z, counter)
+    def check_moved(self, x, before, moved):
+        bounds = self.original.bounds
+        assert x.shape == bounds.lower.shape
+        assert ((bounds.lower <= x) & (x <= bounds.upper)).all()
+        assert (np.delete(x, moved).tobytes()
+                == np.delete(before, moved).tobytes())
+
+    def recording_probe_midpoint(self, base, coords, counter):
+        base = np.array(base, dtype=float)
+        x, value = probe_midpoint(self, base, coords, counter)
+        check_moved(self, x, base, list(coords))
+        seen.append(np.full(len(coords), 0.5))
+        return x, value
 
     def recording_probe(self, center, dim, z, counter):
         assert 0.0 < z < 1.0
         center = np.array(center, dtype=float)
         x, value = probe(self, center, dim, z, counter)
-        bounds = self.original.bounds
-        assert ((bounds.lower <= x) & (x <= bounds.upper)).all()
-        assert (np.delete(x, dim).tobytes()
-                == np.delete(center, dim).tobytes())
+        check_moved(self, x, center, dim)
         seen.append(np.array([z]))
         return x, value
 
-    monkeypatch.setattr(NormalizedProblem, "evaluate_counted",
-                        recording_evaluate)
+    monkeypatch.setattr(NormalizedProblem, "probe_midpoint",
+                        recording_probe_midpoint)
     monkeypatch.setattr(NormalizedProblem, "probe", recording_probe)
     return seen
 
@@ -170,7 +179,7 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
         assert not unit_cube_probes
         return
     # probes are odd base-3 numerators over 2*3^l: strictly inside the cube,
-    # which is why the counted evaluation path skips the cube check
+    # which is why the probes skip the cube check
     assert unit_cube_probes
     if case.startswith("direct-"):
         # plain DIRECT evaluates only through these two methods

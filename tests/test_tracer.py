@@ -59,6 +59,31 @@ def test_every_rectangle_goes_through_add_and_rekey(monkeypatch):
             == metrics["direct.divide_calls"][0] > 0)
 
 
+def test_direct_solve_calls_count_abcd_subproblems(monkeypatch):
+    # ABCD runs each subproblem as `direct_solve` over a block of the full
+    # problem, so the tracer's `direct.solve_calls` counts the subproblems;
+    # the counters of the standalone `make_subproblem` restriction stay at
+    # zero, and every evaluation goes through `Problem.__call__` once
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    problem = get_function("griewank", 6)[0]
+    tracer = Tracer().install()
+    try:
+        result = runner_mod.abcd_solve(
+            problem, AbcdConfig(max_evals=2000, seed=3),
+            EvalCounter(cap=2000))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert result.subproblems > 0
+    assert metrics["direct.solve_calls"][0] == result.subproblems
+    assert metrics["abcd.subproblems"][0] == 0
+    assert metrics["abcd.make_subproblem_s"][0] == 0.0
+    assert tracer.calls["block_objective"] == 0
+    assert tracer.calls["Problem.__call__"] == tracer.evals == result.evals
+
+
 # digests and counts pinned in tests/test_eval_sequence.py
 PINNED = {
     "direct-rastrigin-4": (
