@@ -1,12 +1,12 @@
 from .problem import (
     Bounds,
-    BudgetExhausted,
     ConfigError,
     DomainError,
     EvalCounter,
     NonFiniteValueError,
     Problem,
     Reason,
+    Stop,
     denormalize,
     evaluate_counted,
     normalize,
@@ -30,13 +30,13 @@ __all__ = [
     "get_function",
     "list_functions",
     "Bounds",
-    "BudgetExhausted",
     "ConfigError",
     "DomainError",
     "EvalCounter",
     "NonFiniteValueError",
     "Problem",
     "Reason",
+    "Stop",
     "denormalize",
     "evaluate_counted",
     "normalize",

@@ -2,10 +2,11 @@
 
 After an optimistic start sample, a loop runs one step at a time over one
 run state; each step is at most one solver call and picks the next phase.
-Before every step one stop check ends the run on the first that holds of:
-target reached, time, subproblem budget, and evaluation budget (`max_evals`
-or the shared counter's cap spent). So no step passes a solver's stop on;
-only a restart ends a run itself, on a global stall. The phases:
+The counter, armed with `target_accuracy` and `max_seconds`, stops the run
+at the evaluation where the target, the time or its cap holds; the check
+before every step reads its reason, then the subproblem and `max_evals`
+budgets. So no step passes a solver's stop on; only a restart ends a run
+itself, on a global stall. The phases:
 
 * coordinate: DIRECT over the next m1 coordinates in sequence; after t1
   stalls in a row, local (block when `sqp_first`; restart when
@@ -25,13 +26,11 @@ only a restart ends a run itself, on a global stall. The phases:
 The best point never worsens. `max_evals` is checked before every step and
 clips each DIRECT subproblem's cap, so a run ends at most one DIRECT
 iteration past it, or past it by a polish that started with budget left. A
-capped `EvalCounter` is a hard cap; `runner.run_single` passes one. Each
-DIRECT subproblem and polish runs under the time left before `max_seconds`.
+capped `EvalCounter` is a hard cap; `runner.run_single` passes one.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -42,11 +41,11 @@ from .direct import DirectConfig, direct_solve
 from .local import LocalConfig, sqp_local
 from .problem import (
     Bounds,
-    BudgetExhausted,
     ConfigError,
     EvalCounter,
     Problem,
     Reason,
+    Stop,
     evaluate_counted,
 )
 
@@ -76,7 +75,7 @@ class AbcdConfig:
     m2: int = 2                     # random block size
     t1: int = 3                     # stalled coordinate steps before leaving
     switch_eps: float = 1e-3        # descent at or below this counts as a stall
-    target_accuracy: float = 1e-4
+    target_accuracy: float = 1e-4   # the counter's, as is max_seconds
     sub_eval_cap: Optional[int] = None   # per subproblem, default 100 * block
     max_evals: Optional[int] = None      # checked per step, clips subproblems
     max_subproblems: Optional[int] = None
@@ -208,9 +207,8 @@ class _Run:
                  counter: EvalCounter):
         self.problem, self.config, self.counter = problem, config, counter
         self.n = problem.n
-        self.deadline = (None if config.max_seconds is None
-                         else time.monotonic() + config.max_seconds)
-        self.start_count = counter.count
+        counter.arm(problem, config.target_accuracy, config.max_seconds)
+        self.start_count, self.f_before = counter.count, counter.best_f
         # dedicated streams: block draws stay reproducible no matter how many
         # evaluations earlier phases consumed
         ss = np.random.SeedSequence(config.seed)
@@ -229,12 +227,8 @@ class _Run:
     def stop_reason(self) -> Optional[Reason]:
         """The one stop check, run before every step."""
         cfg, s = self.config, self.state
-        target = self.problem.known_optimum
-        if (target is not None
-                and abs(s.best_f - target) <= cfg.target_accuracy):
-            return Reason.TARGET_REACHED
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            return Reason.TIME_BUDGET
+        if self.counter.reason is not None:
+            return self.counter.reason
         if (cfg.max_subproblems is not None
                 and s.subproblem_index >= cfg.max_subproblems):
             return Reason.ITER_BUDGET
@@ -287,11 +281,7 @@ class _Run:
         stops = {} if deep else dict(min_measure=cfg.sub_min_measure,
                                      stall_eps=cfg.sub_stall_eps,
                                      stall_iters=cfg.sub_stall_iters)
-        max_seconds = (None if self.deadline is None
-                       else self.deadline - time.monotonic())
-        sub_cfg = DirectConfig(poh_eps=cfg.poh_eps, max_evals=cap,
-                               target_accuracy=cfg.target_accuracy,
-                               max_seconds=max_seconds, **stops)
+        sub_cfg = DirectConfig(poh_eps=cfg.poh_eps, max_evals=cap, **stops)
         res = direct_solve(self.problem, sub_cfg, counter=self.counter,
                            coords=idx, base=s.incumbent_x)
         s.subproblem_index += 1
@@ -300,7 +290,7 @@ class _Run:
 
     def polish(self) -> None:
         res = sqp_local(self.problem, self.state.incumbent_x, LocalConfig(),
-                        self.counter, self.deadline)
+                        self.counter)
         self.adopt(res.x, res.f)
         self.record(Phase.LOCAL)
 
@@ -371,14 +361,11 @@ class _Run:
         cfg = self.config
         if not cfg.restart_on_stall or (cfg.max_evals is None
                                         and cfg.max_subproblems is None
-                                        and cfg.max_seconds is None
-                                        and self.counter.cap is None):
+                                        and self.counter.cap is None
+                                        and self.counter.deadline is None):
             # without any budget a restart loop could never terminate
             return Reason.GLOBAL_STALL
-        try:
-            x, f = self.draw_start()
-        except BudgetExhausted:
-            return None  # the stop check ends the run on the spent counter
+        x, f = self.draw_start()
         self.replace(x, f)
         self.record(Phase.COORDINATE)
         self.new_cycle()
@@ -403,16 +390,17 @@ def abcd_solve(problem: Problem, config: Optional[AbcdConfig] = None,
                counter if counter is not None else EvalCounter())
     try:
         x0, f0 = run.draw_start()
-    except BudgetExhausted:
-        mid = problem.bounds.lower + 0.5 * problem.bounds.width
-        return AbcdResult(np.inf, mid, run.spent(), 0, Reason.EVAL_BUDGET,
-                          run.trace)
-    run.state = s = AbcdState(x0, f0, Phase.COORDINATE, best_x=x0.copy(),
-                              best_f=f0)
-    run.record(Phase.COORDINATE)
-    run.new_cycle()
-    reason = None
-    while reason is None:
-        reason = run.stop_reason() or _STEPS[s.phase](run)
-    return AbcdResult(s.best_f, s.best_x, run.spent(), s.subproblem_index,
-                      reason, run.trace)
+        run.state = s = AbcdState(x0, f0, Phase.COORDINATE,
+                                  best_x=x0.copy(), best_f=f0)
+        run.record(Phase.COORDINATE)
+        run.new_cycle()
+        reason = None
+        while reason is None:
+            reason = run.stop_reason() or _STEPS[s.phase](run)
+    except Stop as stop:  # at a start sample
+        reason = stop.reason
+    mid = problem.bounds.lower + 0.5 * problem.bounds.width
+    s = run.state or AbcdState(mid, np.inf, Phase.COORDINATE, best_x=mid)
+    x, f = run.counter.run_best(run.f_before, s.best_x, s.best_f)
+    return AbcdResult(f, x, run.spent(), s.subproblem_index, reason,
+                      run.trace)

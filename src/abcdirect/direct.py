@@ -17,7 +17,7 @@ and the base elsewhere, so a probe maps only the coordinate it moves
 from __future__ import annotations
 
 import functools
-import time
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -26,12 +26,12 @@ from typing import Optional
 import numpy as np
 
 from .problem import (
-    BudgetExhausted,
     ConfigError,
     EvalCounter,
     NormalizedProblem,
     Problem,
     Reason,
+    Stop,
     normalize,
 )
 
@@ -290,17 +290,6 @@ def identify_poh(state: PartitionState, eps: float) -> list[int]:
     return poh
 
 
-def _initial_state(nproblem: NormalizedProblem, coords: tuple,
-                   base: np.ndarray, counter: EvalCounter) -> PartitionState:
-    """The one-rectangle partition of the block `coords`, its center the
-    base point with the block at its midpoint (one evaluation)."""
-    m = len(coords)
-    state = PartitionState(m, counter, coords)
-    x, value = nproblem.probe_midpoint(base, coords, counter)
-    state.add(x, (0,) * m, (1,) * m, value)
-    return state
-
-
 def sample_and_divide(rid: int, state: PartitionState,
                       nproblem: NormalizedProblem) -> list[int]:
     """Algorithm-1 division of one rectangle along all its longest sides.
@@ -308,9 +297,9 @@ def sample_and_divide(rid: int, state: PartitionState,
     Samples c +/- delta*e_i for each longest block dimension i, which moves
     problem coordinate `state.coords[i]` (2 evaluations per dimension), then
     trisects in ascending order of w_i = min(f+, f-), ties resolved to the
-    lower dimension index. The state stays a tiling; on budget exhaustion
-    nothing is mutated (already-spent evaluations stay counted) and
-    BudgetExhausted propagates.
+    lower dimension index. The state stays a tiling; on a `Stop` from the
+    counter nothing is mutated (already-spent evaluations stay counted) and
+    the Stop propagates.
     """
     # the level bookkeeping runs on a list copy of the parent's tuple
     levels = list(state._level_tuples[rid])
@@ -423,95 +412,84 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     evaluated points and `x_min` are full points of `problem`. `base` is
     read, never written; its block coordinates are ignored.
 
-    `counter` may be a shared (capped) global counter; local accounting of
-    this run's evaluations is kept separately so per-run caps compose with a
-    global budget. `iteration_hook(state, changed_ids)`, when given, runs
-    after every iteration with the ids touched by that iteration's divisions
-    (used by invariant-checking tests).
+    `counter` may be a shared (capped) global counter, armed with the
+    config's target and time budget unless a caller armed it first; its
+    `Stop` ends the run at the evaluation, cutting the division in flight.
+    The run's own stops are one check before every iteration, and
+    `max_evals`, this run's evaluations, is checked after every division
+    too. `iteration_hook(state, changed_ids)`, when given, runs after every
+    iteration with the ids touched by that iteration's divisions (used by
+    invariant-checking tests).
     """
     config = config or DirectConfig()
-    deadline = (None if config.max_seconds is None
-                else time.monotonic() + config.max_seconds)
     counter = counter if counter is not None else EvalCounter()
+    counter.arm(problem, config.target_accuracy, config.max_seconds)
     coords, base = _block(problem, coords, base)
     nproblem = normalize(problem)
-    target = problem.known_optimum
 
-    start_count = counter.count
+    start_count, f_before = counter.count, counter.best_f
+    m = len(coords)
+    state = PartitionState(m, counter, coords)
+    reason = None
+    # the start rectangle, the base with the block at its middle, is shown
+    # to the counter once stored, so a target stop there leaves a tiling
     try:
-        state = _initial_state(nproblem, coords, base, counter)
-    except BudgetExhausted:
-        return DirectResult(np.inf, nproblem.midpoint(base, coords), 0, 0,
-                            Reason.EVAL_BUDGET, [])
+        x, value = nproblem.probe_midpoint(base, coords, counter)
+        state.add(x, (0,) * m, (1,) * m, value)
+        if value < counter.best_f:
+            counter.improve(x, value)
+    except Stop as stop:
+        reason = stop.reason
+        if state.size == 0:  # stopped before the evaluation
+            return DirectResult(np.inf, nproblem.midpoint(base, coords), 0, 0,
+                                reason, [])
 
     # this run's evaluations are counter.count - start_count
-    stop_count = (None if config.max_evals is None
+    stop_count = (math.inf if config.max_evals is None
                   else start_count + config.max_evals)
-    tol = config.target_accuracy
     trace = [(counter.count - start_count, 0, state.f_min)]
-    reason = None
-    t = 0
-    stall_streak = 0
+    t = stall_streak = 0
     prev_fmin = state.f_min
 
-    if target is not None and abs(state.f_min - target) <= tol:
-        reason = Reason.TARGET_REACHED
-
     while reason is None:
-        if config.max_iters is not None and t >= config.max_iters:
-            reason = Reason.ITER_BUDGET
-            break
-        if deadline is not None and time.monotonic() > deadline:
-            reason = Reason.TIME_BUDGET
-            break
-        if stop_count is not None and counter.count >= stop_count:
-            reason = Reason.EVAL_BUDGET
-            break
-        if config.min_measure > 0.0 and state.min_measure < config.min_measure:
+        if 0 < config.stall_iters <= stall_streak:
             reason = Reason.GLOBAL_STALL
+        elif config.max_iters is not None and t >= config.max_iters:
+            reason = Reason.ITER_BUDGET
+        elif counter.count >= stop_count:
+            reason = Reason.EVAL_BUDGET
+        elif state.min_measure < config.min_measure:
+            reason = Reason.GLOBAL_STALL
+        if reason is not None:
             break
         poh = identify_poh(state, config.poh_eps)
         changed = [] if iteration_hook is not None else None
         for rid in poh:
             try:
                 children = sample_and_divide(rid, state, nproblem)
-            except BudgetExhausted:
-                reason = Reason.EVAL_BUDGET
+            except Stop as stop:
+                reason = stop.reason
                 break
             if changed is not None:
                 changed.append(rid)
                 changed.extend(children)
-            if target is not None and abs(state.f_min - target) <= tol:
-                reason = Reason.TARGET_REACHED
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                reason = Reason.TIME_BUDGET
-                break
-            if stop_count is not None and counter.count >= stop_count:
+            if counter.count >= stop_count:
                 reason = Reason.EVAL_BUDGET
                 break
         t += 1
         trace.append((counter.count - start_count, t, state.f_min))
         if iteration_hook is not None:
             iteration_hook(state, changed)
-        if reason is None and config.stall_iters > 0:
-            if prev_fmin - state.f_min <= config.stall_eps:
-                stall_streak += 1
-                if stall_streak >= config.stall_iters:
-                    reason = Reason.GLOBAL_STALL
-            else:
-                stall_streak = 0
-            prev_fmin = state.f_min
+        if prev_fmin - state.f_min <= config.stall_eps:
+            stall_streak += 1
+        else:
+            stall_streak = 0
+        prev_fmin = state.f_min
 
-    return DirectResult(
-        f_min=state.f_min,
-        x_min=state.x_min.copy(),  # the state keeps the best center itself
-        evals=counter.count - start_count,
-        iterations=t,
-        reason=reason,
-        trace=trace,
-        state=state if keep_state else None,
-    )
+    # the state keeps the best center itself
+    x_min, f_min = counter.run_best(f_before, state.x_min.copy(), state.f_min)
+    return DirectResult(f_min, x_min, counter.count - start_count, t, reason,
+                        trace, state if keep_state else None)
 
 
 # -- exact tiling certificates (test/validation helpers) -----------------

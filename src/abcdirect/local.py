@@ -6,7 +6,6 @@ wherever a smooth local polish is wanted from a warm start.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -18,11 +17,10 @@ from numpy._core.umath import clip as _clip
 
 from .problem import (
     Bounds,
-    BudgetExhausted,
     EvalCounter,
-    NonFiniteValueError,
     Problem,
     Reason,
+    Stop,
     evaluate_counted,
 )
 
@@ -44,7 +42,7 @@ class LocalConfig:
 
 
 class LocalStatus(str, Enum):
-    """How a search ended on its own; a budget stop is a `Reason`."""
+    """How a search ended on its own; a stop of its counter is a `Reason`."""
 
     STATIONARY = "stationary"
     ITER_CAP = "iter_cap"
@@ -133,43 +131,36 @@ def _projected_gradient_norm(x, g, bounds):
 
 
 def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
-              counter: Optional[EvalCounter] = None,
-              deadline: Optional[float] = None) -> LocalResult:
+              counter: Optional[EvalCounter] = None) -> LocalResult:
     """Quasi-Newton descent from x0; returns the best point seen.
 
-    Powell-damped BFGS keeps the model positive definite; non-finite values
-    during probing are treated as a rejected step, never a crash. `deadline`
-    is a `time.monotonic()` instant checked at the top of every iteration;
-    past it the search stops with `Reason.TIME_BUDGET` (after the start point
-    and its gradient, 1 + n evaluations, at the least). A spent counter
-    stops it with `Reason.EVAL_BUDGET`.
+    Powell-damped BFGS keeps the model positive definite. A non-finite
+    value raises NonFiniteValueError, as in every phase. A `Stop` from the
+    counter (its cap, deadline or target) ends the search with the stop's
+    `Reason` as its status, and its best pair then is the counter's if a
+    trial or gradient probe of this search is lower.
     """
     counter = counter if counter is not None else EvalCounter()
     bounds = problem.bounds
     x = bounds.clip(np.asarray(x0, dtype=float))
     n = x.size
-    start_count = counter.count
+    start_count, f_before = counter.count, counter.best_f
 
     def spent():
         return counter.count - start_count
 
     trace = []
-    try:
-        f = evaluate_counted(problem, x, counter)
-    except BudgetExhausted:
-        return LocalResult(x, np.inf, 0, Reason.EVAL_BUDGET, 0, trace)
-    best_x, best_f = x.copy(), f
-    trace.append((spent(), best_f))
+    best_x, best_f = x, np.inf
     B = np.eye(n)
     status = LocalStatus.ITER_CAP
     it = 0
 
     try:
+        f = evaluate_counted(problem, x, counter)
+        best_x, best_f = x.copy(), f
+        trace.append((spent(), best_f))
         g = fd_gradient(problem, x, counter, config.grad_step, f0=f)
         for it in range(1, config.max_iters + 1):
-            if deadline is not None and time.monotonic() > deadline:
-                status = Reason.TIME_BUDGET
-                break
             if _projected_gradient_norm(x, g, bounds) <= config.pg_tol:
                 status = LocalStatus.STATIONARY
                 break
@@ -182,11 +173,7 @@ def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
             accepted = False
             for _ in range(config.max_backtracks):
                 x_new = _clip(x + alpha * p, bounds.lower, bounds.upper)
-                try:
-                    f_new = evaluate_counted(problem, x_new, counter)
-                except NonFiniteValueError:
-                    alpha *= 0.5
-                    continue
+                f_new = evaluate_counted(problem, x_new, counter)
                 if f_new <= f + config.armijo_c * alpha * slope:
                     accepted = True
                     break
@@ -212,7 +199,8 @@ def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
             if f < best_f:
                 best_x, best_f = x.copy(), f
                 trace.append((spent(), best_f))
-    except BudgetExhausted:
-        status = Reason.EVAL_BUDGET
+    except Stop as stop:
+        status = stop.reason
+        best_x, best_f = counter.run_best(f_before, best_x, best_f)
 
     return LocalResult(best_x, best_f, it, status, spent(), trace)

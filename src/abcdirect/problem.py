@@ -1,13 +1,18 @@
-"""Optimization problem abstraction: bounds, evaluation counting, normalization.
+"""Optimization problem abstraction: bounds, the run's budget, normalization.
 
 Solver-internal geometry (DIRECT's trisection levels and base-3 numerators)
 lives in the unit hypercube [0,1]^n; evaluated and user-facing points are in
 the original (user-space) box.
+
+Every evaluation of a run goes through its one `EvalCounter`, which raises
+`Stop` at the evaluation where the cap, the deadline or the target holds,
+whatever phase the run is in.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -27,10 +32,6 @@ class NonFiniteValueError(RuntimeError):
     """The objective returned NaN or +/-Inf inside the feasible box."""
 
 
-class BudgetExhausted(Exception):
-    """Raised when the evaluation cap is hit; solvers must terminate gracefully."""
-
-
 class Reason(str, Enum):
     """Why a solver stopped; each value is a report's termination label."""
 
@@ -39,6 +40,14 @@ class Reason(str, Enum):
     ITER_BUDGET = "iter_budget"
     TIME_BUDGET = "time_budget"
     GLOBAL_STALL = "global_stall"
+
+
+class Stop(Exception):
+    """An `EvalCounter` ends the run for `reason`; every solver catches it."""
+
+    def __init__(self, reason: Reason):
+        super().__init__(reason.value)
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -111,34 +120,86 @@ class Problem:
 
 @dataclass
 class EvalCounter:
-    """Counts objective evaluations against an optional hard cap."""
+    """The one budget of a run: it counts evaluations and stops the run.
+
+    `charge()` precedes every evaluation and raises `Stop` instead once the
+    cap is spent or the `deadline` (a `time.monotonic()` instant) is past.
+    An evaluation site then hands a value below `best_f` to `improve`,
+    which keeps the pair and stops the run if the value is within `tol` of
+    `target`. A stopped counter raises the same `Stop` at every later
+    `charge()`. The outermost solver a counter is handed to arms it.
+    """
 
     count: int = 0
     cap: Optional[int] = None
+    deadline: Optional[float] = None
+    target: Optional[float] = field(default=None, init=False)
+    tol: float = field(default=0.0, init=False)
+    armed: bool = field(default=False, init=False)
+    best_x: Optional[np.ndarray] = field(default=None, init=False)
+    best_f: float = field(default=math.inf, init=False)
+    reason: Optional[Reason] = field(default=None, init=False)
+    # the count at which `charge` stops: the cap, or the count at a stop
+    _limit: float = field(default=math.inf, init=False, repr=False)
 
     def __post_init__(self):
-        if self.cap is not None and self.cap < 1:
-            raise ConfigError("evaluation cap must be positive")
+        if self.cap is not None:
+            if self.cap < 1:
+                raise ConfigError("evaluation cap must be positive")
+            self._limit = self.cap
 
     @property
     def remaining(self) -> Optional[int]:
-        if self.cap is None:
-            return None
-        return self.cap - self.count
+        return None if self.cap is None else self.cap - self.count
+
+    def arm(self, problem: Problem, accuracy: float,
+            seconds: Optional[float]) -> None:
+        """Target the problem's known optimum within `accuracy` and stop
+        `seconds` from now, unless the counter is armed already."""
+        if not self.armed:
+            self.armed, self.target = True, problem.known_optimum
+            self.tol = accuracy
+            if seconds is not None:
+                self.deadline = time.monotonic() + seconds
 
     def charge(self) -> None:
-        if self.cap is not None and self.count >= self.cap:
-            raise BudgetExhausted(f"evaluation cap {self.cap} exhausted")
+        """Count one evaluation about to be made, or raise `Stop`."""
+        if self.count >= self._limit:
+            self.stop(self.reason or Reason.EVAL_BUDGET)
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.stop(Reason.TIME_BUDGET)
         self.count += 1
+
+    def improve(self, x: np.ndarray, f: float) -> None:
+        """Keep (x, f), evaluated below `best_f`, as the best pair; raise
+        `Stop` if f is within `tol` of the target."""
+        self.best_x, self.best_f = np.array(x, dtype=float), f
+        if self.target is not None and abs(f - self.target) <= self.tol:
+            self.stop(Reason.TARGET_REACHED)
+
+    def stop(self, reason: Reason) -> None:
+        """Raise `Stop(reason)`, now and at every later `charge()`."""
+        self.reason, self._limit = reason, self.count
+        raise Stop(reason)
+
+    def run_best(self, f_before: float, x: np.ndarray,
+                 f: float) -> tuple[np.ndarray, float]:
+        """A solver's own best (x, f) or, after a stop cut it short, the
+        counter's best pair if it is lower and this solver found it, which
+        it did if it is below `f_before`, the best when the solver began."""
+        if self.reason is not None and self.best_f < min(f, f_before):
+            return self.best_x.copy(), self.best_f
+        return x, f
 
 
 def evaluate_counted(problem: Problem, x: np.ndarray, counter: EvalCounter) -> float:
-    """Evaluate f(x) charging exactly one unit of budget.
-
-    Raises BudgetExhausted *before* evaluating when the cap is already spent.
-    """
+    """Evaluate f(x), charging exactly one unit of budget; Stop is raised
+    before the evaluation on the cap or deadline, after it on the target."""
     counter.charge()
-    return problem(x)
+    value = problem(x)
+    if value < counter.best_f:
+        counter.improve(x, value)
+    return value
 
 
 def normalize_point(x: np.ndarray, bounds: Bounds) -> np.ndarray:
@@ -179,14 +240,6 @@ class NormalizedProblem:
         object.__setattr__(self, "_lower_f", bounds.lower.tolist())
         object.__setattr__(self, "_width_f", bounds.width.tolist())
 
-    @property
-    def n(self) -> int:
-        return self.original.n
-
-    @property
-    def known_optimum(self) -> Optional[float]:
-        return self.original.known_optimum
-
     def __call__(self, z: np.ndarray) -> float:
         return self.original(denormalize(z, self.original.bounds))
 
@@ -204,7 +257,8 @@ class NormalizedProblem:
                        counter: EvalCounter) -> tuple[np.ndarray, float]:
         """Charge one evaluation and evaluate at `midpoint(base, coords)`,
         the start center of a DIRECT run over `coords`; returns the point,
-        a new array, and its value."""
+        a new array, and its value. The value is not shown to the counter:
+        `direct_solve` does that once it has stored the start rectangle."""
         counter.charge()
         x = self.midpoint(base, coords)
         return x, self.original(x)
@@ -215,11 +269,14 @@ class NormalizedProblem:
         with coordinate `dim` moved to unit-cube coordinate `z`, which
         DIRECT's base-3 numerators keep strictly inside the cube, so no cube
         check is made; returns the evaluated point, a new array, and its
-        value."""
+        value, shown to the counter as `evaluate_counted` does."""
         counter.charge()
         x = center.copy()
         x[dim] = self._lower_f[dim] + z * self._width_f[dim]
-        return x, self.original(x)
+        value = self.original(x)
+        if value < counter.best_f:
+            counter.improve(x, value)
+        return x, value
 
 
 def normalize(problem: Problem) -> NormalizedProblem:

@@ -16,7 +16,7 @@ import numpy as np
 from .abcd import AbcdConfig, abcd_solve, choose_start, start_samples
 from .direct import DirectConfig, direct_solve
 from .local import LocalConfig, sqp_local
-from .problem import BudgetExhausted, ConfigError, EvalCounter, Reason
+from .problem import ConfigError, EvalCounter, Reason, Stop
 from .functions import get_function
 
 ALGORITHMS = ("direct", "abcd-coordinate", "abcd", "sqp")
@@ -68,75 +68,62 @@ class RunReport:
         return json.dumps(asdict(self), separators=(",", ":"))
 
 
-def _run_sqp(problem, spec: RunSpec, seed: int, counter: EvalCounter):
-    deadline = (None if spec.max_wall_seconds is None
-                else time.monotonic() + spec.max_wall_seconds)
+def _run_sqp(problem, seed: int, counter: EvalCounter):
+    """The `sqp` algorithm, a start sample and one polish: (reason, trace)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     try:
         x0, f0 = choose_start(problem, start_samples(problem.n), rng, counter)
-    except BudgetExhausted:
-        mid = problem.bounds.lower + 0.5 * problem.bounds.width
-        return mid, np.inf, Reason.EVAL_BUDGET, []
-    res = sqp_local(problem, x0, LocalConfig(), counter, deadline)
+    except Stop as stop:
+        return stop.reason, []
+    res = sqp_local(problem, x0, LocalConfig(), counter)
     trace = [[counter.count - res.evals, "local", f0]]
     trace += [[e, "local", f] for e, f in res.trace]
     # a polish that ends on its own (stationary, iteration cap, failed line
     # search) is a stall
     reason = (res.status if isinstance(res.status, Reason)
               else Reason.GLOBAL_STALL)
-    best_x, best_f = (res.x, res.f) if res.f < f0 else (x0, f0)
-    return best_x, best_f, reason, trace
+    return reason, trace
 
 
 def run_single(spec: RunSpec, repetition: int) -> RunReport:
-    """One repetition; repetition r uses seed + r."""
+    """One repetition; repetition r uses seed + r. The report's best is the
+    best pair of the run's counter, which holds its stops."""
     seed = spec.seed + repetition
     problem, meta = get_function(spec.function, spec.dim)
     counter = EvalCounter(cap=spec.max_evals)
+    counter.arm(problem, spec.target_accuracy, spec.max_wall_seconds)
     t0 = time.perf_counter()
 
     if spec.algorithm == "direct":
-        cfg = DirectConfig(
-            poh_eps=spec.poh_eps,
-            max_evals=spec.max_evals,
-            target_accuracy=spec.target_accuracy,
-            max_seconds=spec.max_wall_seconds,
-        )
+        cfg = DirectConfig(poh_eps=spec.poh_eps, max_evals=spec.max_evals)
         res = direct_solve(problem, cfg, counter=counter)
-        best_x, best_f, reason = res.x_min, res.f_min, res.reason
+        reason = res.reason
         trace = [[e, "direct", f] for e, _, f in res.trace]
     elif spec.algorithm in ("abcd", "abcd-coordinate"):
         cfg = AbcdConfig(
             m1=spec.m1, m2=spec.m2, t1=spec.t1,
             switch_eps=spec.switch_eps,
-            target_accuracy=spec.target_accuracy,
             max_evals=spec.max_evals,
-            max_seconds=spec.max_wall_seconds,
             seed=seed,
             sqp_first=spec.sqp_first,
             coordinate_only=spec.algorithm == "abcd-coordinate",
             poh_eps=spec.poh_eps,
         )
         res = abcd_solve(problem, cfg, counter=counter)
-        best_x, best_f, reason = res.x_min, res.f_min, res.reason
+        reason = res.reason
         trace = [[e, ph, f] for e, _, ph, f in res.trace]
     else:  # sqp
-        best_x, best_f, reason, trace = _run_sqp(problem, spec, seed, counter)
+        reason, trace = _run_sqp(problem, seed, counter)
 
     elapsed = time.perf_counter() - t0
-    if meta.f_star is not None:
-        hit = abs(best_f - meta.f_star) <= spec.target_accuracy
-        reason = Reason.TARGET_REACHED if hit else (
-            reason if reason is not Reason.TARGET_REACHED
-            else Reason.GLOBAL_STALL)
     return RunReport(
         function=spec.function,
         dim=meta.dim,
         algorithm=spec.algorithm,
         seed=seed,
         repetition=repetition,
-        best_f=float(best_f),
-        best_x=[float(v) for v in np.asarray(best_x)],
+        best_f=float(counter.best_f),
+        best_x=[] if counter.best_x is None else counter.best_x.tolist(),
         evals=counter.count,
         elapsed_seconds=elapsed,
         termination=reason.value,

@@ -169,9 +169,9 @@ class TestAbcdSolve:
             assert res.evals <= 501, seed
 
     def test_polish_checks_time_budget(self):
-        # the first polish evaluation outlasts the time budget: the polish
-        # stops at the top of its first iteration, after its start point and
-        # gradient, and the run ends on time there
+        # the first polish evaluation outlasts the time budget: the counter
+        # stops the run at the next evaluation, the polish's first gradient
+        # probe, which is never made
         n, q = 2, 4
         count = [0]
 
@@ -184,11 +184,12 @@ class TestAbcdSolve:
         p = Problem(slow_once, Bounds(np.full(n, -2.0), np.full(n, 3.0)))
         res = abcd_solve(p, AbcdConfig(max_seconds=0.2, sqp_first=True))
         assert res.reason == "time_budget"
-        assert res.evals == q + 1 + n
+        assert res.evals == count[0] == q + 1
 
     def test_subproblems_check_time_budget(self):
         # one DIRECT subproblem over all four coordinates could spend its
-        # 400-evaluation cap at 2 ms each; it gets the time left instead
+        # 400-evaluation cap at 2 ms each; the run's deadline on the shared
+        # counter stops it at the first evaluation past it instead
         def slow_sphere(x):
             time.sleep(0.002)
             return float(np.sum(x * x))

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abcdirect.direct as direct_mod
+import abcdirect.problem as problem_mod
 from abcdirect.abcd import make_subproblem
+from abcdirect.functions import get_function
 from abcdirect.direct import (
     GROUP_KEY_DIGITS,
     DirectConfig,
@@ -397,7 +399,8 @@ class TestDirectSolve:
 
     def test_time_budget_counts_from_the_call(self):
         # the center evaluation outlasts the time budget; the clock starts
-        # when direct_solve is entered, so no division follows it
+        # when direct_solve is entered, so the first probe of the first
+        # division is never made and the division is cut
         count = [0]
 
         def slow_center(x):
@@ -407,18 +410,18 @@ class TestDirectSolve:
             return float(np.sum(x * x))
 
         res = direct_solve(box_problem(slow_center, 2),
-                           DirectConfig(max_seconds=0.1))
+                           DirectConfig(max_seconds=0.1), keep_state=True)
         assert res.reason is Reason.TIME_BUDGET
-        assert res.evals == 1 and res.iterations == 0
+        assert res.evals == count[0] == 1 and res.iterations == 1
+        assert res.state.size == 1
 
-    def test_deadline_checked_after_each_division(self, monkeypatch):
-        # a clock that every evaluation advances by one second: the run must
-        # stop at the first division that ends past the deadline, not at the
-        # end of that iteration
+    def test_deadline_checked_at_every_evaluation(self, monkeypatch):
+        # a clock that every evaluation advances by one second: the run
+        # makes every evaluation up to the deadline and stops at the next,
+        # in the middle of a division, which leaves the partition a tiling
         def f(x):
             return float(np.sum((x - 0.3) ** 2))
 
-        problem = box_problem(f, 2)
         clock = [0.0]
 
         def ticking(x):
@@ -433,24 +436,46 @@ class TestDirectSolve:
             ends.append(state.counter.count)
             return children
 
-        iteration_ends = []
-        with monkeypatch.context() as patch:
-            patch.setattr(direct_mod, "sample_and_divide", record)
-            direct_solve(problem,
-                         DirectConfig(max_evals=60, target_accuracy=0.0),
-                         iteration_hook=lambda state, changed:
-                         iteration_ends.append(state.counter.count))
-
         max_seconds = 20.0
-        first_past = min(e for e in ends if e > max_seconds)
-        assert first_past not in iteration_ends   # it ends mid-iteration
-        monkeypatch.setattr(direct_mod, "time",
+        monkeypatch.setattr(direct_mod, "sample_and_divide", record)
+        monkeypatch.setattr(problem_mod, "time",
                             SimpleNamespace(monotonic=lambda: clock[0]))
         res = direct_solve(box_problem(ticking, 2),
                            DirectConfig(max_seconds=max_seconds,
-                                        target_accuracy=0.0))
+                                        target_accuracy=0.0),
+                           keep_state=True)
         assert res.reason is Reason.TIME_BUDGET
-        assert res.evals == first_past
+        # evaluation 21 starts at 20 s, by the deadline; 22 would start past it
+        assert res.evals == clock[0] == max_seconds + 1
+        assert res.evals not in ends   # it ends mid-division
+        assert res.state.size == ends[-1] < res.evals
+        assert volume_fraction(res.state) == 1
+
+    def test_target_stop_cuts_the_division_and_reports_the_counter_pair(
+            self):
+        # H6 first comes within 1e-4 at its 831st evaluation, a probe in the
+        # middle of a division: the division is not stored, the partition
+        # still tiles, and the result is the counter's best pair
+        problem = get_function("H6")[0]
+        counter = EvalCounter(cap=20000)
+        res = direct_solve(problem, DirectConfig(max_evals=20000), counter,
+                           keep_state=True)
+        assert res.reason is Reason.TARGET_REACHED
+        assert res.evals == counter.count == 831
+        assert (res.f_min, res.x_min.tobytes()) == (
+            counter.best_f, counter.best_x.tobytes())
+        assert abs(res.f_min - problem.known_optimum) <= 1e-4
+        assert res.state.size < 831 and res.state.f_min > res.f_min
+        assert volume_fraction(res.state) == 1
+        assert problem(res.x_min) == res.f_min
+
+    def test_target_at_the_start_center_keeps_its_rectangle(self):
+        problem = box_problem(lambda x: float(np.sum((x - 0.5) ** 2)), 3,
+                              target=0.0)
+        res = direct_solve(problem, DirectConfig(), keep_state=True)
+        assert res.reason is Reason.TARGET_REACHED
+        assert (res.evals, res.iterations, res.f_min) == (1, 0, 0.0)
+        assert res.state.size == 1 and volume_fraction(res.state) == 1
 
     def test_trace_is_monotone(self):
         problem = box_problem(lambda x: float(np.sum((x - 0.37) ** 2)), 2)

@@ -12,6 +12,11 @@ digests were recorded before division stopped using numpy for its
 bookkeeping and group keys became shared across partitions. The `sqp`
 digest was recorded before the QP step of the polish began to exit at a
 repeated iterate.
+
+The coordinate-only S5 digest was re-recorded when the evaluation counter
+began to stop a run at its first evaluation within the target rather than
+at the end of the step: the new sequence is the old one cut short, which
+`test_target_stop_only_cuts_the_tail` checks.
 """
 
 import hashlib
@@ -91,12 +96,13 @@ CASES = {
         lambda: run_abcd("griewank", 6, 4000, 3),
         "65c5f13402deec45254402bf75321b486d2b2d127da4264d7b5f63e3515562af",
         4001),
-    # coordinate-only: stalls restart from a fresh sample (twice here)
+    # coordinate-only: stalls restart from a fresh sample (twice here); the
+    # last evaluation is the first within the target
     "abcd-coordinate-S5-seed0": (
         lambda: run_abcd("S5", None, 3000, 0, capped=True,
                          coordinate_only=True),
-        "5eaa832d89c48b85d22050ec77b3df2e41b0239456db5b4ba3b062ee364ff426",
-        2454),
+        "5b4e3131f9134e695c44defdeb8d701eef7e8ad40eb84138549e3b6b7da7c7e6",
+        2453),
     # polish first, all three phases, intensify and one restart
     "abcd-sqp-first-griewank-4-seed3": (
         lambda: run_abcd("griewank", 4, 10000, 3, capped=True,
@@ -120,6 +126,12 @@ CASES = {
         "bbeda55fb7a2e721edfed3b2da5d0c0de1213fb48517b1d155a4d5492f72996b",
         2000),
 }
+
+# abcd-coordinate-S5-seed0 as pinned while the target was checked between
+# steps, one evaluation past the first within the target
+S5_BEFORE_THE_COUNTER_STOP = (
+    "5eaa832d89c48b85d22050ec77b3df2e41b0239456db5b4ba3b062ee364ff426",
+    2454)
 
 # the first 4000 evaluations of abcd-griewank-6-seed3, which are also all
 # the evaluations of the same run on a counter capped at 4000
@@ -194,3 +206,19 @@ def test_budget_clip_only_cuts_the_tail():
     assert prefixes == [GRIEWANK_4000]
     assert run_abcd("griewank", 6, 4000, 3, capped=True) == (
         GRIEWANK_4000, 4000)
+
+
+def test_target_stop_only_cuts_the_tail():
+    # without a target the run goes on past both pinned ends; its first
+    # 2454 evaluations are the sequence pinned before the counter stopped
+    # runs at the target, and its first 2453 the sequence pinned now
+    _, new_digest, new_count = CASES["abcd-coordinate-S5-seed0"]
+    for want, count in (S5_BEFORE_THE_COUNTER_STOP, (new_digest, new_count)):
+        s5 = get_function("S5")[0]
+        problem, _, total, prefixes = hashing(
+            Problem(s5.objective, s5.bounds), count)
+        abcd_solve(problem, AbcdConfig(max_evals=3000, seed=0,
+                                       coordinate_only=True),
+                   counter=EvalCounter(cap=3000))
+        assert prefixes == [want]
+        assert total[0] > count

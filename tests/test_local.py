@@ -1,17 +1,26 @@
 """Finite-difference gradients, box QP step and the quasi-Newton loop."""
 
+import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import abcdirect.problem as problem_mod
 from abcdirect.local import (
     LocalConfig,
     box_qp_step,
     fd_gradient,
     sqp_local,
 )
-from abcdirect.problem import Bounds, EvalCounter, Problem, Reason
+from abcdirect.problem import (
+    Bounds,
+    EvalCounter,
+    NonFiniteValueError,
+    Problem,
+    Reason,
+)
 
 
 def quadratic_problem(A, b, bounds):
@@ -187,12 +196,31 @@ class TestSqpLocal:
         assert counter.count == 10
         assert res.evals == 10
 
-    def test_past_deadline_stops_after_start_and_gradient(self):
+    def test_past_deadline_stops_before_the_start_point(self):
         p = Problem(lambda x: float(np.sum(x * x)),
                     Bounds(np.full(4, -1.0), np.full(4, 1.0)))
-        counter = EvalCounter()
-        res = sqp_local(p, np.full(4, 0.9), LocalConfig(), counter,
-                        deadline=time.monotonic() - 1.0)
+        counter = EvalCounter(deadline=time.monotonic() - 1.0)
+        res = sqp_local(p, np.full(4, 0.9), LocalConfig(), counter)
+        assert res.status is Reason.TIME_BUDGET
+        assert counter.count == res.evals == 0
+        assert res.f == np.inf
+        assert np.array_equal(res.x, np.full(4, 0.9))
+
+    def test_past_deadline_stops_after_start_and_gradient(self, monkeypatch):
+        # a clock that every evaluation advances by one second, and a
+        # deadline that passes with the gradient's last probe: the search
+        # stops at its next evaluation, the first line-search trial
+        clock = [0.0]
+
+        def ticking(x):
+            clock[0] += 1.0
+            return float(np.sum(x * x))
+
+        monkeypatch.setattr(problem_mod, "time",
+                            SimpleNamespace(monotonic=lambda: clock[0]))
+        p = Problem(ticking, Bounds(np.full(4, -1.0), np.full(4, 1.0)))
+        counter = EvalCounter(deadline=4.5)
+        res = sqp_local(p, np.full(4, 0.9), LocalConfig(), counter)
         assert res.status is Reason.TIME_BUDGET
         assert counter.count == res.evals == 1 + 4
         assert np.array_equal(res.x, np.full(4, 0.9))
@@ -202,10 +230,27 @@ class TestSqpLocal:
                     Bounds(np.full(3, -1.0), np.full(3, 1.0)))
         free = sqp_local(p, np.full(3, 0.7), LocalConfig())
         timed = sqp_local(p, np.full(3, 0.7), LocalConfig(),
-                          deadline=time.monotonic() + 1e6)
+                          EvalCounter(deadline=time.monotonic() + 1e6))
         assert (timed.f, timed.evals, timed.status) == (
             free.f, free.evals, free.status)
         assert np.array_equal(timed.x, free.x)
+
+    def test_non_finite_trial_raises(self):
+        # the line search has no rule of its own for a non-finite value: it
+        # raises, as a DIRECT probe, a gradient probe or a start sample does
+        n = 3
+        count = [0]
+
+        def nan_at_first_trial(x):
+            count[0] += 1
+            return math.nan if count[0] == n + 2 else float(np.sum(x * x))
+
+        p = Problem(nan_at_first_trial, Bounds(np.full(n, -1.0),
+                                               np.full(n, 1.0)))
+        counter = EvalCounter()
+        with pytest.raises(NonFiniteValueError):
+            sqp_local(p, np.full(n, 0.5), LocalConfig(), counter)
+        assert counter.count == count[0] == n + 2
 
     def test_start_clipped_into_box(self):
         p = Problem(lambda x: float(x[0] ** 2),

@@ -6,12 +6,13 @@ from hypothesis import given, strategies as st
 
 from abcdirect.problem import (
     Bounds,
-    BudgetExhausted,
     ConfigError,
     DomainError,
     EvalCounter,
     NonFiniteValueError,
     Problem,
+    Reason,
+    Stop,
     denormalize,
     evaluate_counted,
     normalize,
@@ -77,8 +78,9 @@ class TestEvalCounter:
         counter = EvalCounter(cap=2)
         evaluate_counted(p, np.array([0.5]), counter)
         evaluate_counted(p, np.array([0.5]), counter)
-        with pytest.raises(BudgetExhausted):
+        with pytest.raises(Stop) as stop:
             evaluate_counted(p, np.array([0.5]), counter)
+        assert stop.value.reason is Reason.EVAL_BUDGET
         assert len(calls) == 2          # the third call never ran
         assert counter.count == 2
         assert counter.remaining == 0
@@ -86,6 +88,50 @@ class TestEvalCounter:
     def test_cap_must_be_positive(self):
         with pytest.raises(ConfigError):
             EvalCounter(cap=0)
+
+    def test_target_stops_at_the_evaluation_and_for_good(self):
+        # the first value within the tolerance raises after it is counted
+        # and kept as the best pair; every later charge raises the same stop
+        values = iter([3.0, 1.0, 2.0, 0.5e-4, -1.0])
+        p = Problem(lambda x: next(values), Bounds(np.zeros(1), np.ones(1)),
+                    known_optimum=0.0)
+        counter = EvalCounter()
+        counter.arm(p, 1e-4, None)
+        for x in (0.1, 0.2, 0.3):
+            evaluate_counted(p, np.array([x]), counter)
+        assert (counter.best_f, counter.best_x.tolist()) == (1.0, [0.2])
+        with pytest.raises(Stop) as stop:
+            evaluate_counted(p, np.array([0.4]), counter)
+        assert stop.value.reason is Reason.TARGET_REACHED
+        assert (counter.count, counter.best_f) == (4, 0.5e-4)
+        assert counter.best_x.tolist() == [0.4]
+        with pytest.raises(Stop) as again:
+            evaluate_counted(p, np.array([0.5]), counter)
+        assert again.value.reason is Reason.TARGET_REACHED
+        assert counter.count == 4
+
+    def test_past_deadline_stops_before_evaluating(self):
+        calls = []
+        p = Problem(lambda x: calls.append(1) or 0.0,
+                    Bounds(np.zeros(1), np.ones(1)))
+        counter = EvalCounter()
+        counter.arm(p, 1e-4, -1.0)
+        with pytest.raises(Stop) as stop:
+            evaluate_counted(p, np.array([0.5]), counter)
+        assert stop.value.reason is Reason.TIME_BUDGET
+        assert not calls and counter.count == 0
+
+    def test_arm_holds_once(self):
+        # the outermost solver arms the counter; inner solvers' configs
+        # leave its target and deadline as they are
+        p = Problem(lambda x: 1.0, Bounds(np.zeros(1), np.ones(1)),
+                    known_optimum=1.0)
+        counter = EvalCounter()
+        counter.arm(p, 0.5, 100.0)
+        deadline = counter.deadline
+        counter.arm(p, 0.0, None)
+        assert (counter.target, counter.tol, counter.deadline) == (
+            1.0, 0.5, deadline)
 
 
 class TestNormalization:
@@ -124,7 +170,7 @@ class TestNormalization:
         assert value == p(x)
         assert counter.count == 1
         assert center.tobytes() == before.tobytes()
-        with pytest.raises(BudgetExhausted):
+        with pytest.raises(Stop):
             np_.probe(center, 0, 0.25, EvalCounter(count=1, cap=1))
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))

@@ -1,13 +1,17 @@
 """Benchmark runner protocol, suite aggregation and the command line."""
 
 import csv
+import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import abcdirect.problem as problem_mod
 from abcdirect.cli import main
+from abcdirect.functions import get_function
 from abcdirect.problem import ConfigError
 from abcdirect.runner import (
     ALGORITHMS,
@@ -77,23 +81,32 @@ class TestRunSingle:
         assert (rep.termination == "target_reached") == hit
 
     def test_coordinate_only_stops_on_target_before_restart(self):
-        # this run reaches the target on the stalled subproblem that would
-        # trigger a restart; the stop check runs first, so no fresh start
-        # sample is drawn (the run used to end at 881 evaluations)
+        # this run reaches the target inside the stalled subproblem that
+        # would trigger a restart; the counter stops it at that evaluation,
+        # its first within the target, so no fresh start sample is drawn
+        # (the run used to end at 881 evaluations)
         spec = RunSpec("H6", algorithm="abcd-coordinate", max_evals=2000,
                        max_wall_seconds=None, seed=16, repetitions=1)
         rep = run_single(spec, 0)
         assert rep.termination == "target_reached"
         assert rep.evals == 869
 
-    def test_sqp_polish_checks_time_budget(self):
-        # the deadline passes during the start sample; the polish stops at
-        # the top of its first iteration, after its start point and gradient
-        spec = RunSpec("rastrigin", 4, algorithm="sqp", max_wall_seconds=1e-9,
+    def test_sqp_polish_checks_time_budget(self, monkeypatch):
+        # a clock that every reading advances by one second: the counter
+        # reads it once when armed (1 s, so the deadline is 11.5 s) and once
+        # per charge, so the eleventh charge (12 s) is past the deadline and
+        # the run ends after its start sample of 8 points, the polish's
+        # start point and one gradient probe
+        clock = itertools.count(1)
+        monkeypatch.setattr(problem_mod, "time",
+                            SimpleNamespace(monotonic=lambda: next(clock)))
+        spec = RunSpec("rastrigin", 4, algorithm="sqp", max_wall_seconds=10.5,
                        repetitions=1)
         rep = run_single(spec, 0)
         assert rep.termination == "time_budget"
-        assert rep.evals == 8 + 1 + 4  # start sample, polish start, gradient
+        assert rep.evals == 8 + 1 + 1
+        problem = get_function("rastrigin", 4)[0]
+        assert rep.best_f == problem(np.array(rep.best_x))
 
     def test_report_json_round_trip(self):
         spec = RunSpec(function="sphere", dim=2, algorithm="direct",

@@ -14,7 +14,7 @@ import abcdirect.runner as runner_mod
 from abcdirect.abcd import AbcdConfig
 from abcdirect.direct import DirectConfig
 from abcdirect.functions import get_function
-from abcdirect.problem import EvalCounter
+from abcdirect.problem import EvalCounter, Reason
 from abcdirect.runner import ALGORITHMS, RunSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -40,21 +40,25 @@ def test_counts_every_evaluation_and_uninstalls(monkeypatch):
 def test_every_rectangle_goes_through_add_and_rekey(monkeypatch):
     # the tracer times the partition store by wrapping `PartitionState.add`
     # and `rekey`; a store that filled itself another way would drop out of
-    # `direct.add_s` / `direct.rekey_s` unseen. The run reaches its target,
-    # so no budget cuts a division short: one `add` per evaluation (the
-    # center and two per probed dimension) and one `rekey` per division.
+    # `direct.add_s` / `direct.rekey_s` unseen. The run ends on its own
+    # `max_evals`, checked between divisions, and has no target and an
+    # uncapped counter, so no stop cuts a division short: one `add` per
+    # evaluation (the center and two per probed dimension) and one `rekey`
+    # per division.
     monkeypatch.syspath_prepend(str(BENCH))
     from tracer import Tracer
 
+    problem = get_function("BR")[0]
     tracer = Tracer().install()
     try:
-        report = runner_mod.run_single(
-            RunSpec("BR", algorithm="direct", max_evals=300, repetitions=1), 0)
+        result = runner_mod.direct_solve(
+            problem, DirectConfig(max_evals=300, target_accuracy=0.0),
+            EvalCounter())
     finally:
         tracer.uninstall()
-    assert report.termination == "target_reached"
+    assert result.reason is Reason.EVAL_BUDGET
     metrics = tracer.metrics()
-    assert metrics["direct.add_calls"][0] == tracer.evals == report.evals
+    assert metrics["direct.add_calls"][0] == tracer.evals == result.evals
     assert (metrics["direct.rekey_calls"][0]
             == metrics["direct.divide_calls"][0] > 0)
 
@@ -99,9 +103,7 @@ PINNED = {
         "65c5f13402deec45254402bf75321b486d2b2d127da4264d7b5f63e3515562af",
         4001),
     "sqp-S5-seed0": (
-        lambda p: runner_mod._run_sqp(
-            p, RunSpec("S5", algorithm="sqp", max_evals=2000), 0,
-            EvalCounter(cap=2000)),
+        lambda p: runner_mod._run_sqp(p, 0, EvalCounter(cap=2000)),
         ("S5", None),
         "bbeda55fb7a2e721edfed3b2da5d0c0de1213fb48517b1d155a4d5492f72996b",
         2000),
