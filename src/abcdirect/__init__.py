@@ -1,16 +1,12 @@
 from .problem import (
     Bounds,
     ConfigError,
-    DomainError,
     EvalCounter,
     NonFiniteValueError,
     Problem,
     Reason,
     Stop,
-    denormalize,
     evaluate_counted,
-    normalize,
-    normalize_point,
 )
 from .direct import DirectConfig, DirectResult, direct_solve, identify_poh, measure
 from .local import LocalConfig, LocalResult, LocalStatus, sqp_local
@@ -31,16 +27,12 @@ __all__ = [
     "list_functions",
     "Bounds",
     "ConfigError",
-    "DomainError",
     "EvalCounter",
     "NonFiniteValueError",
     "Problem",
     "Reason",
     "Stop",
-    "denormalize",
     "evaluate_counted",
-    "normalize",
-    "normalize_point",
     "DirectConfig",
     "DirectResult",
     "direct_solve",

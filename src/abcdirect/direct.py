@@ -10,8 +10,9 @@ rectangle carries its trisection levels and exact base-3 integer numerators
 dimensions, so repeated trisection never drifts and tiling/disjointness can
 be certified with integer arithmetic. The float centers are full points of
 the problem, in its user space, lower + z*width in each block coordinate
-and the base elsewhere, so a probe maps only the coordinate it moves
-(`NormalizedProblem.probe`) and evaluates the problem once.
+and the base elsewhere, so a probe maps only the coordinate it moves, on
+the box's Python floats, and evaluates the problem once, through
+`evaluate_counted` like every other evaluation of a run.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from typing import Optional
 import numpy as np
 
 from .problem import (
+    Bounds,
     ConfigError,
     EvalCounter,
-    NormalizedProblem,
     Problem,
     Reason,
     Stop,
-    normalize,
+    evaluate_counted,
 )
 
 #: group keys are measures rounded to this many digits; measures are sums of
@@ -84,9 +85,14 @@ class PartitionState:
       n). Block coordinate `coords[d]` is `lower + z * width` for the
       unit-cube coordinate `z = num / denom` of the probe that set it; every
       other coordinate is the run's base point. A child's center is the
-      fresh array `NormalizedProblem.probe` evaluated, kept as it is (no
-      copy), and `x_min` refers to the best one; readers that hand a center
-      out copy it (`Rectangle.center`, `direct_solve`).
+      fresh array its probe evaluated, kept as it is (no copy), and `x_min`
+      refers to the best one; readers that hand a center out copy it
+      (`Rectangle.center`, `direct_solve`).
+    - `lower`, `width`: the box's lower bounds and widths as Python floats,
+      by problem coordinate, which `sample_and_divide` maps its probes
+      with: one IEEE multiply and one add, the two operations numpy does
+      per element. A state built without `bounds` holds None and cannot
+      be divided.
     - `_level_tuples`: one level tuple of length n per rectangle, interned
       per state, so every rectangle with the same levels (both children of
       a division step and the rekeyed parent) shares one tuple object.
@@ -109,10 +115,15 @@ class PartitionState:
     """
 
     def __init__(self, n: int, counter: Optional[EvalCounter] = None,
-                 coords: Optional[tuple] = None):
+                 coords: Optional[tuple] = None,
+                 bounds: Optional[Bounds] = None):
         self.n = n
         self.coords = tuple(range(n)) if coords is None else coords
         self.counter = counter if counter is not None else EvalCounter()
+        self.lower = self.width = None
+        if bounds is not None:
+            self.lower = bounds.lower.tolist()
+            self.width = bounds.width.tolist()
         self._centers: list[np.ndarray] = []
         self._level_tuples: list[tuple] = []
         self._values: list[float] = []
@@ -291,11 +302,12 @@ def identify_poh(state: PartitionState, eps: float) -> list[int]:
 
 
 def sample_and_divide(rid: int, state: PartitionState,
-                      nproblem: NormalizedProblem) -> list[int]:
+                      problem: Problem) -> list[int]:
     """Algorithm-1 division of one rectangle along all its longest sides.
 
     Samples c +/- delta*e_i for each longest block dimension i, which moves
-    problem coordinate `state.coords[i]` (2 evaluations per dimension), then
+    problem coordinate `state.coords[i]` to `lower + z * width` for its
+    unit-cube coordinate z (2 evaluations per dimension), then
     trisects in ascending order of w_i = min(f+, f-), ties resolved to the
     lower dimension index. The state stays a tiling; on a `Stop` from the
     counter nothing is mutated (already-spent evaluations stay counted) and
@@ -309,17 +321,24 @@ def sample_and_divide(rid: int, state: PartitionState,
     I = [d for d, lvl in enumerate(levels) if lvl == min_lvl]
     denom = 2.0 * 3.0 ** (min_lvl + 1)
 
-    # evaluate all probe points before touching any state; each probe is the
-    # parent's user-space center with one coordinate moved, and it becomes
-    # the child's center
-    probe, counter, coords = nproblem.probe, state.counter, state.coords
+    # evaluate all probe points before touching any state; each probe is a
+    # copy of the parent's user-space center with one coordinate moved, and
+    # it becomes the child's center. The base-3 numerators keep every z
+    # strictly inside the unit cube.
+    counter, coords = state.counter, state.coords
+    lower, width = state.lower, state.width
     probes = []  # (dim, num_plus, x_plus, f_plus, num_minus, x_minus, f_minus)
     for dim in I:
         scaled = 3 * tmpl_exact[dim]
         num_p, num_m = scaled + 2, scaled - 2
         coord = coords[dim]
-        x_p, f_p = probe(center, coord, num_p / denom, counter)
-        x_m, f_m = probe(center, coord, num_m / denom, counter)
+        lo, w = lower[coord], width[coord]
+        x_p = center.copy()
+        x_p[coord] = lo + num_p / denom * w
+        f_p = evaluate_counted(problem, x_p, counter)
+        x_m = center.copy()
+        x_m[coord] = lo + num_m / denom * w
+        f_m = evaluate_counted(problem, x_m, counter)
         probes.append((dim, num_p, x_p, f_p, num_m, x_m, f_m))
 
     # the sort is stable and the probes are in dimension order, so ties on
@@ -374,13 +393,16 @@ class DirectResult:
     state: Optional[PartitionState] = None
 
 
-def _block(problem: Problem, coords, base) -> tuple[tuple, np.ndarray]:
-    """`coords` as a tuple of distinct coordinates of the problem (all of
-    them by default) and `base` as a float array of its dimension (the box
-    midpoint by default); raises ConfigError on anything else. Like
-    `abcd.make_subproblem`, this does not check that `base` lies in the
-    box."""
-    n = problem.n
+def _block(problem: Problem, counter: EvalCounter, coords,
+           base) -> tuple[PartitionState, np.ndarray]:
+    """An empty partition over the block `coords`, distinct coordinates of
+    the problem (all of them by default), and the run's start center, a new
+    array: `base` (the box midpoint by default) with each block coordinate
+    at the middle of its range, mapped as a probe maps one coordinate.
+    Raises ConfigError on any other `coords`, on a `base` that is not a
+    float array of the problem's dimension and on a start center outside
+    the closed box (a NaN included), so a run evaluates nothing then."""
+    n, bounds = problem.n, problem.bounds
     idx = np.asarray(range(n) if coords is None else coords)
     if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
         raise ConfigError("coords must be a non-empty 1-D sequence of "
@@ -391,17 +413,24 @@ def _block(problem: Problem, coords, base) -> tuple[tuple, np.ndarray]:
         raise ConfigError(f"coords must be distinct integers in [0, {n}), "
                           f"got {list(coords)}")
     if base is None:
-        base = problem.bounds.lower + 0.5 * problem.bounds.width
-    base = np.asarray(base, dtype=float)
-    if base.shape != (n,):
-        raise ConfigError(f"base must have shape ({n},), got {base.shape}")
-    return coords, base
+        base = bounds.lower + 0.5 * bounds.width
+    x = np.array(base, dtype=float)
+    if x.shape != (n,):
+        raise ConfigError(f"base must have shape ({n},), got {x.shape}")
+    state = PartitionState(len(coords), counter, coords, bounds)
+    lower, width = state.lower, state.width
+    for c in coords:
+        x[c] = lower[c] + 0.5 * width[c]
+    inside = (bounds.lower <= x) & (x <= bounds.upper)
+    if not inside.all():
+        raise ConfigError(f"base puts the start center outside the box at "
+                          f"coordinates {np.flatnonzero(~inside).tolist()}")
+    return state, x
 
 
 def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
                  counter: Optional[EvalCounter] = None,
-                 keep_state: bool = False,
-                 iteration_hook=None, *, coords=None,
+                 keep_state: bool = False, *, coords=None,
                  base: Optional[np.ndarray] = None) -> DirectResult:
     """Run DIRECT (Algorithm-2 loop) over the coordinates `coords` of a
     problem, every other coordinate held at `base`.
@@ -410,39 +439,35 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     is DIRECT on the problem restricted to the block (`abcd.make_subproblem`),
     evaluation for evaluation and bit for bit, but every center, the
     evaluated points and `x_min` are full points of `problem`. `base` is
-    read, never written; its block coordinates are ignored.
+    read, never written; its block coordinates are ignored, and the rest
+    must lie in the box.
 
     `counter` may be a shared (capped) global counter, armed with the
     config's target and time budget unless a caller armed it first; its
     `Stop` ends the run at the evaluation, cutting the division in flight.
     The run's own stops are one check before every iteration, and
     `max_evals`, this run's evaluations, is checked after every division
-    too. `iteration_hook(state, changed_ids)`, when given, runs after every
-    iteration with the ids touched by that iteration's divisions (used by
-    invariant-checking tests).
+    too.
     """
     config = config or DirectConfig()
     counter = counter if counter is not None else EvalCounter()
+    state, x = _block(problem, counter, coords, base)
     counter.arm(problem, config.target_accuracy, config.max_seconds)
-    coords, base = _block(problem, coords, base)
-    nproblem = normalize(problem)
 
     start_count, f_before = counter.count, counter.best_f
-    m = len(coords)
-    state = PartitionState(m, counter, coords)
+    m = state.n
     reason = None
-    # the start rectangle, the base with the block at its middle, is shown
-    # to the counter once stored, so a target stop there leaves a tiling
+    # the start rectangle is stored even when the counter stops the run on
+    # the target at its evaluation, whose value the counter then holds, so
+    # the partition tiles
     try:
-        x, value = nproblem.probe_midpoint(base, coords, counter)
-        state.add(x, (0,) * m, (1,) * m, value)
-        if value < counter.best_f:
-            counter.improve(x, value)
+        value = evaluate_counted(problem, x, counter)
     except Stop as stop:
         reason = stop.reason
-        if state.size == 0:  # stopped before the evaluation
-            return DirectResult(np.inf, nproblem.midpoint(base, coords), 0, 0,
-                                reason, [])
+        if counter.count == start_count:  # stopped before the evaluation
+            return DirectResult(np.inf, x, 0, 0, reason, [])
+        value = counter.best_f
+    state.add(x, (0,) * m, (1,) * m, value)
 
     # this run's evaluations are counter.count - start_count
     stop_count = (math.inf if config.max_evals is None
@@ -462,24 +487,17 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             reason = Reason.GLOBAL_STALL
         if reason is not None:
             break
-        poh = identify_poh(state, config.poh_eps)
-        changed = [] if iteration_hook is not None else None
-        for rid in poh:
+        for rid in identify_poh(state, config.poh_eps):
             try:
-                children = sample_and_divide(rid, state, nproblem)
+                sample_and_divide(rid, state, problem)
             except Stop as stop:
                 reason = stop.reason
                 break
-            if changed is not None:
-                changed.append(rid)
-                changed.extend(children)
             if counter.count >= stop_count:
                 reason = Reason.EVAL_BUDGET
                 break
         t += 1
         trace.append((counter.count - start_count, t, state.f_min))
-        if iteration_hook is not None:
-            iteration_hook(state, changed)
         if prev_fmin - state.f_min <= config.stall_eps:
             stall_streak += 1
         else:

@@ -1,10 +1,13 @@
-"""Optimization problem abstraction: bounds, the run's budget, normalization.
+"""Optimization problem abstraction: bounds, the run's budget and its one
+evaluation site.
 
-Solver-internal geometry (DIRECT's trisection levels and base-3 numerators)
-lives in the unit hypercube [0,1]^n; evaluated and user-facing points are in
-the original (user-space) box.
+Evaluated and user-facing points are in the original (user-space) box;
+only DIRECT's partition geometry (trisection levels and base-3 numerators)
+lives in the unit hypercube, and DIRECT maps each probe into the box
+itself.
 
-Every evaluation of a run goes through its one `EvalCounter`, which raises
+Every evaluation of a run goes through `evaluate_counted`, which charges
+the run's one `EvalCounter` and shows it the value. The counter raises
 `Stop` at the evaluation where the cap, the deadline or the target holds,
 whatever phase the run is in.
 """
@@ -122,12 +125,13 @@ class Problem:
 class EvalCounter:
     """The one budget of a run: it counts evaluations and stops the run.
 
-    `charge()` precedes every evaluation and raises `Stop` instead once the
-    cap is spent or the `deadline` (a `time.monotonic()` instant) is past.
-    An evaluation site then hands a value below `best_f` to `improve`,
-    which keeps the pair and stops the run if the value is within `tol` of
-    `target`. A stopped counter raises the same `Stop` at every later
-    `charge()`. The outermost solver a counter is handed to arms it.
+    `evaluate_counted` calls `charge()` before every evaluation, which
+    raises `Stop` instead once the cap is spent or the `deadline` (a
+    `time.monotonic()` instant) is past, and hands a value below `best_f`
+    to `improve`, which keeps the pair and stops the run if the value is
+    within `tol` of `target`. A stopped counter raises the same `Stop` at
+    every later `charge()`. The outermost solver a counter is handed to
+    arms it.
     """
 
     count: int = 0
@@ -194,18 +198,13 @@ class EvalCounter:
 
 def evaluate_counted(problem: Problem, x: np.ndarray, counter: EvalCounter) -> float:
     """Evaluate f(x), charging exactly one unit of budget; Stop is raised
-    before the evaluation on the cap or deadline, after it on the target."""
+    before the evaluation on the cap or deadline, after it on the target.
+    Every solver evaluates through this function."""
     counter.charge()
     value = problem(x)
     if value < counter.best_f:
         counter.improve(x, value)
     return value
-
-
-def normalize_point(x: np.ndarray, bounds: Bounds) -> np.ndarray:
-    """Map a user-space point into [0,1]^n."""
-    x = np.asarray(x, dtype=float)
-    return (x - bounds.lower) / bounds.width
 
 
 def denormalize(z: np.ndarray, bounds: Bounds) -> np.ndarray:
@@ -218,67 +217,17 @@ def denormalize(z: np.ndarray, bounds: Bounds) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalizedProblem:
-    """The problem re-expressed over the unit hypercube.
+    """The problem re-expressed over the unit hypercube: evaluating at z
+    gives the original objective at lower + z*(upper-lower), after a check
+    that z lies in the cube.
 
-    Evaluating at z gives the original objective at lower + z*(upper-lower),
-    with `lower` and `upper` those of the original (user-space) box. DIRECT
-    keeps its rectangle centers in user space, as full points of the
-    original problem, and moves one coordinate per probe, so `probe` maps
-    that coordinate alone, on Python-float copies of the box's lower bound
-    and width (`_lower_f`, `_width_f`): one IEEE multiply and one add, the
-    same two operations numpy does per element. `probe_midpoint` evaluates
-    a run's start center the same way, one coordinate of its block at a
-    time.
+    No solver uses it: DIRECT maps its unit-cube probes itself and
+    evaluates through `evaluate_counted`. The class stays only because the
+    benchmark tracer wraps `NormalizedProblem.__call__` by name; it goes
+    with the tracer's move to one event stream.
     """
 
     original: Problem
-    _lower_f: list = field(init=False, repr=False)
-    _width_f: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        bounds = self.original.bounds
-        object.__setattr__(self, "_lower_f", bounds.lower.tolist())
-        object.__setattr__(self, "_width_f", bounds.width.tolist())
 
     def __call__(self, z: np.ndarray) -> float:
         return self.original(denormalize(z, self.original.bounds))
-
-    def midpoint(self, base: np.ndarray, coords) -> np.ndarray:
-        """A new array: `base` with each coordinate in `coords` moved to the
-        middle of its range (unit-cube coordinate 0.5), mapped as `probe`
-        maps one coordinate."""
-        x = np.array(base, dtype=float)
-        lower, width = self._lower_f, self._width_f
-        for c in coords:
-            x[c] = lower[c] + 0.5 * width[c]
-        return x
-
-    def probe_midpoint(self, base: np.ndarray, coords,
-                       counter: EvalCounter) -> tuple[np.ndarray, float]:
-        """Charge one evaluation and evaluate at `midpoint(base, coords)`,
-        the start center of a DIRECT run over `coords`; returns the point,
-        a new array, and its value. The value is not shown to the counter:
-        `direct_solve` does that once it has stored the start rectangle."""
-        counter.charge()
-        x = self.midpoint(base, coords)
-        return x, self.original(x)
-
-    def probe(self, center: np.ndarray, dim: int, z: float,
-              counter: EvalCounter) -> tuple[np.ndarray, float]:
-        """Charge one evaluation and evaluate at the user-space `center`
-        with coordinate `dim` moved to unit-cube coordinate `z`, which
-        DIRECT's base-3 numerators keep strictly inside the cube, so no cube
-        check is made; returns the evaluated point, a new array, and its
-        value, shown to the counter as `evaluate_counted` does."""
-        counter.charge()
-        x = center.copy()
-        x[dim] = self._lower_f[dim] + z * self._width_f[dim]
-        value = self.original(x)
-        if value < counter.best_f:
-            counter.improve(x, value)
-        return x, value
-
-
-def normalize(problem: Problem) -> NormalizedProblem:
-    """Wrap a problem so all geometry can live in [0,1]^n."""
-    return NormalizedProblem(problem)

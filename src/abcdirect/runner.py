@@ -47,6 +47,13 @@ class RunSpec:
             raise ConfigError("repetitions must be >= 1")
         if self.max_evals < 1:
             raise ConfigError("max_evals must be positive")
+        # written so that NaN fails too
+        if not self.poh_eps > 0:
+            raise ConfigError("poh_eps must be positive")
+        if not self.target_accuracy >= 0:
+            raise ConfigError("target_accuracy must be nonnegative")
+        if self.max_wall_seconds is not None and not self.max_wall_seconds > 0:
+            raise ConfigError("max_wall_seconds must be positive")
 
 
 @dataclass

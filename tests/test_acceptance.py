@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import abcdirect.direct as direct_mod
 from abcdirect.abcd import AbcdConfig, abcd_solve
 from abcdirect.direct import (
     DirectConfig,
@@ -26,7 +27,13 @@ from abcdirect.direct import (
 from abcdirect.functions import get_function
 from abcdirect.functions.registry import HEDAR_NAMES, JONES_NAMES
 from abcdirect.local import LocalConfig, fd_gradient, sqp_local
-from abcdirect.problem import Bounds, EvalCounter, Problem, Reason, normalize
+from abcdirect.problem import (
+    Bounds,
+    EvalCounter,
+    Problem,
+    Reason,
+    evaluate_counted,
+)
 from abcdirect.runner import RunSpec, run_one, run_single
 
 
@@ -98,12 +105,10 @@ def test_2_measure_after_repeated_division():
             lambda x: float(np.sum((x - 0.5) ** 2)),
             Bounds(np.zeros(n), np.ones(n)),
         )
-        nproblem = normalize(problem)
         counter = EvalCounter()
-        state = PartitionState(n, counter)
+        state = PartitionState(n, counter, bounds=problem.bounds)
         state.add(np.full(n, 0.5), np.zeros(n, dtype=np.int16), (1,) * n,
-                  nproblem.probe_midpoint(np.full(n, 0.5), range(n),
-                                          counter)[1])
+                  evaluate_counted(problem, np.full(n, 0.5), counter))
 
         def formula(r):
             k, p = divmod(r, n)
@@ -112,7 +117,7 @@ def test_2_measure_after_repeated_division():
 
         seen = {0: measure(state._levels[0].astype(int))}
         for _ in range(3):                       # k = 0, 1, 2 rounds
-            children = sample_and_divide(0, state, nproblem)
+            children = sample_and_divide(0, state, problem)
             for cid in children:
                 lv = state._levels[cid].astype(int)
                 k = int(lv.min())
@@ -127,29 +132,45 @@ def test_2_measure_after_repeated_division():
            f"max |d - formula| = {worst:.2e} over n in 1,2,3,5,10")
 
 
-def test_3_tiling_invariant_every_iteration():
+def test_3_tiling_invariant_every_iteration(monkeypatch):
     cases = [
         (2, lambda x: float(np.sum(np.sin(3 * x) + (x - 0.3) ** 2))),
         (3, lambda x: float(np.sum(np.cos(5 * x) * x) + np.sum(x * x))),
         (6, lambda x: float(np.sum((x - 0.37) ** 2) - np.prod(np.cos(4 * x)))),
     ]
-    t0 = time.perf_counter()
+    divide, select = direct_mod.sample_and_divide, direct_mod.identify_poh
+    changed = []  # ids whose geometry moved since the last certificate
     checks = 0
 
+    def certify(state):
+        nonlocal checks
+        assert volume_fraction(state) == 1
+        assert_disjoint_interiors(state, changed)
+        changed.clear()
+        checks += 1
+
+    def dividing(rid, state, problem):
+        children = divide(rid, state, problem)
+        changed.append(rid)
+        changed.extend(children)
+        return children
+
+    def selecting(state, eps):
+        # every iteration selects on the partition the one before left
+        certify(state)
+        return select(state, eps)
+
+    monkeypatch.setattr(direct_mod, "sample_and_divide", dividing)
+    monkeypatch.setattr(direct_mod, "identify_poh", selecting)
+    t0 = time.perf_counter()
     for n, fn in cases:
         problem = Problem(fn, Bounds(np.zeros(n), np.ones(n)))
-
-        def check(state, changed):
-            nonlocal checks
-            assert volume_fraction(state) == 1
-            assert_disjoint_interiors(state, changed)
-            checks += 1
-
-        direct_solve(problem, DirectConfig(max_evals=5000),
-                     iteration_hook=check)
+        res = direct_solve(problem, DirectConfig(max_evals=5000),
+                           keep_state=True)
+        certify(res.state)  # the last iteration's partition
     elapsed = time.perf_counter() - t0
     report(3, "exact tiling after every iteration", elapsed < 30.0,
-           f"{checks} iterations certified in {elapsed:.1f}s")
+           f"{checks} partitions certified in {elapsed:.1f}s")
 
 
 def test_4_flat_one_dim_convergence():

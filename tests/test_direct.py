@@ -29,8 +29,8 @@ from abcdirect.problem import (
     EvalCounter,
     Problem,
     Reason,
-    denormalize,
-    normalize,
+    Stop,
+    evaluate_counted,
 )
 
 
@@ -227,14 +227,12 @@ class TestDivision:
             return float(x[0] + 10.0 * abs(x[1] - 0.5))
 
         problem = box_problem(f, 2)
-        nproblem = normalize(problem)
         counter = EvalCounter()
-        state = PartitionState(2, counter)
+        state = PartitionState(2, counter, bounds=problem.bounds)
         state.add(np.full(2, 0.5), np.zeros(2, dtype=np.int16), (1, 1),
-                  nproblem.probe_midpoint(np.full(2, 0.5), range(2),
-                                          counter)[1])
+                  evaluate_counted(problem, np.full(2, 0.5), counter))
 
-        new_ids = sample_and_divide(0, state, nproblem)
+        new_ids = sample_and_divide(0, state, problem)
         assert counter.count == 5
         assert len(new_ids) == 4
 
@@ -254,13 +252,11 @@ class TestDivision:
             return float(abs(x[0] - 0.5) + abs(x[1] - 0.5))
 
         problem = box_problem(f, 2)
-        nproblem = normalize(problem)
         counter = EvalCounter()
-        state = PartitionState(2, counter)
+        state = PartitionState(2, counter, bounds=problem.bounds)
         state.add(np.full(2, 0.5), np.zeros(2, dtype=np.int16), (1, 1),
-                  nproblem.probe_midpoint(np.full(2, 0.5), range(2),
-                                          counter)[1])
-        sample_and_divide(0, state, nproblem)
+                  evaluate_counted(problem, np.full(2, 0.5), counter))
+        sample_and_divide(0, state, problem)
         got = {tuple(np.round(r.center, 12)): tuple(r.levels)
                for r in state.rectangles()}
         third = 1.0 / 3.0
@@ -301,8 +297,44 @@ class TestDivision:
             assert r.center.tobytes() == want.tobytes()
         best = min(rects, key=lambda r: (r.value, r.id))
         z = np.array(best.exact) / (2 * 3.0 ** best.levels)
-        assert res.x_min.tobytes() == denormalize(z, bounds).tobytes()
+        want = bounds.lower + z * bounds.width
+        assert res.x_min.tobytes() == want.tobytes()
         assert res.f_min == best.value == f(res.x_min)
+
+    def test_probe_maps_one_coordinate(self):
+        # on an asymmetric box, dividing a rectangle whose one longest side
+        # is dimension 1 moves that coordinate of the parent's user-space
+        # center alone: each child's center is the bits numpy's mapping
+        # gives for its unit-cube center, and the parent's center is left
+        # as it was
+        bounds = Bounds(np.array([-5.12, 3.0, -1e-3]),
+                        np.array([2.0, 1000.0, 7.0]))
+        problem = Problem(lambda x: float(np.sum(x * x)), bounds)
+        levels, exact = (2, 1, 2), (5, 1, 3)
+
+        def user(exact, levels):
+            z = np.array(exact) / (2 * 3.0 ** np.array(levels))
+            return bounds.lower + z * bounds.width
+
+        counter = EvalCounter()
+        state = PartitionState(3, counter, bounds=bounds)
+        state.add(user(exact, levels), levels, exact, 1.0)
+        before = state._centers[0].tobytes()
+        assert sample_and_divide(0, state, problem) == [1, 2]
+        assert counter.count == 2
+        children = [r for r in state.rectangles() if r.id in (1, 2)]
+        assert [r.exact for r in children] == [(5, 5, 3), (5, 1, 3)]
+        for r in children:
+            assert r.levels.tolist() == [2, 2, 2]
+            assert r.center.tobytes() == user(r.exact, r.levels).tobytes()
+            assert r.value == problem(r.center)
+        assert state._centers[0].tobytes() == before
+        # a spent counter stops the division before its first evaluation
+        spent = PartitionState(3, EvalCounter(count=1, cap=1), bounds=bounds)
+        spent.add(user(exact, levels), levels, exact, 1.0)
+        with pytest.raises(Stop):
+            sample_and_divide(0, spent, problem)
+        assert spent.size == 1 and spent._centers[0].tobytes() == before
 
 
 class TestPoh:
@@ -333,20 +365,28 @@ class TestPoh:
 
 
 class TestTiling:
-    def test_volume_and_disjointness_maintained(self):
+    def test_volume_and_disjointness_maintained(self, monkeypatch):
+        # certified after every division, whose parent and children are the
+        # rectangles that changed; every rectangle but the start comes from
+        # a certified division, so the final partition is certified too
         def f(x):
             return float(np.sum(np.sin(3.0 * x) + (x - 0.3) ** 2))
 
-        problem = box_problem(f, 3)
+        divide = direct_mod.sample_and_divide
+        made = []
 
-        def check(state, changed):
+        def certified(rid, state, problem):
+            children = divide(rid, state, problem)
             assert volume_fraction(state) == 1
             assert_disjoint_interiors(state)            # full pairwise pass
-            assert_disjoint_interiors(state, changed)   # incremental pass
+            assert_disjoint_interiors(state, [rid] + children)  # incremental
+            made.extend(children)
+            return children
 
-        res = direct_solve(problem, DirectConfig(max_evals=600),
-                           iteration_hook=check, keep_state=True)
-        assert res.state.size > 100
+        monkeypatch.setattr(direct_mod, "sample_and_divide", certified)
+        res = direct_solve(box_problem(f, 3), DirectConfig(max_evals=600),
+                           keep_state=True)
+        assert res.state.size == 1 + len(made) > 100
 
 
 class TestDirectSolve:
@@ -431,8 +471,8 @@ class TestDirectSolve:
         divide = direct_mod.sample_and_divide
         ends = []
 
-        def record(rid, state, nproblem):
-            children = divide(rid, state, nproblem)
+        def record(rid, state, problem):
+            children = divide(rid, state, problem)
             ends.append(state.counter.count)
             return children
 
@@ -601,14 +641,32 @@ class TestBlockView:
                          base=self.BASE)
         assert not seen
 
-    @pytest.mark.parametrize("base", [np.zeros(6), np.zeros(8),
-                                      np.zeros((1, 7))])
+    # the last three have the right shape, but put the start center (the
+    # base with coordinate 2 at its middle) outside the closed box
+    @pytest.mark.parametrize("base", [
+        np.zeros(6), np.zeros(8), np.zeros((1, 7)), np.full(7, 1e9),
+        np.full(7, np.nan), np.nextafter(BLOCK_BOUNDS.lower, -np.inf)])
     def test_rejects_a_base_of_the_wrong_shape(self, base):
         problem, seen = recording_block_problem()
         with pytest.raises(ConfigError):
             direct_solve(problem, DirectConfig(max_evals=20), coords=[2],
                          base=base)
         assert not seen
+
+    def test_a_base_on_the_boundary_runs_and_its_block_is_ignored(self):
+        # the box is closed, and the block's own coordinates of the base
+        # are replaced by their midpoints before the check
+        problem, seen = recording_block_problem()
+        base = BLOCK_BOUNDS.upper.copy()
+        base[[2, 5]] = [np.nan, 1e9]
+        res = direct_solve(problem, DirectConfig(max_evals=20),
+                           coords=[5, 2], base=base)
+        assert res.evals == len(seen) >= 20
+        for point, _ in seen:
+            x = np.frombuffer(point)
+            assert BLOCK_BOUNDS.contains(x, atol=0.0)
+            assert np.delete(x, [2, 5]).tolist() == np.delete(
+                BLOCK_BOUNDS.upper, [2, 5]).tolist()
 
     def test_base_is_read_only_and_x_min_is_fresh(self):
         problem, _ = recording_block_problem()

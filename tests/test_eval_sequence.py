@@ -25,11 +25,12 @@ import struct
 import numpy as np
 import pytest
 
+import abcdirect.direct as direct_mod
 from abcdirect.abcd import AbcdConfig, abcd_solve, choose_start, start_samples
 from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.functions import get_function
 from abcdirect.local import LocalConfig, sqp_local
-from abcdirect.problem import EvalCounter, NormalizedProblem, Problem
+from abcdirect.problem import EvalCounter, Problem
 
 
 def hashing(problem, prefix=None):
@@ -141,43 +142,63 @@ GRIEWANK_4000 = (
 
 @pytest.fixture
 def unit_cube_probes(monkeypatch):
-    """Every unit-cube point or coordinate DIRECT evaluates: the block
-    midpoint of each start center (NormalizedProblem.probe_midpoint) and the
-    moved coordinate of every NormalizedProblem.probe. Each evaluation is
-    checked as it happens: its unit-cube coordinates lie strictly inside the
-    cube, and the point it evaluates is a full point of the problem that
-    lies in the closed user box and equals, bit for bit, the start's base
-    outside the block or the parent's center outside the moved
-    coordinate."""
+    """The unit-cube coordinates of every evaluation DIRECT makes: the
+    block midpoint of each start center and the moved coordinate of every
+    division probe. Each evaluation is checked as it happens: the point is
+    a full point of the problem in the closed user box; each unit-cube
+    coordinate lies strictly inside the cube and maps to the point's
+    coordinate, bit for bit, as lower + z*width on the box's Python floats;
+    every other coordinate equals, bit for bit, the start's base or the
+    parent's center. `_block` and `sample_and_divide` are wrapped to learn
+    the base and the parent, and `evaluate_counted`, through which DIRECT
+    makes every evaluation, to check and record it."""
     seen = []
-    probe_midpoint = NormalizedProblem.probe_midpoint
-    probe = NormalizedProblem.probe
+    context = []  # [start?, point before, {coordinate: candidate z}]
+    block, divide = direct_mod._block, direct_mod.sample_and_divide
+    evaluate = direct_mod.evaluate_counted
 
-    def check_moved(self, x, before, moved):
-        bounds = self.original.bounds
-        assert x.shape == bounds.lower.shape
+    def recording_block(problem, counter, coords, base):
+        state, x = block(problem, counter, coords, base)
+        bounds = problem.bounds
+        before = (bounds.lower + 0.5 * bounds.width if base is None
+                  else np.array(base, dtype=float))
+        context[:] = [True, before, {c: (0.5,) for c in state.coords}]
+        return state, x
+
+    def recording_divide(rid, state, problem):
+        levels, exact = state._level_tuples[rid], state._exact[rid]
+        low = min(levels)
+        denom = 2.0 * 3.0 ** (low + 1)
+        # a probe moves one block dimension at the lowest level a third of
+        # its side either way: numerator 3*num +/- 2 one level down
+        moves = {state.coords[d]: ((3 * exact[d] + 2) / denom,
+                                   (3 * exact[d] - 2) / denom)
+                 for d in range(state.n) if levels[d] == low}
+        context[:] = [False, state._centers[rid].copy(), moves]
+        return divide(rid, state, problem)
+
+    def recording_evaluate(problem, x, counter):
+        start, before, moves = context
+        bounds = problem.bounds
+        lower, width = bounds.lower.tolist(), bounds.width.tolist()
+        assert x.shape == before.shape
         assert ((bounds.lower <= x) & (x <= bounds.upper)).all()
+        moved = list(moves) if start else np.flatnonzero(x != before).tolist()
+        assert start or (len(moved) == 1 and moved[0] in moves)
+        zs = []
+        for c in moved:
+            mapped = [z for z in moves[c]
+                      if (lower[c] + z * width[c]).hex() == float(x[c]).hex()]
+            assert len(mapped) == 1
+            zs += mapped
         assert (np.delete(x, moved).tobytes()
                 == np.delete(before, moved).tobytes())
+        seen.append(np.array(zs))
+        return evaluate(problem, x, counter)
 
-    def recording_probe_midpoint(self, base, coords, counter):
-        base = np.array(base, dtype=float)
-        x, value = probe_midpoint(self, base, coords, counter)
-        check_moved(self, x, base, list(coords))
-        seen.append(np.full(len(coords), 0.5))
-        return x, value
-
-    def recording_probe(self, center, dim, z, counter):
-        assert 0.0 < z < 1.0
-        center = np.array(center, dtype=float)
-        x, value = probe(self, center, dim, z, counter)
-        check_moved(self, x, center, dim)
-        seen.append(np.array([z]))
-        return x, value
-
-    monkeypatch.setattr(NormalizedProblem, "probe_midpoint",
-                        recording_probe_midpoint)
-    monkeypatch.setattr(NormalizedProblem, "probe", recording_probe)
+    monkeypatch.setattr(direct_mod, "_block", recording_block)
+    monkeypatch.setattr(direct_mod, "sample_and_divide", recording_divide)
+    monkeypatch.setattr(direct_mod, "evaluate_counted", recording_evaluate)
     return seen
 
 
@@ -191,10 +212,10 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
         assert not unit_cube_probes
         return
     # probes are odd base-3 numerators over 2*3^l: strictly inside the cube,
-    # which is why the probes skip the cube check
+    # which is why a division makes no cube check
     assert unit_cube_probes
     if case.startswith("direct-"):
-        # plain DIRECT evaluates only through these two methods
+        # every evaluation of plain DIRECT is its start center or a probe
         assert len(unit_cube_probes) == count
     z = np.concatenate(unit_cube_probes)
     assert ((z > 0.0) & (z < 1.0)).all()

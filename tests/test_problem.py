@@ -1,22 +1,25 @@
 """Bounds, evaluation counting and unit-cube normalization."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import abcdirect
 from abcdirect.problem import (
     Bounds,
     ConfigError,
     DomainError,
     EvalCounter,
     NonFiniteValueError,
+    NormalizedProblem,
     Problem,
     Reason,
     Stop,
     denormalize,
     evaluate_counted,
-    normalize,
-    normalize_point,
 )
 
 
@@ -134,12 +137,30 @@ class TestEvalCounter:
             1.0, 0.5, deadline)
 
 
+def test_evaluate_counted_is_the_one_evaluation_site():
+    # no other library code charges a counter or shows it a value
+    sites = []
+    for path in sorted(pathlib.Path(abcdirect.__file__).parent.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("charge", "improve")):
+                    sites.append((path.name, fn.name, node.func.attr))
+    assert sorted(sites) == [("problem.py", "evaluate_counted", "charge"),
+                             ("problem.py", "evaluate_counted", "improve")]
+
+
 class TestNormalization:
+    # what is left of the unit-cube map: `NormalizedProblem.__call__` and
+    # the `denormalize` behind it
     def test_round_trip_corners(self):
         b = Bounds(np.array([-1.0, 2.0]), np.array([3.0, 5.0]))
-        z = normalize_point(np.array([-1.0, 5.0]), b)
-        assert np.allclose(z, [0.0, 1.0])
-        assert np.allclose(denormalize(z, b), [-1.0, 5.0])
+        x = denormalize(np.array([0.0, 1.0]), b)
+        assert x.tolist() == [-1.0, 5.0]
+        assert ((x - b.lower) / b.width).tolist() == [0.0, 1.0]
 
     def test_denormalize_rejects_outside_cube(self):
         b = Bounds(np.zeros(2), np.ones(2))
@@ -148,35 +169,17 @@ class TestNormalization:
 
     def test_normalized_problem_matches_original(self):
         p = sphere_problem(3)
-        np_ = normalize(p)
+        np_ = NormalizedProblem(p)
         z = np.array([0.25, 0.5, 1.0])
         assert np_(z) == pytest.approx(p(denormalize(z, p.bounds)))
-
-    def test_probe_maps_one_coordinate(self):
-        # a probe moves one coordinate of a user-space center; the point is
-        # the bits `denormalize` gives for the moved unit-cube point, and
-        # the center itself is left as it was
-        p = Problem(lambda x: float(np.sum(x * x)),
-                    Bounds(np.array([-5.12, 3.0, -1e-3]),
-                           np.array([2.0, 1000.0, 7.0])))
-        np_ = normalize(p)
-        z = np.array([0.5, 5.0 / 18.0, 1.0 / 6.0])
-        center = denormalize(z, p.bounds)
-        before = center.copy()
-        counter = EvalCounter()
-        x, value = np_.probe(center, 1, 13.0 / 18.0, counter)
-        z[1] = 13.0 / 18.0
-        assert x.tobytes() == denormalize(z, p.bounds).tobytes()
-        assert value == p(x)
-        assert counter.count == 1
-        assert center.tobytes() == before.tobytes()
-        with pytest.raises(Stop):
-            np_.probe(center, 0, 0.25, EvalCounter(count=1, cap=1))
+        with pytest.raises(DomainError):
+            np_(np.array([0.25, 0.5, 1.5]))
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
     def test_round_trip_property(self, zs):
         z = np.array(zs)
         n = z.size
         b = Bounds(np.full(n, -3.0), np.full(n, 7.0))
-        back = normalize_point(denormalize(z, b), b)
-        assert np.allclose(back, z, atol=1e-12)
+        x = denormalize(z, b)
+        assert b.contains(x)
+        assert np.allclose((x - b.lower) / b.width, z, atol=1e-12)

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,12 @@ from abcdirect.runner import (
 )
 
 
+# RunSpec values that no run can use, one field at a time
+BAD_VALUES = [("poh_eps", 0.0), ("poh_eps", -1e-4), ("poh_eps", math.nan),
+              ("target_accuracy", -1e-4), ("target_accuracy", math.nan),
+              ("max_wall_seconds", 0.0), ("max_wall_seconds", -1.0)]
+
+
 class TestRunSpec:
     def test_defaults(self):
         spec = RunSpec(function="sphere", dim=3)
@@ -42,6 +49,18 @@ class TestRunSpec:
             RunSpec(function="sphere", dim=2, repetitions=0)
         with pytest.raises(ConfigError):
             RunSpec(function="sphere", dim=2, max_evals=0)
+
+    @pytest.mark.parametrize("field,value", BAD_VALUES)
+    def test_rejects_values_no_run_can_use(self, field, value):
+        # DIRECT's POH selection needs poh_eps > 0, a negative accuracy is
+        # never reached, and a spent time budget stops every run before its
+        # first evaluation
+        with pytest.raises(ConfigError, match=field):
+            RunSpec(function="sphere", dim=2, **{field: value})
+
+    def test_accepts_the_edges(self):
+        RunSpec(function="sphere", dim=2, target_accuracy=0.0,
+                max_wall_seconds=1e-3, poh_eps=1e-12)
 
 
 class TestRunSingle:
@@ -280,6 +299,24 @@ class TestCli:
         res = self.invoke("run", "--config", str(cfg))
         assert res.exit_code == 0, res.output
         assert json.loads(res.output.splitlines()[0])["function"] == "sphere"
+
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    @pytest.mark.parametrize("field,value", BAD_VALUES)
+    def test_unusable_spec_value_is_config_error(self, tmp_path, command,
+                                                 field, value):
+        # rejected before any run: no traceback, and no `error` row in a
+        # suite
+        spec = {"function": "sphere", "dim": 2, "algorithm": "direct",
+                "max_evals": 200, "repetitions": 1, field: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([spec]))
+        out = tmp_path / "reports.jsonl"
+        res = self.invoke(command, "--config", str(cfg), "--report-out",
+                          str(out))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"configuration error: {field} must be" in res.output
+        assert not out.exists()
 
     def test_unreadable_config_is_io_error(self):
         res = self.invoke("run", "--config", "/nonexistent/cfg.json")
