@@ -24,9 +24,10 @@ itself, on a global stall. The phases:
   a config budget nor a capped counter), the run ends.
 
 The best point never worsens. `max_evals` is checked before every step and
-clips each DIRECT subproblem's cap, so a run ends at most one DIRECT
-iteration past it, or past it by a polish that started with budget left. A
-capped `EvalCounter` is a hard cap; `runner.run_single` passes one.
+clips each DIRECT subproblem's cap, which `direct_solve` checks after every
+division, so a run ends at most one division past it, or past it by a
+polish that started with budget left. A capped `EvalCounter` is a hard
+cap; `runner.run_single` passes one.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ class AbcdConfig:
             raise ConfigError("block sizes must lie in [1, n]")
         if self.t1 < 1 or self.switch_eps <= 0:
             raise ConfigError("t1 >= 1 and switch_eps > 0 required")
+        if not self.poh_eps > 0:
+            raise ConfigError(f"poh_eps must be positive, got {self.poh_eps}")
 
 
 @dataclass

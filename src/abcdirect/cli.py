@@ -174,12 +174,14 @@ def run(config_path, trace_out, report_out, **flags):
 def suite(config_path, parallel, report_out):
     """Run a suite of specs and print the aggregate summary."""
     raw_specs = _load_config(config_path)
+    # run_suite turns a failing spec into an error row, so a ConfigError
+    # from it is about the suite itself (`--parallel`)
     try:
         specs = [_spec_from_dict(raw) for raw in raw_specs]
+        result = run_suite(specs, parallelism=parallel)
     except (ConfigError, RegistryError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(1)
-    result = run_suite(specs, parallelism=parallel)
     _write_reports(result.reports, report_out)
     click.echo("function        dim algo             ok  median_evals",
                err=True)

@@ -8,17 +8,20 @@ its own. Rectangle geometry lives in the block's unit hypercube: each
 rectangle carries its trisection levels and exact base-3 integer numerators
 (unit-cube center_i = num_i / (2*3^level_i), num_i odd) for the block
 dimensions, so repeated trisection never drifts and tiling/disjointness can
-be certified with integer arithmetic. The float centers are full points of
-the problem, in its user space, lower + z*width in each block coordinate
-and the base elsewhere, so a probe maps only the coordinate it moves, on
-the box's Python floats, and evaluates the problem once, through
-`evaluate_counted` like every other evaluation of a run.
+be certified with integer arithmetic. A center is a full point of the
+problem, in its user space: lower + z*width in each block coordinate and
+the base elsewhere. The store keeps no centers; a division rebuilds its
+parent's from the numerators, bit for bit the point its probe evaluated,
+and each probe maps only the coordinate it moves, on the box's Python
+floats, and evaluates the problem once, through `evaluate_counted` like
+every other evaluation of a run.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -39,6 +42,13 @@ from .problem import (
 #: group keys are measures rounded to this many digits; measures are sums of
 #: powers of 1/9 and only drift in the last bits
 GROUP_KEY_DIGITS = 12
+
+#: deepest level at which a center is rebuilt from its numerators: up to it
+#: 2*3^level and every numerator below it are exact doubles, so the rebuilt
+#: coordinate is the correctly rounded quotient its probe computed
+EXACT_LEVEL = 32
+_DENOMS = tuple(2 * 3.0 ** level for level in range(EXACT_LEVEL + 1))
+_first = operator.itemgetter(0)
 
 
 def measure(levels: np.ndarray) -> float:
@@ -62,7 +72,7 @@ class Rectangle:
     """Read-only view of one partition cell."""
 
     id: int
-    center: np.ndarray  # a full user-space point
+    center: np.ndarray  # a full user-space point, rebuilt for the view
     levels: np.ndarray
     # integer numerators; unit-cube center_i = exact[i] / (2*3^levels[i])
     exact: tuple
@@ -79,20 +89,27 @@ class PartitionState:
     The partition is over `n` block dimensions; `coords[d]` is the problem
     coordinate of block dimension d (`range(n)` by default, plain DIRECT).
 
-    Layout, by rectangle id:
-    - `_centers`: a list of the centers, each a full user-space point of
-      the problem (a float64 array as long as the problem's dimension, not
-      n). Block coordinate `coords[d]` is `lower + z * width` for the
-      unit-cube coordinate `z = num / denom` of the probe that set it; every
-      other coordinate is the run's base point. A child's center is the
-      fresh array its probe evaluated, kept as it is (no copy), and `x_min`
-      refers to the best one; readers that hand a center out copy it
-      (`Rectangle.center`, `direct_solve`).
+    Centers are not stored. The center of a rectangle (`center`) is a full
+    user-space point of the problem: `base` outside the block and, in block
+    coordinate `coords[d]`, `lower + num / (2 * 3.0**level) * width` for
+    the rectangle's numerator and level in dimension d. While no level
+    passes `EXACT_LEVEL`, that quotient is the correctly rounded value of
+    the fraction a probe divided to set the coordinate, so the rebuilt
+    center is the point the rectangle's probe evaluated, bit for bit. A
+    rectangle whose deepest level passes `EXACT_LEVEL` keeps its center in
+    `_explicit` (by id), the only stored centers. `x_min` refers to the
+    best evaluated array; readers that hand it out copy it.
+
+    Layout, by problem coordinate:
     - `lower`, `width`: the box's lower bounds and widths as Python floats,
-      by problem coordinate, which `sample_and_divide` maps its probes
-      with: one IEEE multiply and one add, the two operations numpy does
-      per element. A state built without `bounds` holds None and cannot
-      be divided.
+      which centers and probes are mapped with: one IEEE multiply and one
+      add, the two operations numpy does per element. A state built
+      without `bounds` is over the unit cube.
+    - `base`: a float64 array, the run's start center (`_block`); its
+      block coordinates are never read. A state built without `base` gets
+      the box midpoint.
+
+    Layout, by rectangle id:
     - `_level_tuples`: one level tuple of length n per rectangle, interned
       per state, so every rectangle with the same levels (both children of
       a division step and the rekeyed parent) shares one tuple object.
@@ -116,15 +133,18 @@ class PartitionState:
 
     def __init__(self, n: int, counter: Optional[EvalCounter] = None,
                  coords: Optional[tuple] = None,
-                 bounds: Optional[Bounds] = None):
+                 bounds: Optional[Bounds] = None,
+                 base: Optional[np.ndarray] = None):
         self.n = n
         self.coords = tuple(range(n)) if coords is None else coords
         self.counter = counter if counter is not None else EvalCounter()
-        self.lower = self.width = None
-        if bounds is not None:
-            self.lower = bounds.lower.tolist()
-            self.width = bounds.width.tolist()
-        self._centers: list[np.ndarray] = []
+        if bounds is None:
+            lower, width = np.zeros(n), np.ones(n)
+        else:
+            lower, width = bounds.lower, bounds.width
+        self.lower, self.width = lower.tolist(), width.tolist()
+        self.base = lower + 0.5 * width if base is None else base
+        self._explicit: dict[int, np.ndarray] = {}
         self._level_tuples: list[tuple] = []
         self._values: list[float] = []
         self._exact: list[tuple] = []
@@ -133,6 +153,10 @@ class PartitionState:
         self._keys: list[float] = []  # current group key per id
         # level tuple -> (its interned tuple, its group key)
         self._key_of: dict[tuple, tuple[tuple, float]] = {}
+        self._deep: set[tuple] = set()  # interned tuples past EXACT_LEVEL
+        # parent level tuple -> (its longest dimensions, their probes'
+        # denominator), what a division derives from the levels alone
+        self._splits: dict[tuple, tuple[tuple, float]] = {}
         self.f_min = np.inf
         self.x_min: Optional[np.ndarray] = None
         self._min_key = np.inf
@@ -153,6 +177,8 @@ class PartitionState:
         entry = self._key_of.get(levels)
         if entry is None:
             entry = self._key_of[levels] = (levels, _shared_group_key(levels))
+            if max(levels, default=0) > EXACT_LEVEL:
+                self._deep.add(levels)
         return entry
 
     def group_key(self, levels) -> float:
@@ -172,15 +198,18 @@ class PartitionState:
 
     def add(self, center: np.ndarray, levels, exact: tuple, value: float,
             key: Optional[float] = None) -> int:
-        """Store a rectangle; `center` is a float array the state keeps, not
-        a copy. `levels` is a tuple, list or integer array; with `key` a
-        tuple is taken as given, as the interned tuple whose group key is
-        `key`."""
+        """Store a rectangle. `center`, a float array, is kept (not copied)
+        as `x_min` when the rectangle is the best, and as its center only
+        when its levels pass `EXACT_LEVEL`; otherwise the center is rebuilt
+        from `exact` and `levels`. `levels` is a tuple, list or integer
+        array; with `key` a tuple is taken as given, as the interned tuple
+        whose group key is `key`."""
         if key is None or type(levels) is not tuple:
             levels, key = self._intern(levels)
         rid = self.size
         self.size = rid + 1
-        self._centers.append(center)
+        if self._deep and levels in self._deep:
+            self._explicit[rid] = center
         self._level_tuples.append(levels)
         self._values.append(value)
         self._exact.append(exact)
@@ -200,9 +229,14 @@ class PartitionState:
     def rekey(self, rid: int, levels, exact: tuple,
               key: Optional[float] = None) -> None:
         """Re-index a rectangle after its levels changed in a division;
-        `levels` and `key` as in `add`."""
+        `levels` and `key` as in `add`. A rectangle whose levels pass
+        `EXACT_LEVEL` here keeps its center, rebuilt from its old
+        numerators."""
         if key is None or type(levels) is not tuple:
             levels, key = self._intern(levels)
+        if (self._deep and levels in self._deep
+                and rid not in self._explicit):
+            self._explicit[rid] = self.center(rid)
         self._level_tuples[rid] = levels
         self._exact[rid] = exact
         self._keys[rid] = key
@@ -214,10 +248,23 @@ class PartitionState:
         if key < self._min_key:
             self._min_key = key
 
+    def center(self, rid: int) -> np.ndarray:
+        """The center of rectangle `rid` (see the class docstring), a new
+        array."""
+        x = self._explicit.get(rid)
+        if x is not None:
+            return x.copy()
+        x = self.base.copy()
+        lower, width = self.lower, self.width
+        for c, num, level in zip(self.coords, self._exact[rid],
+                                 self._level_tuples[rid]):
+            x[c] = lower[c] + num / _DENOMS[level] * width[c]
+        return x
+
     def rectangle(self, rid: int) -> Rectangle:
         return Rectangle(
             id=rid,
-            center=self._centers[rid].copy(),
+            center=self.center(rid),
             levels=np.array(self._level_tuples[rid], dtype=int),
             exact=self._exact[rid],
             value=float(self._values[rid]),
@@ -261,7 +308,7 @@ def identify_poh(state: PartitionState, eps: float) -> list[int]:
     hull vertex. The largest-measure hull vertex is always returned so the
     outer loop can never stall on an empty selection.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     reps = state.group_representatives()
     if not reps:
@@ -314,20 +361,28 @@ def sample_and_divide(rid: int, state: PartitionState,
     the Stop propagates.
     """
     # the level bookkeeping runs on a list copy of the parent's tuple
-    levels = list(state._level_tuples[rid])
-    center = state._centers[rid]
+    parent_levels = state._level_tuples[rid]
+    levels = list(parent_levels)
+    split = state._splits.get(parent_levels)
+    if split is None:
+        min_lvl = min(levels)
+        split = state._splits[parent_levels] = (
+            tuple(d for d, lvl in enumerate(levels) if lvl == min_lvl),
+            2.0 * 3.0 ** (min_lvl + 1))
+    I, denom = split
+    # a probe of a one-dimensional block replaces the block's only
+    # coordinate, so it can start from the base
+    center = state.base if state.n == 1 else state.center(rid)
     tmpl_exact = list(state._exact[rid])
-    min_lvl = min(levels)
-    I = [d for d, lvl in enumerate(levels) if lvl == min_lvl]
-    denom = 2.0 * 3.0 ** (min_lvl + 1)
 
     # evaluate all probe points before touching any state; each probe is a
-    # copy of the parent's user-space center with one coordinate moved, and
-    # it becomes the child's center. The base-3 numerators keep every z
-    # strictly inside the unit cube.
+    # copy of the parent's user-space center with one coordinate moved, the
+    # child's center. The base-3 numerators keep every z strictly inside
+    # the unit cube.
     counter, coords = state.counter, state.coords
     lower, width = state.lower, state.width
-    probes = []  # (dim, num_plus, x_plus, f_plus, num_minus, x_minus, f_minus)
+    # (w, dim, num_plus, x_plus, f_plus, num_minus, x_minus, f_minus)
+    probes = []
     for dim in I:
         scaled = 3 * tmpl_exact[dim]
         num_p, num_m = scaled + 2, scaled - 2
@@ -339,12 +394,14 @@ def sample_and_divide(rid: int, state: PartitionState,
         x_m = center.copy()
         x_m[coord] = lo + num_m / denom * w
         f_m = evaluate_counted(problem, x_m, counter)
-        probes.append((dim, num_p, x_p, f_p, num_m, x_m, f_m))
+        # w = min(f+, f-), as `min` picks it, NaNs included
+        probes.append((f_m if f_m < f_p else f_p, dim, num_p, x_p, f_p,
+                       num_m, x_m, f_m))
 
     # the sort is stable and the probes are in dimension order, so ties on
-    # w = min(f+, f-) keep the lower dimension first
+    # w keep the lower dimension first
     if len(probes) > 1:
-        probes.sort(key=lambda p: min(p[3], p[6]))
+        probes.sort(key=_first)
 
     # the children of one dimension differ from the parent's numerators in
     # that coordinate only; the template is set to each child's numerator
@@ -352,7 +409,7 @@ def sample_and_divide(rid: int, state: PartitionState,
     # rekeyed parent share one interned level tuple; the parent's center
     # does not move.
     new_ids = []
-    for dim, num_p, x_p, f_p, num_m, x_m, f_m in probes:
+    for _, dim, num_p, x_p, f_p, num_m, x_m, f_m in probes:
         levels[dim] += 1
         level_tuple, key = state._intern(tuple(levels))
         num = tmpl_exact[dim]
@@ -401,7 +458,8 @@ def _block(problem: Problem, counter: EvalCounter, coords,
     at the middle of its range, mapped as a probe maps one coordinate.
     Raises ConfigError on any other `coords`, on a `base` that is not a
     float array of the problem's dimension and on a start center outside
-    the closed box (a NaN included), so a run evaluates nothing then."""
+    the closed box (a NaN included), so a run evaluates nothing then. The
+    start center is also the state's `base`."""
     n, bounds = problem.n, problem.bounds
     idx = np.asarray(range(n) if coords is None else coords)
     if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
@@ -417,7 +475,8 @@ def _block(problem: Problem, counter: EvalCounter, coords,
     x = np.array(base, dtype=float)
     if x.shape != (n,):
         raise ConfigError(f"base must have shape ({n},), got {x.shape}")
-    state = PartitionState(len(coords), counter, coords, bounds)
+    # the state holds x as its base, whose block coordinates are set here
+    state = PartitionState(len(coords), counter, coords, bounds, x)
     lower, width = state.lower, state.width
     for c in coords:
         x[c] = lower[c] + 0.5 * width[c]
@@ -450,6 +509,8 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     too.
     """
     config = config or DirectConfig()
+    if not config.poh_eps > 0:
+        raise ConfigError(f"poh_eps must be positive, got {config.poh_eps}")
     counter = counter if counter is not None else EvalCounter()
     state, x = _block(problem, counter, coords, base)
     counter.arm(problem, config.target_accuracy, config.max_seconds)
@@ -504,7 +565,7 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             stall_streak = 0
         prev_fmin = state.f_min
 
-    # the state keeps the best center itself
+    # the state keeps the array of the best probe
     x_min, f_min = counter.run_best(f_before, state.x_min.copy(), state.f_min)
     return DirectResult(f_min, x_min, counter.count - start_count, t, reason,
                         trace, state if keep_state else None)

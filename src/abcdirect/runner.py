@@ -218,10 +218,13 @@ def run_suite(specs: list[RunSpec], parallelism: int = 1,
 
     Individual run failures are recorded as rows with termination 'error'
     and best_f = inf rather than aborting the suite, on the serial and the
-    parallel path alike.
+    parallel path alike. At most one worker process per spec is started.
     """
     if not specs:
         raise ConfigError("suite needs at least one run spec")
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be at least 1, got "
+                          f"{parallelism}")
     reports: list[RunReport] = []
 
     def collect(results):
@@ -231,8 +234,11 @@ def run_suite(specs: list[RunSpec], parallelism: int = 1,
                 for r in result:
                     report_sink(r)
 
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    # the pool forks all its workers at the first submit, so it gets no
+    # more than the suite can use
+    workers = min(parallelism, len(specs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             collect(pool.map(_spec_rows, specs))
     else:
         collect(map(_spec_rows, specs))

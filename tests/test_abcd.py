@@ -256,6 +256,15 @@ class TestAbcdSolve:
         with pytest.raises(ConfigError):
             abcd_solve(p, AbcdConfig(t1=0))
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, np.nan])
+    def test_rejects_poh_eps_before_evaluating(self, eps):
+        # a NaN used to pass and leave every subproblem dividing only its
+        # largest rectangle
+        p, pts = recording(sphere(3))
+        with pytest.raises(ConfigError, match="poh_eps"):
+            abcd_solve(p, AbcdConfig(poh_eps=eps, max_evals=100))
+        assert not pts
+
     def test_full_block_no_switch_degenerates_to_direct(self):
         """With one n-sized block, no switch and no local phase, the solver
         is a start sample followed by one full-box dividing-rectangles run."""

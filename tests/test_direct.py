@@ -1,6 +1,8 @@
 """Partition geometry, potentially-optimal selection and the DIRECT loop."""
 
+import math
 import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -189,11 +191,33 @@ class TestStore:
         assert state.rectangle(best.id).center.tobytes() == kept
 
     def test_rectangle_center_is_a_copy(self):
+        # a state built without bounds is over the unit cube; the center
+        # handed out is rebuilt from the numerators, the added array is
+        # kept as x_min
         state = PartitionState(2)
-        rid = state.add(np.array([0.25, 0.75]), (1, 1), (1, 1), 0.0)
+        center = np.array([1 / 6, 5 / 6])
+        rid = state.add(center, (1, 1), (1, 5), 0.0)
         state.rectangle(rid).center[:] = 9.0
-        assert state.rectangle(rid).center.tolist() == [0.25, 0.75]
-        assert state.x_min.tolist() == [0.25, 0.75]
+        assert state.rectangle(rid).center.tobytes() == center.tobytes()
+        assert state.x_min is center
+        assert state.base.tolist() == [0.5, 0.5]
+
+    def test_partition_memory_per_rectangle(self):
+        # the store keeps no array per rectangle: a 12,000-evaluation
+        # rastrigin-12 partition cost 536 traced bytes a rectangle when
+        # every rectangle kept its numpy center
+        problem = get_function("rastrigin", 12)[0]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = direct_solve(problem, DirectConfig(max_evals=12000),
+                               keep_state=True)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert res.state.size == res.evals >= 12000
+        assert not res.state._explicit
+        assert (after - before) / res.state.size < 400
 
     def test_rekey_into_a_level_vector_with_no_group_yet(self):
         state = PartitionState(2)
@@ -319,7 +343,8 @@ class TestDivision:
         counter = EvalCounter()
         state = PartitionState(3, counter, bounds=bounds)
         state.add(user(exact, levels), levels, exact, 1.0)
-        before = state._centers[0].tobytes()
+        before = state.center(0).tobytes()
+        assert before == user(exact, levels).tobytes()
         assert sample_and_divide(0, state, problem) == [1, 2]
         assert counter.count == 2
         children = [r for r in state.rectangles() if r.id in (1, 2)]
@@ -328,20 +353,89 @@ class TestDivision:
             assert r.levels.tolist() == [2, 2, 2]
             assert r.center.tobytes() == user(r.exact, r.levels).tobytes()
             assert r.value == problem(r.center)
-        assert state._centers[0].tobytes() == before
+        assert state.center(0).tobytes() == before
         # a spent counter stops the division before its first evaluation
         spent = PartitionState(3, EvalCounter(count=1, cap=1), bounds=bounds)
         spent.add(user(exact, levels), levels, exact, 1.0)
         with pytest.raises(Stop):
             sample_and_divide(0, spent, problem)
-        assert spent.size == 1 and spent._centers[0].tobytes() == before
+        assert spent.size == 1 and spent.center(0).tobytes() == before
+
+
+    def test_centers_past_the_exact_level_are_kept(self):
+        # up to EXACT_LEVEL a center is rebuilt from its numerators; a
+        # division past it makes numerators and denominators that are not
+        # exact doubles, so the children keep the arrays their probes
+        # evaluated and the parent the center it had before the division.
+        # Every probe moves one coordinate of its parent's center to
+        # lower + num / (2 * 3.0**level) * width.
+        assert direct_mod.EXACT_LEVEL == 32
+        bounds = Bounds(np.array([-5.12, 3.0]), np.array([2.0, 1000.0]))
+        lower, width = bounds.lower.tolist(), bounds.width.tolist()
+        seen = []
+
+        def f(x):
+            seen.append(x.tobytes())
+            return float(x[0] + 1e-3 * x[1])
+
+        def mapped(exact, levels):
+            return np.array([lo + num / (2 * 3.0 ** lv) * w for lo, num, lv, w
+                             in zip(lower, exact, levels, width)])
+
+        def probe(center, dim, num, level):
+            x = center.copy()
+            x[dim] = lower[dim] + num / (2 * 3.0 ** level) * width[dim]
+            return x
+
+        problem = Problem(f, bounds)
+        state = PartitionState(2, EvalCounter(), bounds=bounds)
+        exact = (3382709024365471, 3465416158634719)
+        start = mapped(exact, (32, 32))
+        state.add(start, (32, 32), exact, f(start))
+        assert not state._explicit          # level 32 is rebuilt, exactly
+        assert state.center(0).tobytes() == start.tobytes()
+        del seen[:]
+
+        children = sample_and_divide(0, state, problem)
+        want = [probe(start, d, 3 * exact[d] + s, 33)
+                for d in (0, 1) for s in (2, -2)]
+        assert seen == [x.tobytes() for x in want]
+        assert sorted(state._explicit) == [0] + sorted(children)
+        assert state.center(0).tobytes() == start.tobytes()
+        # the premise: the parent's refined numerators round, so a rebuild
+        # at level 33 would not give its center
+        assert (mapped(state._exact[0], state._level_tuples[0]).tobytes()
+                != start.tobytes())
+        for cid in children:
+            r = state.rectangle(cid)
+            moved = [d for d in (0, 1)
+                     if r.levels[d] == 33 and r.exact[d] % 3 != 0]
+            assert len(moved) == 1
+            d = moved[0]
+            assert r.center.tobytes() == probe(start, d, r.exact[d],
+                                               33).tobytes()
+            assert r.value == f(r.center)
+
+        # a deep child divides from the center it keeps
+        cid = next(c for c in children
+                   if state._level_tuples[c] == (33, 32))
+        center = state.center(cid)
+        del seen[:]
+        grandchildren = sample_and_divide(cid, state, problem)
+        num = state._exact[cid][1] // 3
+        want = [probe(center, 1, 3 * num + s, 33) for s in (2, -2)]
+        assert seen == [x.tobytes() for x in want]
+        assert [state.center(g).tobytes() for g in grandchildren] == seen
+        assert state.center(cid).tobytes() == center.tobytes()
+        assert volume_fraction(state) == Fraction(1, 3 ** 64)
 
 
 class TestPoh:
     def test_rejects_nonpositive_eps(self):
         state = random_partition(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            identify_poh(state, 0.0)
+        for eps in (0.0, -1e-4, math.nan):
+            with pytest.raises(ValueError):
+                identify_poh(state, eps)
 
     def test_single_rectangle_is_selected(self):
         state = PartitionState(2, EvalCounter())
@@ -517,6 +611,19 @@ class TestDirectSolve:
         assert (res.evals, res.iterations, res.f_min) == (1, 0, 0.0)
         assert res.state.size == 1 and volume_fraction(res.state) == 1
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan])
+    def test_rejects_poh_eps_before_evaluating(self, eps):
+        # a NaN used to pass and divide only the largest rectangle
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return float(np.sum(x * x))
+
+        with pytest.raises(ConfigError, match="poh_eps"):
+            direct_solve(box_problem(f, 2), DirectConfig(poh_eps=eps))
+        assert not calls
+
     def test_trace_is_monotone(self):
         problem = box_problem(lambda x: float(np.sum((x - 0.37) ** 2)), 2)
         res = direct_solve(problem, DirectConfig(max_evals=300))
@@ -607,10 +714,10 @@ class TestBlockView:
         assert state._level_tuples == ref_state._level_tuples
         assert state._exact == ref_state._exact
         assert state._values == ref_state._values
-        for center, ref_center in zip(state._centers, ref_state._centers):
+        for rid in range(state.size):
             want = self.BASE.copy()
-            want[list(idx)] = ref_center
-            assert center.tobytes() == want.tobytes()
+            want[list(idx)] = ref_state.center(rid)
+            assert state.center(rid).tobytes() == want.tobytes()
         if capped:
             # the premise: the cap cut a division short, whose probes were
             # evaluated but never became rectangles
@@ -675,8 +782,9 @@ class TestBlockView:
                            keep_state=True, coords=[1, 5], base=base)
         assert base.tobytes() == self.BASE.tobytes()
         assert not np.shares_memory(res.x_min, base)
-        assert not any(np.shares_memory(res.x_min, c)
-                       for c in res.state._centers)
+        kept = [res.state.x_min, res.state.base,
+                *res.state._explicit.values()]
+        assert not any(np.shares_memory(res.x_min, c) for c in kept)
         assert problem(res.x_min) == res.f_min
 
     def test_spent_counter_returns_the_base_with_the_block_at_its_midpoint(

@@ -149,8 +149,8 @@ def unit_cube_probes(monkeypatch):
     coordinate lies strictly inside the cube and maps to the point's
     coordinate, bit for bit, as lower + z*width on the box's Python floats;
     every other coordinate equals, bit for bit, the start's base or the
-    parent's center. `_block` and `sample_and_divide` are wrapped to learn
-    the base and the parent, and `evaluate_counted`, through which DIRECT
+    parent's center, rebuilt from its numerators. `_block` and
+    `sample_and_divide` are wrapped to learn the base and the parent, and `evaluate_counted`, through which DIRECT
     makes every evaluation, to check and record it."""
     seen = []
     context = []  # [start?, point before, {coordinate: candidate z}]
@@ -174,7 +174,7 @@ def unit_cube_probes(monkeypatch):
         moves = {state.coords[d]: ((3 * exact[d] + 2) / denom,
                                    (3 * exact[d] - 2) / denom)
                  for d in range(state.n) if levels[d] == low}
-        context[:] = [False, state._centers[rid].copy(), moves]
+        context[:] = [False, state.center(rid), moves]
         return divide(rid, state, problem)
 
     def recording_evaluate(problem, x, counter):

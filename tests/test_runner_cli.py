@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import abcdirect.problem as problem_mod
+import abcdirect.runner as runner_mod
 from abcdirect.cli import main
 from abcdirect.functions import get_function
 from abcdirect.problem import ConfigError
@@ -188,6 +189,38 @@ class TestRunSuite:
         with pytest.raises(ConfigError):
             run_suite([])
 
+    def test_workers_capped_at_the_suite_size(self, monkeypatch):
+        # the pool forks every worker it is given at its first submit; a
+        # stand-in records the size it is asked for and runs in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", RecordingPool)
+        spec = RunSpec(function="sphere", dim=2, algorithm="direct",
+                       max_evals=50, max_wall_seconds=None, repetitions=1)
+        assert len(run_suite([spec, spec], parallelism=64).reports) == 2
+        assert len(run_suite([spec], parallelism=64).reports) == 1
+        assert sizes == [2]      # one spec needs no pool
+
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_parallelism_below_one_rejected(self, parallelism):
+        spec = RunSpec(function="sphere", dim=2, algorithm="direct",
+                       max_evals=50, max_wall_seconds=None, repetitions=1)
+        with pytest.raises(ConfigError, match="parallelism"):
+            run_suite([spec], parallelism=parallelism)
+
     def test_report_sink_sees_every_report(self):
         got = []
         specs = [RunSpec(function="sphere", dim=2, algorithm="direct",
@@ -321,6 +354,15 @@ class TestCli:
     def test_unreadable_config_is_io_error(self):
         res = self.invoke("run", "--config", "/nonexistent/cfg.json")
         assert res.exit_code == 2
+
+    def test_suite_rejects_parallel_below_one(self, tmp_path):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps([
+            {"function": "sphere", "dim": 2, "algorithm": "direct",
+             "max_evals": 50, "repetitions": 1, "max_wall_seconds": None}]))
+        res = self.invoke("suite", "--config", str(cfg), "--parallel", "0")
+        assert res.exit_code == 1
+        assert "configuration error: parallelism" in res.output
 
     def test_suite_summary(self, tmp_path):
         cfg = tmp_path / "suite.json"
