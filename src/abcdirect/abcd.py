@@ -1,40 +1,41 @@
-"""Adaptive block coordinate DIRECT (ABCD) as a phase machine.
+"""Adaptive block coordinate DIRECT (ABCD) as one cycle of phases.
 
-After an optimistic start sample, a loop runs one step at a time over one
-run state; each step is at most one solver call and picks the next phase.
-The counter, armed with `target_accuracy` and `max_seconds`, stops the run
-at the evaluation where the target, the time or its cap holds; the check
-before every step reads its reason, then the subproblem and `max_evals`
-budgets. So no step passes a solver's stop on; only a restart ends a run
-itself, on a global stall. The phases:
+After an optimistic start sample, a run repeats one cycle (`_Run.cycle`):
 
-* coordinate: DIRECT over the next m1 coordinates in sequence; after t1
-  stalls in a row, local (block when `sqp_first`; restart when
-  `coordinate_only`).
-* local: one quasi-Newton polish, then block; with `sqp_first` it opens
-  every cycle and is followed by coordinate.
-* block: DIRECT over m2 random coordinates; after min(n, 6) stalls in a
-  row, intensify.
-* intensify: a polish from the best point, then a new cycle if the best
-  moved, else sweep.
-* sweep: deep DIRECT subproblems over every coordinate once; then a new
-  cycle if the best moved, else restart.
-* restart: a fresh start sample replaces the working incumbent and a new
-  cycle starts; without `restart_on_stall`, or without any budget (neither
-  a config budget nor a capped counter), the run ends.
+1. coordinate: DIRECT subproblems over the next m1 coordinates in sequence,
+   until t1 in a row descend by at most `switch_eps`;
+2. local: one quasi-Newton polish (with `sqp_first` the polish opens the
+   cycle instead);
+3. block: DIRECT subproblems over m2 random coordinates, until min(n, 6) in
+   a row descend by at most `GLOBAL_STALL_EPS`;
+4. intensify: a polish from the best point and, unless it moved the best by
+   more than `GLOBAL_STALL_EPS`, a sweep of deep DIRECT subproblems over
+   every coordinate once.
 
-The best point never worsens. `max_evals` is checked before every step and
-clips each DIRECT subproblem's cap, which `direct_solve` checks after every
-division, so a run ends at most one division past it, or past it by a
-polish that started with budget left. A capped `EvalCounter` is a hard
-cap; `runner.run_single` passes one.
+`coordinate_only` keeps phase 1 alone. A cycle stalls unless phase 4 moved
+the best; a stalled cycle restarts from a fresh start sample, or ends the
+run without `restart_on_stall` or without any budget (neither a config
+budget nor a counter cap or deadline).
+
+Every stop is a `Stop` that `abcd_solve` catches. The counter, armed with
+`target_accuracy` and `max_seconds`, raises it at the evaluation where the
+target, the time or its cap holds; `_Run.check`, run before every
+subproblem, polish and restart, raises it on the counter's reason, then on
+the subproblem and `max_evals` budgets. So no step passes a solver's stop on.
+
+The best point never worsens. `max_evals` also clips each DIRECT
+subproblem's cap, which `direct_solve` checks after every division, so a run
+ends at most one division past it, or past it by a polish that started with
+budget left. A capped `EvalCounter` is a hard cap; `runner.run_single`
+passes one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -55,17 +56,12 @@ DEEP_CAP_FACTOR = 5      # sweep subproblems get this many times the cap
 
 
 class Phase(str, Enum):
+    """The trace's labels: sweep subproblems and restarts are coordinate
+    rows, the intensify polish a local one."""
+
     COORDINATE = "coordinate"
     LOCAL = "local"
     BLOCK = "block"
-    INTENSIFY = "intensify"
-    SWEEP = "sweep"
-    RESTART = "restart"
-
-
-class CoordMode(str, Enum):
-    SEQUENTIAL = "sequential"
-    RANDOM = "random"
 
 
 @dataclass
@@ -92,29 +88,16 @@ class AbcdConfig:
     poh_eps: float = 1e-4
 
     def validate(self, n: int) -> None:
+        # the comparisons are written so that NaN fails them
         if not (1 <= self.m1 <= n and 1 <= self.m2 <= n):
             raise ConfigError("block sizes must lie in [1, n]")
-        if self.t1 < 1 or self.switch_eps <= 0:
+        if self.t1 < 1 or not self.switch_eps > 0:
             raise ConfigError("t1 >= 1 and switch_eps > 0 required")
+        if self.sub_eval_cap is not None and self.sub_eval_cap < 1:
+            raise ConfigError(
+                f"sub_eval_cap must be >= 1, got {self.sub_eval_cap}")
         if not self.poh_eps > 0:
             raise ConfigError(f"poh_eps must be positive, got {self.poh_eps}")
-
-
-@dataclass
-class AbcdState:
-    """The phase machine's mutable state. The working incumbent is replaced
-    by a restart; the best pair is monotone and is what the run reports."""
-
-    incumbent_x: np.ndarray
-    incumbent_f: float
-    phase: Phase
-    cursor: int = 0               # next coordinate of a sequential block
-    stall_streak: int = 0         # stalled subproblems in a row, this phase
-    subproblem_index: int = 0
-    best_x: Optional[np.ndarray] = None
-    best_f: float = np.inf
-    sweep_left: int = 0           # deep subproblems left in the sweep
-    intensify_from: float = np.inf  # best value when intensify began
 
 
 @dataclass
@@ -152,16 +135,20 @@ def choose_start(problem: Problem, q: int, rng: np.random.Generator,
     return best_x, best_f
 
 
-def select_coords(state: AbcdState, n: int, size: int, mode: CoordMode,
-                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Pick the next block of coordinate indices."""
-    if not 1 <= size <= n:
-        raise ConfigError(f"block size {size} out of range for n={n}")
-    if mode is CoordMode.SEQUENTIAL:
-        idx = (state.cursor + np.arange(size)) % n
-        state.cursor = (state.cursor + size) % n
-        return idx
-    return np.sort(rng.choice(n, size=size, replace=False))
+def sequential_blocks(n: int, m: int) -> Iterator[np.ndarray]:
+    """Blocks of m coordinates in turn from coordinate 0, wrapping around:
+    with n = 5 and m = 2, [0, 1], [2, 3], [4, 0], [1, 2], ..."""
+    cursor = 0
+    while True:
+        yield (cursor + np.arange(m)) % n
+        cursor = (cursor + m) % n
+
+
+def random_blocks(n: int, m: int,
+                  rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Blocks of m distinct coordinates drawn from rng, each sorted."""
+    while True:
+        yield np.sort(rng.choice(n, size=m, replace=False))
 
 
 def make_subproblem(problem: Problem, incumbent_x: np.ndarray,
@@ -190,21 +177,10 @@ def make_subproblem(problem: Problem, incumbent_x: np.ndarray,
     )
 
 
-def stall_update(streak: int, f_prev: float, f_new: float, eps1: float,
-                 t1: int) -> tuple[int, bool]:
-    """Count consecutive subproblems whose descent is at most eps1; a descent
-    of exactly eps1 still counts as a stall."""
-    if f_prev - f_new <= eps1:
-        streak += 1
-    else:
-        streak = 0
-    return streak, streak >= t1
-
-
 class _Run:
-    """One `abcd_solve` call: its inputs, random streams, trace and machine
-    state. Each phase has one step method, which sets the next phase; only
-    `restart` returns a reason to stop."""
+    """One `abcd_solve` call: its inputs, random streams and trace, the
+    working incumbent (replaced by a restart) and the best pair (monotone,
+    what the run reports)."""
 
     def __init__(self, problem: Problem, config: AbcdConfig,
                  counter: EvalCounter):
@@ -218,54 +194,48 @@ class _Run:
         self.start_rng, self.block_rng = (np.random.default_rng(s)
                                           for s in ss.spawn(2))
         self.trace: list[tuple] = []
-        self.state: Optional[AbcdState] = None
+        self.subproblems = 0
+        self.incumbent_x, self.incumbent_f = None, np.inf
+        # the box midpoint stands in if the first start sample is cut short
+        bounds = problem.bounds
+        self.best_x, self.best_f = bounds.lower + 0.5 * bounds.width, np.inf
 
     def spent(self) -> int:
         return self.counter.count - self.start_count
 
-    def draw_start(self) -> tuple[np.ndarray, float]:
-        return choose_start(self.problem, start_samples(self.n),
-                            self.start_rng, self.counter)
-
-    def stop_reason(self) -> Optional[Reason]:
-        """The one stop check, run before every step."""
-        cfg, s = self.config, self.state
+    def check(self) -> None:
+        """The one stop check, run before every step. It raises a plain
+        `Stop`: stopping the shared counter would change its `run_best`."""
+        cfg = self.config
         if self.counter.reason is not None:
-            return self.counter.reason
+            raise Stop(self.counter.reason)
         if (cfg.max_subproblems is not None
-                and s.subproblem_index >= cfg.max_subproblems):
-            return Reason.ITER_BUDGET
+                and self.subproblems >= cfg.max_subproblems):
+            raise Stop(Reason.ITER_BUDGET)
         if ((cfg.max_evals is not None and self.spent() >= cfg.max_evals)
                 or self.counter.remaining == 0):
-            return Reason.EVAL_BUDGET
-        return None
+            raise Stop(Reason.EVAL_BUDGET)
 
     def record(self, label: Phase) -> None:
-        s = self.state
-        self.trace.append((self.spent(), s.subproblem_index, label.value,
-                           s.best_f))
+        self.trace.append((self.spent(), self.subproblems, label.value,
+                           self.best_f))
 
     def replace(self, x: np.ndarray, f: float) -> None:
         """Make (x, f) the working incumbent and keep the best pair."""
-        s = self.state
-        s.incumbent_x, s.incumbent_f = x, f
-        if f < s.best_f:
-            s.best_x, s.best_f = x.copy(), f
+        self.incumbent_x, self.incumbent_f = x, f
+        if f < self.best_f:
+            self.best_x, self.best_f = x.copy(), f
 
     def adopt(self, x: np.ndarray, f: float) -> None:
         """The adopt-incumbent rule: take (x, f) if it improves."""
-        if f < self.state.incumbent_f:
+        if f < self.incumbent_f:
             self.replace(x, f)
 
-    def new_cycle(self) -> None:
-        s, cfg = self.state, self.config
-        s.stall_streak, s.cursor = 0, 0
-        opening_polish = cfg.sqp_first and not cfg.coordinate_only
-        s.phase = Phase.LOCAL if opening_polish else Phase.COORDINATE
-
-    def best_moved(self) -> bool:
-        s = self.state
-        return s.best_f < s.intensify_from - GLOBAL_STALL_EPS
+    def start(self) -> None:
+        """A fresh optimistic start sample becomes the incumbent."""
+        self.replace(*choose_start(self.problem, start_samples(self.n),
+                                   self.start_rng, self.counter))
+        self.record(Phase.COORDINATE)
 
     def subproblem(self, idx: np.ndarray, label: Phase,
                    deep: bool = False) -> None:
@@ -273,7 +243,8 @@ class _Run:
         incumbent; its `x_min` is a full point. A deep run gets a larger cap
         and no early stops, so it can separate near-equal basins the regular
         stops would merge."""
-        cfg, s = self.config, self.state
+        self.check()
+        cfg = self.config
         cap = cfg.sub_eval_cap
         if cap is None:
             cap = 100 * len(idx)
@@ -286,103 +257,70 @@ class _Run:
                                      stall_iters=cfg.sub_stall_iters)
         sub_cfg = DirectConfig(poh_eps=cfg.poh_eps, max_evals=cap, **stops)
         res = direct_solve(self.problem, sub_cfg, counter=self.counter,
-                           coords=idx, base=s.incumbent_x)
-        s.subproblem_index += 1
+                           coords=idx, base=self.incumbent_x)
+        self.subproblems += 1
         self.adopt(res.x_min, res.f_min)
         self.record(label)
 
+    def descend(self, blocks: Iterator[np.ndarray], label: Phase,
+                eps: float, stalls: int) -> None:
+        """Subproblems over `blocks` in turn until `stalls` in a row lower
+        the incumbent by at most `eps`; a descent of exactly `eps` stalls."""
+        streak = 0
+        for idx in blocks:
+            f_prev = self.incumbent_f
+            self.subproblem(idx, label)
+            streak = streak + 1 if f_prev - self.incumbent_f <= eps else 0
+            if streak >= stalls:
+                return
+
     def polish(self) -> None:
-        res = sqp_local(self.problem, self.state.incumbent_x, LocalConfig(),
+        self.check()
+        res = sqp_local(self.problem, self.incumbent_x, LocalConfig(),
                         self.counter)
         self.adopt(res.x, res.f)
         self.record(Phase.LOCAL)
 
-    def coordinate(self) -> None:
-        cfg, s = self.config, self.state
-        f_prev = s.incumbent_f
-        idx = select_coords(s, self.n, cfg.m1, CoordMode.SEQUENTIAL)
-        self.subproblem(idx, Phase.COORDINATE)
-        s.stall_streak, switched = stall_update(
-            s.stall_streak, f_prev, s.incumbent_f, cfg.switch_eps, cfg.t1)
-        if switched:
-            # coordinate-only mode has no later phase to escape a
-            # coordinate-wise trap; the opening polish already ran
-            if cfg.coordinate_only:
-                s.phase = Phase.RESTART
-            elif cfg.sqp_first:
-                s.stall_streak, s.phase = 0, Phase.BLOCK
-            else:
-                s.phase = Phase.LOCAL
-
-    def local(self) -> None:
-        s = self.state
-        if self.config.sqp_first:
-            s.phase = Phase.COORDINATE
-        else:
-            s.stall_streak, s.phase = 0, Phase.BLOCK
+    def cycle(self) -> bool:
+        """The phases of one cycle, in order; returns whether it stalled."""
+        cfg, n = self.config, self.n
+        if cfg.sqp_first and not cfg.coordinate_only:
+            self.polish()
+        self.descend(sequential_blocks(n, cfg.m1), Phase.COORDINATE,
+                     cfg.switch_eps, cfg.t1)
+        if cfg.coordinate_only:
+            # no later phase escapes a coordinate-wise trap
+            return True
+        if not cfg.sqp_first:
+            self.polish()
+        self.descend(random_blocks(n, cfg.m2, self.block_rng), Phase.BLOCK,
+                     GLOBAL_STALL_EPS, min(n, 6))
+        # intensify: polish from the best point
+        since = self.best_f
+        self.replace(self.best_x, since)
         self.polish()
-
-    def block(self) -> None:
-        s = self.state
-        f_prev = s.incumbent_f
-        idx = select_coords(s, self.n, self.config.m2, CoordMode.RANDOM,
-                            self.block_rng)
-        self.subproblem(idx, Phase.BLOCK)
-        if f_prev - s.incumbent_f <= GLOBAL_STALL_EPS:
-            s.stall_streak += 1
-            if s.stall_streak >= min(self.n, 6):
-                s.phase = Phase.INTENSIFY
-        else:
-            s.stall_streak = 0
-
-    def intensify(self) -> None:
-        s = self.state
-        s.intensify_from = s.best_f
-        self.replace(s.best_x, s.best_f)
-        self.polish()
-        if self.best_moved():
-            self.new_cycle()
-        else:
-            # coordinate may have switched away before visiting every
+        if self.best_f >= since - GLOBAL_STALL_EPS:
+            # the coordinate phase may have left before visiting every
             # coordinate: sweep them all
-            s.cursor = 0
-            s.sweep_left = -(-self.n // self.config.m1)
-            s.phase = Phase.SWEEP
+            for idx in islice(sequential_blocks(n, cfg.m1), -(-n // cfg.m1)):
+                self.subproblem(idx, Phase.COORDINATE, deep=True)
+        return self.best_f >= since - GLOBAL_STALL_EPS
 
-    def sweep(self) -> None:
-        s = self.state
-        idx = select_coords(s, self.n, self.config.m1, CoordMode.SEQUENTIAL)
-        self.subproblem(idx, Phase.COORDINATE, deep=True)
-        s.sweep_left -= 1
-        if s.sweep_left == 0:
-            if self.best_moved():
-                self.new_cycle()
-            else:
-                s.phase = Phase.RESTART
-
-    def restart(self) -> Optional[Reason]:
-        cfg = self.config
-        if not cfg.restart_on_stall or (cfg.max_evals is None
-                                        and cfg.max_subproblems is None
-                                        and self.counter.cap is None
-                                        and self.counter.deadline is None):
-            # without any budget a restart loop could never terminate
-            return Reason.GLOBAL_STALL
-        x, f = self.draw_start()
-        self.replace(x, f)
-        self.record(Phase.COORDINATE)
-        self.new_cycle()
-        return None
-
-
-_STEPS = {
-    Phase.COORDINATE: _Run.coordinate,
-    Phase.LOCAL: _Run.local,
-    Phase.BLOCK: _Run.block,
-    Phase.INTENSIFY: _Run.intensify,
-    Phase.SWEEP: _Run.sweep,
-    Phase.RESTART: _Run.restart,
-}
+    def run(self) -> Reason:
+        """Cycles from a start sample until a `Stop`; a stalled cycle
+        restarts, or ends the run as a global stall."""
+        cfg, counter = self.config, self.counter
+        # without any budget a restart loop could never terminate
+        restarts = cfg.restart_on_stall and not (
+            cfg.max_evals is None and cfg.max_subproblems is None
+            and counter.cap is None and counter.deadline is None)
+        self.start()
+        while True:
+            if self.cycle():
+                self.check()
+                if not restarts:
+                    return Reason.GLOBAL_STALL
+                self.start()
 
 
 def abcd_solve(problem: Problem, config: Optional[AbcdConfig] = None,
@@ -392,18 +330,8 @@ def abcd_solve(problem: Problem, config: Optional[AbcdConfig] = None,
     run = _Run(problem, config,
                counter if counter is not None else EvalCounter())
     try:
-        x0, f0 = run.draw_start()
-        run.state = s = AbcdState(x0, f0, Phase.COORDINATE,
-                                  best_x=x0.copy(), best_f=f0)
-        run.record(Phase.COORDINATE)
-        run.new_cycle()
-        reason = None
-        while reason is None:
-            reason = run.stop_reason() or _STEPS[s.phase](run)
-    except Stop as stop:  # at a start sample
+        reason = run.run()
+    except Stop as stop:
         reason = stop.reason
-    mid = problem.bounds.lower + 0.5 * problem.bounds.width
-    s = run.state or AbcdState(mid, np.inf, Phase.COORDINATE, best_x=mid)
-    x, f = run.counter.run_best(run.f_before, s.best_x, s.best_f)
-    return AbcdResult(f, x, run.spent(), s.subproblem_index, reason,
-                      run.trace)
+    x, f = run.counter.run_best(run.f_before, run.best_x, run.best_f)
+    return AbcdResult(f, x, run.spent(), run.subproblems, reason, run.trace)

@@ -17,6 +17,7 @@ from numpy._core.umath import clip as _clip
 
 from .problem import (
     Bounds,
+    ConfigError,
     EvalCounter,
     Problem,
     Reason,
@@ -35,10 +36,11 @@ class LocalConfig:
     qp_iters: int = 50
 
     def __post_init__(self):
-        if self.grad_step <= 0 or self.pg_tol <= 0:
-            raise ValueError("grad_step and pg_tol must be positive")
+        # written so that NaN fails too
+        if not (self.grad_step > 0 and self.pg_tol > 0):
+            raise ConfigError("grad_step and pg_tol must be positive")
         if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
+            raise ConfigError("armijo_c must lie in (0, 1)")
 
 
 class LocalStatus(str, Enum):

@@ -1,20 +1,20 @@
 """Block-coordinate solver: start selection, subproblems, phase switching."""
 
 import time
+from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import abcdirect.abcd as abcd_mod
 from abcdirect.abcd import (
     AbcdConfig,
-    AbcdState,
-    CoordMode,
-    Phase,
     abcd_solve,
     choose_start,
     make_subproblem,
-    select_coords,
-    stall_update,
+    random_blocks,
+    sequential_blocks,
 )
 from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.problem import Bounds, ConfigError, EvalCounter, Problem, Reason
@@ -65,24 +65,23 @@ class TestChooseStart:
 
 
 class TestSelectCoords:
+    """The coordinate blocks of the sequential and the random phases."""
+
     def test_sequential_wraps_around(self):
-        state = AbcdState(np.zeros(5), 0.0, Phase.COORDINATE)
-        seen = [list(select_coords(state, 5, 2, CoordMode.SEQUENTIAL))
-                for _ in range(5)]
+        seen = [list(idx) for idx in islice(sequential_blocks(5, 2), 5)]
         assert seen == [[0, 1], [2, 3], [4, 0], [1, 2], [3, 4]]
 
     def test_random_blocks_are_sorted_unique(self):
-        state = AbcdState(np.zeros(6), 0.0, Phase.BLOCK)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            idx = select_coords(state, 6, 3, CoordMode.RANDOM, rng)
+        for idx in islice(random_blocks(6, 3, np.random.default_rng(0)), 20):
             assert len(set(idx)) == 3
             assert list(idx) == sorted(idx)
 
     def test_rejects_out_of_range_size(self):
-        state = AbcdState(np.zeros(3), 0.0, Phase.BLOCK)
-        with pytest.raises(ConfigError):
-            select_coords(state, 3, 4, CoordMode.SEQUENTIAL)
+        p, pts = recording(sphere(3))
+        for sizes in (dict(m1=4), dict(m2=4), dict(m1=0), dict(m2=0)):
+            with pytest.raises(ConfigError, match="block sizes"):
+                abcd_solve(p, AbcdConfig(max_evals=100, **sizes))
+        assert not pts
 
 
 class TestMakeSubproblem:
@@ -139,17 +138,63 @@ class TestMakeSubproblem:
             assert x.tobytes() == ref.tobytes()
 
 
-class TestStallUpdate:
-    def test_descent_at_threshold_counts_as_stall(self):
-        # a descent of exactly eps1 still counts as a stall
-        streak, switched = stall_update(0, 2.0, 1.5, 0.5, 2)
-        assert streak == 1 and not switched
-        streak, switched = stall_update(streak, 1.5, 1.0, 0.5, 2)
-        assert streak == 2 and switched
+def descending(monkeypatch, steps):
+    """Replace ABCD's DIRECT subproblems by ones that lower the incumbent's
+    value by the next of `steps` (cycled) without evaluating; returns the
+    list of their coordinate blocks, one per subproblem run."""
+    calls = []
+    f = [1.0]  # the value of every point of the flat problems below
 
-    def test_real_descent_resets_streak(self):
-        streak, switched = stall_update(2, 1.0, 0.5, 1e-3, 3)
-        assert streak == 0 and not switched
+    def subproblem(problem, config, counter, coords, base):
+        f[0] -= steps[len(calls) % len(steps)]
+        calls.append(coords)
+        return SimpleNamespace(x_min=base.copy(), f_min=f[0])
+
+    monkeypatch.setattr(abcd_mod, "direct_solve", subproblem)
+    return calls
+
+
+class TestStallUpdate:
+    """Stalled subproblems in a row, on descents that are powers of two so
+    every difference of values is exact."""
+
+    def flat(self):
+        return Problem(lambda x: 1.0, Bounds(np.zeros(3), np.ones(3)))
+
+    def test_descent_at_threshold_counts_as_stall(self, monkeypatch):
+        # a descent of exactly switch_eps still counts as a stall: two in a
+        # row end the coordinate phase, and here the run
+        calls = descending(monkeypatch, [0.5])
+        res = abcd_solve(self.flat(), AbcdConfig(
+            switch_eps=0.5, t1=2, coordinate_only=True,
+            restart_on_stall=False, max_subproblems=10))
+        assert res.reason is Reason.GLOBAL_STALL
+        assert res.subproblems == len(calls) == 2
+        assert res.f_min == 0.0
+
+    def test_descent_at_threshold_counts_as_stall_in_blocks(self,
+                                                            monkeypatch):
+        # the same boundary in the block phase: min(n, 6) = 3 stalls in a
+        # row move on to the intensify polish and the sweep
+        monkeypatch.setattr(abcd_mod, "GLOBAL_STALL_EPS", 0.5)
+        descending(monkeypatch, [0.5])
+        res = abcd_solve(self.flat(), AbcdConfig(
+            switch_eps=0.5, t1=1, restart_on_stall=False,
+            max_subproblems=20))
+        labels = [row[2] for row in res.trace]
+        assert labels[:10] == ["coordinate", "coordinate", "local",
+                               "block", "block", "block", "local",
+                               "coordinate", "coordinate", "coordinate"]
+
+    def test_real_descent_resets_streak(self, monkeypatch):
+        # a descent above switch_eps restarts the count: only the two
+        # stalls in a row at the end leave the coordinate phase
+        calls = descending(monkeypatch, [0.5, 1.0, 0.5, 1.0, 0.5, 0.5])
+        res = abcd_solve(self.flat(), AbcdConfig(
+            switch_eps=0.5, t1=2, coordinate_only=True,
+            restart_on_stall=False, max_subproblems=10))
+        assert res.reason is Reason.GLOBAL_STALL
+        assert res.subproblems == len(calls) == 6
 
 
 class TestAbcdSolve:
@@ -255,6 +300,15 @@ class TestAbcdSolve:
             abcd_solve(p, AbcdConfig(m1=4))
         with pytest.raises(ConfigError):
             abcd_solve(p, AbcdConfig(t1=0))
+        # a NaN switch_eps used to pass and keep the run in the coordinate
+        # phase for good, and a cap below one left every subproblem only
+        # its start center, a repeat of the incumbent
+        p, pts = recording(p)
+        for field, value in (("switch_eps", np.nan), ("sub_eval_cap", 0),
+                             ("sub_eval_cap", -3)):
+            with pytest.raises(ConfigError, match=field):
+                abcd_solve(p, AbcdConfig(max_evals=100, **{field: value}))
+        assert not pts
 
     @pytest.mark.parametrize("eps", [0.0, -1e-4, np.nan])
     def test_rejects_poh_eps_before_evaluating(self, eps):

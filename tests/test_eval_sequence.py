@@ -13,6 +13,11 @@ bookkeeping and group keys became shared across partitions. The `sqp`
 digest was recorded before the QP step of the polish began to exit at a
 repeated iterate.
 
+Each ABCD case also pins the digest of its trace rows, subproblem count and
+stop reason (`trace_digest`), recorded before the phases were rewritten as
+one straight cycle: a mislabelled phase or an off-by-one subproblem count
+leaves the evaluations as they are.
+
 The coordinate-only S5 digest was re-recorded when the evaluation counter
 began to stop a run at its first evaluation within the target rather than
 at the end of the step: the new sequence is the old one cut short, which
@@ -62,13 +67,22 @@ def run_direct(name, dim, max_evals):
     return digest.hexdigest(), count[0]
 
 
+def trace_digest(result):
+    """sha256 of an ABCD result's trace rows, its subproblem count and its
+    stop reason, every value in hex."""
+    rows = [f"{e},{k},{phase},{float(f).hex()}"
+            for e, k, phase, f in result.trace]
+    rows.append(f"{result.subproblems},{result.reason.value}")
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
 def run_abcd(name, dim, max_evals, seed, capped=False, **config):
     """A seeded ABCD run; `capped` also caps the counter at max_evals."""
     problem, digest, count, _ = hashing(get_function(name, dim)[0])
     counter = EvalCounter(cap=max_evals) if capped else None
-    abcd_solve(problem, AbcdConfig(max_evals=max_evals, seed=seed, **config),
-               counter=counter)
-    return digest.hexdigest(), count[0]
+    result = abcd_solve(problem, AbcdConfig(max_evals=max_evals, seed=seed,
+                                            **config), counter=counter)
+    return digest.hexdigest(), count[0], trace_digest(result)
 
 
 def run_sqp(name, dim, max_evals, seed):
@@ -96,20 +110,23 @@ CASES = {
     "abcd-griewank-6-seed3": (
         lambda: run_abcd("griewank", 6, 4000, 3),
         "65c5f13402deec45254402bf75321b486d2b2d127da4264d7b5f63e3515562af",
-        4001),
+        4001,
+        "70d15b5757e5576beedb78c2dac223ce029aa6d693bbc76d2c79620a64642c2f"),
     # coordinate-only: stalls restart from a fresh sample (twice here); the
     # last evaluation is the first within the target
     "abcd-coordinate-S5-seed0": (
         lambda: run_abcd("S5", None, 3000, 0, capped=True,
                          coordinate_only=True),
         "5b4e3131f9134e695c44defdeb8d701eef7e8ad40eb84138549e3b6b7da7c7e6",
-        2453),
+        2453,
+        "d7f0dd01d00f92a052299e9a733b016fe03765426b0e696cb259d31183d42ea8"),
     # polish first, all three phases, intensify and one restart
     "abcd-sqp-first-griewank-4-seed3": (
         lambda: run_abcd("griewank", 4, 10000, 3, capped=True,
                          sqp_first=True),
         "cb5acd854b551b20537352e5c9c95183abe0c60b75fb9ce743df910219d206a3",
-        10000),
+        10000,
+        "f511a9690f3840edceb1a47c983307716a64cf1e491fd01d129a7ec4a997fa01"),
     # n = 12 is wide enough for numpy's 8-way pairwise sum inside measure()
     "direct-griewank-12": (
         lambda: run_direct("griewank", 12, 2000),
@@ -119,7 +136,8 @@ CASES = {
     "abcd-m1-3-griewank-7-seed1": (
         lambda: run_abcd("griewank", 7, 3000, 1, capped=True, m1=3),
         "61d96a7ac2288208a060a83d8350aca37227a962d47ee0f54dff0b789a5e66b0",
-        3000),
+        3000,
+        "6c97b9ad352728c2dc49dbd6b8fdd04864b12da3ba90e94b7c493a4f2d930304"),
     # the polish alone: 82 QP steps, many of which end in a repeated
     # iterate (a fixed point or a 2-cycle), until the budget runs out
     "sqp-S5-seed0": (
@@ -204,9 +222,11 @@ def unit_cube_probes(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
-    run, want_digest, want_count = CASES[case]
-    digest, count = run()
-    assert (digest, count) == (want_digest, want_count)
+    # the ABCD cases pin their trace digest as a third value
+    run, *want = CASES[case]
+    got = run()
+    assert got == tuple(want)
+    count = got[1]
     if case.startswith("sqp-"):
         # the polish evaluates in user space only
         assert not unit_cube_probes
@@ -225,7 +245,7 @@ def test_budget_clip_only_cuts_the_tail():
     problem, _, _, prefixes = hashing(get_function("griewank", 6)[0], 4000)
     abcd_solve(problem, AbcdConfig(max_evals=4000, seed=3))
     assert prefixes == [GRIEWANK_4000]
-    assert run_abcd("griewank", 6, 4000, 3, capped=True) == (
+    assert run_abcd("griewank", 6, 4000, 3, capped=True)[:2] == (
         GRIEWANK_4000, 4000)
 
 
@@ -233,7 +253,7 @@ def test_target_stop_only_cuts_the_tail():
     # without a target the run goes on past both pinned ends; its first
     # 2454 evaluations are the sequence pinned before the counter stopped
     # runs at the target, and its first 2453 the sequence pinned now
-    _, new_digest, new_count = CASES["abcd-coordinate-S5-seed0"]
+    _, new_digest, new_count, _ = CASES["abcd-coordinate-S5-seed0"]
     for want, count in (S5_BEFORE_THE_COUNTER_STOP, (new_digest, new_count)):
         s5 = get_function("S5")[0]
         problem, _, total, prefixes = hashing(

@@ -16,6 +16,7 @@ from abcdirect.local import (
 )
 from abcdirect.problem import (
     Bounds,
+    ConfigError,
     EvalCounter,
     NonFiniteValueError,
     Problem,
@@ -263,3 +264,9 @@ class TestSqpLocal:
             LocalConfig(grad_step=0.0)
         with pytest.raises(ValueError):
             LocalConfig(armijo_c=1.5)
+        # a NaN step used to fail in the objective's name, as a non-finite
+        # value at a NaN point, and a NaN tolerance never to count a point
+        # stationary
+        for field in ("grad_step", "pg_tol", "armijo_c"):
+            with pytest.raises(ConfigError, match=field):
+                LocalConfig(**{field: math.nan})

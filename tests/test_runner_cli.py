@@ -295,6 +295,17 @@ class TestCli:
         res = self.invoke("run", "--algo", "direct")
         assert res.exit_code == 1
 
+    def test_nan_switch_eps_is_config_error(self):
+        # a NaN threshold used to pass and keep ABCD in its coordinate
+        # phase for the whole run
+        res = self.invoke("run", "--function", "S5", "--algo", "abcd",
+                          "--switch-eps", "nan", "--max-evals", "200",
+                          "--reps", "1")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "configuration error" in res.output
+        assert "switch_eps" in res.output
+
     def test_unknown_config_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"function": "sphere", "dim": 2,

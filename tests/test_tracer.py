@@ -88,6 +88,41 @@ def test_direct_solve_calls_count_abcd_subproblems(monkeypatch):
     assert tracer.calls["Problem.__call__"] == tracer.evals == result.evals
 
 
+# two pins of tests/test_eval_sequence.py: coordinate-only with two
+# restarts, and polish-first through every phase with one restart
+PHASES = {
+    "abcd-coordinate-S5-seed0": (("S5", None), 3000, 0,
+                                 dict(coordinate_only=True), 2),
+    "abcd-sqp-first-griewank-4-seed3": (("griewank", 4), 10000, 3,
+                                        dict(sqp_first=True), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASES))
+def test_every_abcd_evaluation_is_counted_in_a_phase(monkeypatch, case):
+    # the tracer counts ABCD's evaluations at `choose_start`, `direct_solve`
+    # and `sqp_local`, which it patches where `abcdirect.abcd` looks them
+    # up: a solver that reached them another way would drop out unseen
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    (name, dim), cap, seed, config, restarts = PHASES[case]
+    tracer = Tracer().install()
+    try:
+        result = runner_mod.abcd_solve(
+            get_function(name, dim)[0],
+            AbcdConfig(max_evals=cap, seed=seed, **config),
+            EvalCounter(cap=cap))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    phases = [metrics[f"abcd.evals_{phase}"][0]
+              for phase in ("start", "direct", "local")]
+    assert sum(phases) == result.evals == tracer.evals
+    assert metrics["abcd.restarts"][0] == restarts
+    assert (phases[2] > 0) == ("sqp_first" in config)
+
+
 # digests and counts pinned in tests/test_eval_sequence.py
 PINNED = {
     "direct-rastrigin-4": (
