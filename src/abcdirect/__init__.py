@@ -9,7 +9,7 @@ from .problem import (
     evaluate_counted,
 )
 from .direct import DirectConfig, DirectResult, direct_solve, identify_poh, measure
-from .local import LocalConfig, LocalResult, LocalStatus, sqp_local
+from .local import LocalResult, LocalStatus, sqp_local
 from .abcd import AbcdConfig, AbcdResult, abcd_solve
 from .runner import RunReport, RunSpec, run_one, run_single, run_suite
 from .functions import get_function, list_functions
@@ -38,7 +38,6 @@ __all__ = [
     "direct_solve",
     "identify_poh",
     "measure",
-    "LocalConfig",
     "LocalResult",
     "LocalStatus",
     "sqp_local",

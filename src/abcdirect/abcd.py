@@ -13,15 +13,15 @@ After an optimistic start sample, a run repeats one cycle (`_Run.cycle`):
    every coordinate once.
 
 `coordinate_only` keeps phase 1 alone. A cycle stalls unless phase 4 moved
-the best; a stalled cycle restarts from a fresh start sample, or ends the
-run without `restart_on_stall` or without any budget (neither a config
-budget nor a counter cap or deadline).
+the best; a stalled cycle restarts from a fresh start sample exactly when the
+run has a budget (`max_evals`, or a counter cap or deadline), and ends the
+run otherwise.
 
 Every stop is a `Stop` that `abcd_solve` catches. The counter, armed with
 `target_accuracy` and `max_seconds`, raises it at the evaluation where the
 target, the time or its cap holds; `_Run.check`, run before every
 subproblem, polish and restart, raises it on the counter's reason, then on
-the subproblem and `max_evals` budgets. So no step passes a solver's stop on.
+the `max_evals` budget. So no step passes a solver's stop on.
 
 The best point never worsens. `max_evals` also clips each DIRECT
 subproblem's cap, which `direct_solve` checks after every division, so a run
@@ -32,6 +32,7 @@ passes one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -40,7 +41,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .direct import DirectConfig, direct_solve
-from .local import LocalConfig, sqp_local
+from .local import sqp_local
 from .problem import (
     Bounds,
     ConfigError,
@@ -52,7 +53,10 @@ from .problem import (
 )
 
 GLOBAL_STALL_EPS = 1e-6  # block-phase and intensify descent threshold
+SUB_CAP_PER_COORD = 100  # a subproblem's evaluation cap per block coordinate
 DEEP_CAP_FACTOR = 5      # sweep subproblems get this many times the cap
+# the DIRECT stops of every subproblem but the deep sweep's, which has none
+SUB_STOPS = dict(min_measure=1e-6, stall_eps=1e-8, stall_iters=5)
 
 
 class Phase(str, Enum):
@@ -73,31 +77,31 @@ class AbcdConfig:
     t1: int = 3                     # stalled coordinate steps before leaving
     switch_eps: float = 1e-3        # descent at or below this counts as a stall
     target_accuracy: float = 1e-4   # the counter's, as is max_seconds
-    sub_eval_cap: Optional[int] = None   # per subproblem, default 100 * block
-    max_evals: Optional[int] = None      # checked per step, clips subproblems
-    max_subproblems: Optional[int] = None
+    max_evals: Optional[int] = None  # checked per step, clips subproblems
     max_seconds: Optional[float] = None
     seed: int = 0
     sqp_first: bool = False         # every cycle opens with the polish
     coordinate_only: bool = False   # no polish, no blocks: a stall restarts
-    restart_on_stall: bool = True   # restart a stall if a budget is set
-    # per-subproblem DIRECT stops (the deep sweep uses none)
-    sub_min_measure: float = 1e-6
-    sub_stall_eps: float = 1e-8
-    sub_stall_iters: int = 5
     poh_eps: float = 1e-4
 
     def validate(self, n: int) -> None:
-        # the comparisons are written so that NaN fails them
-        if not (1 <= self.m1 <= n and 1 <= self.m2 <= n):
-            raise ConfigError("block sizes must lie in [1, n]")
-        if self.t1 < 1 or not self.switch_eps > 0:
-            raise ConfigError("t1 >= 1 and switch_eps > 0 required")
-        if self.sub_eval_cap is not None and self.sub_eval_cap < 1:
-            raise ConfigError(
-                f"sub_eval_cap must be >= 1, got {self.sub_eval_cap}")
-        if not self.poh_eps > 0:
-            raise ConfigError(f"poh_eps must be positive, got {self.poh_eps}")
+        check_values(self.m1, self.m2, self.t1, self.switch_eps, self.poh_eps,
+                     n)
+
+
+def check_values(m1: int, m2: int, t1: int, switch_eps: float,
+                 poh_eps: float, n: float = math.inf) -> None:
+    """Raise ConfigError on the first value out of its range; without the
+    dimension n, block sizes are only checked to be at least 1."""
+    # the comparisons are written so that NaN fails them
+    sizes = f"in [1, {n}] like all block sizes"
+    for name, value, rule, ok in (
+            ("m1", m1, sizes, 1 <= m1 <= n), ("m2", m2, sizes, 1 <= m2 <= n),
+            ("t1", t1, ">= 1", t1 >= 1),
+            ("switch_eps", switch_eps, "positive", switch_eps > 0),
+            ("poh_eps", poh_eps, "positive", poh_eps > 0)):
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -209,9 +213,6 @@ class _Run:
         cfg = self.config
         if self.counter.reason is not None:
             raise Stop(self.counter.reason)
-        if (cfg.max_subproblems is not None
-                and self.subproblems >= cfg.max_subproblems):
-            raise Stop(Reason.ITER_BUDGET)
         if ((cfg.max_evals is not None and self.spent() >= cfg.max_evals)
                 or self.counter.remaining == 0):
             raise Stop(Reason.EVAL_BUDGET)
@@ -245,16 +246,12 @@ class _Run:
         stops would merge."""
         self.check()
         cfg = self.config
-        cap = cfg.sub_eval_cap
-        if cap is None:
-            cap = 100 * len(idx)
+        cap = SUB_CAP_PER_COORD * len(idx)
         if deep:
             cap *= DEEP_CAP_FACTOR
         if cfg.max_evals is not None:
             cap = min(cap, cfg.max_evals - self.spent())
-        stops = {} if deep else dict(min_measure=cfg.sub_min_measure,
-                                     stall_eps=cfg.sub_stall_eps,
-                                     stall_iters=cfg.sub_stall_iters)
+        stops = {} if deep else SUB_STOPS
         sub_cfg = DirectConfig(poh_eps=cfg.poh_eps, max_evals=cap, **stops)
         res = direct_solve(self.problem, sub_cfg, counter=self.counter,
                            coords=idx, base=self.incumbent_x)
@@ -276,8 +273,7 @@ class _Run:
 
     def polish(self) -> None:
         self.check()
-        res = sqp_local(self.problem, self.incumbent_x, LocalConfig(),
-                        self.counter)
+        res = sqp_local(self.problem, self.incumbent_x, self.counter)
         self.adopt(res.x, res.f)
         self.record(Phase.LOCAL)
 
@@ -311,9 +307,8 @@ class _Run:
         restarts, or ends the run as a global stall."""
         cfg, counter = self.config, self.counter
         # without any budget a restart loop could never terminate
-        restarts = cfg.restart_on_stall and not (
-            cfg.max_evals is None and cfg.max_subproblems is None
-            and counter.cap is None and counter.deadline is None)
+        restarts = not (cfg.max_evals is None and counter.cap is None
+                        and counter.deadline is None)
         self.start()
         while True:
             if self.cycle():

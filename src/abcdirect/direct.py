@@ -429,7 +429,6 @@ class DirectConfig:
     """Knobs for one dividing-rectangles run."""
 
     poh_eps: float = 1e-4
-    max_iters: Optional[int] = None
     max_evals: Optional[int] = None
     target_accuracy: float = 1e-4
     max_seconds: Optional[float] = None  # counted from the call's start
@@ -540,8 +539,6 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     while reason is None:
         if 0 < config.stall_iters <= stall_streak:
             reason = Reason.GLOBAL_STALL
-        elif config.max_iters is not None and t >= config.max_iters:
-            reason = Reason.ITER_BUDGET
         elif counter.count >= stop_count:
             reason = Reason.EVAL_BUDGET
         elif state.min_measure < config.min_measure:

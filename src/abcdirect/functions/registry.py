@@ -230,7 +230,7 @@ def validate_registry(samples: int = 10 ** 6, polish_count: int = 10,
     plus a short local polish from the best few, must not beat f_star by more
     than the tolerance.
     """
-    from ..local import LocalConfig, sqp_local
+    from ..local import sqp_local
 
     rng = np.random.default_rng(seed)
     report = []
@@ -253,8 +253,7 @@ def validate_registry(samples: int = 10 ** 6, polish_count: int = 10,
             order = np.argsort(vals)
             best = float(vals[order[0]])
             for idx in order[:polish_count]:
-                res = sqp_local(problem, pts[idx],
-                                LocalConfig(max_iters=100))
+                res = sqp_local(problem, pts[idx], max_iters=100)
                 best = min(best, res.f)
             if best < meta.f_star - rtol * max(1.0, abs(meta.f_star)):
                 row["ok"] = False

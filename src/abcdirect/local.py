@@ -17,7 +17,6 @@ from numpy._core.umath import clip as _clip
 
 from .problem import (
     Bounds,
-    ConfigError,
     EvalCounter,
     Problem,
     Reason,
@@ -26,21 +25,11 @@ from .problem import (
 )
 
 
-@dataclass
-class LocalConfig:
-    grad_step: float = 1e-7       # relative finite-difference step
-    max_iters: int = 200
-    pg_tol: float = 1e-8          # projected-gradient stationarity tolerance
-    armijo_c: float = 1e-4
-    max_backtracks: int = 30
-    qp_iters: int = 50
-
-    def __post_init__(self):
-        # written so that NaN fails too
-        if not (self.grad_step > 0 and self.pg_tol > 0):
-            raise ConfigError("grad_step and pg_tol must be positive")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ConfigError("armijo_c must lie in (0, 1)")
+GRAD_STEP = 1e-7       # relative finite-difference step
+PG_TOL = 1e-8          # projected-gradient stationarity tolerance
+ARMIJO_C = 1e-4        # sufficient-decrease constant of the line search
+MAX_BACKTRACKS = 30    # step halvings before the line search fails
+QP_ITERS = 50          # projected-gradient iterations per QP step
 
 
 class LocalStatus(str, Enum):
@@ -62,11 +51,10 @@ class LocalResult:
 
 
 def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
-                grad_step: float = 1e-7,
                 f0: Optional[float] = None) -> np.ndarray:
     """One-sided finite differences, n extra evaluations.
 
-    Forward step h_i = grad_step*max(1, |x_i|); switches to backward when the
+    Forward step h_i = GRAD_STEP*max(1, |x_i|); switches to backward when the
     forward probe would leave the upper bound. The steps are computed on
     Python floats, the same IEEE operations as on numpy scalars; each probe
     is a fresh array.
@@ -77,7 +65,7 @@ def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
     upper = problem.bounds.upper.tolist()
     g = np.empty_like(x)
     for i, xi in enumerate(x.tolist()):
-        h = grad_step * max(1.0, abs(xi))
+        h = GRAD_STEP * max(1.0, abs(xi))
         if xi + h > upper[i]:
             h = -h
         probe = x.copy()
@@ -87,7 +75,7 @@ def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
 
 
 def box_qp_step(g: np.ndarray, B: np.ndarray, x: np.ndarray, bounds: Bounds,
-                iters: int = 50) -> np.ndarray:
+                iters: int = QP_ITERS) -> np.ndarray:
     """Approximately minimize g.p + 0.5 p'Bp over lower <= x+p <= upper.
 
     Projected gradient with a fixed step 1/L (L = largest eigenvalue of B)
@@ -132,9 +120,11 @@ def _projected_gradient_norm(x, g, bounds):
     return float(np.abs(_clip(x - g, bounds.lower, bounds.upper) - x).max())
 
 
-def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
-              counter: Optional[EvalCounter] = None) -> LocalResult:
-    """Quasi-Newton descent from x0; returns the best point seen.
+def sqp_local(problem: Problem, x0: np.ndarray,
+              counter: Optional[EvalCounter] = None, *,
+              max_iters: int = 200) -> LocalResult:
+    """Quasi-Newton descent from x0, at most `max_iters` steps; returns the
+    best point seen.
 
     Powell-damped BFGS keeps the model positive definite. A non-finite
     value raises NonFiniteValueError, as in every phase. A `Stop` from the
@@ -161,30 +151,29 @@ def sqp_local(problem: Problem, x0: np.ndarray, config: LocalConfig,
         f = evaluate_counted(problem, x, counter)
         best_x, best_f = x.copy(), f
         trace.append((spent(), best_f))
-        g = fd_gradient(problem, x, counter, config.grad_step, f0=f)
-        for it in range(1, config.max_iters + 1):
-            if _projected_gradient_norm(x, g, bounds) <= config.pg_tol:
+        g = fd_gradient(problem, x, counter, f0=f)
+        for it in range(1, max_iters + 1):
+            if _projected_gradient_norm(x, g, bounds) <= PG_TOL:
                 status = LocalStatus.STATIONARY
                 break
-            p = box_qp_step(g, B, x, bounds, config.qp_iters)
+            p = box_qp_step(g, B, x, bounds)
             slope = float(g @ p)
             if not np.any(p) or slope >= 0.0:
                 status = LocalStatus.STATIONARY
                 break
             alpha = 1.0
             accepted = False
-            for _ in range(config.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 x_new = _clip(x + alpha * p, bounds.lower, bounds.upper)
                 f_new = evaluate_counted(problem, x_new, counter)
-                if f_new <= f + config.armijo_c * alpha * slope:
+                if f_new <= f + ARMIJO_C * alpha * slope:
                     accepted = True
                     break
                 alpha *= 0.5
             if not accepted:
                 status = LocalStatus.LINE_SEARCH_FAILURE
                 break
-            g_new = fd_gradient(problem, x_new, counter, config.grad_step,
-                                f0=f_new)
+            g_new = fd_gradient(problem, x_new, counter, f0=f_new)
             s = x_new - x
             y = g_new - g
             Bs = B @ s

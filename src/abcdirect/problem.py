@@ -40,7 +40,6 @@ class Reason(str, Enum):
 
     TARGET_REACHED = "target_reached"
     EVAL_BUDGET = "eval_budget"
-    ITER_BUDGET = "iter_budget"
     TIME_BUDGET = "time_budget"
     GLOBAL_STALL = "global_stall"
 

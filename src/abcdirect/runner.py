@@ -5,6 +5,7 @@ target / stall / time / evaluation termination protocol, aggregate suites.
 from __future__ import annotations
 
 import json
+import numbers
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -13,13 +14,24 @@ from typing import Optional
 
 import numpy as np
 
-from .abcd import AbcdConfig, abcd_solve, choose_start, start_samples
+from .abcd import (AbcdConfig, abcd_solve, check_values, choose_start,
+                   start_samples)
 from .direct import DirectConfig, direct_solve
-from .local import LocalConfig, sqp_local
+from .local import sqp_local
 from .problem import ConfigError, EvalCounter, Reason, Stop
 from .functions import get_function
 
 ALGORITHMS = ("direct", "abcd-coordinate", "abcd", "sqp")
+
+# RunSpec fields by the type of their values; a bool is no integer or number
+# here, and only `dim` and `max_wall_seconds` may be None
+_TYPED_FIELDS = (
+    (("dim", "max_evals", "seed", "repetitions", "m1", "m2", "t1"),
+     numbers.Integral, "an integer"),
+    (("target_accuracy", "max_wall_seconds", "switch_eps", "poh_eps"),
+     numbers.Real, "a number"),
+    (("sqp_first",), bool, "a bool"),
+)
 
 
 @dataclass
@@ -43,13 +55,21 @@ class RunSpec:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; pick from {ALGORITHMS}")
+        for names, kind, what in _TYPED_FIELDS:
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name in ("dim", "max_wall_seconds"):
+                    continue
+                if (not isinstance(value, kind)
+                        or kind is not bool and isinstance(value, bool)):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.max_evals < 1:
             raise ConfigError("max_evals must be positive")
+        # the ABCD values that need no dimension; m1, m2 <= n is the run's
+        check_values(self.m1, self.m2, self.t1, self.switch_eps, self.poh_eps)
         # written so that NaN fails too
-        if not self.poh_eps > 0:
-            raise ConfigError("poh_eps must be positive")
         if not self.target_accuracy >= 0:
             raise ConfigError("target_accuracy must be nonnegative")
         if self.max_wall_seconds is not None and not self.max_wall_seconds > 0:
@@ -82,7 +102,7 @@ def _run_sqp(problem, seed: int, counter: EvalCounter):
         x0, f0 = choose_start(problem, start_samples(problem.n), rng, counter)
     except Stop as stop:
         return stop.reason, []
-    res = sqp_local(problem, x0, LocalConfig(), counter)
+    res = sqp_local(problem, x0, counter)
     trace = [[counter.count - res.evals, "local", f0]]
     trace += [[e, "local", f] for e, f in res.trace]
     # a polish that ends on its own (stationary, iteration cap, failed line
@@ -163,20 +183,17 @@ class SuiteReport:
 
 
 def aggregate(reports: list[RunReport]) -> SuiteReport:
-    success_counts: dict = {}
-    median_evals: dict = {}
+    hits: dict = {}  # (function, dim, algorithm) -> evals of its successes
     cases: dict = {}
     for rep in reports:
         key = (rep.function, rep.dim, rep.algorithm)
         cases.setdefault((rep.function, rep.dim), set()).add(rep.algorithm)
-        success_counts.setdefault(key, 0)
+        evals = hits.setdefault(key, [])
         if rep.termination == Reason.TARGET_REACHED:
-            success_counts[key] += 1
-    for key in success_counts:
-        evals = [r.evals for r in reports
-                 if (r.function, r.dim, r.algorithm) == key
-                 and r.termination == Reason.TARGET_REACHED]
-        median_evals[key] = statistics.median(evals) if evals else None
+            evals.append(rep.evals)
+    success_counts = {key: len(evals) for key, evals in hits.items()}
+    median_evals = {key: statistics.median(evals) if evals else None
+                    for key, evals in hits.items()}
 
     algorithms = sorted({r.algorithm for r in reports})
     wins = {a: 0 for a in algorithms}

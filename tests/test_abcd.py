@@ -166,8 +166,7 @@ class TestStallUpdate:
         # row end the coordinate phase, and here the run
         calls = descending(monkeypatch, [0.5])
         res = abcd_solve(self.flat(), AbcdConfig(
-            switch_eps=0.5, t1=2, coordinate_only=True,
-            restart_on_stall=False, max_subproblems=10))
+            switch_eps=0.5, t1=2, coordinate_only=True))
         assert res.reason is Reason.GLOBAL_STALL
         assert res.subproblems == len(calls) == 2
         assert res.f_min == 0.0
@@ -175,12 +174,14 @@ class TestStallUpdate:
     def test_descent_at_threshold_counts_as_stall_in_blocks(self,
                                                             monkeypatch):
         # the same boundary in the block phase: min(n, 6) = 3 stalls in a
-        # row move on to the intensify polish and the sweep
+        # row move on to the intensify polish and the sweep; the sweep's
+        # descents never stall a cycle, so the polishes' evaluations (four
+        # each, after a start sample of six) end the run on its budget
         monkeypatch.setattr(abcd_mod, "GLOBAL_STALL_EPS", 0.5)
         descending(monkeypatch, [0.5])
         res = abcd_solve(self.flat(), AbcdConfig(
-            switch_eps=0.5, t1=1, restart_on_stall=False,
-            max_subproblems=20))
+            switch_eps=0.5, t1=1, max_evals=30))
+        assert res.reason is Reason.EVAL_BUDGET
         labels = [row[2] for row in res.trace]
         assert labels[:10] == ["coordinate", "coordinate", "local",
                                "block", "block", "block", "local",
@@ -191,8 +192,7 @@ class TestStallUpdate:
         # stalls in a row at the end leave the coordinate phase
         calls = descending(monkeypatch, [0.5, 1.0, 0.5, 1.0, 0.5, 0.5])
         res = abcd_solve(self.flat(), AbcdConfig(
-            switch_eps=0.5, t1=2, coordinate_only=True,
-            restart_on_stall=False, max_subproblems=10))
+            switch_eps=0.5, t1=2, coordinate_only=True))
         assert res.reason is Reason.GLOBAL_STALL
         assert res.subproblems == len(calls) == 6
 
@@ -245,18 +245,20 @@ class TestAbcdSolve:
         assert res.reason is Reason.TIME_BUDGET
         assert time.monotonic() - t0 < 0.25
 
-    def test_subproblem_budget(self):
-        p = sphere(4)
-        res = abcd_solve(p, AbcdConfig(max_subproblems=3, max_evals=10 ** 6,
-                                       seed=0))
-        assert res.reason is Reason.ITER_BUDGET
-        assert res.subproblems == 3
+    def test_stall_terminates_without_restarts(self, monkeypatch):
+        # without a budget the first stalled cycle ends the run: one start
+        # sample, no fresh one
+        starts = []
 
-    def test_stall_terminates_without_restarts(self):
+        def counted_start(*args):
+            starts.append(args)
+            return choose_start(*args)
+
+        monkeypatch.setattr(abcd_mod, "choose_start", counted_start)
         p = Problem(lambda x: 1.0, Bounds(np.zeros(3), np.ones(3)))
-        res = abcd_solve(p, AbcdConfig(max_evals=10 ** 6, seed=0,
-                                       restart_on_stall=False))
+        res = abcd_solve(p, AbcdConfig(seed=0))
         assert res.reason == "global_stall"
+        assert len(starts) == 1
 
     def test_stall_without_budget_terminates(self):
         # restarts stay enabled, but with no budget at all the stall must end
@@ -301,13 +303,10 @@ class TestAbcdSolve:
         with pytest.raises(ConfigError):
             abcd_solve(p, AbcdConfig(t1=0))
         # a NaN switch_eps used to pass and keep the run in the coordinate
-        # phase for good, and a cap below one left every subproblem only
-        # its start center, a repeat of the incumbent
+        # phase for good
         p, pts = recording(p)
-        for field, value in (("switch_eps", np.nan), ("sub_eval_cap", 0),
-                             ("sub_eval_cap", -3)):
-            with pytest.raises(ConfigError, match=field):
-                abcd_solve(p, AbcdConfig(max_evals=100, **{field: value}))
+        with pytest.raises(ConfigError, match="switch_eps"):
+            abcd_solve(p, AbcdConfig(max_evals=100, switch_eps=np.nan))
         assert not pts
 
     @pytest.mark.parametrize("eps", [0.0, -1e-4, np.nan])
@@ -319,9 +318,11 @@ class TestAbcdSolve:
             abcd_solve(p, AbcdConfig(poh_eps=eps, max_evals=100))
         assert not pts
 
-    def test_full_block_no_switch_degenerates_to_direct(self):
+    def test_full_block_no_switch_degenerates_to_direct(self, monkeypatch):
         """With one n-sized block, no switch and no local phase, the solver
         is a start sample followed by one full-box dividing-rectangles run."""
+        monkeypatch.setattr(abcd_mod, "SUB_CAP_PER_COORD", 400)
+        monkeypatch.setattr(abcd_mod, "SUB_STOPS", {})
         base = Problem(
             lambda x: float((x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.8) ** 2),
             Bounds(np.full(2, -2.0), np.full(2, 2.0)),
@@ -332,9 +333,7 @@ class TestAbcdSolve:
         pa, pts_abcd = recording(base)
         q = min(2 * base.n, 32)
         abcd_solve(pa, AbcdConfig(
-            m1=2, coordinate_only=True,
-            restart_on_stall=False, sub_eval_cap=800, sub_min_measure=0.0,
-            sub_stall_eps=0.0, sub_stall_iters=0, max_evals=q + 800,
+            m1=2, coordinate_only=True, max_evals=q + 800,
             seed=0, target_accuracy=0.0))
         tail = pts_abcd[q:q + len(pts_direct)]
         assert len(tail) == len(pts_direct)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import abcdirect.abcd as abcd_mod
 import abcdirect.direct as direct_mod
 from abcdirect.abcd import AbcdConfig, abcd_solve
 from abcdirect.direct import (
@@ -26,7 +27,7 @@ from abcdirect.direct import (
 )
 from abcdirect.functions import get_function
 from abcdirect.functions.registry import HEDAR_NAMES, JONES_NAMES
-from abcdirect.local import LocalConfig, fd_gradient, sqp_local
+from abcdirect.local import fd_gradient, sqp_local
 from abcdirect.problem import (
     Bounds,
     EvalCounter,
@@ -179,8 +180,9 @@ def test_4_flat_one_dim_convergence():
         Bounds(np.array([-1.0]), np.array([1.0])),
         known_optimum=0.0,
     )
-    res = direct_solve(problem, DirectConfig(max_iters=10))
-    ok = res.reason is Reason.TARGET_REACHED and abs(res.f_min) <= 1e-4
+    res = direct_solve(problem, DirectConfig(max_evals=100))
+    ok = (res.reason is Reason.TARGET_REACHED and abs(res.f_min) <= 1e-4
+          and res.iterations <= 10)
     report(4, "flat 1-D sixth-power convergence", ok,
            f"f_min={res.f_min:.2e} after {res.iterations} iterations")
 
@@ -235,7 +237,11 @@ def test_6_hedar_ordering():
            f"michalewicz descent={mich_ok}, {elapsed:.0f}s")
 
 
-def test_7_degeneration_equivalence():
+def test_7_degeneration_equivalence(monkeypatch):
+    # one subproblem over every coordinate with no early stops; max_evals
+    # clips its cap to the DIRECT run's 2000 evaluations
+    monkeypatch.setattr(abcd_mod, "SUB_CAP_PER_COORD", 2000)
+    monkeypatch.setattr(abcd_mod, "SUB_STOPS", {})
     cases = [("BR", None), ("H3", None), ("rastrigin", 3)]
     identical = []
     for name, dim in cases:
@@ -246,9 +252,7 @@ def test_7_degeneration_equivalence():
         pa, pts_abcd = recording(problem)
         q = min(2 * n, 32)
         abcd_solve(pa, AbcdConfig(
-            m1=n, coordinate_only=True,
-            restart_on_stall=False, sub_eval_cap=2000, sub_min_measure=0.0,
-            sub_stall_eps=0.0, sub_stall_iters=0, max_evals=q + 2000,
+            m1=n, coordinate_only=True, max_evals=q + 2000,
             seed=0, target_accuracy=0.0))
         tail = pts_abcd[q:q + len(pts_direct)]
         identical.append(
@@ -307,17 +311,17 @@ def test_8_local_optimizer_quality():
                    Bounds(np.full(2, -5.0), np.full(2, 5.0)))
     x_star = np.linalg.solve(A, -b)
     f_star = float(0.5 * x_star @ A @ x_star + b @ x_star)
-    res_q = sqp_local(quad, np.array([3.0, 3.0]), LocalConfig())
+    res_q = sqp_local(quad, np.array([3.0, 3.0]))
     quad_ok = res_q.f - f_star <= 1e-8
 
     # in-basin Rosenbrock succeeds ...
     rosen, _ = get_function("rosenbrock", 2, adjust=False)
-    res_r = sqp_local(rosen, np.array([-1.2, 1.0]), LocalConfig())
+    res_r = sqp_local(rosen, np.array([-1.2, 1.0]))
     rosen_ok = res_r.f <= 1e-4
 
     # ... while a far start on multimodal Ackley must end in a local trap
     ackley, _ = get_function("ackley", 6, adjust=False)
-    res_a = sqp_local(ackley, np.full(6, 25.0), LocalConfig())
+    res_a = sqp_local(ackley, np.full(6, 25.0))
     ackley_ok = res_a.f > 1e-4
 
     ok = grad_ok and quad_ok and rosen_ok and ackley_ok

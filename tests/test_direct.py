@@ -490,16 +490,10 @@ class TestDirectSolve:
             Bounds(np.array([-1.0]), np.array([1.0])),
             known_optimum=0.0,
         )
-        res = direct_solve(problem, DirectConfig(max_iters=10))
+        res = direct_solve(problem, DirectConfig(max_evals=100))
         assert res.reason is Reason.TARGET_REACHED
         assert abs(res.f_min) <= 1e-4
         assert res.iterations <= 10
-
-    def test_iter_budget_stop(self):
-        problem = box_problem(lambda x: float(np.sum(x)), 2)
-        res = direct_solve(problem, DirectConfig(max_iters=3))
-        assert res.reason == "iter_budget"
-        assert res.iterations == 3
 
     def test_eval_budget_stop_counts_locally(self):
         problem = box_problem(lambda x: float(np.sum(x * x)), 2)

@@ -34,7 +34,7 @@ import abcdirect.direct as direct_mod
 from abcdirect.abcd import AbcdConfig, abcd_solve, choose_start, start_samples
 from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.functions import get_function
-from abcdirect.local import LocalConfig, sqp_local
+from abcdirect.local import sqp_local
 from abcdirect.problem import EvalCounter, Problem
 
 
@@ -92,7 +92,7 @@ def run_sqp(name, dim, max_evals, seed):
     counter = EvalCounter(cap=max_evals)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x0, _ = choose_start(problem, start_samples(problem.n), rng, counter)
-    sqp_local(problem, x0, LocalConfig(), counter)
+    sqp_local(problem, x0, counter)
     return digest.hexdigest(), count[0]
 
 

@@ -9,14 +9,13 @@ import pytest
 
 import abcdirect.problem as problem_mod
 from abcdirect.local import (
-    LocalConfig,
+    LocalStatus,
     box_qp_step,
     fd_gradient,
     sqp_local,
 )
 from abcdirect.problem import (
     Bounds,
-    ConfigError,
     EvalCounter,
     NonFiniteValueError,
     Problem,
@@ -157,7 +156,7 @@ class TestSqpLocal:
         b = np.array([1.0, -2.0])
         bounds = Bounds(np.full(2, -5.0), np.full(2, 5.0))
         p = quadratic_problem(A, b, bounds)
-        res = sqp_local(p, np.array([3.0, 3.0]), LocalConfig())
+        res = sqp_local(p, np.array([3.0, 3.0]))
         x_star = np.linalg.solve(A, -b)
         f_star = float(0.5 * x_star @ A @ x_star + b @ x_star)
         assert res.f - f_star <= 1e-8
@@ -167,14 +166,14 @@ class TestSqpLocal:
             return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
 
         p = Problem(f, Bounds(np.full(2, -5.0), np.full(2, 10.0)))
-        res = sqp_local(p, np.array([-1.2, 1.0]), LocalConfig())
+        res = sqp_local(p, np.array([-1.2, 1.0]))
         assert res.f <= 1e-4
 
     def test_active_bound_solution(self):
         # unconstrained minimum at -2, box stops at 0
         p = Problem(lambda x: float((x[0] + 2.0) ** 2),
                     Bounds(np.array([0.0]), np.array([5.0])))
-        res = sqp_local(p, np.array([4.0]), LocalConfig())
+        res = sqp_local(p, np.array([4.0]))
         assert res.x[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_never_worse_than_start(self):
@@ -185,14 +184,14 @@ class TestSqpLocal:
         p = Problem(f, Bounds(np.full(3, -2.0), np.full(3, 2.0)))
         for _ in range(10):
             x0 = rng.uniform(-2, 2, size=3)
-            res = sqp_local(p, x0, LocalConfig(max_iters=20))
+            res = sqp_local(p, x0, max_iters=20)
             assert res.f <= p(x0) + 1e-15
 
     def test_budget_exhaustion_status(self):
         p = Problem(lambda x: float(np.sum(x * x)),
                     Bounds(np.full(4, -1.0), np.full(4, 1.0)))
         counter = EvalCounter(cap=10)
-        res = sqp_local(p, np.full(4, 0.9), LocalConfig(), counter)
+        res = sqp_local(p, np.full(4, 0.9), counter)
         assert res.status is Reason.EVAL_BUDGET
         assert counter.count == 10
         assert res.evals == 10
@@ -201,7 +200,7 @@ class TestSqpLocal:
         p = Problem(lambda x: float(np.sum(x * x)),
                     Bounds(np.full(4, -1.0), np.full(4, 1.0)))
         counter = EvalCounter(deadline=time.monotonic() - 1.0)
-        res = sqp_local(p, np.full(4, 0.9), LocalConfig(), counter)
+        res = sqp_local(p, np.full(4, 0.9), counter)
         assert res.status is Reason.TIME_BUDGET
         assert counter.count == res.evals == 0
         assert res.f == np.inf
@@ -221,7 +220,7 @@ class TestSqpLocal:
                             SimpleNamespace(monotonic=lambda: clock[0]))
         p = Problem(ticking, Bounds(np.full(4, -1.0), np.full(4, 1.0)))
         counter = EvalCounter(deadline=4.5)
-        res = sqp_local(p, np.full(4, 0.9), LocalConfig(), counter)
+        res = sqp_local(p, np.full(4, 0.9), counter)
         assert res.status is Reason.TIME_BUDGET
         assert counter.count == res.evals == 1 + 4
         assert np.array_equal(res.x, np.full(4, 0.9))
@@ -229,8 +228,8 @@ class TestSqpLocal:
     def test_distant_deadline_changes_nothing(self):
         p = Problem(lambda x: float(np.sum(x * x)),
                     Bounds(np.full(3, -1.0), np.full(3, 1.0)))
-        free = sqp_local(p, np.full(3, 0.7), LocalConfig())
-        timed = sqp_local(p, np.full(3, 0.7), LocalConfig(),
+        free = sqp_local(p, np.full(3, 0.7))
+        timed = sqp_local(p, np.full(3, 0.7),
                           EvalCounter(deadline=time.monotonic() + 1e6))
         assert (timed.f, timed.evals, timed.status) == (
             free.f, free.evals, free.status)
@@ -250,23 +249,20 @@ class TestSqpLocal:
                                                np.full(n, 1.0)))
         counter = EvalCounter()
         with pytest.raises(NonFiniteValueError):
-            sqp_local(p, np.full(n, 0.5), LocalConfig(), counter)
+            sqp_local(p, np.full(n, 0.5), counter)
         assert counter.count == count[0] == n + 2
 
     def test_start_clipped_into_box(self):
         p = Problem(lambda x: float(x[0] ** 2),
                     Bounds(np.array([-1.0]), np.array([1.0])))
-        res = sqp_local(p, np.array([7.0]), LocalConfig())
+        res = sqp_local(p, np.array([7.0]))
         assert abs(res.x[0]) <= 1.0
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LocalConfig(grad_step=0.0)
-        with pytest.raises(ValueError):
-            LocalConfig(armijo_c=1.5)
-        # a NaN step used to fail in the objective's name, as a non-finite
-        # value at a NaN point, and a NaN tolerance never to count a point
-        # stationary
-        for field in ("grad_step", "pg_tol", "armijo_c"):
-            with pytest.raises(ConfigError, match=field):
-                LocalConfig(**{field: math.nan})
+    def test_max_iters_caps_the_steps(self):
+        def f(x):
+            return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
+
+        p = Problem(f, Bounds(np.full(2, -5.0), np.full(2, 10.0)))
+        res = sqp_local(p, np.array([-1.2, 1.0]), max_iters=2)
+        assert res.status is LocalStatus.ITER_CAP
+        assert res.iterations == 2

@@ -4,6 +4,8 @@ import csv
 import itertools
 import json
 import math
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +16,7 @@ import abcdirect.problem as problem_mod
 import abcdirect.runner as runner_mod
 from abcdirect.cli import main
 from abcdirect.functions import get_function
-from abcdirect.problem import ConfigError
+from abcdirect.problem import ConfigError, Reason
 from abcdirect.runner import (
     ALGORITHMS,
     RunReport,
@@ -30,7 +32,18 @@ from abcdirect.runner import (
 # RunSpec values that no run can use, one field at a time
 BAD_VALUES = [("poh_eps", 0.0), ("poh_eps", -1e-4), ("poh_eps", math.nan),
               ("target_accuracy", -1e-4), ("target_accuracy", math.nan),
-              ("max_wall_seconds", 0.0), ("max_wall_seconds", -1.0)]
+              ("max_wall_seconds", 0.0), ("max_wall_seconds", -1.0),
+              ("m1", 0), ("m2", 0), ("t1", 0), ("switch_eps", 0.0),
+              ("switch_eps", math.nan)]
+
+# RunSpec values of the wrong type, one field at a time; a bool is no
+# integer or number here
+MISTYPED_VALUES = [("dim", "2"), ("dim", 2.0), ("max_evals", 100.5),
+                   ("seed", "x"), ("seed", None), ("repetitions", 2.5),
+                   ("repetitions", True), ("m1", 1.0), ("m2", "2"),
+                   ("t1", False), ("sqp_first", 1), ("sqp_first", "yes"),
+                   ("target_accuracy", "1e-4"), ("max_wall_seconds", True),
+                   ("switch_eps", None), ("poh_eps", [1e-4])]
 
 
 class TestRunSpec:
@@ -51,17 +64,21 @@ class TestRunSpec:
         with pytest.raises(ConfigError):
             RunSpec(function="sphere", dim=2, max_evals=0)
 
-    @pytest.mark.parametrize("field,value", BAD_VALUES)
+    @pytest.mark.parametrize("field,value", BAD_VALUES + MISTYPED_VALUES)
     def test_rejects_values_no_run_can_use(self, field, value):
         # DIRECT's POH selection needs poh_eps > 0, a negative accuracy is
-        # never reached, and a spent time budget stops every run before its
-        # first evaluation
-        with pytest.raises(ConfigError, match=field):
-            RunSpec(function="sphere", dim=2, **{field: value})
+        # never reached, a spent time budget stops every run before its
+        # first evaluation, and ABCD needs block sizes and t1 of at least
+        # one and a positive switch_eps; a mistyped value used to pass, or
+        # to fail only inside the run
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            RunSpec(**{"function": "sphere", "dim": 2, field: value})
 
     def test_accepts_the_edges(self):
         RunSpec(function="sphere", dim=2, target_accuracy=0.0,
                 max_wall_seconds=1e-3, poh_eps=1e-12)
+        RunSpec(function="sphere", dim=None, max_wall_seconds=None,
+                switch_eps=1, m1=1, m2=1, t1=1, sqp_first=True)
 
 
 class TestRunSingle:
@@ -80,8 +97,7 @@ class TestRunSingle:
         rep = run_single(spec, 0)
         assert rep.algorithm == algo
         assert np.isfinite(rep.best_f)
-        assert rep.termination in ("target_reached", "global_stall",
-                                   "time_budget", "eval_budget", "iter_budget")
+        assert rep.termination in {r.value for r in Reason}
         assert len(rep.best_x) == 2
 
     def test_repetition_offsets_seed(self):
@@ -345,7 +361,7 @@ class TestCli:
         assert json.loads(res.output.splitlines()[0])["function"] == "sphere"
 
     @pytest.mark.parametrize("command", ["run", "suite"])
-    @pytest.mark.parametrize("field,value", BAD_VALUES)
+    @pytest.mark.parametrize("field,value", BAD_VALUES + MISTYPED_VALUES)
     def test_unusable_spec_value_is_config_error(self, tmp_path, command,
                                                  field, value):
         # rejected before any run: no traceback, and no `error` row in a
@@ -389,3 +405,13 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert len(out.read_text().splitlines()) == 2
         assert "winning ratio" in res.output
+
+
+def test_readme_names_every_termination_reason():
+    # the README's termination list is the `Reason` vocabulary, no more and
+    # no less
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("`termination` is its value:", 1)[1]
+    section = section.split("`error` is not a `Reason`", 1)[0]
+    named = set(re.findall(r"^  - `([a-z_]+)`:", section, re.MULTILINE))
+    assert named == {r.value for r in Reason}
