@@ -273,7 +273,8 @@ class _Run:
 
     def polish(self) -> None:
         self.check()
-        res = sqp_local(self.problem, self.incumbent_x, self.counter)
+        res = sqp_local(self.problem, self.incumbent_x, self.counter,
+                        f0=self.incumbent_f)
         self.adopt(res.x, res.f)
         self.record(Phase.LOCAL)
 

@@ -253,7 +253,8 @@ def validate_registry(samples: int = 10 ** 6, polish_count: int = 10,
             order = np.argsort(vals)
             best = float(vals[order[0]])
             for idx in order[:polish_count]:
-                res = sqp_local(problem, pts[idx], max_iters=100)
+                res = sqp_local(problem, pts[idx], f0=vals[idx],
+                                max_iters=100)
                 best = min(best, res.f)
             if best < meta.f_star - rtol * max(1.0, abs(meta.f_star)):
                 row["ok"] = False

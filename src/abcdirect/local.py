@@ -1,7 +1,10 @@
 """Box-constrained quasi-Newton local search with finite-difference gradients.
 
 Damped BFGS model, projected-gradient QP step, Armijo backtracking. Stands in
-wherever a smooth local polish is wanted from a warm start.
+wherever a smooth local polish is wanted from a warm start. A caller that
+holds the start point's value passes it in, and a step that rounds away at
+the iterate ends the search as stationary, so the search never evaluates
+its start or its iterate again.
 """
 
 from __future__ import annotations
@@ -122,15 +125,20 @@ def _projected_gradient_norm(x, g, bounds):
 
 def sqp_local(problem: Problem, x0: np.ndarray,
               counter: Optional[EvalCounter] = None, *,
+              f0: Optional[float] = None,
               max_iters: int = 200) -> LocalResult:
     """Quasi-Newton descent from x0, at most `max_iters` steps; returns the
     best point seen.
 
-    Powell-damped BFGS keeps the model positive definite. A non-finite
-    value raises NonFiniteValueError, as in every phase. A `Stop` from the
-    counter (its cap, deadline or target) ends the search with the stop's
-    `Reason` as its status, and its best pair then is the counter's if a
-    trial or gradient probe of this search is lower.
+    `f0`, if given, is the value at x0, which must then lie in the box; the
+    search evaluates x0 only without it. Powell-damped BFGS keeps the model
+    positive definite. A line-search trial whose bytes equal the iterate's
+    ends the search as stationary: halving the step only keeps it rounded
+    away, and every later trial and gradient would repeat a point already
+    evaluated. A non-finite value raises NonFiniteValueError, as in every
+    phase. A `Stop` from the counter (its cap, deadline or target) ends the
+    search with the stop's `Reason` as its status, and its best pair then is
+    the counter's if a trial or gradient probe of this search is lower.
     """
     counter = counter if counter is not None else EvalCounter()
     bounds = problem.bounds
@@ -148,7 +156,7 @@ def sqp_local(problem: Problem, x0: np.ndarray,
     it = 0
 
     try:
-        f = evaluate_counted(problem, x, counter)
+        f = evaluate_counted(problem, x, counter) if f0 is None else f0
         best_x, best_f = x.copy(), f
         trace.append((spent(), best_f))
         g = fd_gradient(problem, x, counter, f0=f)
@@ -162,16 +170,21 @@ def sqp_local(problem: Problem, x0: np.ndarray,
                 status = LocalStatus.STATIONARY
                 break
             alpha = 1.0
-            accepted = False
+            x_bytes = x.tobytes()
             for _ in range(MAX_BACKTRACKS):
                 x_new = _clip(x + alpha * p, bounds.lower, bounds.upper)
+                if x_new.tobytes() == x_bytes:
+                    # rounding is monotone, so every shorter step rounds
+                    # away too
+                    status = LocalStatus.STATIONARY
+                    break
                 f_new = evaluate_counted(problem, x_new, counter)
                 if f_new <= f + ARMIJO_C * alpha * slope:
-                    accepted = True
                     break
                 alpha *= 0.5
-            if not accepted:
+            else:
                 status = LocalStatus.LINE_SEARCH_FAILURE
+            if status is not LocalStatus.ITER_CAP:
                 break
             g_new = fd_gradient(problem, x_new, counter, f0=f_new)
             s = x_new - x

@@ -67,6 +67,9 @@ class RunSpec:
             raise ConfigError("repetitions must be >= 1")
         if self.max_evals < 1:
             raise ConfigError("max_evals must be positive")
+        # np.random.SeedSequence takes no negative seed
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         # the ABCD values that need no dimension; m1, m2 <= n is the run's
         check_values(self.m1, self.m2, self.t1, self.switch_eps, self.poh_eps)
         # written so that NaN fails too
@@ -102,9 +105,10 @@ def _run_sqp(problem, seed: int, counter: EvalCounter):
         x0, f0 = choose_start(problem, start_samples(problem.n), rng, counter)
     except Stop as stop:
         return stop.reason, []
-    res = sqp_local(problem, x0, counter)
-    trace = [[counter.count - res.evals, "local", f0]]
-    trace += [[e, "local", f] for e, f in res.trace]
+    res = sqp_local(problem, x0, counter, f0=f0)
+    # the polish's trace counts from its start, whose row is (0, f0)
+    start = counter.count - res.evals
+    trace = [[start + e, "local", f] for e, f in res.trace]
     # a polish that ends on its own (stationary, iteration cap, failed line
     # search) is a stall
     reason = (res.status if isinstance(res.status, Reason)

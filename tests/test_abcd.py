@@ -139,11 +139,13 @@ class TestMakeSubproblem:
 
 
 def descending(monkeypatch, steps):
-    """Replace ABCD's DIRECT subproblems by ones that lower the incumbent's
-    value by the next of `steps` (cycled) without evaluating; returns the
-    list of their coordinate blocks, one per subproblem run."""
+    """Replace ABCD's DIRECT subproblems by ones that lower the value of
+    every point of a flat problem by the next of `steps` (cycled) without
+    evaluating; returns the problem, whose values stay true to what the
+    subproblems report, and the list of their coordinate blocks, one per
+    subproblem run."""
     calls = []
-    f = [1.0]  # the value of every point of the flat problems below
+    f = [1.0]  # the value of every point of the problem
 
     def subproblem(problem, config, counter, coords, base):
         f[0] -= steps[len(calls) % len(steps)]
@@ -151,21 +153,18 @@ def descending(monkeypatch, steps):
         return SimpleNamespace(x_min=base.copy(), f_min=f[0])
 
     monkeypatch.setattr(abcd_mod, "direct_solve", subproblem)
-    return calls
+    return Problem(lambda x: f[0], Bounds(np.zeros(3), np.ones(3))), calls
 
 
 class TestStallUpdate:
     """Stalled subproblems in a row, on descents that are powers of two so
     every difference of values is exact."""
 
-    def flat(self):
-        return Problem(lambda x: 1.0, Bounds(np.zeros(3), np.ones(3)))
-
     def test_descent_at_threshold_counts_as_stall(self, monkeypatch):
         # a descent of exactly switch_eps still counts as a stall: two in a
         # row end the coordinate phase, and here the run
-        calls = descending(monkeypatch, [0.5])
-        res = abcd_solve(self.flat(), AbcdConfig(
+        flat, calls = descending(monkeypatch, [0.5])
+        res = abcd_solve(flat, AbcdConfig(
             switch_eps=0.5, t1=2, coordinate_only=True))
         assert res.reason is Reason.GLOBAL_STALL
         assert res.subproblems == len(calls) == 2
@@ -175,11 +174,12 @@ class TestStallUpdate:
                                                             monkeypatch):
         # the same boundary in the block phase: min(n, 6) = 3 stalls in a
         # row move on to the intensify polish and the sweep; the sweep's
-        # descents never stall a cycle, so the polishes' evaluations (four
-        # each, after a start sample of six) end the run on its budget
+        # descents never stall a cycle, so the polishes' evaluations (three
+        # gradient probes each, after a start sample of six) end the run on
+        # its budget
         monkeypatch.setattr(abcd_mod, "GLOBAL_STALL_EPS", 0.5)
-        descending(monkeypatch, [0.5])
-        res = abcd_solve(self.flat(), AbcdConfig(
+        flat, _ = descending(monkeypatch, [0.5])
+        res = abcd_solve(flat, AbcdConfig(
             switch_eps=0.5, t1=1, max_evals=30))
         assert res.reason is Reason.EVAL_BUDGET
         labels = [row[2] for row in res.trace]
@@ -190,8 +190,8 @@ class TestStallUpdate:
     def test_real_descent_resets_streak(self, monkeypatch):
         # a descent above switch_eps restarts the count: only the two
         # stalls in a row at the end leave the coordinate phase
-        calls = descending(monkeypatch, [0.5, 1.0, 0.5, 1.0, 0.5, 0.5])
-        res = abcd_solve(self.flat(), AbcdConfig(
+        flat, calls = descending(monkeypatch, [0.5, 1.0, 0.5, 1.0, 0.5, 0.5])
+        res = abcd_solve(flat, AbcdConfig(
             switch_eps=0.5, t1=2, coordinate_only=True))
         assert res.reason is Reason.GLOBAL_STALL
         assert res.subproblems == len(calls) == 6
@@ -214,9 +214,9 @@ class TestAbcdSolve:
             assert res.evals <= 501, seed
 
     def test_polish_checks_time_budget(self):
-        # the first polish evaluation outlasts the time budget: the counter
-        # stops the run at the next evaluation, the polish's first gradient
-        # probe, which is never made
+        # the first polish evaluation, its first gradient probe, outlasts
+        # the time budget: the counter stops the run at the next
+        # evaluation, the second probe, which is never made
         n, q = 2, 4
         count = [0]
 

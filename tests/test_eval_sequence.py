@@ -22,6 +22,14 @@ The coordinate-only S5 digest was re-recorded when the evaluation counter
 began to stop a run at its first evaluation within the target rather than
 at the end of the step: the new sequence is the old one cut short, which
 `test_target_stop_only_cuts_the_tail` checks.
+
+The digests of every case with a polish, their trace digests and
+`GRIEWANK_4000` were re-recorded when the polish began to take its start
+value from the caller and to stop at a step that rounds away at its
+iterate. Both only drop evaluations of points the run had already
+evaluated, so each new run's distinct points begin with those of the run
+pinned before (`BEFORE_THE_POLISH_REPEATS`), which
+`test_polish_only_drops_repeats` checks.
 """
 
 import hashlib
@@ -31,40 +39,47 @@ import numpy as np
 import pytest
 
 import abcdirect.direct as direct_mod
+import abcdirect.runner as runner_mod
 from abcdirect.abcd import AbcdConfig, abcd_solve, choose_start, start_samples
 from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.functions import get_function
 from abcdirect.local import sqp_local
-from abcdirect.problem import EvalCounter, Problem
+from abcdirect.problem import EvalCounter, Problem, Reason
+from abcdirect.runner import RunSpec, run_single
 
 
-def hashing(problem, prefix=None):
-    """Wrap a problem so every evaluated user-space point and its value feed
-    one sha256 digest, in evaluation order. `prefixes` receives the digest of
-    the first `prefix` evaluations."""
-    digest = hashlib.sha256()
-    count = [0]
-    prefixes = []
+def recording(problem):
+    """Wrap a problem so every evaluation appends one entry, the bytes of
+    its user-space point and of its value, to `entries`, in evaluation
+    order."""
+    entries = []
     base = problem.objective
 
     def obj(x):
         value = base(x)
-        digest.update(np.asarray(x, dtype="<f8").tobytes())
-        digest.update(struct.pack("<d", float(value)))
-        count[0] += 1
-        if count[0] == prefix:
-            prefixes.append(digest.hexdigest())
+        entries.append(np.asarray(x, dtype="<f8").tobytes()
+                       + struct.pack("<d", float(value)))
         return value
 
-    wrapped = Problem(obj, problem.bounds, problem.known_optimum)
-    return wrapped, digest, count, prefixes
+    return Problem(obj, problem.bounds, problem.known_optimum), entries
+
+
+def digest(entries):
+    """The sha256 the pins record: every entry, in order."""
+    return hashlib.sha256(b"".join(entries)).hexdigest()
+
+
+def distinct(entries):
+    """The entries without any repeat of an earlier point, in the order of
+    their first evaluation."""
+    return list(dict.fromkeys(entries))
 
 
 def run_direct(name, dim, max_evals):
-    problem, digest, count, _ = hashing(get_function(name, dim)[0])
+    problem, entries = recording(get_function(name, dim)[0])
     direct_solve(problem, DirectConfig(max_evals=max_evals,
                                        target_accuracy=0.0))
-    return digest.hexdigest(), count[0]
+    return (entries,)
 
 
 def trace_digest(result):
@@ -78,22 +93,22 @@ def trace_digest(result):
 
 def run_abcd(name, dim, max_evals, seed, capped=False, **config):
     """A seeded ABCD run; `capped` also caps the counter at max_evals."""
-    problem, digest, count, _ = hashing(get_function(name, dim)[0])
+    problem, entries = recording(get_function(name, dim)[0])
     counter = EvalCounter(cap=max_evals) if capped else None
     result = abcd_solve(problem, AbcdConfig(max_evals=max_evals, seed=seed,
                                             **config), counter=counter)
-    return digest.hexdigest(), count[0], trace_digest(result)
+    return entries, trace_digest(result)
 
 
 def run_sqp(name, dim, max_evals, seed):
     """The runner's `sqp` algorithm at run seed `seed`: a start sample and
-    one polish on a counter capped at max_evals."""
-    problem, digest, count, _ = hashing(get_function(name, dim)[0])
+    one polish from its best, on a counter capped at max_evals."""
+    problem, entries = recording(get_function(name, dim)[0])
     counter = EvalCounter(cap=max_evals)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x0, _ = choose_start(problem, start_samples(problem.n), rng, counter)
-    sqp_local(problem, x0, counter)
-    return digest.hexdigest(), count[0]
+    x0, f0 = choose_start(problem, start_samples(problem.n), rng, counter)
+    sqp_local(problem, x0, counter, f0=f0)
+    return (entries,)
 
 
 CASES = {
@@ -109,9 +124,9 @@ CASES = {
     # counter is uncapped, so the last subproblem's cap is clipped
     "abcd-griewank-6-seed3": (
         lambda: run_abcd("griewank", 6, 4000, 3),
-        "65c5f13402deec45254402bf75321b486d2b2d127da4264d7b5f63e3515562af",
+        "c0ecf736fae66dc62310737e08194589420d9b5a87b2a88842edf1114805de8f",
         4001,
-        "70d15b5757e5576beedb78c2dac223ce029aa6d693bbc76d2c79620a64642c2f"),
+        "798a21542a6a1e07a48ef59d72d0c70d3e778f62aa898a1ced1814558afef513"),
     # coordinate-only: stalls restart from a fresh sample (twice here); the
     # last evaluation is the first within the target
     "abcd-coordinate-S5-seed0": (
@@ -124,9 +139,9 @@ CASES = {
     "abcd-sqp-first-griewank-4-seed3": (
         lambda: run_abcd("griewank", 4, 10000, 3, capped=True,
                          sqp_first=True),
-        "cb5acd854b551b20537352e5c9c95183abe0c60b75fb9ce743df910219d206a3",
+        "24bb3d0ea7d9c2d842f234164154c443059de866a6d4e31d273362acbcb428f0",
         10000,
-        "f511a9690f3840edceb1a47c983307716a64cf1e491fd01d129a7ec4a997fa01"),
+        "c46180416d63baf09601cf33a67118a35e2f5b15f1e1f74c237bb71ea1fd97ce"),
     # n = 12 is wide enough for numpy's 8-way pairwise sum inside measure()
     "direct-griewank-12": (
         lambda: run_direct("griewank", 12, 2000),
@@ -135,15 +150,15 @@ CASES = {
     # three-coordinate blocks over n = 7 wrap around unsorted ([6, 0, 1])
     "abcd-m1-3-griewank-7-seed1": (
         lambda: run_abcd("griewank", 7, 3000, 1, capped=True, m1=3),
-        "61d96a7ac2288208a060a83d8350aca37227a962d47ee0f54dff0b789a5e66b0",
+        "1c2e8bfb6daab3f8077d6ceed67dbaa35198fa807970dd28ad74a2ed2c12832a",
         3000,
         "6c97b9ad352728c2dc49dbd6b8fdd04864b12da3ba90e94b7c493a4f2d930304"),
-    # the polish alone: 82 QP steps, many of which end in a repeated
-    # iterate (a fixed point or a 2-cycle), until the budget runs out
+    # the polish alone: many QP steps end in a repeated iterate (a fixed
+    # point or a 2-cycle), and the search ends where its step rounds away
     "sqp-S5-seed0": (
         lambda: run_sqp("S5", None, 2000, 0),
-        "bbeda55fb7a2e721edfed3b2da5d0c0de1213fb48517b1d155a4d5492f72996b",
-        2000),
+        "6eb0b98b5bd0198a662123a1d737a5d1bb5b9d0596c7877597f596a546a29d72",
+        377),
 }
 
 # abcd-coordinate-S5-seed0 as pinned while the target was checked between
@@ -155,7 +170,35 @@ S5_BEFORE_THE_COUNTER_STOP = (
 # the first 4000 evaluations of abcd-griewank-6-seed3, which are also all
 # the evaluations of the same run on a counter capped at 4000
 GRIEWANK_4000 = (
-    "a2dbf2c09bfa50d813b6e9ccb58b50e06551bbf87cfec47adefb935d3c74bff2")
+    "2963b9ecca758b871368cc75184e2ec87da141a36f60a32bb370e0dd90ff1f12")
+
+# the digest and count of the distinct points, in the order of their first
+# evaluation, of each run with a polish as pinned before the polish took
+# its start value from the caller and stopped where its step rounds away
+BEFORE_THE_POLISH_REPEATS = {
+    "abcd-griewank-6-seed3": (
+        CASES["abcd-griewank-6-seed3"][0],
+        "890f4f63812813559d6776ca8710672f4c244aa9e2d1c28d9889b9495bfea5b2",
+        3991),
+    "abcd-sqp-first-griewank-4-seed3": (
+        CASES["abcd-sqp-first-griewank-4-seed3"][0],
+        "4da8319cfd9d512e1afc845b4dd4db503cb3c12b9b1c236a84795707041a3c93",
+        8841),
+    "abcd-m1-3-griewank-7-seed1": (
+        CASES["abcd-m1-3-griewank-7-seed1"][0],
+        "b5f12d1a8e0f1443ff013ddf3484d334e14b28fc8a2bede6c9f433fb931e0195",
+        2997),
+    # the old run's 2000 evaluations held 1623 repeats
+    "sqp-S5-seed0": (
+        CASES["sqp-S5-seed0"][0],
+        "6eb0b98b5bd0198a662123a1d737a5d1bb5b9d0596c7877597f596a546a29d72",
+        377),
+    # the capped run of GRIEWANK_4000
+    "griewank-6-capped": (
+        lambda: run_abcd("griewank", 6, 4000, 3, capped=True),
+        "7eb66c96e3b5b84088bef0ed7d199735bd5891569c68a871c580bdd510db8959",
+        3990),
+}
 
 
 @pytest.fixture
@@ -224,9 +267,9 @@ def unit_cube_probes(monkeypatch):
 def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
     # the ABCD cases pin their trace digest as a third value
     run, *want = CASES[case]
-    got = run()
-    assert got == tuple(want)
-    count = got[1]
+    entries, *trace = run()
+    assert (digest(entries), len(entries), *trace) == tuple(want)
+    count = len(entries)
     if case.startswith("sqp-"):
         # the polish evaluates in user space only
         assert not unit_cube_probes
@@ -242,11 +285,11 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
 
 
 def test_budget_clip_only_cuts_the_tail():
-    problem, _, _, prefixes = hashing(get_function("griewank", 6)[0], 4000)
+    problem, entries = recording(get_function("griewank", 6)[0])
     abcd_solve(problem, AbcdConfig(max_evals=4000, seed=3))
-    assert prefixes == [GRIEWANK_4000]
-    assert run_abcd("griewank", 6, 4000, 3, capped=True)[:2] == (
-        GRIEWANK_4000, 4000)
+    assert digest(entries[:4000]) == GRIEWANK_4000
+    capped, _ = run_abcd("griewank", 6, 4000, 3, capped=True)
+    assert (digest(capped), len(capped)) == (GRIEWANK_4000, 4000)
 
 
 def test_target_stop_only_cuts_the_tail():
@@ -256,10 +299,48 @@ def test_target_stop_only_cuts_the_tail():
     _, new_digest, new_count, _ = CASES["abcd-coordinate-S5-seed0"]
     for want, count in (S5_BEFORE_THE_COUNTER_STOP, (new_digest, new_count)):
         s5 = get_function("S5")[0]
-        problem, _, total, prefixes = hashing(
-            Problem(s5.objective, s5.bounds), count)
+        problem, entries = recording(Problem(s5.objective, s5.bounds))
         abcd_solve(problem, AbcdConfig(max_evals=3000, seed=0,
                                        coordinate_only=True),
                    counter=EvalCounter(cap=3000))
-        assert prefixes == [want]
-        assert total[0] > count
+        assert digest(entries[:count]) == want
+        assert len(entries) > count
+
+
+@pytest.mark.parametrize("case", sorted(BEFORE_THE_POLISH_REPEATS))
+def test_polish_only_drops_repeats(case):
+    # the polish no longer evaluates its start point or a trial equal to
+    # its iterate, all points its run had evaluated before; the budget
+    # those repeats spent goes to points the old run never reached, so the
+    # old run's distinct points begin the new run's
+    run, want_digest, want_count = BEFORE_THE_POLISH_REPEATS[case]
+    points = distinct(run()[0])
+    assert len(points) >= want_count
+    assert digest(points[:want_count]) == want_digest
+
+
+def test_sqp_run_ends_where_its_step_rounds_away(monkeypatch):
+    # the `sqp` algorithm on S5 at run seed 0 used to spend its whole
+    # 2000-evaluation budget, 1623 of them on repeats, and report
+    # eval_budget; it now stops, stalled, with no point evaluated twice
+    # and the same best value, bit for bit
+    recorded = []
+
+    def recording_function(name, dim=None):
+        problem, meta = get_function(name, dim)
+        problem, entries = recording(problem)
+        recorded.append(entries)
+        return problem, meta
+
+    monkeypatch.setattr(runner_mod, "get_function", recording_function)
+    report = run_single(RunSpec("S5", algorithm="sqp", max_evals=2000,
+                                seed=0, repetitions=1), 0)
+    [entries] = recorded
+    assert report.evals == len(entries) == len(distinct(entries)) == 377
+    assert report.termination == Reason.GLOBAL_STALL
+    assert report.best_f.hex() == "-0x1.43885c0e25102p+2"
+    # the trace counts the run's evaluations: the start sample's best, then
+    # each improvement of the polish
+    evals = [e for e, _, _ in report.trace]
+    assert evals[0] == 8 and evals == sorted(set(evals))
+    assert evals[-1] <= report.evals

@@ -33,6 +33,18 @@ def quadratic_problem(A, b, bounds):
     return Problem(f, bounds)
 
 
+def recording(problem):
+    """Wrap a problem so the bytes of every evaluated point are recorded."""
+    pts = []
+    base = problem.objective
+
+    def obj(x):
+        pts.append(np.asarray(x, dtype=float).tobytes())
+        return base(x)
+
+    return Problem(obj, problem.bounds, problem.known_optimum), pts
+
+
 def reference_box_qp_step(g, B, x, bounds, iters=50):
     """`box_qp_step` as a plain loop that runs all `iters` iterations."""
     lo = bounds.lower - x
@@ -257,6 +269,47 @@ class TestSqpLocal:
                     Bounds(np.array([-1.0]), np.array([1.0])))
         res = sqp_local(p, np.array([7.0]))
         assert abs(res.x[0]) <= 1.0
+
+    def test_start_value_from_the_caller_is_not_evaluated_again(self):
+        # with f0 the search makes the same evaluations as without it but
+        # the first, the start point, and ends the same, bit for bit
+        def f(x):
+            return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
+
+        bounds = Bounds(np.full(2, -5.0), np.full(2, 10.0))
+        x0 = np.array([-1.2, 1.0])
+        p, pts = recording(Problem(f, bounds))
+        free = sqp_local(p, x0, max_iters=20)
+        given, given_pts = recording(Problem(f, bounds))
+        res = sqp_local(given, x0, f0=f(x0), max_iters=20)
+        assert pts[0] == x0.tobytes()
+        assert given_pts == pts[1:]
+        assert x0.tobytes() not in given_pts
+        assert res.evals == free.evals - 1
+        assert (res.f, res.status, res.iterations) == (
+            free.f, free.status, free.iterations)
+        assert res.x.tobytes() == free.x.tobytes()
+        assert res.trace[0] == (0, f(x0))
+
+    def test_step_that_rounds_away_ends_stationary(self):
+        # a steep quadratic: after two steps the model's curvature is about
+        # 1e12 and the gradient about 1e-5 (well above PG_TOL), so the QP
+        # step is about 1e-17 and vanishes in x + alpha*p at x near 0.3.
+        # Every trial would evaluate x again, and an accepted trial would
+        # repeat the whole iteration up to max_iters; the search ends
+        # there instead, with no trial evaluated
+        K, c = 1e12, 0.3
+        p, pts = recording(Problem(lambda x: float(0.5 * K * (x[0] - c) ** 2),
+                                   Bounds(np.array([0.0]), np.array([1.0]))))
+        x0 = np.array([c + 1e-3])
+        res = sqp_local(p, x0, f0=p(x0))
+        pts.pop(0)  # the call above that computed f0
+        assert res.status is LocalStatus.STATIONARY
+        assert res.iterations == 3
+        assert res.evals == len(pts) == len(set(pts)) == 13
+        # the last evaluation is the gradient probe at the final iterate
+        assert pts[-1] == (res.x + 1e-7).tobytes()
+        assert res.f.hex() == "0x1.47ae147517b85p-10"
 
     def test_max_iters_caps_the_steps(self):
         def f(x):

@@ -34,7 +34,7 @@ BAD_VALUES = [("poh_eps", 0.0), ("poh_eps", -1e-4), ("poh_eps", math.nan),
               ("target_accuracy", -1e-4), ("target_accuracy", math.nan),
               ("max_wall_seconds", 0.0), ("max_wall_seconds", -1.0),
               ("m1", 0), ("m2", 0), ("t1", 0), ("switch_eps", 0.0),
-              ("switch_eps", math.nan)]
+              ("switch_eps", math.nan), ("seed", -1)]
 
 # RunSpec values of the wrong type, one field at a time; a bool is no
 # integer or number here
@@ -321,6 +321,16 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)
         assert "configuration error" in res.output
         assert "switch_eps" in res.output
+
+    def test_negative_seed_is_config_error(self):
+        # np.random.SeedSequence rejects it: it used to end in a
+        # ValueError traceback once the run seeded its streams
+        res = self.invoke("run", "--function", "sphere", "--dim", "2",
+                          "--algo", "abcd", "--seed", "-1", "--max-evals",
+                          "100", "--reps", "1")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "configuration error: seed must be" in res.output
 
     def test_unknown_config_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -123,7 +123,9 @@ def test_every_abcd_evaluation_is_counted_in_a_phase(monkeypatch, case):
     assert (phases[2] > 0) == ("sqp_first" in config)
 
 
-# digests and counts pinned in tests/test_eval_sequence.py
+# digests and counts pinned in tests/test_eval_sequence.py, whose
+# `test_polish_only_drops_repeats` also checks the two runs with a polish
+# against their sequences before the polish stopped repeating points
 PINNED = {
     "direct-rastrigin-4": (
         lambda p: runner_mod.direct_solve(
@@ -135,13 +137,13 @@ PINNED = {
         lambda p: runner_mod.abcd_solve(p, AbcdConfig(max_evals=4000,
                                                       seed=3)),
         ("griewank", 6),
-        "65c5f13402deec45254402bf75321b486d2b2d127da4264d7b5f63e3515562af",
+        "c0ecf736fae66dc62310737e08194589420d9b5a87b2a88842edf1114805de8f",
         4001),
     "sqp-S5-seed0": (
         lambda p: runner_mod._run_sqp(p, 0, EvalCounter(cap=2000)),
         ("S5", None),
-        "bbeda55fb7a2e721edfed3b2da5d0c0de1213fb48517b1d155a4d5492f72996b",
-        2000),
+        "6eb0b98b5bd0198a662123a1d737a5d1bb5b9d0596c7877597f596a546a29d72",
+        377),
 }
 
 
