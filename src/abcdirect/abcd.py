@@ -14,20 +14,17 @@ After an optimistic start sample, a run repeats one cycle (`_Run.cycle`):
 
 `coordinate_only` keeps phase 1 alone. A cycle stalls unless phase 4 moved
 the best; a stalled cycle restarts from a fresh start sample exactly when the
-run has a budget (`max_evals`, or a counter cap or deadline), and ends the
-run otherwise.
+run's counter has a cap or a deadline, and ends the run otherwise.
 
-Every stop is a `Stop` that `abcd_solve` catches. The counter, armed with
-`target_accuracy` and `max_seconds`, raises it at the evaluation where the
-target, the time or its cap holds; `_Run.check`, run before every
-subproblem, polish and restart, raises it on the counter's reason, then on
-the `max_evals` budget. So no step passes a solver's stop on.
+The `EvalCounter` handed to `abcd_solve` is the run's one budget. Every stop
+is a `Stop` that `abcd_solve` catches. The counter raises it at the
+evaluation where the target, the deadline or its cap holds; `_Run.check`,
+run before every subproblem, polish and restart, raises it on the counter's
+reason or its spent cap. So no step passes a solver's stop on, and no run
+makes an evaluation past the cap. A counter no caller armed is armed with
+`DirectConfig`'s defaults: a target within 1e-4 and no deadline.
 
-The best point never worsens. `max_evals` also clips each DIRECT
-subproblem's cap, which `direct_solve` checks after every division, so a run
-ends at most one division past it, or past it by a polish that started with
-budget left. A capped `EvalCounter` is a hard cap; `runner.run_single`
-passes one.
+The best point never worsens.
 """
 
 from __future__ import annotations
@@ -76,17 +73,10 @@ class AbcdConfig:
     m2: int = 2                     # random block size
     t1: int = 3                     # stalled coordinate steps before leaving
     switch_eps: float = 1e-3        # descent at or below this counts as a stall
-    target_accuracy: float = 1e-4   # the counter's, as is max_seconds
-    max_evals: Optional[int] = None  # checked per step, clips subproblems
-    max_seconds: Optional[float] = None
     seed: int = 0
     sqp_first: bool = False         # every cycle opens with the polish
     coordinate_only: bool = False   # no polish, no blocks: a stall restarts
     poh_eps: float = 1e-4
-
-    def validate(self, n: int) -> None:
-        check_values(self.m1, self.m2, self.t1, self.switch_eps, self.poh_eps,
-                     n)
 
 
 def check_values(m1: int, m2: int, t1: int, switch_eps: float,
@@ -190,7 +180,8 @@ class _Run:
                  counter: EvalCounter):
         self.problem, self.config, self.counter = problem, config, counter
         self.n = problem.n
-        counter.arm(problem, config.target_accuracy, config.max_seconds)
+        counter.arm(problem, DirectConfig.target_accuracy,
+                    DirectConfig.max_seconds)
         self.start_count, self.f_before = counter.count, counter.best_f
         # dedicated streams: block draws stay reproducible no matter how many
         # evaluations earlier phases consumed
@@ -210,11 +201,9 @@ class _Run:
     def check(self) -> None:
         """The one stop check, run before every step. It raises a plain
         `Stop`: stopping the shared counter would change its `run_best`."""
-        cfg = self.config
         if self.counter.reason is not None:
             raise Stop(self.counter.reason)
-        if ((cfg.max_evals is not None and self.spent() >= cfg.max_evals)
-                or self.counter.remaining == 0):
+        if self.counter.remaining == 0:
             raise Stop(Reason.EVAL_BUDGET)
 
     def record(self, label: Phase) -> None:
@@ -249,8 +238,6 @@ class _Run:
         cap = SUB_CAP_PER_COORD * len(idx)
         if deep:
             cap *= DEEP_CAP_FACTOR
-        if cfg.max_evals is not None:
-            cap = min(cap, cfg.max_evals - self.spent())
         stops = {} if deep else SUB_STOPS
         sub_cfg = DirectConfig(poh_eps=cfg.poh_eps, max_evals=cap, **stops)
         res = direct_solve(self.problem, sub_cfg, counter=self.counter,
@@ -306,10 +293,9 @@ class _Run:
     def run(self) -> Reason:
         """Cycles from a start sample until a `Stop`; a stalled cycle
         restarts, or ends the run as a global stall."""
-        cfg, counter = self.config, self.counter
         # without any budget a restart loop could never terminate
-        restarts = not (cfg.max_evals is None and counter.cap is None
-                        and counter.deadline is None)
+        restarts = (self.counter.cap is not None
+                    or self.counter.deadline is not None)
         self.start()
         while True:
             if self.cycle():
@@ -322,7 +308,8 @@ class _Run:
 def abcd_solve(problem: Problem, config: Optional[AbcdConfig] = None,
                counter: Optional[EvalCounter] = None) -> AbcdResult:
     config = config or AbcdConfig()
-    config.validate(problem.n)
+    check_values(config.m1, config.m2, config.t1, config.switch_eps,
+                 config.poh_eps, problem.n)
     run = _Run(problem, config,
                counter if counter is not None else EvalCounter())
     try:

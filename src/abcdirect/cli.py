@@ -14,7 +14,8 @@ import click
 from .functions import get_function, list_functions
 from .functions.registry import RegistryError, _REGISTRY
 from .problem import ConfigError
-from .runner import RunSpec, aggregate, export_trace, run_one, run_suite
+from .runner import (ALGORITHMS, RunSpec, aggregate, export_trace, run_one,
+                     run_suite)
 
 _SPEC_FIELDS = {f.name for f in dataclasses.fields(RunSpec)}
 
@@ -98,8 +99,7 @@ def _run_options(fn):
                      help="registered function name"),
         click.option("--dim", type=int, default=None),
         click.option("--algo", "algorithm", default=None,
-                     type=click.Choice(["direct", "abcd-coordinate",
-                                        "abcd", "sqp"])),
+                     type=click.Choice(ALGORITHMS)),
         click.option("--eps", "target_accuracy", type=float, default=None,
                      help="target accuracy |f - f*|"),
         click.option("--max-evals", type=int, default=None),

@@ -129,8 +129,9 @@ class EvalCounter:
     `time.monotonic()` instant) is past, and hands a value below `best_f`
     to `improve`, which keeps the pair and stops the run if the value is
     within `tol` of `target`. A stopped counter raises the same `Stop` at
-    every later `charge()`. The outermost solver a counter is handed to
-    arms it.
+    every later `charge()`. A caller sets the cap and the deadline; the
+    outermost solver a counter is handed to arms it with a target unless
+    the caller armed it first.
     """
 
     count: int = 0

@@ -134,7 +134,6 @@ def run_single(spec: RunSpec, repetition: int) -> RunReport:
         cfg = AbcdConfig(
             m1=spec.m1, m2=spec.m2, t1=spec.t1,
             switch_eps=spec.switch_eps,
-            max_evals=spec.max_evals,
             seed=seed,
             sqp_first=spec.sqp_first,
             coordinate_only=spec.algorithm == "abcd-coordinate",

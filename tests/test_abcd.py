@@ -80,7 +80,7 @@ class TestSelectCoords:
         p, pts = recording(sphere(3))
         for sizes in (dict(m1=4), dict(m2=4), dict(m1=0), dict(m2=0)):
             with pytest.raises(ConfigError, match="block sizes"):
-                abcd_solve(p, AbcdConfig(max_evals=100, **sizes))
+                abcd_solve(p, AbcdConfig(**sizes), EvalCounter(cap=100))
         assert not pts
 
 
@@ -179,8 +179,8 @@ class TestStallUpdate:
         # its budget
         monkeypatch.setattr(abcd_mod, "GLOBAL_STALL_EPS", 0.5)
         flat, _ = descending(monkeypatch, [0.5])
-        res = abcd_solve(flat, AbcdConfig(
-            switch_eps=0.5, t1=1, max_evals=30))
+        res = abcd_solve(flat, AbcdConfig(switch_eps=0.5, t1=1),
+                         EvalCounter(cap=30))
         assert res.reason is Reason.EVAL_BUDGET
         labels = [row[2] for row in res.trace]
         assert labels[:10] == ["coordinate", "coordinate", "local",
@@ -200,18 +200,18 @@ class TestStallUpdate:
 class TestAbcdSolve:
     def test_reaches_target_on_separable_function(self):
         p = sphere(4, target=0.0)
-        res = abcd_solve(p, AbcdConfig(max_evals=20000, seed=0))
+        res = abcd_solve(p, AbcdConfig(seed=0), EvalCounter(cap=20000))
         assert res.reason is Reason.TARGET_REACHED
         assert abs(res.f_min) <= 1e-4
 
     def test_respects_eval_budget(self):
-        # subproblem caps are clipped to the budget left, so only the last
-        # DIRECT division (two probes for one coordinate) can overshoot
+        # the counter's cap stops the run at its evaluation, inside a
+        # DIRECT division or a polish alike
         p = sphere(6)
         for seed in range(6):
-            res = abcd_solve(p, AbcdConfig(max_evals=500, seed=seed))
+            res = abcd_solve(p, AbcdConfig(seed=seed), EvalCounter(cap=500))
             assert res.reason == "eval_budget", seed
-            assert res.evals <= 501, seed
+            assert res.evals == 500, seed
 
     def test_polish_checks_time_budget(self):
         # the first polish evaluation, its first gradient probe, outlasts
@@ -227,7 +227,8 @@ class TestAbcdSolve:
             return float(np.sum(x * x))
 
         p = Problem(slow_once, Bounds(np.full(n, -2.0), np.full(n, 3.0)))
-        res = abcd_solve(p, AbcdConfig(max_seconds=0.2, sqp_first=True))
+        res = abcd_solve(p, AbcdConfig(sqp_first=True),
+                         EvalCounter(deadline=time.monotonic() + 0.2))
         assert res.reason == "time_budget"
         assert res.evals == count[0] == q + 1
 
@@ -241,7 +242,8 @@ class TestAbcdSolve:
 
         p = Problem(slow_sphere, Bounds(np.full(4, -2.0), np.full(4, 3.0)))
         t0 = time.monotonic()
-        res = abcd_solve(p, AbcdConfig(max_seconds=0.05, m1=4, seed=0))
+        res = abcd_solve(p, AbcdConfig(m1=4, seed=0),
+                         EvalCounter(deadline=t0 + 0.05))
         assert res.reason is Reason.TIME_BUDGET
         assert time.monotonic() - t0 < 0.25
 
@@ -279,19 +281,19 @@ class TestAbcdSolve:
 
     def test_trace_best_is_monotone(self):
         p = sphere(3, target=0.0)
-        res = abcd_solve(p, AbcdConfig(max_evals=5000, seed=1))
+        res = abcd_solve(p, AbcdConfig(seed=1), EvalCounter(cap=5000))
         fs = [row[3] for row in res.trace]
         assert all(a >= b for a, b in zip(fs, fs[1:]))
 
     def test_result_matches_reported_value(self):
         p = sphere(3)
-        res = abcd_solve(p, AbcdConfig(max_evals=3000, seed=2))
+        res = abcd_solve(p, AbcdConfig(seed=2), EvalCounter(cap=3000))
         assert p(res.x_min) == pytest.approx(res.f_min)
 
     def test_deterministic_given_seed(self):
         p = sphere(5)
-        a = abcd_solve(p, AbcdConfig(max_evals=4000, seed=9))
-        b = abcd_solve(p, AbcdConfig(max_evals=4000, seed=9))
+        a = abcd_solve(p, AbcdConfig(seed=9), EvalCounter(cap=4000))
+        b = abcd_solve(p, AbcdConfig(seed=9), EvalCounter(cap=4000))
         assert a.f_min == b.f_min
         assert np.array_equal(a.x_min, b.x_min)
         assert a.trace == b.trace
@@ -306,7 +308,8 @@ class TestAbcdSolve:
         # phase for good
         p, pts = recording(p)
         with pytest.raises(ConfigError, match="switch_eps"):
-            abcd_solve(p, AbcdConfig(max_evals=100, switch_eps=np.nan))
+            abcd_solve(p, AbcdConfig(switch_eps=np.nan),
+                       EvalCounter(cap=100))
         assert not pts
 
     @pytest.mark.parametrize("eps", [0.0, -1e-4, np.nan])
@@ -315,12 +318,14 @@ class TestAbcdSolve:
         # largest rectangle
         p, pts = recording(sphere(3))
         with pytest.raises(ConfigError, match="poh_eps"):
-            abcd_solve(p, AbcdConfig(poh_eps=eps, max_evals=100))
+            abcd_solve(p, AbcdConfig(poh_eps=eps), EvalCounter(cap=100))
         assert not pts
 
     def test_full_block_no_switch_degenerates_to_direct(self, monkeypatch):
         """With one n-sized block, no switch and no local phase, the solver
-        is a start sample followed by one full-box dividing-rectangles run."""
+        is a start sample followed by one full-box dividing-rectangles run.
+        The subproblem's own cap of 800 ends that run; the counter's cap
+        leaves room for the division that crosses it."""
         monkeypatch.setattr(abcd_mod, "SUB_CAP_PER_COORD", 400)
         monkeypatch.setattr(abcd_mod, "SUB_STOPS", {})
         base = Problem(
@@ -332,9 +337,8 @@ class TestAbcdSolve:
 
         pa, pts_abcd = recording(base)
         q = min(2 * base.n, 32)
-        abcd_solve(pa, AbcdConfig(
-            m1=2, coordinate_only=True, max_evals=q + 800,
-            seed=0, target_accuracy=0.0))
+        abcd_solve(pa, AbcdConfig(m1=2, coordinate_only=True, seed=0),
+                   EvalCounter(cap=q + 800 + 2 * base.n))
         tail = pts_abcd[q:q + len(pts_direct)]
         assert len(tail) == len(pts_direct)
         for a, b in zip(tail, pts_direct):

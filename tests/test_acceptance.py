@@ -238,9 +238,10 @@ def test_6_hedar_ordering():
 
 
 def test_7_degeneration_equivalence(monkeypatch):
-    # one subproblem over every coordinate with no early stops; max_evals
-    # clips its cap to the DIRECT run's 2000 evaluations
-    monkeypatch.setattr(abcd_mod, "SUB_CAP_PER_COORD", 2000)
+    # one subproblem over every coordinate with no early stops; its own cap,
+    # 1000 evaluations per coordinate, is the DIRECT run's budget, and the
+    # counter's cap leaves room for the division that crosses it
+    monkeypatch.setattr(abcd_mod, "SUB_CAP_PER_COORD", 1000)
     monkeypatch.setattr(abcd_mod, "SUB_STOPS", {})
     cases = [("BR", None), ("H3", None), ("rastrigin", 3)]
     identical = []
@@ -248,12 +249,14 @@ def test_7_degeneration_equivalence(monkeypatch):
         problem, _ = get_function(name, dim)
         n = problem.n
         pd, pts_direct = recording(problem)
-        direct_solve(pd, DirectConfig(max_evals=2000, target_accuracy=0.0))
+        direct_solve(pd, DirectConfig(max_evals=1000 * n,
+                                      target_accuracy=0.0))
         pa, pts_abcd = recording(problem)
         q = min(2 * n, 32)
-        abcd_solve(pa, AbcdConfig(
-            m1=n, coordinate_only=True, max_evals=q + 2000,
-            seed=0, target_accuracy=0.0))
+        counter = EvalCounter(cap=q + 1000 * n + 2 * n)
+        counter.arm(pa, 0.0, None)  # the DIRECT run's target accuracy
+        abcd_solve(pa, AbcdConfig(m1=n, coordinate_only=True, seed=0),
+                   counter)
         tail = pts_abcd[q:q + len(pts_direct)]
         identical.append(
             len(tail) == len(pts_direct)

@@ -5,13 +5,11 @@ evaluated point and value bit-identical. These tests hash the in-order
 (point bytes, value) sequence of fixed runs and compare it with a recorded
 digest; a changed digest means the algorithm's behaviour changed, not just
 its speed. The DIRECT digests were recorded before the DIRECT hot path was
-streamlined, the two capped-counter ABCD digests before ABCD became a phase
-machine; the griewank n=6 digest was re-recorded when subproblem caps began
-to be clipped to the evaluation budget left. The griewank n=12 and n=7
-digests were recorded before division stopped using numpy for its
-bookkeeping and group keys became shared across partitions. The `sqp`
-digest was recorded before the QP step of the polish began to exit at a
-repeated iterate.
+streamlined, the S5 and griewank n=4 ABCD digests before ABCD became a
+phase machine. The griewank n=12 and n=7 digests were recorded before
+division stopped using numpy for its bookkeeping and group keys became
+shared across partitions. The `sqp` digest was recorded before the QP step
+of the polish began to exit at a repeated iterate.
 
 Each ABCD case also pins the digest of its trace rows, subproblem count and
 stop reason (`trace_digest`), recorded before the phases were rewritten as
@@ -23,13 +21,19 @@ began to stop a run at its first evaluation within the target rather than
 at the end of the step: the new sequence is the old one cut short, which
 `test_target_stop_only_cuts_the_tail` checks.
 
-The digests of every case with a polish, their trace digests and
-`GRIEWANK_4000` were re-recorded when the polish began to take its start
-value from the caller and to stop at a step that rounds away at its
-iterate. Both only drop evaluations of points the run had already
-evaluated, so each new run's distinct points begin with those of the run
-pinned before (`BEFORE_THE_POLISH_REPEATS`), which
-`test_polish_only_drops_repeats` checks.
+The digests of every case with a polish and their trace digests were
+re-recorded when the polish began to take its start value from the caller
+and to stop at a step that rounds away at its iterate. Both only drop
+evaluations of points the run had already evaluated, so each new run's
+distinct points begin with those of the run pinned before
+(`BEFORE_THE_POLISH_REPEATS`), which `test_polish_only_drops_repeats`
+checks.
+
+The griewank n=6 digest and its trace digest were re-recorded when ABCD's
+budget became its counter alone. The case had been an uncapped run whose
+config's evaluation budget clipped its last subproblem, so it ended at
+4001 evaluations. It is now the same run on a counter capped at 4000, and
+its evaluations are the old run's first 4000.
 """
 
 import hashlib
@@ -91,12 +95,11 @@ def trace_digest(result):
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
-def run_abcd(name, dim, max_evals, seed, capped=False, **config):
-    """A seeded ABCD run; `capped` also caps the counter at max_evals."""
+def run_abcd(name, dim, cap, seed, **config):
+    """A seeded ABCD run on a counter capped at `cap`."""
     problem, entries = recording(get_function(name, dim)[0])
-    counter = EvalCounter(cap=max_evals) if capped else None
-    result = abcd_solve(problem, AbcdConfig(max_evals=max_evals, seed=seed,
-                                            **config), counter=counter)
+    result = abcd_solve(problem, AbcdConfig(seed=seed, **config),
+                        counter=EvalCounter(cap=cap))
     return entries, trace_digest(result)
 
 
@@ -121,24 +124,22 @@ CASES = {
         "d86ed4c1c22d77960e49a83ff431d1a7516cd892efe393ecab59eefa8f5efbee",
         2001),
     # all three phases: coordinate, local polish and random blocks; the
-    # counter is uncapped, so the last subproblem's cap is clipped
+    # cap stops the last subproblem at its evaluation
     "abcd-griewank-6-seed3": (
         lambda: run_abcd("griewank", 6, 4000, 3),
-        "c0ecf736fae66dc62310737e08194589420d9b5a87b2a88842edf1114805de8f",
-        4001,
-        "798a21542a6a1e07a48ef59d72d0c70d3e778f62aa898a1ced1814558afef513"),
+        "2963b9ecca758b871368cc75184e2ec87da141a36f60a32bb370e0dd90ff1f12",
+        4000,
+        "a9cf46211fad13101a7799f4cf8729134e23913c21dc33f35e93b82dd15c3f95"),
     # coordinate-only: stalls restart from a fresh sample (twice here); the
     # last evaluation is the first within the target
     "abcd-coordinate-S5-seed0": (
-        lambda: run_abcd("S5", None, 3000, 0, capped=True,
-                         coordinate_only=True),
+        lambda: run_abcd("S5", None, 3000, 0, coordinate_only=True),
         "5b4e3131f9134e695c44defdeb8d701eef7e8ad40eb84138549e3b6b7da7c7e6",
         2453,
         "d7f0dd01d00f92a052299e9a733b016fe03765426b0e696cb259d31183d42ea8"),
     # polish first, all three phases, intensify and one restart
     "abcd-sqp-first-griewank-4-seed3": (
-        lambda: run_abcd("griewank", 4, 10000, 3, capped=True,
-                         sqp_first=True),
+        lambda: run_abcd("griewank", 4, 10000, 3, sqp_first=True),
         "24bb3d0ea7d9c2d842f234164154c443059de866a6d4e31d273362acbcb428f0",
         10000,
         "c46180416d63baf09601cf33a67118a35e2f5b15f1e1f74c237bb71ea1fd97ce"),
@@ -149,7 +150,7 @@ CASES = {
         2001),
     # three-coordinate blocks over n = 7 wrap around unsorted ([6, 0, 1])
     "abcd-m1-3-griewank-7-seed1": (
-        lambda: run_abcd("griewank", 7, 3000, 1, capped=True, m1=3),
+        lambda: run_abcd("griewank", 7, 3000, 1, m1=3),
         "1c2e8bfb6daab3f8077d6ceed67dbaa35198fa807970dd28ad74a2ed2c12832a",
         3000,
         "6c97b9ad352728c2dc49dbd6b8fdd04864b12da3ba90e94b7c493a4f2d930304"),
@@ -167,19 +168,14 @@ S5_BEFORE_THE_COUNTER_STOP = (
     "5eaa832d89c48b85d22050ec77b3df2e41b0239456db5b4ba3b062ee364ff426",
     2454)
 
-# the first 4000 evaluations of abcd-griewank-6-seed3, which are also all
-# the evaluations of the same run on a counter capped at 4000
-GRIEWANK_4000 = (
-    "2963b9ecca758b871368cc75184e2ec87da141a36f60a32bb370e0dd90ff1f12")
-
 # the digest and count of the distinct points, in the order of their first
 # evaluation, of each run with a polish as pinned before the polish took
 # its start value from the caller and stopped where its step rounds away
 BEFORE_THE_POLISH_REPEATS = {
     "abcd-griewank-6-seed3": (
         CASES["abcd-griewank-6-seed3"][0],
-        "890f4f63812813559d6776ca8710672f4c244aa9e2d1c28d9889b9495bfea5b2",
-        3991),
+        "7eb66c96e3b5b84088bef0ed7d199735bd5891569c68a871c580bdd510db8959",
+        3990),
     "abcd-sqp-first-griewank-4-seed3": (
         CASES["abcd-sqp-first-griewank-4-seed3"][0],
         "4da8319cfd9d512e1afc845b4dd4db503cb3c12b9b1c236a84795707041a3c93",
@@ -193,11 +189,6 @@ BEFORE_THE_POLISH_REPEATS = {
         CASES["sqp-S5-seed0"][0],
         "6eb0b98b5bd0198a662123a1d737a5d1bb5b9d0596c7877597f596a546a29d72",
         377),
-    # the capped run of GRIEWANK_4000
-    "griewank-6-capped": (
-        lambda: run_abcd("griewank", 6, 4000, 3, capped=True),
-        "7eb66c96e3b5b84088bef0ed7d199735bd5891569c68a871c580bdd510db8959",
-        3990),
 }
 
 
@@ -284,14 +275,6 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
     assert ((z > 0.0) & (z < 1.0)).all()
 
 
-def test_budget_clip_only_cuts_the_tail():
-    problem, entries = recording(get_function("griewank", 6)[0])
-    abcd_solve(problem, AbcdConfig(max_evals=4000, seed=3))
-    assert digest(entries[:4000]) == GRIEWANK_4000
-    capped, _ = run_abcd("griewank", 6, 4000, 3, capped=True)
-    assert (digest(capped), len(capped)) == (GRIEWANK_4000, 4000)
-
-
 def test_target_stop_only_cuts_the_tail():
     # without a target the run goes on past both pinned ends; its first
     # 2454 evaluations are the sequence pinned before the counter stopped
@@ -300,8 +283,7 @@ def test_target_stop_only_cuts_the_tail():
     for want, count in (S5_BEFORE_THE_COUNTER_STOP, (new_digest, new_count)):
         s5 = get_function("S5")[0]
         problem, entries = recording(Problem(s5.objective, s5.bounds))
-        abcd_solve(problem, AbcdConfig(max_evals=3000, seed=0,
-                                       coordinate_only=True),
+        abcd_solve(problem, AbcdConfig(seed=0, coordinate_only=True),
                    counter=EvalCounter(cap=3000))
         assert digest(entries[:count]) == want
         assert len(entries) > count

@@ -425,3 +425,15 @@ def test_readme_names_every_termination_reason():
     section = section.split("`error` is not a `Reason`", 1)[0]
     named = set(re.findall(r"^  - `([a-z_]+)`:", section, re.MULTILINE))
     assert named == {r.value for r in Reason}
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's `## Library use` block runs as written against the
+    # package's API and reaches its target
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["res"].reason is Reason.TARGET_REACHED
+    assert capsys.readouterr().out

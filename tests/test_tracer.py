@@ -75,8 +75,7 @@ def test_direct_solve_calls_count_abcd_subproblems(monkeypatch):
     tracer = Tracer().install()
     try:
         result = runner_mod.abcd_solve(
-            problem, AbcdConfig(max_evals=2000, seed=3),
-            EvalCounter(cap=2000))
+            problem, AbcdConfig(seed=3), EvalCounter(cap=2000))
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
@@ -111,8 +110,7 @@ def test_every_abcd_evaluation_is_counted_in_a_phase(monkeypatch, case):
     try:
         result = runner_mod.abcd_solve(
             get_function(name, dim)[0],
-            AbcdConfig(max_evals=cap, seed=seed, **config),
-            EvalCounter(cap=cap))
+            AbcdConfig(seed=seed, **config), EvalCounter(cap=cap))
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
@@ -134,11 +132,11 @@ PINNED = {
         "9d517abe0d6b1dadbdca69050f01d1a71758ae5c431fc5a605a93d27dd9b33bd",
         3005),
     "abcd-griewank-6-seed3": (
-        lambda p: runner_mod.abcd_solve(p, AbcdConfig(max_evals=4000,
-                                                      seed=3)),
+        lambda p: runner_mod.abcd_solve(p, AbcdConfig(seed=3),
+                                        EvalCounter(cap=4000)),
         ("griewank", 6),
-        "c0ecf736fae66dc62310737e08194589420d9b5a87b2a88842edf1114805de8f",
-        4001),
+        "2963b9ecca758b871368cc75184e2ec87da141a36f60a32bb370e0dd90ff1f12",
+        4000),
     "sqp-S5-seed0": (
         lambda p: runner_mod._run_sqp(p, 0, EvalCounter(cap=2000)),
         ("S5", None),
