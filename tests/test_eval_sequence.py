@@ -189,6 +189,13 @@ BEFORE_THE_POLISH_REPEATS = {
         CASES["sqp-S5-seed0"][0],
         "6eb0b98b5bd0198a662123a1d737a5d1bb5b9d0596c7877597f596a546a29d72",
         377),
+    # the griewank n=6 run on a counter capped at 4000, pinned apart from
+    # the then uncapped abcd-griewank-6-seed3 before the counter became
+    # ABCD's one budget; both now name the same run
+    "griewank-6-capped": (
+        lambda: run_abcd("griewank", 6, 4000, 3),
+        "7eb66c96e3b5b84088bef0ed7d199735bd5891569c68a871c580bdd510db8959",
+        3990),
 }
 
 
