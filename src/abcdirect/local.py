@@ -1,10 +1,10 @@
 """Box-constrained quasi-Newton local search with finite-difference gradients.
 
-Damped BFGS model, projected-gradient QP step, Armijo backtracking. Stands in
-wherever a smooth local polish is wanted from a warm start. A caller that
-holds the start point's value passes it in, and a step that rounds away at
-the iterate ends the search as stationary, so the search never evaluates
-its start or its iterate again.
+Damped BFGS model, a QP step solved over the box by an active-set method,
+Armijo backtracking. Stands in wherever a smooth local polish is wanted
+from a warm start. A caller that holds the start point's value passes it
+in, and a step that rounds away at the iterate ends the search as
+stationary, so the search never evaluates its start or its iterate again.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from numpy._core.umath import clip as _clip
 
 from .problem import (
     Bounds,
+    ConfigError,
     EvalCounter,
     Problem,
     Reason,
@@ -32,7 +33,7 @@ GRAD_STEP = 1e-7       # relative finite-difference step
 PG_TOL = 1e-8          # projected-gradient stationarity tolerance
 ARMIJO_C = 1e-4        # sufficient-decrease constant of the line search
 MAX_BACKTRACKS = 30    # step halvings before the line search fails
-QP_ITERS = 50          # projected-gradient iterations per QP step
+QP_CHANGES = 50        # working-set changes per QP step
 
 
 class LocalStatus(str, Enum):
@@ -58,13 +59,16 @@ def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
     """One-sided finite differences, n extra evaluations.
 
     Forward step h_i = GRAD_STEP*max(1, |x_i|); switches to backward when the
-    forward probe would leave the upper bound. The steps are computed on
-    Python floats, the same IEEE operations as on numpy scalars; each probe
-    is a fresh array.
+    forward probe would leave the upper bound. In a box narrower than the
+    step, where the backward probe would leave the lower bound too, the
+    probe is the bound with more room. The steps are computed on Python
+    floats, the same IEEE operations as on numpy scalars; each probe is a
+    fresh array.
     """
     x = np.asarray(x, dtype=float)
     if f0 is None:
         f0 = evaluate_counted(problem, x, counter)
+    lower = problem.bounds.lower.tolist()
     upper = problem.bounds.upper.tolist()
     g = np.empty_like(x)
     for i, xi in enumerate(x.tolist()):
@@ -73,50 +77,56 @@ def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
             h = -h
         probe = x.copy()
         probe[i] = xi + h
+        if xi + h < lower[i]:
+            # a box narrower than the step: probe the bound with more room
+            bound = max(upper[i], lower[i], key=lambda b: abs(b - xi))
+            probe[i], h = bound, bound - xi
         g[i] = (evaluate_counted(problem, probe, counter) - f0) / h
     return g
 
 
-def box_qp_step(g: np.ndarray, B: np.ndarray, x: np.ndarray, bounds: Bounds,
-                iters: int = QP_ITERS) -> np.ndarray:
-    """Approximately minimize g.p + 0.5 p'Bp over lower <= x+p <= upper.
+def box_qp_step(g: np.ndarray, B: np.ndarray, x: np.ndarray,
+                bounds: Bounds) -> np.ndarray:
+    """Minimize g.p + 0.5 p'Bp over lower <= x+p <= upper.
 
-    Projected gradient with a fixed step 1/L (L = largest eigenvalue of B)
-    starting from p = 0; every iterate is feasible and the QP objective never
-    rises above 0.
-
-    The loop stops early at the first iterate k whose bytes repeat an
-    earlier iterate `first`: each iterate is a function of the previous
-    one's bits, so from `first` on the iterates cycle with period
-    k - first, and iterate `iters` is iterate
-    first + (iters - k) % (k - first). A fixed point is the period-1 case.
-    The result is that of all `iters` iterations, bit for bit.
+    Primal active-set method (Nocedal & Wright, Numerical Optimization,
+    2006, sec. 16.5) from p = 0. The working set holds coordinates fixed at
+    a bound; each pass solves for the minimizer over the free coordinates.
+    With an empty working set that is the Newton step -B^-1 g, returned as
+    `np.linalg.solve` gives it when it lies in the box. A minimizer outside
+    the box is approached up to the first bound it crosses, whose
+    coordinate is fixed there. At a minimizer inside the box, the fixed
+    coordinate whose bound multiplier has the wrong sign, the largest
+    first, is released; none means p solves the QP. After QP_CHANGES
+    working-set changes, or at a singular or non-finite reduced solve, the
+    current p is returned. Every p is feasible, and a p whose QP objective
+    rounds above 0 becomes the zero step.
     """
-    lo = bounds.lower - x
-    hi = bounds.upper - x
-    L = float(np.linalg.eigvalsh(B)[-1])
-    if L <= 0:
-        return np.zeros_like(g)
-    step = 1.0 / L
-    p = np.zeros_like(g)
-    iterates = [p]
-    seen = {p.tobytes(): 0}
-    for k in range(1, iters + 1):
-        # p = (p - step * (g + B @ p)).clip(lo, hi), on one new array; dot
-        # reaches the same gemv as matmul with less dispatch
-        q = np.dot(B, p)
-        np.add(g, q, q)
-        np.multiply(step, q, q)
-        np.subtract(p, q, q)
-        p = _clip(q, lo, hi, q)
-        first = seen.setdefault(p.tobytes(), k)
-        if first != k:
-            p = iterates[first + (iters - k) % (k - first)]
+    lo, hi = bounds.lower - x, bounds.upper - x
+    p, fixed = np.zeros_like(g), np.zeros(g.size, dtype=bool)
+    for _ in range(QP_CHANGES):
+        free, y = ~fixed, p.copy()
+        try:
+            y[free] = np.linalg.solve(
+                B[np.ix_(free, free)],
+                -g[free] - B[np.ix_(free, fixed)] @ p[fixed])
+        except np.linalg.LinAlgError:  # a singular reduced model
             break
-        iterates.append(p)
-    if g @ p + 0.5 * p @ B @ p > 0.0:
-        return np.zeros_like(g)
-    return p
+        if not np.isfinite(y).all():
+            break
+        out = np.flatnonzero((y < lo) | (y > hi))
+        if out.size:  # stop at the first bound crossed, fixed from then on
+            step = (_clip(y, lo, hi) - p)[out] / (y - p)[out]
+            k = out[np.argmin(step)]
+            p = _clip(p + step.min() * (y - p), lo, hi)
+            p[k], fixed[k] = (lo[k] if y[k] < lo[k] else hi[k]), True
+            continue
+        p = y  # multipliers: g + Bp at a lower bound, -(g + Bp) at an upper
+        lam = np.where(p == lo, 1.0, -1.0) * (g + B @ p) * fixed
+        if lam.min() >= 0.0:
+            break
+        fixed[np.argmin(lam)] = False
+    return np.zeros_like(g) if g @ p + 0.5 * p @ B @ p > 0.0 else p
 
 
 def _projected_gradient_norm(x, g, bounds):
@@ -130,8 +140,10 @@ def sqp_local(problem: Problem, x0: np.ndarray,
     """Quasi-Newton descent from x0, at most `max_iters` steps; returns the
     best point seen.
 
-    `f0`, if given, is the value at x0, which must then lie in the box; the
-    search evaluates x0 only without it. Powell-damped BFGS keeps the model
+    `f0`, if given, is the value at x0, which must then lie in the closed
+    box: one outside it (a NaN coordinate included) raises ConfigError
+    before any evaluation. The search evaluates x0 only without `f0`, and
+    clips it into the box. Powell-damped BFGS keeps the model
     positive definite. A line-search trial whose bytes equal the iterate's
     ends the search as stationary: halving the step only keeps it rounded
     away, and every later trial and gradient would repeat a point already
@@ -142,7 +154,11 @@ def sqp_local(problem: Problem, x0: np.ndarray,
     """
     counter = counter if counter is not None else EvalCounter()
     bounds = problem.bounds
-    x = bounds.clip(np.asarray(x0, dtype=float))
+    x = np.asarray(x0, dtype=float)
+    if f0 is not None and not (
+            (bounds.lower <= x) & (x <= bounds.upper)).all():
+        raise ConfigError("f0 is given for an x0 outside the box")
+    x = bounds.clip(x)
     n = x.size
     start_count, f_before = counter.count, counter.best_f
 

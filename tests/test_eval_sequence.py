@@ -23,26 +23,33 @@ at the end of the step: the new sequence is the old one cut short, which
 
 The digests of every case with a polish and their trace digests were
 re-recorded when the polish began to take its start value from the caller
-and to stop at a step that rounds away at its iterate. Both only drop
-evaluations of points the run had already evaluated, so each new run's
-distinct points begin with those of the run pinned before
-(`BEFORE_THE_POLISH_REPEATS`), which `test_polish_only_drops_repeats`
-checks.
+and to stop at a step that rounds away at its iterate. Both only dropped
+evaluations of points the run had already evaluated.
 
 The griewank n=6 digest and its trace digest were re-recorded when ABCD's
 budget became its counter alone. The case had been an uncapped run whose
 config's evaluation budget clipped its last subproblem, so it ended at
 4001 evaluations. It is now the same run on a counter capped at 4000, and
 its evaluations are the old run's first 4000.
+
+The digests of every case with a polish and their trace digests were
+re-recorded again when the polish's QP step became an active-set solve in
+place of 50 projected-gradient iterations. The new step changes the
+polish's trials, so the sequences part at the first QP step of each run:
+everything before it is as recorded with the old step
+(`BEFORE_THE_FIRST_QP_STEP`), which `test_the_qp_step_keeps_the_prefix`
+checks.
 """
 
 import hashlib
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 import abcdirect.direct as direct_mod
+import abcdirect.local as local_mod
 import abcdirect.runner as runner_mod
 from abcdirect.abcd import AbcdConfig, abcd_solve, choose_start, start_samples
 from abcdirect.direct import DirectConfig, direct_solve
@@ -127,9 +134,9 @@ CASES = {
     # cap stops the last subproblem at its evaluation
     "abcd-griewank-6-seed3": (
         lambda: run_abcd("griewank", 6, 4000, 3),
-        "2963b9ecca758b871368cc75184e2ec87da141a36f60a32bb370e0dd90ff1f12",
+        "a1ccdbdd70cd2bec6f1cd44b5d76738656e1ca0adda16a6f7c5e979b3b6619bb",
         4000,
-        "a9cf46211fad13101a7799f4cf8729134e23913c21dc33f35e93b82dd15c3f95"),
+        "b062b755007ccf18e7f34518838c07dd33df1697d6ff9f9d3f92054c12eda1f5"),
     # coordinate-only: stalls restart from a fresh sample (twice here); the
     # last evaluation is the first within the target
     "abcd-coordinate-S5-seed0": (
@@ -140,9 +147,9 @@ CASES = {
     # polish first, all three phases, intensify and one restart
     "abcd-sqp-first-griewank-4-seed3": (
         lambda: run_abcd("griewank", 4, 10000, 3, sqp_first=True),
-        "24bb3d0ea7d9c2d842f234164154c443059de866a6d4e31d273362acbcb428f0",
+        "e903e31b8fb3a7c8dcc6ae0a8b93a274bc5da3a82f352878ff625f15806ecdce",
         10000,
-        "c46180416d63baf09601cf33a67118a35e2f5b15f1e1f74c237bb71ea1fd97ce"),
+        "c3ea7607fa8c2a14a8aac7bc4ad9aee738226ce66e156d869df97f57e409b7a0"),
     # n = 12 is wide enough for numpy's 8-way pairwise sum inside measure()
     "direct-griewank-12": (
         lambda: run_direct("griewank", 12, 2000),
@@ -151,15 +158,14 @@ CASES = {
     # three-coordinate blocks over n = 7 wrap around unsorted ([6, 0, 1])
     "abcd-m1-3-griewank-7-seed1": (
         lambda: run_abcd("griewank", 7, 3000, 1, m1=3),
-        "1c2e8bfb6daab3f8077d6ceed67dbaa35198fa807970dd28ad74a2ed2c12832a",
+        "40770b9d60befd312195230e5eff23cb22d002a722b9fd912bddf7aa3da47d13",
         3000,
-        "6c97b9ad352728c2dc49dbd6b8fdd04864b12da3ba90e94b7c493a4f2d930304"),
-    # the polish alone: many QP steps end in a repeated iterate (a fixed
-    # point or a 2-cycle), and the search ends where its step rounds away
+        "4349bd29dbfb0e475940ddcd8712c1e2742e01bbcf39e1994d1830afdbff5dc9"),
+    # the polish alone: it ends where its step rounds away
     "sqp-S5-seed0": (
         lambda: run_sqp("S5", None, 2000, 0),
-        "6eb0b98b5bd0198a662123a1d737a5d1bb5b9d0596c7877597f596a546a29d72",
-        377),
+        "006c9779dd8b65d24756ed9a35ee9c208b52735fb604f659ecdaaed2020246a6",
+        130),
 }
 
 # abcd-coordinate-S5-seed0 as pinned while the target was checked between
@@ -168,34 +174,22 @@ S5_BEFORE_THE_COUNTER_STOP = (
     "5eaa832d89c48b85d22050ec77b3df2e41b0239456db5b4ba3b062ee364ff426",
     2454)
 
-# the digest and count of the distinct points, in the order of their first
-# evaluation, of each run with a polish as pinned before the polish took
-# its start value from the caller and stopped where its step rounds away
-BEFORE_THE_POLISH_REPEATS = {
+# the digest and count of each polished run's evaluations before its first
+# QP step's first line-search trial, recorded while the QP step was still
+# solved by projected gradient: no evaluation before it depends on the step
+BEFORE_THE_FIRST_QP_STEP = {
     "abcd-griewank-6-seed3": (
-        CASES["abcd-griewank-6-seed3"][0],
-        "7eb66c96e3b5b84088bef0ed7d199735bd5891569c68a871c580bdd510db8959",
-        3990),
+        "b56137ee515cff4e0b16061e09a3d0abab070984bd6f34c71238b43c9319c182",
+        777),
     "abcd-sqp-first-griewank-4-seed3": (
-        CASES["abcd-sqp-first-griewank-4-seed3"][0],
-        "4da8319cfd9d512e1afc845b4dd4db503cb3c12b9b1c236a84795707041a3c93",
-        8841),
+        "02c961bac3fa4fc619538b2e7e9e560e467b0e147c12ffd4c65c921cd21f5525",
+        12),
     "abcd-m1-3-griewank-7-seed1": (
-        CASES["abcd-m1-3-griewank-7-seed1"][0],
-        "b5f12d1a8e0f1443ff013ddf3484d334e14b28fc8a2bede6c9f433fb931e0195",
-        2997),
-    # the old run's 2000 evaluations held 1623 repeats
+        "993c3057fb055842a90df0407b5bd448af21f0c970c61346125073e0540d5c4f",
+        2445),
     "sqp-S5-seed0": (
-        CASES["sqp-S5-seed0"][0],
-        "6eb0b98b5bd0198a662123a1d737a5d1bb5b9d0596c7877597f596a546a29d72",
-        377),
-    # the griewank n=6 run on a counter capped at 4000, pinned apart from
-    # the then uncapped abcd-griewank-6-seed3 before the counter became
-    # ABCD's one budget; both now name the same run
-    "griewank-6-capped": (
-        lambda: run_abcd("griewank", 6, 4000, 3),
-        "7eb66c96e3b5b84088bef0ed7d199735bd5891569c68a871c580bdd510db8959",
-        3990),
+        "f47ec3212a55e921d497e4d559a0ed4a0d80dac735a090c999d666b6b60665f8",
+        12),
 }
 
 
@@ -296,23 +290,35 @@ def test_target_stop_only_cuts_the_tail():
         assert len(entries) > count
 
 
-@pytest.mark.parametrize("case", sorted(BEFORE_THE_POLISH_REPEATS))
-def test_polish_only_drops_repeats(case):
-    # the polish no longer evaluates its start point or a trial equal to
-    # its iterate, all points its run had evaluated before; the budget
-    # those repeats spent goes to points the old run never reached, so the
-    # old run's distinct points begin the new run's
-    run, want_digest, want_count = BEFORE_THE_POLISH_REPEATS[case]
-    points = distinct(run()[0])
-    assert len(points) >= want_count
-    assert digest(points[:want_count]) == want_digest
+@pytest.mark.parametrize("case", sorted(BEFORE_THE_FIRST_QP_STEP))
+def test_the_qp_step_keeps_the_prefix(case, monkeypatch):
+    # the QP step decides the polish's trials and nothing before them: the
+    # run's evaluations up to its first QP step are as recorded before the
+    # step's rewrite, and the first step comes at the same evaluation
+    want_digest, want_count = BEFORE_THE_FIRST_QP_STEP[case]
+    runs, marks = [], []
+    record, step = recording, local_mod.box_qp_step
+
+    def recording_run(problem):
+        problem, entries = record(problem)
+        runs.append(entries)
+        return problem, entries
+
+    def marking_step(*args):
+        marks.append(len(runs[0]))
+        return step(*args)
+
+    monkeypatch.setattr(sys.modules[__name__], "recording", recording_run)
+    monkeypatch.setattr(local_mod, "box_qp_step", marking_step)
+    entries = CASES[case][0]()[0]
+    assert runs == [entries] and marks[0] == want_count
+    assert digest(entries[:want_count]) == want_digest
 
 
 def test_sqp_run_ends_where_its_step_rounds_away(monkeypatch):
     # the `sqp` algorithm on S5 at run seed 0 used to spend its whole
     # 2000-evaluation budget, 1623 of them on repeats, and report
     # eval_budget; it now stops, stalled, with no point evaluated twice
-    # and the same best value, bit for bit
     recorded = []
 
     def recording_function(name, dim=None):
@@ -325,9 +331,9 @@ def test_sqp_run_ends_where_its_step_rounds_away(monkeypatch):
     report = run_single(RunSpec("S5", algorithm="sqp", max_evals=2000,
                                 seed=0, repetitions=1), 0)
     [entries] = recorded
-    assert report.evals == len(entries) == len(distinct(entries)) == 377
+    assert report.evals == len(entries) == len(distinct(entries)) == 130
     assert report.termination == Reason.GLOBAL_STALL
-    assert report.best_f.hex() == "-0x1.43885c0e25102p+2"
+    assert report.best_f.hex() == "-0x1.43885c0e25128p+2"
     # the trace counts the run's evaluations: the start sample's best, then
     # each improvement of the polish
     evals = [e for e, _, _ in report.trace]

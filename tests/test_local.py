@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import abcdirect.local as local_mod
 import abcdirect.problem as problem_mod
 from abcdirect.local import (
     LocalStatus,
@@ -16,6 +17,7 @@ from abcdirect.local import (
 )
 from abcdirect.problem import (
     Bounds,
+    ConfigError,
     EvalCounter,
     NonFiniteValueError,
     Problem,
@@ -45,20 +47,57 @@ def recording(problem):
     return Problem(obj, problem.bounds, problem.known_optimum), pts
 
 
-def reference_box_qp_step(g, B, x, bounds, iters=50):
-    """`box_qp_step` as a plain loop that runs all `iters` iterations."""
-    lo = bounds.lower - x
-    hi = bounds.upper - x
-    L = float(np.linalg.eigvalsh(B)[-1])
-    if L <= 0:
-        return np.zeros_like(g)
-    step = 1.0 / L
-    p = np.zeros_like(g)
-    for _ in range(iters):
-        p = (p - step * (g + B @ p)).clip(lo, hi)
-    if g @ p + 0.5 * p @ B @ p > 0.0:
-        return np.zeros_like(g)
-    return p
+def qp_objective(g, B, p):
+    return float(g @ p + 0.5 * p @ B @ p)
+
+
+def kkt_residual(g, B, x, bounds, p):
+    """The largest KKT violation of p for min g.p + 0.5 p'Bp over the box,
+    relative to the size of the gradient's terms: the gradient on the free
+    coordinates, and a gradient that points out of the box at a bound."""
+    lo, hi = bounds.lower - x, bounds.upper - x
+    r = g + B @ p
+    at_lo, at_hi = p == lo, p == hi
+    free = ~(at_lo | at_hi)
+    worst = max(np.abs(r[free]).max(initial=0.0),
+                (-r[at_lo]).max(initial=0.0), r[at_hi].max(initial=0.0))
+    return worst / (np.abs(g).max() + np.abs(B).max() * np.abs(p).max())
+
+
+def random_qps(seed, radii=(10.0, 0.05)):
+    """(g, B, x, bounds) over the models identity, A A' + 0.1 I and
+    diag(logspace(0, 4, n)) at n = 1..18, in a loose and a tight box."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 19):
+        A = rng.normal(size=(n, n))
+        for B in (np.eye(n), A @ A.T + 0.1 * np.eye(n),
+                  np.diag(np.logspace(0, 4, n))):
+            for radius in radii:
+                x = rng.uniform(0.0, 1.0, size=n)
+                bounds = Bounds(x - rng.uniform(0.0, radius, size=n),
+                                x + rng.uniform(1e-3, radius, size=n))
+                yield rng.normal(0.0, 3.0, size=n), B, x, bounds
+
+
+# g, B and x of a QP step of the polish on S5: the 10th of the `sqp` run at
+# seed 0 (budget 2000) as the QP step was before it was solved
+def _hex_array(hexes):
+    return np.array([float.fromhex(h) for h in hexes])
+
+
+S5_G = _hex_array(["-0x1.228904eb75427p-13", "0x1.00fe5e0c93ea4p-9",
+                   "-0x1.92a110e0fc66ep-11", "0x1.297c562375c7dp-10"])
+S5_B = _hex_array(["0x1.6d70c8e50a85ap+5", "-0x1.61a9e11b08288p+1",
+                   "0x1.9f6f4bd377ee0p-3", "0x1.31629163c7320p+0",
+                   "-0x1.61a9e11b08288p+1", "0x1.7dc7b06ad021ap+5",
+                   "0x1.d8828378b8da0p-3", "0x1.05e784fc5a870p+0",
+                   "0x1.9f6f4bd377ee0p-3", "0x1.d8828378b8da0p-3",
+                   "0x1.89b57f9b986c0p+5", "-0x1.9d16762e577e0p-4",
+                   "0x1.31629163c7320p+0", "0x1.05e784fc5a870p+0",
+                   "-0x1.9d16762e577e0p-4",
+                   "0x1.866848c17dbcbp+5"]).reshape(4, 4)
+S5_X = _hex_array(["0x1.0008706313993p+0", "0x1.000cd00d0a1fcp+0",
+                   "0x1.00079d30d07b8p+0", "0x1.000bbaf162275p+0"])
 
 
 class TestFdGradient:
@@ -85,81 +124,111 @@ class TestFdGradient:
         fd_gradient(p, np.array([0.5]), counter, f0=0.25)
         assert counter.count == 1    # only the probe
 
+    def test_box_narrower_than_the_step(self):
+        # at x = 5 + 5e-8 in [5, 5 + 1e-7] the step is 5e-7: the forward
+        # probe would leave the box above and the backward one below, at
+        # 5 - 4.5e-7; the probe is the bound with more room instead
+        bounds = Bounds(np.array([5.0]), np.array([5.0 + 1e-7]))
+        p, pts = recording(Problem(lambda x: float(3.0 * x[0]), bounds))
+        x = np.array([5.0 + 5e-8])
+        g = fd_gradient(p, x, EvalCounter(), f0=3.0 * x[0])
+        [probe] = [np.frombuffer(b) for b in pts]
+        assert probe[0] in (bounds.lower[0], bounds.upper[0])
+        assert g[0] == pytest.approx(3.0, rel=1e-6)
+
+    def test_polish_in_a_narrow_box_stays_in_it(self):
+        # the same box: every evaluation of a capped polish lies in it
+        bounds = Bounds(np.array([5.0]), np.array([5.0 + 1e-7]))
+        p, pts = recording(Problem(lambda x: float(x[0] ** 2), bounds))
+        res = sqp_local(p, np.array([5.0 + 5e-8]), EvalCounter(cap=50))
+        assert res.evals == len(pts) == 4
+        for b in pts:
+            assert bounds.lower[0] <= np.frombuffer(b)[0] <= bounds.upper[0]
+        assert res.x[0] == 5.0
+
 
 class TestBoxQpStep:
     def test_unconstrained_newton_step(self):
         B = np.diag([2.0, 4.0])
         g = np.array([2.0, -4.0])
         x = np.zeros(2)
-        p = box_qp_step(g, B, x, Bounds(np.full(2, -10.0), np.full(2, 10.0)),
-                        iters=500)
-        assert np.allclose(p, [-1.0, 1.0], atol=1e-6)
+        p = box_qp_step(g, B, x, Bounds(np.full(2, -10.0), np.full(2, 10.0)))
+        assert np.array_equal(p, [-1.0, 1.0])
 
     def test_step_respects_box(self):
         B = np.eye(2)
         g = np.array([5.0, 5.0])
         x = np.array([0.2, 0.2])
         bounds = Bounds(np.zeros(2), np.ones(2))
-        p = box_qp_step(g, B, x, bounds, iters=200)
-        assert bounds.contains(x + p)
+        p = box_qp_step(g, B, x, bounds)
+        assert bounds.contains(x + p, atol=0.0)
+        assert np.array_equal(p, [-0.2, -0.2])
 
-    def test_bit_identical_to_the_full_loop(self):
-        # the early exit at a repeated iterate must not change a single bit,
-        # whatever the iteration count; the identity model reaches a fixed
-        # point in two iterations, tight boxes make bounds active and the
-        # badly scaled models run all 50
-        rng = np.random.default_rng(17)
-        for n in range(1, 19):
-            A = rng.normal(size=(n, n))
-            models = [np.eye(n), A @ A.T + 0.1 * np.eye(n),
-                      np.diag(np.logspace(0, 4, n)),
-                      A @ A.T * 1e-3 + np.eye(n)]
-            for B in models:
-                for radius in (10.0, 0.05):
-                    x = rng.uniform(0.0, 1.0, size=n)
-                    bounds = Bounds(x - rng.uniform(0.0, radius, size=n),
-                                    x + rng.uniform(1e-3, radius, size=n))
-                    g = rng.normal(0.0, 3.0, size=n)
-                    for iters in (0, 1, 2, 3, 7, 50, 51):
-                        got = box_qp_step(g, B, x, bounds, iters)
-                        want = reference_box_qp_step(g, B, x, bounds, iters)
-                        assert got.tobytes() == want.tobytes(), (
-                            n, radius, iters)
+    def test_feasible_newton_step_is_the_solve(self):
+        # with the Newton step inside the box, the first solve is the
+        # answer, byte for byte
+        seen = 0
+        for g, B, x, bounds in random_qps(5, radii=(1e6,)):
+            want = np.linalg.solve(B, -g)
+            if not bounds.contains(x + want, atol=0.0):
+                continue
+            seen += 1
+            assert box_qp_step(g, B, x, bounds).tobytes() == want.tobytes()
+        assert seen >= 40
 
-    def test_two_cycle_exit_is_bit_identical(self):
-        # the 10th QP step of `sqp` on S5 at run seed 0 (budget 2000): its
-        # iterate 21 repeats iterate 19 byte for byte, so the loop exits
-        # there and picks the iterate of the same parity
-        def arr(hexes):
-            return np.array([float.fromhex(h) for h in hexes])
+    def test_solution_is_feasible_and_satisfies_kkt(self):
+        # a strictly convex QP over a box: the KKT point is its minimizer
+        active = 0
+        for g, B, x, bounds in random_qps(17):
+            p = box_qp_step(g, B, x, bounds)
+            lo, hi = bounds.lower - x, bounds.upper - x
+            assert ((lo <= p) & (p <= hi)).all()
+            assert qp_objective(g, B, p) <= 0.0
+            assert kkt_residual(g, B, x, bounds, p) <= 1e-13
+            active += int(((p == lo) | (p == hi)).sum())
+        assert active > 100   # the tight boxes make bounds active
 
-        g = arr(["-0x1.228904eb75427p-13", "0x1.00fe5e0c93ea4p-9",
-                 "-0x1.92a110e0fc66ep-11", "0x1.297c562375c7dp-10"])
-        B = arr(["0x1.6d70c8e50a85ap+5", "-0x1.61a9e11b08288p+1",
-                 "0x1.9f6f4bd377ee0p-3", "0x1.31629163c7320p+0",
-                 "-0x1.61a9e11b08288p+1", "0x1.7dc7b06ad021ap+5",
-                 "0x1.d8828378b8da0p-3", "0x1.05e784fc5a870p+0",
-                 "0x1.9f6f4bd377ee0p-3", "0x1.d8828378b8da0p-3",
-                 "0x1.89b57f9b986c0p+5", "-0x1.9d16762e577e0p-4",
-                 "0x1.31629163c7320p+0", "0x1.05e784fc5a870p+0",
-                 "-0x1.9d16762e577e0p-4", "0x1.866848c17dbcbp+5"])
-        B = B.reshape(4, 4)
-        x = arr(["0x1.0008706313993p+0", "0x1.000cd00d0a1fcp+0",
-                 "0x1.00079d30d07b8p+0", "0x1.000bbaf162275p+0"])
-        bounds = Bounds(np.zeros(4), np.full(4, 10.0))
-        ref = {k: reference_box_qp_step(g, B, x, bounds, k).tobytes()
-               for k in range(18, 52)}
-        # the premise: a 2-cycle that starts at iterate 19, not a fixed point
-        assert ref[21] == ref[19] != ref[20] == ref[22]
-        assert ref[18] not in (ref[19], ref[20])
-        for iters in (20, 21, 22, 23, 50, 51):
-            got = box_qp_step(g, B, x, bounds, iters)
-            assert got.tobytes() == ref[iters], iters
+    def test_s5_model_is_pinned(self):
+        # in the search's box the step is the Newton step; in a tight box
+        # three of the four coordinates end at a bound
+        loose = Bounds(np.zeros(4), np.full(4, 10.0))
+        tight = Bounds(S5_X - 2.0 ** -16, S5_X + 2.0 ** -17)
+        for bounds, want in (
+                (loose, ["0x1.24d6e898bc969p-20", "-0x1.54bb4f94aa971p-15",
+                         "0x1.082641fe639d8p-16", "-0x1.77c0cafb3c8ccp-16"]),
+                (tight, ["0x1.4c1d3c576eef3p-19", "-0x1.0000000000000p-16",
+                         "0x1.0000000000000p-17", "-0x1.0000000000000p-16"])):
+            p = box_qp_step(S5_G, S5_B, S5_X, bounds)
+            assert [v.hex() for v in p.tolist()] == want
+            assert kkt_residual(S5_G, S5_B, S5_X, bounds, p) <= 1e-13
+
+    def test_cap_returns_a_feasible_descent(self, monkeypatch):
+        # a diagonal model whose minimizer lies past every lower bound fixes
+        # one coordinate per change, 18 in all; a lower cap returns the
+        # iterate it reached
+        n = 18
+        B = np.diag(np.logspace(0, 4, n))
+        g = np.full(n, 1e3)
+        x = np.zeros(n)
+        bounds = Bounds(np.full(n, -1e-3), np.full(n, 1e-3))
+        full = box_qp_step(g, B, x, bounds)
+        assert kkt_residual(g, B, x, bounds, full) <= 1e-13
+        assert (full == -1e-3).all()
+        for cap in (1, 2, 5, 17):
+            monkeypatch.setattr(local_mod, "QP_CHANGES", cap)
+            p = box_qp_step(g, B, x, bounds)
+            assert ((bounds.lower <= p) & (p <= bounds.upper)).all()
+            assert qp_objective(g, B, p) <= 0.0
+            assert int((p == -1e-3).sum()) == cap
+            assert kkt_residual(g, B, x, bounds, p) > 1e-6
 
     def test_degenerate_model_gives_zero_step(self):
-        p = box_qp_step(np.array([1.0]), np.array([[0.0]]), np.zeros(1),
-                        Bounds(np.array([-1.0]), np.array([1.0])))
-        assert p[0] == 0.0
+        # a singular model, and one whose Newton step overflows
+        for curvature in (0.0, 1e-320):
+            p = box_qp_step(np.array([1.0]), np.array([[curvature]]),
+                            np.zeros(1),
+                            Bounds(np.array([-1.0]), np.array([1.0])))
+            assert p[0] == 0.0
 
 
 class TestSqpLocal:
@@ -269,6 +338,19 @@ class TestSqpLocal:
                     Bounds(np.array([-1.0]), np.array([1.0])))
         res = sqp_local(p, np.array([7.0]))
         assert abs(res.x[0]) <= 1.0
+
+    def test_start_value_for_a_start_outside_the_box_is_refused(self):
+        # the value belongs to x0, so a clipped x0 would pair a point with
+        # another point's value; a NaN coordinate is outside too
+        p, pts = recording(Problem(lambda x: float(x[0] ** 2),
+                                   Bounds(np.array([-1.0]), np.array([1.0]))))
+        counter = EvalCounter()
+        for x0 in (7.0, np.nextafter(-1.0, -2.0), math.nan):
+            with pytest.raises(ConfigError):
+                sqp_local(p, np.array([x0]), counter, f0=0.5)
+        assert counter.count == 0 and not pts
+        res = sqp_local(p, np.array([1.0]), counter, f0=1.0)
+        assert res.f < 1.0
 
     def test_start_value_from_the_caller_is_not_evaluated_again(self):
         # with f0 the search makes the same evaluations as without it but

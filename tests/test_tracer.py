@@ -122,8 +122,8 @@ def test_every_abcd_evaluation_is_counted_in_a_phase(monkeypatch, case):
 
 
 # digests and counts pinned in tests/test_eval_sequence.py, whose
-# `test_polish_only_drops_repeats` also checks the two runs with a polish
-# against their sequences before the polish stopped repeating points
+# `test_the_qp_step_keeps_the_prefix` also checks the two runs with a
+# polish against their sequences up to their first QP step
 PINNED = {
     "direct-rastrigin-4": (
         lambda p: runner_mod.direct_solve(
@@ -135,13 +135,13 @@ PINNED = {
         lambda p: runner_mod.abcd_solve(p, AbcdConfig(seed=3),
                                         EvalCounter(cap=4000)),
         ("griewank", 6),
-        "2963b9ecca758b871368cc75184e2ec87da141a36f60a32bb370e0dd90ff1f12",
+        "a1ccdbdd70cd2bec6f1cd44b5d76738656e1ca0adda16a6f7c5e979b3b6619bb",
         4000),
     "sqp-S5-seed0": (
         lambda p: runner_mod._run_sqp(p, 0, EvalCounter(cap=2000)),
         ("S5", None),
-        "6eb0b98b5bd0198a662123a1d737a5d1bb5b9d0596c7877597f596a546a29d72",
-        377),
+        "006c9779dd8b65d24756ed9a35ee9c208b52735fb604f659ecdaaed2020246a6",
+        130),
 }
 
 
