@@ -3,18 +3,25 @@
 After an optimistic start sample, a run repeats one cycle (`_Run.cycle`):
 
 1. coordinate: DIRECT subproblems over the next m1 coordinates in sequence,
-   until t1 in a row descend by at most `switch_eps`;
+   until t1 in a row stall at `switch_eps`;
 2. local: one quasi-Newton polish (with `sqp_first` the polish opens the
    cycle instead);
-3. block: DIRECT subproblems over m2 random coordinates, until min(n, 6) in
-   a row descend by at most `GLOBAL_STALL_EPS`;
-4. intensify: a polish from the best point and, unless it moved the best by
-   more than `GLOBAL_STALL_EPS`, a sweep of deep DIRECT subproblems over
-   every coordinate once.
+3. block: DIRECT subproblems over random coordinate blocks, until min(n, 6)
+   in a row stall at `GLOBAL_STALL_EPS`. The first block has m2
+   coordinates; after a block that stalls the next has one more, up to n,
+   and after one that descends m2 again;
+4. intensify: a polish from the best point and, if that stalls at
+   `GLOBAL_STALL_EPS`, a sweep of deep DIRECT subproblems over every
+   coordinate once.
 
-`coordinate_only` keeps phase 1 alone. A cycle stalls unless phase 4 moved
-the best; a stalled cycle restarts from a fresh start sample exactly when the
-run's counter has a cap or a deadline, and ends the run otherwise.
+A step from value f_prev to f stalls when it descends by at most
+eps * max(1, |f_prev|) (`stalled`): an absolute threshold while |f_prev| is
+at most 1, a relative one above, as DIRECT's own potentially-optimal test
+scales its epsilon by |f_min| (Jones, Perttunen & Stuckman 1993).
+
+`coordinate_only` keeps phase 1 alone. A cycle stalls if phase 4 did; a
+stalled cycle restarts from a fresh start sample exactly when the run's
+counter has a cap or a deadline, and ends the run otherwise.
 
 The `EvalCounter` handed to `abcd_solve` is the run's one budget. Every stop
 is a `Stop` that `abcd_solve` catches. The counter raises it at the
@@ -33,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -49,11 +56,15 @@ from .problem import (
     evaluate_counted,
 )
 
-GLOBAL_STALL_EPS = 1e-6  # block-phase and intensify descent threshold
+GLOBAL_STALL_EPS = 1e-6  # block-phase and intensify stall threshold
 SUB_CAP_PER_COORD = 100  # a subproblem's evaluation cap per block coordinate
 DEEP_CAP_FACTOR = 5      # sweep subproblems get this many times the cap
 # the DIRECT stops of every subproblem but the deep sweep's, which has none
 SUB_STOPS = dict(min_measure=1e-6, stall_eps=1e-8, stall_iters=5)
+
+# what a phase takes its coordinate blocks from: a generator that is sent
+# whether the block it gave last stalled
+Blocks = Generator[np.ndarray, bool, None]
 
 
 class Phase(str, Enum):
@@ -70,9 +81,9 @@ class AbcdConfig:
     """One ABCD run; the module docstring describes the phases."""
 
     m1: int = 1                     # coordinate and sweep block size
-    m2: int = 2                     # random block size
+    m2: int = 2                     # random block size after a descent
     t1: int = 3                     # stalled coordinate steps before leaving
-    switch_eps: float = 1e-3        # descent at or below this counts as a stall
+    switch_eps: float = 1e-3        # coordinate stall threshold per max(1, |f|)
     seed: int = 0
     sqp_first: bool = False         # every cycle opens with the polish
     coordinate_only: bool = False   # no polish, no blocks: a stall restarts
@@ -129,20 +140,31 @@ def choose_start(problem: Problem, q: int, rng: np.random.Generator,
     return best_x, best_f
 
 
-def sequential_blocks(n: int, m: int) -> Iterator[np.ndarray]:
+def sequential_blocks(n: int, m: int) -> Blocks:
     """Blocks of m coordinates in turn from coordinate 0, wrapping around:
-    with n = 5 and m = 2, [0, 1], [2, 3], [4, 0], [1, 2], ..."""
+    with n = 5 and m = 2, [0, 1], [2, 3], [4, 0], [1, 2], ...; what the
+    caller sends is ignored."""
     cursor = 0
     while True:
         yield (cursor + np.arange(m)) % n
         cursor = (cursor + m) % n
 
 
-def random_blocks(n: int, m: int,
-                  rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Blocks of m distinct coordinates drawn from rng, each sorted."""
+def growing_blocks(n: int, m: int, rng: np.random.Generator) -> Blocks:
+    """Blocks of distinct coordinates drawn from rng, each sorted: m of them
+    first and after a block that descended, one more than the last block,
+    up to n, after one that stalled. The caller sends whether each block
+    stalled."""
+    size = m
     while True:
-        yield np.sort(rng.choice(n, size=m, replace=False))
+        stall = yield np.sort(rng.choice(n, size=size, replace=False))
+        size = min(size + 1, n) if stall else m
+
+
+def stalled(f_prev: float, f: float, eps: float) -> bool:
+    """Whether a step from f_prev to f descended by at most
+    eps * max(1, |f_prev|); a descent of exactly that stalls."""
+    return f_prev - f <= eps * max(1.0, abs(f_prev))
 
 
 def make_subproblem(problem: Problem, incumbent_x: np.ndarray,
@@ -246,17 +268,19 @@ class _Run:
         self.adopt(res.x_min, res.f_min)
         self.record(label)
 
-    def descend(self, blocks: Iterator[np.ndarray], label: Phase,
-                eps: float, stalls: int) -> None:
-        """Subproblems over `blocks` in turn until `stalls` in a row lower
-        the incumbent by at most `eps`; a descent of exactly `eps` stalls."""
-        streak = 0
-        for idx in blocks:
+    def descend(self, blocks: Blocks, label: Phase, eps: float,
+                stalls: int) -> None:
+        """Subproblems over `blocks` in turn until `stalls` in a row stall
+        at `eps`; `blocks` is sent whether each one stalled."""
+        streak, idx = 0, next(blocks)
+        while True:
             f_prev = self.incumbent_f
             self.subproblem(idx, label)
-            streak = streak + 1 if f_prev - self.incumbent_f <= eps else 0
+            stall = stalled(f_prev, self.incumbent_f, eps)
+            streak = streak + 1 if stall else 0
             if streak >= stalls:
                 return
+            idx = blocks.send(stall)
 
     def polish(self) -> None:
         self.check()
@@ -277,18 +301,18 @@ class _Run:
             return True
         if not cfg.sqp_first:
             self.polish()
-        self.descend(random_blocks(n, cfg.m2, self.block_rng), Phase.BLOCK,
+        self.descend(growing_blocks(n, cfg.m2, self.block_rng), Phase.BLOCK,
                      GLOBAL_STALL_EPS, min(n, 6))
         # intensify: polish from the best point
         since = self.best_f
         self.replace(self.best_x, since)
         self.polish()
-        if self.best_f >= since - GLOBAL_STALL_EPS:
+        if stalled(since, self.best_f, GLOBAL_STALL_EPS):
             # the coordinate phase may have left before visiting every
             # coordinate: sweep them all
             for idx in islice(sequential_blocks(n, cfg.m1), -(-n // cfg.m1)):
                 self.subproblem(idx, Phase.COORDINATE, deep=True)
-        return self.best_f >= since - GLOBAL_STALL_EPS
+        return stalled(since, self.best_f, GLOBAL_STALL_EPS)
 
     def run(self) -> Reason:
         """Cycles from a start sample until a `Stop`; a stalled cycle

@@ -6,9 +6,12 @@ the registry's kernel names to them.
 A kernel reads its point once with `x.tolist()` and computes on Python
 floats: indexing an array element by element boxes an `np.float64` per
 access, which made the kernels 1.6-4x slower for the same arithmetic. The
-Shekel and Hartman tables are nested lists built once from `data.py` for the
-same reason. Every operation, and its order, is the one the formula was
-written with, so the values are bit-identical to the element-wise numpy form.
+Shekel and Hartman tables are flat tuples of Python floats built once from
+`data.py`, and their kernels unpack the point into one name per coordinate
+and write each sum out, for the same reason: the inner loop over the
+coordinates took 40-55% of their time per call. Every operation, and its
+order, is the one the formula was written with (`** 2`, sums left to right),
+so the values are bit-identical to the element-wise numpy form.
 
 Batched numpy kernels (one array operation over many points) would change
 those bits, which a pure speed-up must not do, so there are none:
@@ -35,13 +38,15 @@ from .data import (
 SCHWEFEL_XSTAR = 420.96874635998205
 SCHWEFEL_OFFSET = 418.9828872724337
 
-# data.py tables as Python floats: Shekel centres by column (well j is
-# SHEKEL_A[:, j]), Hartman rows as (C[i], A[i], P[i]).
-_SHEKEL_WELLS = list(zip(SHEKEL_A.T.tolist(), SHEKEL_C.tolist()))
-_HARTMAN3_TERMS = list(zip(HARTMAN3_C.tolist(), HARTMAN3_A.tolist(),
-                           HARTMAN3_P.tolist()))
-_HARTMAN6_TERMS = list(zip(HARTMAN6_C.tolist(), HARTMAN6_A.tolist(),
-                           HARTMAN6_P.tolist()))
+# data.py tables as flat rows of Python floats: a Shekel well as
+# (A[0, j], ..., A[3, j], C[j]), a Hartman term as (C[i], *A[i], *P[i]).
+_SHEKEL_WELLS = [(*a, c) for a, c in zip(SHEKEL_A.T.tolist(),
+                                         SHEKEL_C.tolist())]
+_SHEKEL5, _SHEKEL7 = _SHEKEL_WELLS[:5], _SHEKEL_WELLS[:7]
+_HARTMAN3_TERMS = [(c, *a, *p) for c, a, p in zip(
+    HARTMAN3_C.tolist(), HARTMAN3_A.tolist(), HARTMAN3_P.tolist())]
+_HARTMAN6_TERMS = [(c, *a, *p) for c, a, p in zip(
+    HARTMAN6_C.tolist(), HARTMAN6_A.tolist(), HARTMAN6_P.tolist())]
 
 
 def ackley(x):
@@ -200,46 +205,44 @@ def shubert(x):
     return s1 * s2
 
 
-def _shekel(x, m):
-    x = x.tolist()
+def _shekel(x, wells):
+    x0, x1, x2, x3 = x.tolist()
     total = 0.0
-    for a, c in _SHEKEL_WELLS[:m]:
-        dist = 0.0
-        for xk, ak in zip(x, a):
-            dist += (xk - ak) ** 2
-        total -= 1.0 / (dist + c)
+    for a0, a1, a2, a3, c in wells:
+        total -= 1.0 / ((x0 - a0) ** 2 + (x1 - a1) ** 2 + (x2 - a2) ** 2
+                        + (x3 - a3) ** 2 + c)
     return total
 
 
 def shekel5(x):
-    return _shekel(x, 5)
+    return _shekel(x, _SHEKEL5)
 
 
 def shekel7(x):
-    return _shekel(x, 7)
+    return _shekel(x, _SHEKEL7)
 
 
 def shekel10(x):
-    return _shekel(x, 10)
-
-
-def _hartman(x, terms):
-    x = x.tolist()
-    total = 0.0
-    for c, a, p in terms:
-        expo = 0.0
-        for xk, ak, pk in zip(x, a, p):
-            expo += ak * (xk - pk) ** 2
-        total -= c * math.exp(-expo)
-    return total
+    return _shekel(x, _SHEKEL_WELLS)
 
 
 def hartman3(x):
-    return _hartman(x, _HARTMAN3_TERMS)
+    x0, x1, x2 = x.tolist()
+    total = 0.0
+    for c, a0, a1, a2, p0, p1, p2 in _HARTMAN3_TERMS:
+        total -= c * math.exp(-(a0 * (x0 - p0) ** 2 + a1 * (x1 - p1) ** 2
+                                + a2 * (x2 - p2) ** 2))
+    return total
 
 
 def hartman6(x):
-    return _hartman(x, _HARTMAN6_TERMS)
+    x0, x1, x2, x3, x4, x5 = x.tolist()
+    total = 0.0
+    for c, a0, a1, a2, a3, a4, a5, p0, p1, p2, p3, p4, p5 in _HARTMAN6_TERMS:
+        total -= c * math.exp(-(a0 * (x0 - p0) ** 2 + a1 * (x1 - p1) ** 2
+                                + a2 * (x2 - p2) ** 2 + a3 * (x3 - p3) ** 2
+                                + a4 * (x4 - p4) ** 2 + a5 * (x5 - p5) ** 2))
+    return total
 
 
 KERNELS = {

@@ -12,9 +12,10 @@ from abcdirect.abcd import (
     AbcdConfig,
     abcd_solve,
     choose_start,
+    growing_blocks,
     make_subproblem,
-    random_blocks,
     sequential_blocks,
+    stalled,
 )
 from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.problem import Bounds, ConfigError, EvalCounter, Problem, Reason
@@ -71,10 +72,19 @@ class TestSelectCoords:
         seen = [list(idx) for idx in islice(sequential_blocks(5, 2), 5)]
         assert seen == [[0, 1], [2, 3], [4, 0], [1, 2], [3, 4]]
 
-    def test_random_blocks_are_sorted_unique(self):
-        for idx in islice(random_blocks(6, 3, np.random.default_rng(0)), 20):
-            assert len(set(idx)) == 3
-            assert list(idx) == sorted(idx)
+    def test_growing_blocks_are_sorted_distinct(self):
+        # whatever the caller sends, each block is sorted and distinct; a
+        # stall grows the next block by one up to n, a descent resets it
+        rng = np.random.default_rng(0)
+        blocks = growing_blocks(6, 2, rng)
+        idx, size = next(blocks), 2
+        for _ in range(200):
+            assert len(idx) == size
+            assert list(idx) == sorted(set(idx.tolist()))
+            assert 0 <= idx[0] and idx[-1] < 6
+            stall = bool(rng.integers(2))
+            size = min(size + 1, 6) if stall else 2
+            idx = blocks.send(stall)
 
     def test_rejects_out_of_range_size(self):
         p, pts = recording(sphere(3))
@@ -138,12 +148,12 @@ class TestMakeSubproblem:
             assert x.tobytes() == ref.tobytes()
 
 
-def descending(monkeypatch, steps):
+def descending(monkeypatch, steps, n=3):
     """Replace ABCD's DIRECT subproblems by ones that lower the value of
-    every point of a flat problem by the next of `steps` (cycled) without
-    evaluating; returns the problem, whose values stay true to what the
-    subproblems report, and the list of their coordinate blocks, one per
-    subproblem run."""
+    every point of a flat n-dimensional problem by the next of `steps`
+    (cycled) without evaluating; returns the problem, whose values stay
+    true to what the subproblems report, and the list of their coordinate
+    blocks, one per subproblem run."""
     calls = []
     f = [1.0]  # the value of every point of the problem
 
@@ -153,7 +163,68 @@ def descending(monkeypatch, steps):
         return SimpleNamespace(x_min=base.copy(), f_min=f[0])
 
     monkeypatch.setattr(abcd_mod, "direct_solve", subproblem)
-    return Problem(lambda x: f[0], Bounds(np.zeros(3), np.ones(3))), calls
+    return Problem(lambda x: f[0], Bounds(np.zeros(n), np.ones(n))), calls
+
+
+def block_sizes(result, calls):
+    """The sizes of a run's block-phase subproblems, in order, each checked
+    to be sorted and distinct."""
+    blocks = [calls[k - 1] for _, k, phase, _ in result.trace
+              if phase == "block"]
+    for idx in blocks:
+        assert list(idx) == sorted(set(idx.tolist()))
+    return [len(idx) for idx in blocks]
+
+
+class TestStalled:
+    """The one stall rule, on values whose differences and thresholds are
+    exact in binary."""
+
+    def test_exact_threshold_stalls(self):
+        eps = 2.0 ** -4
+        assert stalled(0.5, 0.5 - eps, eps)
+        assert not stalled(0.5, 0.5 - eps - 2.0 ** -20, eps)
+        assert stalled(4.0, 4.0 - 4 * eps, eps)
+        assert not stalled(4.0, 4.0 - 4 * eps - 2.0 ** -20, eps)
+
+    def test_absolute_for_values_up_to_one(self):
+        # for |f_prev| <= 1 the rule is the absolute descent <= eps
+        rng = np.random.default_rng(3)
+        for f_prev, f, eps in zip(rng.uniform(-1.0, 1.0, 2000),
+                                  rng.uniform(-1.5, 1.5, 2000),
+                                  rng.uniform(0.0, 1.0, 2000)):
+            assert stalled(f_prev, f, eps) == (f_prev - f <= eps)
+        for f_prev in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            assert stalled(f_prev, f_prev - 0.25, 0.25)
+            assert not stalled(f_prev, f_prev - 0.375, 0.25)
+
+    def test_relative_above_one(self):
+        # f_prev = -50: the threshold is 50 * eps
+        eps = 2.0 ** -4
+        assert stalled(-50.0, -50.0 - 50 * eps, eps)
+        assert not stalled(-50.0, -50.0 - 50 * eps - 2.0 ** -20, eps)
+        assert stalled(-50.0, -50.0 - 2 * eps, eps)
+        assert not stalled(-0.5, -0.5 - 2 * eps, eps)
+
+
+class TestBlockGrowth:
+    """The block phase's size: one more after a stall, m2 after a descent."""
+
+    def test_stalls_grow_the_block_to_n(self, monkeypatch):
+        # no subproblem descends: the sizes run m2, m2 + 1, ..., n and stay
+        # at n until min(n, 6) = 6 stalls in a row end the phase
+        flat, calls = descending(monkeypatch, [0.0], n=6)
+        res = abcd_solve(flat, AbcdConfig(m2=2, t1=1))
+        assert res.reason is Reason.GLOBAL_STALL
+        assert block_sizes(res, calls) == [2, 3, 4, 5, 6, 6]
+
+    def test_descent_resets_the_block_to_m2(self, monkeypatch):
+        # one coordinate subproblem, then blocks that stall twice, descend
+        # once and stall six times in a row
+        steps = [0.0] * 3 + [1.0] + [0.0] * 30
+        flat, calls = descending(monkeypatch, steps, n=6)
+        res = abcd_solve(flat, AbcdConfig(m2=2, t1=1))
+        assert block_sizes(res, calls) == [2, 3, 4, 2, 3, 4, 5, 6, 6]
 
 
 class TestStallUpdate:

@@ -39,6 +39,16 @@ polish's trials, so the sequences part at the first QP step of each run:
 everything before it is as recorded with the old step
 (`BEFORE_THE_FIRST_QP_STEP`), which `test_the_qp_step_keeps_the_prefix`
 checks.
+
+The coordinate-only S5, the griewank n=6 and the polish-first griewank n=4
+digests and their trace digests were re-recorded when ABCD's stall test
+became relative to max(1, |f|) and its block phase began to grow a block
+after each stall. The S5 run's values exceed 1 in magnitude, so its
+coordinate phase leaves earlier (at evaluation 918); each griewank run
+parts at the second subproblem of its block phase, the first one that
+grows, since the block before it stalled. The griewank n=7 run with
+three-coordinate blocks, the polish alone, the DIRECT cases and every
+prefix before a first QP step stayed bit-identical.
 """
 
 import hashlib
@@ -134,22 +144,22 @@ CASES = {
     # cap stops the last subproblem at its evaluation
     "abcd-griewank-6-seed3": (
         lambda: run_abcd("griewank", 6, 4000, 3),
-        "a1ccdbdd70cd2bec6f1cd44b5d76738656e1ca0adda16a6f7c5e979b3b6619bb",
+        "f1812642a997fe20a139cff891ec8217b007b4a3fc186b189ef253a3b0a8f775",
         4000,
-        "b062b755007ccf18e7f34518838c07dd33df1697d6ff9f9d3f92054c12eda1f5"),
+        "e1768197fceebbb6a585aa60a35a7fdf01c657ef031a0dbfaec633952bfe8fe0"),
     # coordinate-only: stalls restart from a fresh sample (twice here); the
     # last evaluation is the first within the target
     "abcd-coordinate-S5-seed0": (
         lambda: run_abcd("S5", None, 3000, 0, coordinate_only=True),
-        "5b4e3131f9134e695c44defdeb8d701eef7e8ad40eb84138549e3b6b7da7c7e6",
-        2453,
-        "d7f0dd01d00f92a052299e9a733b016fe03765426b0e696cb259d31183d42ea8"),
+        "2c5159d527dec9f039ae1d22d4117690205ba962fecaf9e70e5263477cbe0b35",
+        2251,
+        "1fe357f0d7c6a3155c76b42b0b5f1afb34054fd2c83bafa05aabd35dd97a2015"),
     # polish first, all three phases, intensify and one restart
     "abcd-sqp-first-griewank-4-seed3": (
         lambda: run_abcd("griewank", 4, 10000, 3, sqp_first=True),
-        "e903e31b8fb3a7c8dcc6ae0a8b93a274bc5da3a82f352878ff625f15806ecdce",
+        "4ea5e0774101b958105ebad19114462e306db352cfe9fe920f6f8aec3e0e6c3e",
         10000,
-        "c3ea7607fa8c2a14a8aac7bc4ad9aee738226ce66e156d869df97f57e409b7a0"),
+        "94088597ec529923406f5bb028bb85cbe629eea7a627820da9e2bcd659d29398"),
     # n = 12 is wide enough for numpy's 8-way pairwise sum inside measure()
     "direct-griewank-12": (
         lambda: run_direct("griewank", 12, 2000),
@@ -168,11 +178,14 @@ CASES = {
         130),
 }
 
-# abcd-coordinate-S5-seed0 as pinned while the target was checked between
-# steps, one evaluation past the first within the target
+# abcd-coordinate-S5-seed0 cut where a target check between steps would
+# stop it: at the end of the DIRECT division that makes its first hit, one
+# evaluation past it. While the target was checked there this was the pin;
+# each re-recording of the pin since cuts the run's untargeted sequence at
+# that division's end
 S5_BEFORE_THE_COUNTER_STOP = (
-    "5eaa832d89c48b85d22050ec77b3df2e41b0239456db5b4ba3b062ee364ff426",
-    2454)
+    "a70e6689a1625516a1b9f1a725116862e2e9af949f8c56eaed9e158d46d0feff",
+    2252)
 
 # the digest and count of each polished run's evaluations before its first
 # QP step's first line-search trial, recorded while the QP step was still
@@ -278,8 +291,9 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
 
 def test_target_stop_only_cuts_the_tail():
     # without a target the run goes on past both pinned ends; its first
-    # 2454 evaluations are the sequence pinned before the counter stopped
-    # runs at the target, and its first 2453 the sequence pinned now
+    # 2252 evaluations end the division that makes the first hit, where a
+    # check between steps would stop it, and its first 2251 are the
+    # sequence pinned now
     _, new_digest, new_count, _ = CASES["abcd-coordinate-S5-seed0"]
     for want, count in (S5_BEFORE_THE_COUNTER_STOP, (new_digest, new_count)):
         s5 = get_function("S5")[0]

@@ -188,6 +188,70 @@ class TestKernelValues:
             assert type(kernel(problem.bounds.lower)) is float
 
 
+# the Shekel and Hartman kernels as they were written before their sums were
+# unrolled, over their tables of the time: the oracles the unrolled forms must
+# match byte for byte
+LOOP_SHEKEL_WELLS = list(zip(data.SHEKEL_A.T.tolist(), data.SHEKEL_C.tolist()))
+LOOP_HARTMAN3_TERMS = list(zip(data.HARTMAN3_C.tolist(),
+                               data.HARTMAN3_A.tolist(),
+                               data.HARTMAN3_P.tolist()))
+LOOP_HARTMAN6_TERMS = list(zip(data.HARTMAN6_C.tolist(),
+                               data.HARTMAN6_A.tolist(),
+                               data.HARTMAN6_P.tolist()))
+
+
+def loop_shekel(x, m):
+    x = x.tolist()
+    total = 0.0
+    for a, c in LOOP_SHEKEL_WELLS[:m]:
+        dist = 0.0
+        for xk, ak in zip(x, a):
+            dist += (xk - ak) ** 2
+        total -= 1.0 / (dist + c)
+    return total
+
+
+def loop_hartman(x, terms):
+    x = x.tolist()
+    total = 0.0
+    for c, a, p in terms:
+        expo = 0.0
+        for xk, ak, pk in zip(x, a, p):
+            expo += ak * (xk - pk) ** 2
+        total -= c * math.exp(-expo)
+    return total
+
+
+LOOP_ORACLES = {
+    "S5": lambda x: loop_shekel(x, 5),
+    "S7": lambda x: loop_shekel(x, 7),
+    "S10": lambda x: loop_shekel(x, 10),
+    "H3": lambda x: loop_hartman(x, LOOP_HARTMAN3_TERMS),
+    "H6": lambda x: loop_hartman(x, LOOP_HARTMAN6_TERMS),
+}
+
+
+class TestUnrolledTableKernels:
+    @pytest.mark.parametrize("name", sorted(LOOP_ORACLES))
+    def test_bytes_equal_the_loop_form(self, name):
+        # 10^5 seeded points in the box stretched 1.2x about its centre,
+        # and the table's own centres, where a squared distance is zero
+        kernel = kernels.KERNELS[name]
+        oracle = LOOP_ORACLES[name]
+        _, meta = get_function(name, adjust=False)
+        mid = 0.5 * (meta.bounds.lower + meta.bounds.upper)
+        half = 0.6 * meta.bounds.width
+        centres = (data.SHEKEL_A.T if name.startswith("S")
+                   else data.HARTMAN3_P if name == "H3" else data.HARTMAN6_P)
+        pts = np.concatenate([
+            np.random.default_rng(19).uniform(mid - half, mid + half,
+                                              size=(100_000, meta.dim)),
+            centres])
+        got = np.array([kernel(p) for p in pts], dtype="<f8")
+        want = np.array([oracle(p) for p in pts], dtype="<f8")
+        assert got.tobytes() == want.tobytes()
+
+
 class TestValidateRegistry:
     def test_small_audit_passes(self):
         report = validate_registry(samples=2000, polish_count=2, seed=0)

@@ -135,7 +135,7 @@ PINNED = {
         lambda p: runner_mod.abcd_solve(p, AbcdConfig(seed=3),
                                         EvalCounter(cap=4000)),
         ("griewank", 6),
-        "a1ccdbdd70cd2bec6f1cd44b5d76738656e1ca0adda16a6f7c5e979b3b6619bb",
+        "f1812642a997fe20a139cff891ec8217b007b4a3fc186b189ef253a3b0a8f775",
         4000),
     "sqp-S5-seed0": (
         lambda p: runner_mod._run_sqp(p, 0, EvalCounter(cap=2000)),
