@@ -15,6 +15,14 @@ parent's from the numerators, bit for bit the point its probe evaluated,
 and each probe maps only the coordinate it moves, on the box's Python
 floats, and evaluates the problem once, through `evaluate_counted` like
 every other evaluation of a run.
+
+A block of one coordinate, the bulk of ABCD's subproblems, runs on an
+interval store instead (`IntervalState`, divided by `divide_interval`):
+levels, numerators and values in three lists, with no tuples, no split
+cache and no rebuilt centers. It makes the same evaluations in the same
+order, bit for bit, so the rectangle store stays the reference and the
+subject of the certificates; a run with `keep_state`, whose caller reads
+the partition, always gets a rectangle store.
 """
 
 from __future__ import annotations
@@ -299,8 +307,48 @@ class PartitionState:
         return reps
 
 
-def identify_poh(state: PartitionState, eps: float) -> list[int]:
-    """Ids of potentially optimal rectangles.
+class IntervalState:
+    """Interval store of a one-coordinate run: DIRECT in its original
+    one-dimensional form (Jones, Perttunen & Stuckman 1993).
+
+    The partition of the block's one problem coordinate, `coord`, is a set
+    of intervals. Interval `rid` keeps three things, in three lists: its
+    trisection level, its base-3 numerator (unit-cube center
+    num / (2*3^level), num odd) and its value. Its center, never built, is
+    `base` with coordinate `coord` at `lower + num / (2 * 3.0**level) *
+    width`; `lower` and `width` are that coordinate's Python floats.
+
+    Ids, group keys, heap entries, `min_measure`, `f_min` and `x_min` are
+    those a `PartitionState` over the same block would hold, in the same
+    order, so `identify_poh` selects the same ids from the same
+    representatives and a run evaluates the same points, bit for bit. What
+    the store leaves out is the n-dimensional bookkeeping: level and
+    numerator tuples, the split cache, `add`, `rekey` and rebuilt centers.
+    """
+
+    __slots__ = ("counter", "coord", "lower", "width", "base", "_levels",
+                 "_nums", "_values", "_keys", "_heaps", "min_measure",
+                 "f_min", "x_min")
+
+    def __init__(self, counter: EvalCounter, coord: int, lower: float,
+                 width: float, base: np.ndarray, value: float):
+        """One interval, the whole range, whose center `base` (kept, not
+        copied) evaluated to `value`."""
+        key = _shared_group_key((0,))
+        self.counter, self.coord = counter, coord
+        self.lower, self.width, self.base = lower, width, base
+        self._levels, self._nums, self._values = [0], [1], [value]
+        self._keys, self._heaps = [key], {key: [(value, 0)]}
+        self.min_measure = key
+        self.f_min, self.x_min = value, base
+
+    group_representatives = PartitionState.group_representatives
+
+
+def identify_poh(state: PartitionState | IntervalState,
+                 eps: float) -> list[int]:
+    """Ids of potentially optimal rectangles of a `PartitionState` or
+    intervals of an `IntervalState`.
 
     Lower-right convex hull of the per-group representatives in the
     (measure, value) plane, filtered by the nontrivial-improvement condition
@@ -370,9 +418,7 @@ def sample_and_divide(rid: int, state: PartitionState,
             tuple(d for d, lvl in enumerate(levels) if lvl == min_lvl),
             2.0 * 3.0 ** (min_lvl + 1))
     I, denom = split
-    # a probe of a one-dimensional block replaces the block's only
-    # coordinate, so it can start from the base
-    center = state.base if state.n == 1 else state.center(rid)
+    center = state.center(rid)
     tmpl_exact = list(state._exact[rid])
 
     # evaluate all probe points before touching any state; each probe is a
@@ -424,6 +470,49 @@ def sample_and_divide(rid: int, state: PartitionState,
     return new_ids
 
 
+def divide_interval(rid: int, state: IntervalState,
+                    problem: Problem) -> list[int]:
+    """`sample_and_divide` of interval `rid`: probes the centers of its two
+    outer thirds, the plus side first, each a copy of the run's start
+    center with the block coordinate moved; then stores them as the next
+    two ids and trisects the parent, which keeps its id. On a `Stop` from
+    the counter nothing is stored and the Stop propagates."""
+    levels, nums, values = state._levels, state._nums, state._values
+    level = levels[rid] + 1
+    num = 3 * nums[rid]
+    denom = 2.0 * 3.0 ** level
+    counter, coord, base = state.counter, state.coord, state.base
+    lo, w = state.lower, state.width
+    x_p = base.copy()
+    x_p[coord] = lo + (num + 2) / denom * w
+    f_p = evaluate_counted(problem, x_p, counter)
+    x_m = base.copy()
+    x_m[coord] = lo + (num - 2) / denom * w
+    f_m = evaluate_counted(problem, x_m, counter)
+
+    # the children, then the parent, pushed as `add` and `rekey` push them
+    key = _shared_group_key((level,))
+    keys, cid = state._keys, len(values)
+    levels[rid], nums[rid], keys[rid] = level, num, key
+    levels += (level, level)
+    nums += (num + 2, num - 2)
+    values += (f_p, f_m)
+    keys += (key, key)
+    heap = state._heaps.get(key)
+    if heap is None:
+        heap = state._heaps[key] = []
+    heappush(heap, (f_p, cid))
+    heappush(heap, (f_m, cid + 1))
+    heappush(heap, (values[rid], rid))
+    if key < state.min_measure:
+        state.min_measure = key
+    if f_p < state.f_min:
+        state.f_min, state.x_min = f_p, x_p
+    if f_m < state.f_min:
+        state.f_min, state.x_min = f_m, x_m
+    return [cid, cid + 1]
+
+
 @dataclass
 class DirectConfig:
     """Knobs for one dividing-rectangles run."""
@@ -449,16 +538,15 @@ class DirectResult:
     state: Optional[PartitionState] = None
 
 
-def _block(problem: Problem, counter: EvalCounter, coords,
-           base) -> tuple[PartitionState, np.ndarray]:
-    """An empty partition over the block `coords`, distinct coordinates of
-    the problem (all of them by default), and the run's start center, a new
-    array: `base` (the box midpoint by default) with each block coordinate
-    at the middle of its range, mapped as a probe maps one coordinate.
-    Raises ConfigError on any other `coords`, on a `base` that is not a
-    float array of the problem's dimension and on a start center outside
-    the closed box (a NaN included), so a run evaluates nothing then. The
-    start center is also the state's `base`."""
+def _block(problem: Problem, coords, base) -> tuple[tuple, np.ndarray]:
+    """The block `coords`, distinct coordinates of the problem (all of them
+    by default), as a tuple, and the run's start center, a new array:
+    `base` (the box midpoint by default) with each block coordinate at the
+    middle of its range, mapped as a probe maps one coordinate. Raises
+    ConfigError on any other `coords`, on a `base` that is not a float
+    array of the problem's dimension and on a start center outside the
+    closed box (a NaN included), so a run evaluates nothing then. The start
+    center is also the store's `base`."""
     n, bounds = problem.n, problem.bounds
     idx = np.asarray(range(n) if coords is None else coords)
     if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
@@ -474,16 +562,14 @@ def _block(problem: Problem, counter: EvalCounter, coords,
     x = np.array(base, dtype=float)
     if x.shape != (n,):
         raise ConfigError(f"base must have shape ({n},), got {x.shape}")
-    # the state holds x as its base, whose block coordinates are set here
-    state = PartitionState(len(coords), counter, coords, bounds, x)
-    lower, width = state.lower, state.width
+    lower, width = bounds.lower.tolist(), bounds.width.tolist()
     for c in coords:
         x[c] = lower[c] + 0.5 * width[c]
     inside = (bounds.lower <= x) & (x <= bounds.upper)
     if not inside.all():
         raise ConfigError(f"base puts the start center outside the box at "
                           f"coordinates {np.flatnonzero(~inside).tolist()}")
-    return state, x
+    return coords, x
 
 
 def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
@@ -500,6 +586,14 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     read, never written; its block coordinates are ignored, and the rest
     must lie in the box.
 
+    A block of one coordinate, such as each of ABCD's coordinate-phase
+    subproblems, runs on an `IntervalState` and divides with
+    `divide_interval`: its partition is a set of intervals, and the
+    n-dimensional bookkeeping would cost more than the run's evaluations.
+    Every other run, and every run with `keep_state`, whose caller reads
+    the partition, runs on a `PartitionState` with `sample_and_divide`.
+    Both make the same evaluations in the same order, bit for bit.
+
     `counter` may be a shared (capped) global counter, armed with the
     config's target and time budget unless a caller armed it first; its
     `Stop` ends the run at the evaluation, cutting the division in flight.
@@ -511,11 +605,10 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     if not config.poh_eps > 0:
         raise ConfigError(f"poh_eps must be positive, got {config.poh_eps}")
     counter = counter if counter is not None else EvalCounter()
-    state, x = _block(problem, counter, coords, base)
+    coords, x = _block(problem, coords, base)
     counter.arm(problem, config.target_accuracy, config.max_seconds)
 
     start_count, f_before = counter.count, counter.best_f
-    m = state.n
     reason = None
     # the start rectangle is stored even when the counter stops the run on
     # the target at its evaluation, whose value the counter then holds, so
@@ -527,7 +620,17 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
         if counter.count == start_count:  # stopped before the evaluation
             return DirectResult(np.inf, x, 0, 0, reason, [])
         value = counter.best_f
-    state.add(x, (0,) * m, (1,) * m, value)
+    m, bounds = len(coords), problem.bounds
+    if m == 1 and not keep_state:
+        c = coords[0]
+        state = IntervalState(counter, c, float(bounds.lower[c]),
+                              float(bounds.width[c]), x, value)
+        divide = divide_interval
+    else:
+        # the start center is the state's base
+        state = PartitionState(m, counter, coords, bounds, x)
+        state.add(x, (0,) * m, (1,) * m, value)
+        divide = sample_and_divide
 
     # this run's evaluations are counter.count - start_count
     stop_count = (math.inf if config.max_evals is None
@@ -547,7 +650,7 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             break
         for rid in identify_poh(state, config.poh_eps):
             try:
-                sample_and_divide(rid, state, problem)
+                divide(rid, state, problem)
             except Stop as stop:
                 reason = stop.reason
                 break

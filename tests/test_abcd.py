@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import abcdirect.abcd as abcd_mod
+import abcdirect.direct as direct_mod
 from abcdirect.abcd import (
     AbcdConfig,
     abcd_solve,
@@ -18,6 +19,7 @@ from abcdirect.abcd import (
     stalled,
 )
 from abcdirect.direct import DirectConfig, direct_solve
+from abcdirect.functions import get_function
 from abcdirect.problem import Bounds, ConfigError, EvalCounter, Problem, Reason
 
 
@@ -422,3 +424,41 @@ class TestAbcdSolve:
         res = abcd_solve(p, AbcdConfig(seed=0, coordinate_only=True))
         assert res.reason == "global_stall"
         assert res.subproblems == 3
+
+
+def test_one_coordinate_subproblems_divide_intervals(monkeypatch):
+    # the run `abcd-griewank-6-seed3` of tests/test_eval_sequence.py, whose
+    # block phase runs blocks of two coordinates and more: each division
+    # of a one-coordinate subproblem goes to the interval store and each
+    # division of a larger block to the rectangle store. The pins check
+    # the evaluations, which are the same on either store, so only this
+    # sees a subproblem that left the interval store
+    runs = []  # (block size, the stores its divisions went to)
+    solve = abcd_mod.direct_solve
+    divide, divide_interval = (direct_mod.sample_and_divide,
+                               direct_mod.divide_interval)
+
+    def subproblem(problem, config, counter, coords, base):
+        runs.append((len(coords), set()))
+        return solve(problem, config, counter=counter, coords=coords,
+                     base=base)
+
+    def rectangles(*args):
+        runs[-1][1].add("rectangle")
+        return divide(*args)
+
+    def intervals(*args):
+        runs[-1][1].add("interval")
+        return divide_interval(*args)
+
+    monkeypatch.setattr(abcd_mod, "direct_solve", subproblem)
+    monkeypatch.setattr(direct_mod, "sample_and_divide", rectangles)
+    monkeypatch.setattr(direct_mod, "divide_interval", intervals)
+    res = abcd_solve(get_function("griewank", 6)[0], AbcdConfig(seed=3),
+                     EvalCounter(cap=4000))
+    assert res.evals == 4000 and res.subproblems == len(runs)
+    singles = [stores for size, stores in runs if size == 1]
+    blocks = [stores for size, stores in runs if size > 1]
+    assert singles and blocks
+    assert all(stores == {"interval"} for stores in singles)
+    assert all(stores == {"rectangle"} for stores in blocks)

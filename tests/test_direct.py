@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import abcdirect.direct as direct_mod
 import abcdirect.problem as problem_mod
-from abcdirect.abcd import make_subproblem
+from abcdirect.abcd import (
+    DEEP_CAP_FACTOR,
+    SUB_CAP_PER_COORD as SUB_CAP,
+    SUB_STOPS,
+    make_subproblem,
+)
 from abcdirect.functions import get_function
 from abcdirect.direct import (
     GROUP_KEY_DIGITS,
@@ -797,3 +802,190 @@ class TestBlockView:
         assert res.x_min.tobytes() == want.tobytes()
         assert base.tobytes() == self.BASE.tobytes()
         assert not np.shares_memory(res.x_min, base)
+
+
+class TestIntervalStore:
+    """A one-coordinate run without `keep_state` divides intervals
+    (`IntervalState`, `divide_interval`); with `keep_state` it divides
+    rectangles. The two make the same evaluations in the same order and
+    report the same, bit for bit, however the run stops."""
+
+    BASE = TestBlockView.BASE
+
+    def run_both(self, monkeypatch, make_problem, config,
+                 make_counter=EvalCounter, **block):
+        """Run `direct_solve` on the interval store, then on the rectangle
+        store, each on a fresh problem from `make_problem()` (a problem and
+        the list it records its evaluations in) and a fresh counter; checks
+        that each run divided on its own store alone and that the two
+        agree. Returns the rectangle store's result."""
+        stores = []
+        divide, divide_interval = (direct_mod.sample_and_divide,
+                                   direct_mod.divide_interval)
+
+        def rectangles(*args):
+            stores.append("rectangle")
+            return divide(*args)
+
+        def intervals(*args):
+            stores.append("interval")
+            return divide_interval(*args)
+
+        monkeypatch.setattr(direct_mod, "sample_and_divide", rectangles)
+        monkeypatch.setattr(direct_mod, "divide_interval", intervals)
+        outcomes, used = [], []
+        for keep_state in (False, True):
+            problem, seen = make_problem()
+            counter = make_counter()
+            stores.clear()
+            res = direct_solve(problem, config, counter, keep_state,
+                               **block)
+            used.append(set(stores))
+            outcomes.append((
+                seen, res.f_min, res.x_min.tobytes(), res.evals,
+                res.iterations, res.reason, res.trace, counter.count,
+                counter.best_f, counter.best_x.tobytes()))
+        assert used[0] <= {"interval"} and used[1] <= {"rectangle"}
+        assert bool(used[0]) == bool(used[1])
+        assert outcomes[0] == outcomes[1]
+        return res
+
+    def block_problem(self, target=None):
+        problem, seen = recording_block_problem()
+        return Problem(problem.objective, problem.bounds, target), seen
+
+    @pytest.mark.parametrize("capped", [False, True],
+                             ids=["uncapped", "capped"])
+    @pytest.mark.parametrize("coord", range(7))
+    def test_every_coordinate(self, monkeypatch, coord, capped):
+        # 96 evaluations end on the plus probe of a division: the start
+        # center takes one and every division two
+        res = self.run_both(
+            monkeypatch, self.block_problem,
+            DirectConfig(max_evals=300, target_accuracy=0.0),
+            lambda: (EvalCounter(count=7, cap=7 + 96) if capped
+                     else EvalCounter(count=7)),
+            coords=[coord], base=self.BASE.copy())
+        if capped:
+            assert res.reason is Reason.EVAL_BUDGET
+            assert res.evals == 96 > res.state.size
+        else:
+            assert res.evals == res.state.size >= 300
+
+    def test_target_at_the_start_center(self, monkeypatch):
+        problem, _ = recording_block_problem()
+        start = self.BASE.copy()
+        start[2] = BLOCK_BOUNDS.lower[2] + 0.5 * BLOCK_BOUNDS.width[2]
+        res = self.run_both(
+            monkeypatch, lambda: self.block_problem(problem(start)),
+            DirectConfig(target_accuracy=0.0), coords=[2],
+            base=self.BASE.copy())
+        assert res.reason is Reason.TARGET_REACHED
+        assert (res.evals, res.iterations, res.state.size) == (1, 0, 1)
+
+    def test_target_in_the_middle_of_a_division(self, monkeypatch):
+        # the first new best past evaluation 20 that a plus probe makes
+        # (an even evaluation) becomes the target; the run stops there,
+        # before the minus probe
+        problem, seen = recording_block_problem()
+        direct_solve(problem, DirectConfig(max_evals=300,
+                                           target_accuracy=0.0),
+                     coords=[3], base=self.BASE.copy())
+        values = [value for _, value in seen]
+        hit = next(i for i in range(21, len(values), 2)
+                   if values[i] < min(values[:i]))
+        res = self.run_both(
+            monkeypatch, lambda: self.block_problem(values[hit]),
+            DirectConfig(max_evals=300, target_accuracy=0.0), coords=[3],
+            base=self.BASE.copy())
+        assert res.reason is Reason.TARGET_REACHED
+        assert res.evals == hit + 1 > res.state.size
+
+    def test_deadline(self, monkeypatch):
+        # every evaluation advances the clock by one second: evaluation 22
+        # starts at 21 s, by the deadline, and 23, a minus probe, past it
+        clock = [0.0]
+
+        def ticking():
+            problem, seen = recording_block_problem()
+            clock[0] = 0.0
+
+            def f(x):
+                clock[0] += 1.0
+                return problem.objective(x)
+            return Problem(f, problem.bounds), seen
+
+        monkeypatch.setattr(problem_mod, "time",
+                            SimpleNamespace(monotonic=lambda: clock[0]))
+        res = self.run_both(
+            monkeypatch, ticking,
+            DirectConfig(max_seconds=21.0, target_accuracy=0.0),
+            coords=[5], base=self.BASE.copy())
+        assert res.reason is Reason.TIME_BUDGET
+        assert res.evals == 22 > res.state.size
+
+    @pytest.mark.parametrize("stop", ["stall", "min_measure", "deep"])
+    def test_subproblem_configs(self, monkeypatch, stop):
+        # ABCD's one-coordinate subproblems: a regular one, which stalls
+        # before its cap in coordinate 0; one whose smallest interval ends
+        # it; and a deep sweep's, with five times the cap and no stops
+        coord, config = {
+            "stall": (0, DirectConfig(max_evals=SUB_CAP, **SUB_STOPS)),
+            "min_measure": (2, DirectConfig(max_evals=SUB_CAP,
+                                            min_measure=1e-3)),
+            "deep": (4, DirectConfig(max_evals=SUB_CAP * DEEP_CAP_FACTOR)),
+        }[stop]
+        res = self.run_both(monkeypatch, self.block_problem, config,
+                            lambda: EvalCounter(cap=10 ** 6),
+                            coords=[coord], base=self.BASE.copy())
+        if stop == "deep":
+            assert res.reason is Reason.EVAL_BUDGET
+            assert res.evals >= SUB_CAP * DEEP_CAP_FACTOR
+        else:
+            assert res.reason is Reason.GLOBAL_STALL
+            assert res.evals < SUB_CAP
+            assert ((res.state.min_measure < config.min_measure)
+                    == (stop == "min_measure"))
+
+    @pytest.mark.parametrize("plateau", [False, True],
+                             ids=["smooth", "plateau"])
+    def test_plain_direct_in_one_dimension(self, monkeypatch, plateau):
+        # on the plateau many probes tie at zero: the first zero is the
+        # best, and every later one must leave it where it is
+        def make():
+            seen = []
+
+            def f(x):
+                if plateau:
+                    value = max(abs(x[0] - 0.3) - 0.5, 0.0)
+                else:
+                    value = float(np.sin(5.0 * x[0]) + 0.1 * x[0] ** 2)
+                seen.append((x.tobytes(), value))
+                return value
+            return Problem(f, Bounds(np.array([-4.0]),
+                                     np.array([3.0]))), seen
+
+        res = self.run_both(monkeypatch, make,
+                            DirectConfig(max_evals=500, target_accuracy=0.0))
+        assert res.evals == res.state.size >= 500
+        values = res.state._values
+        assert (values.count(res.f_min) > 1) == plateau
+
+    def test_levels_past_the_last_group_key(self, monkeypatch):
+        # at level 26 and deeper the measure rounds to the group key 0.0,
+        # so every such interval shares one group
+        def make():
+            seen = []
+
+            def f(x):
+                value = math.sqrt(abs(x[0] - 0.123456789))
+                seen.append((x.tobytes(), value))
+                return value
+            return Problem(f, Bounds(np.zeros(1), np.ones(1))), seen
+
+        res = self.run_both(monkeypatch, make,
+                            DirectConfig(poh_eps=1e-15, max_evals=3000,
+                                         target_accuracy=0.0))
+        deepest = max(res.state._level_tuples)
+        assert deepest >= (26,)
+        assert res.state.group_key(deepest) == 0.0 == res.state.min_measure

@@ -215,21 +215,24 @@ def unit_cube_probes(monkeypatch):
     coordinate lies strictly inside the cube and maps to the point's
     coordinate, bit for bit, as lower + z*width on the box's Python floats;
     every other coordinate equals, bit for bit, the start's base or the
-    parent's center, rebuilt from its numerators. `_block` and
-    `sample_and_divide` are wrapped to learn the base and the parent, and `evaluate_counted`, through which DIRECT
-    makes every evaluation, to check and record it."""
+    parent's center, rebuilt from its numerators. `_block` is wrapped to
+    learn the base, `sample_and_divide` and `divide_interval`, the
+    divisions of the rectangle and the interval store, to learn the
+    parent, and `evaluate_counted`, through which DIRECT makes every
+    evaluation, to check and record it."""
     seen = []
     context = []  # [start?, point before, {coordinate: candidate z}]
     block, divide = direct_mod._block, direct_mod.sample_and_divide
+    divide_interval = direct_mod.divide_interval
     evaluate = direct_mod.evaluate_counted
 
-    def recording_block(problem, counter, coords, base):
-        state, x = block(problem, counter, coords, base)
+    def recording_block(problem, coords, base):
+        coords, x = block(problem, coords, base)
         bounds = problem.bounds
         before = (bounds.lower + 0.5 * bounds.width if base is None
                   else np.array(base, dtype=float))
-        context[:] = [True, before, {c: (0.5,) for c in state.coords}]
-        return state, x
+        context[:] = [True, before, {c: (0.5,) for c in coords}]
+        return coords, x
 
     def recording_divide(rid, state, problem):
         levels, exact = state._level_tuples[rid], state._exact[rid]
@@ -242,6 +245,17 @@ def unit_cube_probes(monkeypatch):
                  for d in range(state.n) if levels[d] == low}
         context[:] = [False, state.center(rid), moves]
         return divide(rid, state, problem)
+
+    def recording_interval(rid, state, problem):
+        # the same moves in the interval's one coordinate, from the
+        # parent's center rebuilt as `PartitionState.center` rebuilds it
+        level, num, c = state._levels[rid], state._nums[rid], state.coord
+        denom = 2.0 * 3.0 ** (level + 1)
+        parent = state.base.copy()
+        parent[c] = state.lower + num / (2.0 * 3.0 ** level) * state.width
+        moves = {c: ((3 * num + 2) / denom, (3 * num - 2) / denom)}
+        context[:] = [False, parent, moves]
+        return divide_interval(rid, state, problem)
 
     def recording_evaluate(problem, x, counter):
         start, before, moves = context
@@ -264,6 +278,7 @@ def unit_cube_probes(monkeypatch):
 
     monkeypatch.setattr(direct_mod, "_block", recording_block)
     monkeypatch.setattr(direct_mod, "sample_and_divide", recording_divide)
+    monkeypatch.setattr(direct_mod, "divide_interval", recording_interval)
     monkeypatch.setattr(direct_mod, "evaluate_counted", recording_evaluate)
     return seen
 
