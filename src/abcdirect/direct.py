@@ -13,8 +13,16 @@ problem, in its user space: lower + z*width in each block coordinate and
 the base elsewhere. The store keeps no centers; a division rebuilds its
 parent's from the numerators, bit for bit the point its probe evaluated,
 and each probe maps only the coordinate it moves, on the box's Python
-floats, and evaluates the problem once, through `evaluate_counted` like
-every other evaluation of a run.
+floats, and is charged once, through `evaluate_counted` like every other
+evaluation of a run.
+
+Every probe is its parent's center with one coordinate moved. So when the
+objective is a Hedar kernel, a division builds a coordinate view of the
+kernel at the parent's center (`functions.kernels.coordinate_view`), and
+its probes take their values from the view, which recomputes only the
+terms the moved coordinate touches, bit for bit the kernel's value. Every
+other objective has no view, and each probe calls it. Either way the
+probe builds its point, the one the counter's best pair and `x_min` keep.
 
 A block of one coordinate, the bulk of ABCD's subproblems, runs on an
 interval store instead (`IntervalState`, divided by `divide_interval`):
@@ -37,6 +45,7 @@ from typing import Optional
 
 import numpy as np
 
+from .functions.kernels import coordinate_view
 from .problem import (
     Bounds,
     ConfigError,
@@ -324,18 +333,23 @@ class IntervalState:
     representatives and a run evaluates the same points, bit for bit. What
     the store leaves out is the n-dimensional bookkeeping: level and
     numerator tuples, the split cache, `add`, `rekey` and rebuilt centers.
+
+    Every probe moves coordinate `coord` of `base`, so one coordinate
+    view of the objective at `base` (`view`, None for an objective
+    without one) values the probes of the whole run.
     """
 
-    __slots__ = ("counter", "coord", "lower", "width", "base", "_levels",
-                 "_nums", "_values", "_keys", "_heaps", "min_measure",
-                 "f_min", "x_min")
+    __slots__ = ("counter", "coord", "lower", "width", "base", "view",
+                 "_levels", "_nums", "_values", "_keys", "_heaps",
+                 "min_measure", "f_min", "x_min")
 
     def __init__(self, counter: EvalCounter, coord: int, lower: float,
-                 width: float, base: np.ndarray, value: float):
+                 width: float, base: np.ndarray, value: float, view=None):
         """One interval, the whole range, whose center `base` (kept, not
-        copied) evaluated to `value`."""
+        copied) evaluated to `value`; `view` is the objective's coordinate
+        view at `base`, if it has one."""
         key = _shared_group_key((0,))
-        self.counter, self.coord = counter, coord
+        self.counter, self.coord, self.view = counter, coord, view
         self.lower, self.width, self.base = lower, width, base
         self._levels, self._nums, self._values = [0], [1], [value]
         self._keys, self._heaps = [key], {key: [(value, 0)]}
@@ -402,11 +416,12 @@ def sample_and_divide(rid: int, state: PartitionState,
 
     Samples c +/- delta*e_i for each longest block dimension i, which moves
     problem coordinate `state.coords[i]` to `lower + z * width` for its
-    unit-cube coordinate z (2 evaluations per dimension), then
-    trisects in ascending order of w_i = min(f+, f-), ties resolved to the
-    lower dimension index. The state stays a tiling; on a `Stop` from the
-    counter nothing is mutated (already-spent evaluations stay counted) and
-    the Stop propagates.
+    unit-cube coordinate z (2 evaluations per dimension, valued by one
+    coordinate view of the objective at the parent's center if it has
+    one), then trisects in ascending order of w_i = min(f+, f-), ties
+    resolved to the lower dimension index. The state stays a tiling; on a
+    `Stop` from the counter nothing is mutated (already-spent evaluations
+    stay counted) and the Stop propagates.
     """
     # the level bookkeeping runs on a list copy of the parent's tuple
     parent_levels = state._level_tuples[rid]
@@ -419,6 +434,7 @@ def sample_and_divide(rid: int, state: PartitionState,
             2.0 * 3.0 ** (min_lvl + 1))
     I, denom = split
     center = state.center(rid)
+    view = coordinate_view(problem.objective, center)
     tmpl_exact = list(state._exact[rid])
 
     # evaluate all probe points before touching any state; each probe is a
@@ -435,11 +451,11 @@ def sample_and_divide(rid: int, state: PartitionState,
         coord = coords[dim]
         lo, w = lower[coord], width[coord]
         x_p = center.copy()
-        x_p[coord] = lo + num_p / denom * w
-        f_p = evaluate_counted(problem, x_p, counter)
+        x_p[coord] = z = lo + num_p / denom * w
+        f_p = evaluate_counted(problem, x_p, counter, view, coord, z)
         x_m = center.copy()
-        x_m[coord] = lo + num_m / denom * w
-        f_m = evaluate_counted(problem, x_m, counter)
+        x_m[coord] = z = lo + num_m / denom * w
+        f_m = evaluate_counted(problem, x_m, counter, view, coord, z)
         # w = min(f+, f-), as `min` picks it, NaNs included
         probes.append((f_m if f_m < f_p else f_p, dim, num_p, x_p, f_p,
                        num_m, x_m, f_m))
@@ -474,21 +490,22 @@ def divide_interval(rid: int, state: IntervalState,
                     problem: Problem) -> list[int]:
     """`sample_and_divide` of interval `rid`: probes the centers of its two
     outer thirds, the plus side first, each a copy of the run's start
-    center with the block coordinate moved; then stores them as the next
-    two ids and trisects the parent, which keeps its id. On a `Stop` from
+    center with the block coordinate moved, valued by the state's view if
+    it has one; then stores them as the next two ids and trisects the
+    parent, which keeps its id. On a `Stop` from
     the counter nothing is stored and the Stop propagates."""
     levels, nums, values = state._levels, state._nums, state._values
     level = levels[rid] + 1
     num = 3 * nums[rid]
     denom = 2.0 * 3.0 ** level
     counter, coord, base = state.counter, state.coord, state.base
-    lo, w = state.lower, state.width
+    lo, w, view = state.lower, state.width, state.view
     x_p = base.copy()
-    x_p[coord] = lo + (num + 2) / denom * w
-    f_p = evaluate_counted(problem, x_p, counter)
+    x_p[coord] = z = lo + (num + 2) / denom * w
+    f_p = evaluate_counted(problem, x_p, counter, view, coord, z)
     x_m = base.copy()
-    x_m[coord] = lo + (num - 2) / denom * w
-    f_m = evaluate_counted(problem, x_m, counter)
+    x_m[coord] = z = lo + (num - 2) / denom * w
+    f_m = evaluate_counted(problem, x_m, counter, view, coord, z)
 
     # the children, then the parent, pushed as `add` and `rekey` push them
     key = _shared_group_key((level,))
@@ -624,7 +641,8 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     if m == 1 and not keep_state:
         c = coords[0]
         state = IntervalState(counter, c, float(bounds.lower[c]),
-                              float(bounds.width[c]), x, value)
+                              float(bounds.width[c]), x, value,
+                              coordinate_view(problem.objective, x))
         divide = divide_interval
     else:
         # the start center is the state's base

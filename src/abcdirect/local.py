@@ -18,6 +18,7 @@ import numpy as np
 # dispatcher; np.minimum/np.maximum would differ from it on signed zeros
 from numpy._core.umath import clip as _clip
 
+from .functions.kernels import coordinate_view
 from .problem import (
     Bounds,
     ConfigError,
@@ -63,25 +64,30 @@ def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
     step, where the backward probe would leave the lower bound too, the
     probe is the bound with more room. The steps are computed on Python
     floats, the same IEEE operations as on numpy scalars; each probe is a
-    fresh array.
+    fresh array. Each probe moves one coordinate of x, so when the
+    objective is a Hedar kernel one coordinate view of it at x
+    (`functions.kernels.coordinate_view`) values every probe, bit for bit
+    as the kernel would; any other objective is called per probe.
     """
     x = np.asarray(x, dtype=float)
     if f0 is None:
         f0 = evaluate_counted(problem, x, counter)
     lower = problem.bounds.lower.tolist()
     upper = problem.bounds.upper.tolist()
+    view = coordinate_view(problem.objective, x)
     g = np.empty_like(x)
     for i, xi in enumerate(x.tolist()):
         h = GRAD_STEP * max(1.0, abs(xi))
         if xi + h > upper[i]:
             h = -h
         probe = x.copy()
-        probe[i] = xi + h
-        if xi + h < lower[i]:
+        probe[i] = z = xi + h
+        if z < lower[i]:
             # a box narrower than the step: probe the bound with more room
-            bound = max(upper[i], lower[i], key=lambda b: abs(b - xi))
-            probe[i], h = bound, bound - xi
-        g[i] = (evaluate_counted(problem, probe, counter) - f0) / h
+            z = max(upper[i], lower[i], key=lambda b: abs(b - xi))
+            probe[i], h = z, z - xi
+        g[i] = (evaluate_counted(problem, probe, counter, view, i, z)
+                - f0) / h
     return g
 
 

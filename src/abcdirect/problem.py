@@ -7,7 +7,10 @@ lives in the unit hypercube, and DIRECT maps each probe into the box
 itself.
 
 Every evaluation of a run goes through `evaluate_counted`, which charges
-the run's one `EvalCounter` and shows it the value. The counter raises
+the run's one `EvalCounter` and shows it the value. The value is the
+problem's, or a coordinate view's (`functions.kernels.coordinate_view`)
+for a probe that moves one coordinate of the view's point; both keep the
+rules of `finite_value`. The counter raises
 `Stop` at the evaluation where the cap, the deadline or the target holds,
 whatever phase the run is in.
 """
@@ -108,16 +111,23 @@ class Problem:
         return self.bounds.n
 
     def __call__(self, x: np.ndarray) -> float:
-        try:
-            value = float(self.objective(np.asarray(x, dtype=float)))
-        except OverflowError:
-            # Python-float arithmetic raises where numpy would give inf
-            value = math.inf
-        if not math.isfinite(value):
-            raise NonFiniteValueError(
-                f"objective returned non-finite value {value!r} at {x!r}"
-            )
-        return value
+        return finite_value(x, self.objective, np.asarray(x, dtype=float))
+
+
+def finite_value(x: np.ndarray, f: Callable[..., float], *args) -> float:
+    """`f(*args)`, the objective's value at x, by the rules of every
+    evaluation: converted to a float, inf where the computation raises
+    OverflowError (Python-float arithmetic raises where numpy would give
+    inf), and NonFiniteValueError unless the value is finite."""
+    try:
+        value = float(f(*args))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteValueError(
+            f"objective returned non-finite value {value!r} at {x!r}"
+        )
+    return value
 
 
 @dataclass
@@ -196,12 +206,21 @@ class EvalCounter:
         return x, f
 
 
-def evaluate_counted(problem: Problem, x: np.ndarray, counter: EvalCounter) -> float:
+def evaluate_counted(problem: Problem, x: np.ndarray, counter: EvalCounter,
+                     view: Optional[Callable[[int, float], float]] = None,
+                     i: int = 0, z: float = 0.0) -> float:
     """Evaluate f(x), charging exactly one unit of budget; Stop is raised
     before the evaluation on the cap or deadline, after it on the target.
-    Every solver evaluates through this function."""
+    Every solver evaluates through this function.
+
+    `view`, if given, is a coordinate view of the problem's objective
+    (`functions.kernels.coordinate_view`) at a point that x equals except
+    in coordinate i, where x holds z. The value is then `view(i, z)`, the
+    objective's value at x bit for bit, under the rules of
+    `Problem.__call__` (`finite_value`), and the objective is not called.
+    """
     counter.charge()
-    value = problem(x)
+    value = problem(x) if view is None else finite_value(x, view, i, z)
     if value < counter.best_f:
         counter.improve(x, value)
     return value

@@ -58,6 +58,7 @@ import sys
 import numpy as np
 import pytest
 
+import abcdirect.abcd as abcd_mod
 import abcdirect.direct as direct_mod
 import abcdirect.local as local_mod
 import abcdirect.runner as runner_mod
@@ -65,7 +66,7 @@ from abcdirect.abcd import AbcdConfig, abcd_solve, choose_start, start_samples
 from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.functions import get_function
 from abcdirect.local import sqp_local
-from abcdirect.problem import EvalCounter, Problem, Reason
+from abcdirect.problem import EvalCounter, Problem, Reason, Stop
 from abcdirect.runner import RunSpec, run_single
 
 
@@ -257,7 +258,7 @@ def unit_cube_probes(monkeypatch):
         context[:] = [False, parent, moves]
         return divide_interval(rid, state, problem)
 
-    def recording_evaluate(problem, x, counter):
+    def recording_evaluate(problem, x, counter, *view):
         start, before, moves = context
         bounds = problem.bounds
         lower, width = bounds.lower.tolist(), bounds.width.tolist()
@@ -274,7 +275,7 @@ def unit_cube_probes(monkeypatch):
         assert (np.delete(x, moved).tobytes()
                 == np.delete(before, moved).tobytes())
         seen.append(np.array(zs))
-        return evaluate(problem, x, counter)
+        return evaluate(problem, x, counter, *view)
 
     monkeypatch.setattr(direct_mod, "_block", recording_block)
     monkeypatch.setattr(direct_mod, "sample_and_divide", recording_divide)
@@ -302,6 +303,42 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
         assert len(unit_cube_probes) == count
     z = np.concatenate(unit_cube_probes)
     assert ((z > 0.0) & (z < 1.0)).all()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_pins_hold_through_the_views(case, monkeypatch):
+    # `recording` wraps the kernel, and a wrapped kernel has no coordinate
+    # view, so the pins above call the kernel at every evaluation. Here
+    # the problem keeps its kernel and each evaluation is recorded where
+    # it is made, so a Hedar kernel's probes take their values from views;
+    # the pins must hold all the same
+    entries, viewed = [], []
+    evaluate = direct_mod.evaluate_counted
+
+    def record(x, value):
+        entries.append(np.asarray(x, dtype="<f8").tobytes()
+                       + struct.pack("<d", value))
+
+    def recording_evaluate(problem, x, counter, *view):
+        count = counter.count
+        try:
+            value = evaluate(problem, x, counter, *view)
+        except Stop:
+            if counter.count > count:  # the target, after the evaluation
+                record(x, counter.best_f)
+            raise
+        record(x, value)
+        viewed.append(bool(view) and view[0] is not None)
+        return value
+
+    for module in (direct_mod, local_mod, abcd_mod):
+        monkeypatch.setattr(module, "evaluate_counted", recording_evaluate)
+    monkeypatch.setattr(sys.modules[__name__], "recording",
+                        lambda problem: (problem, entries))
+    run, *want = CASES[case]
+    _, *trace = run()
+    assert (digest(entries), len(entries), *trace) == tuple(want)
+    assert any(viewed) == ("griewank" in case or "rastrigin" in case)
 
 
 def test_target_stop_only_cuts_the_tail():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -250,6 +251,113 @@ class TestUnrolledTableKernels:
         got = np.array([kernel(p) for p in pts], dtype="<f8")
         want = np.array([oracle(p) for p in pts], dtype="<f8")
         assert got.tobytes() == want.tobytes()
+
+
+def _view_dims(name):
+    """The smallest allowed dimension of a Hedar function, then those of
+    2, 5, 12, 18 and 50 it allows."""
+    low = registry._REGISTRY[name].dims[0]
+    return [low] + [n for n in (2, 5, 12, 18, 50) if n > low]
+
+
+def view_mismatches(name, n, points=40):
+    """Probes at which the view of a Hedar kernel and the kernel itself
+    differ in any bit, over every coordinate of seeded points in the box
+    stretched 1.2x about its centre, the two corners of the box and x*;
+    each coordinate is probed at a seeded value, both bounds and x*'s."""
+    kernel = kernels.KERNELS[registry._REGISTRY[name].kernel_name]
+    _, meta = get_function(name, n, adjust=False)
+    lower, upper = meta.bounds.lower, meta.bounds.upper
+    mid, half = 0.5 * (lower + upper), 0.6 * meta.bounds.width
+    rng = np.random.default_rng(21)
+    special = [lower, upper] + ([] if meta.x_star is None
+                                else [meta.x_star])
+    xs = [*rng.uniform(mid - half, mid + half, size=(points, n)), *special]
+    zs = [*special, *rng.uniform(mid - half, mid + half, size=(len(xs), n))]
+    bad = 0
+    for k, x in enumerate(xs):
+        view = kernels.coordinate_view(kernel, x)
+        for i in range(n):
+            for z in (*zs[:len(special)], zs[len(special) + k]):
+                probe = x.copy()
+                probe[i] = zi = float(z[i])
+                bad += (struct.pack("<d", view(i, zi))
+                        != struct.pack("<d", kernel(probe)))
+    return bad
+
+
+class TestCoordinateViews:
+    @pytest.mark.parametrize("name", HEDAR_NAMES)
+    def test_bytes_equal_the_kernel(self, name):
+        for n in _view_dims(name):
+            assert view_mismatches(name, n) == 0, n
+
+    @pytest.mark.parametrize("name", ["rastrigin", "levy", "zakharov"])
+    def test_a_regrouped_tail_fails(self, name, monkeypatch):
+        # the negative control: the same check fails a view that adds its
+        # cached terms exactly rounded, in one group, not one by one
+        def regrouped(fold, pos, *new):
+            terms, running = fold
+            return math.fsum([running[pos - 1], *new,
+                              *terms[pos + len(new):]])
+        monkeypatch.setattr(kernels, "_resum", regrouped)
+        assert view_mismatches(name, 18) > 0
+
+    def test_every_hedar_kernel_and_no_jones_kernel_has_a_view(self):
+        hedar = {kernels.KERNELS[registry._REGISTRY[name].kernel_name]
+                 for name in HEDAR_NAMES}
+        assert set(kernels.VIEWS) == hedar and len(hedar) == 13
+        for name in JONES_NAMES:
+            problem, _ = get_function(name)
+            assert problem.objective in kernels.KERNELS.values()
+            assert kernels.coordinate_view(
+                problem.objective, problem.bounds.lower) is None
+
+    def test_only_the_kernel_itself_has_a_view(self):
+        # a view is found by the objective's identity: a wrapped kernel and
+        # an unhashable callable have none
+        x = np.zeros(4)
+        assert kernels.coordinate_view(kernels.sphere, x)(0, 2.0) == 4.0
+        assert kernels.coordinate_view(lambda x: kernels.sphere(x),
+                                       x) is None
+
+        class Unhashable:
+            __hash__ = None
+
+            def __call__(self, x):
+                return 0.0
+        assert kernels.coordinate_view(Unhashable(), x) is None
+
+    def test_a_view_is_not_built_where_the_kernel_overflows(self):
+        # rosenbrock's `** 2` raises OverflowError past about 1e154, where
+        # the kernel's value is inf; the probes then call the kernel
+        x = np.array([1e154, 0.0, 0.0, 0.0])
+        with pytest.raises(OverflowError):
+            kernels.rosenbrock(x)
+        assert kernels.coordinate_view(kernels.rosenbrock, x) is None
+
+    def test_a_wrapped_kernel_evaluates_through_the_kernel(self):
+        # an ABCD run on a problem whose objective wraps the kernel calls
+        # the kernel at every evaluation; it makes the same evaluations,
+        # with the same values, as the run whose probes take their values
+        # from views
+        from abcdirect.abcd import AbcdConfig, abcd_solve
+        from abcdirect.problem import EvalCounter, Problem
+
+        problem = get_function("griewank", 6)[0]
+        calls = []
+
+        def wrapped(x):
+            calls.append(1)
+            return problem.objective(x)
+        runs = [abcd_solve(p, AbcdConfig(seed=3), EvalCounter(cap=2000))
+                for p in (problem, Problem(wrapped, problem.bounds,
+                                           problem.known_optimum))]
+        viewed, plain = runs
+        assert len(calls) == plain.evals == viewed.evals == 2000
+        assert viewed.trace == plain.trace
+        assert ((viewed.f_min, viewed.x_min.tobytes())
+                == (plain.f_min, plain.x_min.tobytes()))
 
 
 class TestValidateRegistry:

@@ -1,6 +1,7 @@
 """Bounds, evaluation counting and unit-cube normalization."""
 
 import ast
+import math
 import pathlib
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import abcdirect
+from abcdirect.functions import get_function
+from abcdirect.functions.kernels import coordinate_view
+from abcdirect.functions.registry import HEDAR_NAMES
 from abcdirect.problem import (
     Bounds,
     ConfigError,
@@ -135,6 +139,44 @@ class TestEvalCounter:
         counter.arm(p, 0.0, None)
         assert (counter.target, counter.tol, counter.deadline) == (
             1.0, 0.5, deadline)
+
+
+class TestViewParity:
+    # a probe valued by a coordinate view is charged and checked as one
+    # that calls the kernel: an OverflowError is inf and a value that is
+    # not finite raises, after the evaluation is counted
+    @staticmethod
+    def both_paths(problem, x, i, z):
+        """The counters of one probe at x with x[i] = z, charged through
+        the view at x and through the kernel; both must raise
+        NonFiniteValueError."""
+        view = coordinate_view(problem.objective, x)
+        assert view is not None
+        probe = x.copy()
+        probe[i] = z
+        counters = []
+        for args in ((view, i, z), ()):
+            counter = EvalCounter(cap=10)
+            with pytest.raises(NonFiniteValueError):
+                evaluate_counted(problem, probe, counter, *args)
+            counters.append((counter.count, counter.best_f))
+        return counters
+
+    def test_overflow(self):
+        # (1e154)**2 is finite, and its square raises OverflowError
+        problem = get_function("rosenbrock", 4)[0]
+        x = np.array([0.5, -1.0, 2.0, 3.0])
+        probe = x.copy()
+        probe[1] = 1e154
+        with pytest.raises(OverflowError):
+            problem.objective(probe)
+        assert self.both_paths(problem, x, 1, 1e154) == [(1, math.inf)] * 2
+
+    @pytest.mark.parametrize("name", HEDAR_NAMES)
+    def test_nan_probe(self, name):
+        problem = get_function(name, 6)[0]
+        x = problem.bounds.lower + 0.3 * problem.bounds.width
+        assert self.both_paths(problem, x, 0, math.nan) == [(1, math.inf)] * 2
 
 
 def test_evaluate_counted_is_the_one_evaluation_site():

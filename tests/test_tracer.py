@@ -74,9 +74,9 @@ def test_direct_solve_calls_count_abcd_subproblems(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     from tracer import Tracer
 
-    problem = get_function("griewank", 6)[0]
     tracer = Tracer().install()
     try:
+        problem = get_function("griewank", 6)[0]
         result = runner_mod.abcd_solve(
             problem, AbcdConfig(seed=3), EvalCounter(cap=2000))
     finally:
