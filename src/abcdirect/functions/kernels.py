@@ -21,18 +21,21 @@ those bits, which a pure speed-up must not do, so there are none:
 * `X.sum(axis=1)` adds in eight interleaved partial sums, not left to right,
   and differs from the sequential sum on 9-26% of rows of 12 uniform terms.
 
-Each of the thirteen Hedar kernels also has a coordinate view
-(`coordinate_view`, looked up in `VIEWS` by the kernel function's
-identity). Built once from a point x, a view answers "the kernel at x
-with coordinate i at z" in place of a full call. It caches x's terms and
-the kernel's running accumulators, and a probe takes the accumulator just
-before the first term that coordinate i touches, recomputes only the
-touched terms and then adds the cached later terms in the kernel's own
-order. The operations and their order are the kernel's, so the value is
-the kernel's, bit for bit; a subtraction is cached as the addition of
-the negated term, which IEEE arithmetic defines it to be. Any other
-objective, a Jones kernel or a wrapped kernel included, has no view and
-is called as it is.
+Each of the thirteen Hedar functions is written once, as its terms: a start
+value, then the term at each position in the order its formula adds them,
+and for ackley, griewank and zakharov a finishing expression over the sums
+(griewank's product is folded as a sum is, with `mul`). A subtraction is
+written as the addition of the negated term, which IEEE arithmetic defines
+it to be, and a first term that is a square is added to a start of 0.0,
+which leaves it as it is. The kernel adds a point's terms left to right
+(`_total`). Its coordinate view (`coordinate_view`, found in `VIEWS` by
+the kernel's identity) is built once from a point x and gives the kernel
+at x with coordinate i at z: it keeps x's terms and the running sum after
+each (`_fold`), and a probe adds the recomputed terms, then the cached
+later ones, to the running sum before the first term that i changes
+(`_resum`). The operations and their order are the kernel's, so the values
+are too, bit for bit. Any other objective, a Jones kernel or a wrapped
+kernel included, has no view and is called as it is.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import accumulate
-from operator import add, mul
+from operator import mul
 
 from .data import (
     HARTMAN3_A, HARTMAN3_C, HARTMAN3_P,
@@ -63,126 +66,6 @@ _HARTMAN3_TERMS = [(c, *a, *p) for c, a, p in zip(
     HARTMAN3_C.tolist(), HARTMAN3_A.tolist(), HARTMAN3_P.tolist())]
 _HARTMAN6_TERMS = [(c, *a, *p) for c, a, p in zip(
     HARTMAN6_C.tolist(), HARTMAN6_A.tolist(), HARTMAN6_P.tolist())]
-
-
-def ackley(x):
-    x = x.tolist()
-    n = len(x)
-    s2 = 0.0
-    sc = 0.0
-    for xi in x:
-        s2 += xi * xi
-        sc += math.cos(2.0 * math.pi * xi)
-    return (-20.0 * math.exp(-0.2 * math.sqrt(s2 / n))
-            - math.exp(sc / n) + 20.0 + math.e)
-
-
-def dixon_price(x):
-    x = x.tolist()
-    total = (x[0] - 1.0) ** 2
-    for i in range(1, len(x)):
-        total += (i + 1) * (2.0 * x[i] * x[i] - x[i - 1]) ** 2
-    return total
-
-
-def griewank(x):
-    s = 0.0
-    p = 1.0
-    for i, xi in enumerate(x.tolist()):
-        s += xi * xi
-        p *= math.cos(xi / math.sqrt(i + 1.0))
-    return s / 4000.0 - p + 1.0
-
-
-def levy(x):
-    x = x.tolist()
-    n = len(x)
-    w0 = 1.0 + (x[0] - 1.0) / 4.0
-    total = math.sin(math.pi * w0) ** 2
-    for i in range(n - 1):
-        w = 1.0 + (x[i] - 1.0) / 4.0
-        wn = 1.0 + (x[i + 1] - 1.0) / 4.0
-        total += (w - 1.0) ** 2 * (1.0 + 10.0 * math.sin(math.pi * w + 1.0) ** 2)
-        if i == n - 2:
-            total += (wn - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * wn) ** 2)
-    if n == 1:
-        total += (w0 - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * w0) ** 2)
-    return total
-
-
-def michalewicz(x):
-    total = 0.0
-    for i, xi in enumerate(x.tolist()):
-        si = math.sin((i + 1) * xi * xi / math.pi)
-        total -= math.sin(xi) * si ** 20
-    return total
-
-
-def powell(x):
-    x = x.tolist()
-    total = 0.0
-    for j in range(len(x) // 4):
-        a, b, c, d = x[4 * j:4 * j + 4]
-        total += ((a + 10.0 * b) ** 2 + 5.0 * (c - d) ** 2
-                  + (b - 2.0 * c) ** 4 + 10.0 * (a - d) ** 4)
-    return total
-
-
-def rastrigin(x):
-    x = x.tolist()
-    total = 10.0 * len(x)
-    for xi in x:
-        total += xi * xi - 10.0 * math.cos(2.0 * math.pi * xi)
-    return total
-
-
-def rosenbrock(x):
-    x = x.tolist()
-    total = 0.0
-    for xi, xn in zip(x, x[1:]):
-        total += 100.0 * (xn - xi * xi) ** 2 + (xi - 1.0) ** 2
-    return total
-
-
-def schwefel(x):
-    x = x.tolist()
-    total = SCHWEFEL_OFFSET * len(x)
-    for xi in x:
-        total -= xi * math.sin(math.sqrt(abs(xi)))
-    return total
-
-
-def sphere(x):
-    total = 0.0
-    for xi in x.tolist():
-        total += xi * xi
-    return total
-
-
-def sum_squares(x):
-    total = 0.0
-    for i, xi in enumerate(x.tolist()):
-        total += (i + 1) * xi * xi
-    return total
-
-
-def trid(x):
-    x = x.tolist()
-    total = 0.0
-    for xi in x:
-        total += (xi - 1.0) ** 2
-    for xp, xi in zip(x, x[1:]):
-        total -= xi * xp
-    return total
-
-
-def zakharov(x):
-    s1 = 0.0
-    s2 = 0.0
-    for i, xi in enumerate(x.tolist()):
-        s1 += xi * xi
-        s2 += 0.5 * (i + 1) * xi
-    return s1 + s2 ** 2 + s2 ** 4
 
 
 def branin(x):
@@ -261,6 +144,286 @@ def hartman6(x):
     return total
 
 
+# -- the Hedar functions: terms, kernels and views ----------------------
+
+
+def _total(terms):
+    """terms[0] + terms[1] + ..., added left to right. Never builtin `sum`,
+    which adds with compensation from Python 3.12 on, nor `math.fsum`."""
+    acc = -0.0  # the identity of +: -0.0 + t is t, for t = -0.0 too
+    for t in terms:
+        acc += t
+    return acc
+
+
+def _fold(terms):
+    """A kernel's sum over `terms`, as (terms, running sums): running[k] is
+    terms[0] + terms[1] + ... + terms[k], added left to right."""
+    return terms, list(accumulate(terms))
+
+
+def _resum(fold, pos, *new):
+    """The fold's sum with the terms from position `pos` (above 0) on
+    replaced by `new`, then the cached terms after them, in order."""
+    terms, running = fold
+    acc = running[pos - 1]
+    for t in new:
+        acc += t
+    for t in terms[pos + len(new):]:
+        acc += t
+    return acc
+
+
+def _terms(start, term, x):
+    """`start`, then term(i, x[i]) for each coordinate in order."""
+    return [start, *map(term, range(len(x)), x)]
+
+
+#: kernel function -> view builder, for the thirteen Hedar kernels
+VIEWS = {}
+
+
+def _one_sum(name, terms, probe):
+    """The kernel `name`, which adds terms(x) left to right, with its view
+    builder in `VIEWS`: probe(fold, x) over the fold of the same terms.
+    Both hand `terms` and `probe` the point as a list of floats."""
+    def kernel(x):
+        return _total(terms(x.tolist()))
+
+    def build(x):
+        x = x.tolist()
+        return probe(_fold(terms(x)), x)
+    kernel.__name__ = kernel.__qualname__ = name
+    VIEWS[kernel] = build
+    return kernel
+
+
+def _separable(name, start, term):
+    """`_one_sum` of start(n) + term(0, x[0]) + ... + term(n - 1, x[n - 1])."""
+    return _one_sum(
+        name, lambda x: _terms(start(len(x)), term, x),
+        lambda fold, x: lambda i, z: _resum(fold, i + 1, term(i, z)))
+
+
+def _two_sums(name, first, second, finish):
+    """The kernel `name`, finish(n, s1, s2) of the sums from 0.0 of
+    first(i, x[i]) and of second(i, x[i]), with its view builder in
+    `VIEWS`."""
+    def kernel(x):
+        x = x.tolist()
+        return finish(len(x), _total(_terms(0.0, first, x)),
+                      _total(_terms(0.0, second, x)))
+
+    def build(x):
+        x = x.tolist()
+        n = len(x)
+        s1 = _fold(_terms(0.0, first, x))
+        s2 = _fold(_terms(0.0, second, x))
+        return lambda i, z: finish(n, _resum(s1, i + 1, first(i, z)),
+                                   _resum(s2, i + 1, second(i, z)))
+    kernel.__name__ = kernel.__qualname__ = name
+    VIEWS[kernel] = build
+    return kernel
+
+
+def _square(i, xi):
+    return xi * xi
+
+
+def _square_from_one(xi):
+    return (xi - 1.0) ** 2
+
+
+michalewicz = _separable(
+    "michalewicz", lambda n: 0.0,
+    lambda i, xi: -(math.sin(xi)
+                    * math.sin((i + 1) * xi * xi / math.pi) ** 20))
+rastrigin = _separable(
+    "rastrigin", lambda n: 10.0 * n,
+    lambda i, xi: xi * xi - 10.0 * math.cos(2.0 * math.pi * xi))
+schwefel = _separable(
+    "schwefel", lambda n: SCHWEFEL_OFFSET * n,
+    lambda i, xi: -(xi * math.sin(math.sqrt(abs(xi)))))
+sphere = _separable("sphere", lambda n: 0.0, _square)
+sum_squares = _separable(
+    "sum_squares", lambda n: 0.0, lambda i, xi: (i + 1) * xi * xi)
+
+ackley = _two_sums(
+    "ackley", _square, lambda i, xi: math.cos(2.0 * math.pi * xi),
+    lambda n, s2, sc: (-20.0 * math.exp(-0.2 * math.sqrt(s2 / n))
+                       - math.exp(sc / n) + 20.0 + math.e))
+zakharov = _two_sums(
+    "zakharov", _square, lambda i, xi: 0.5 * (i + 1) * xi,
+    lambda n, s1, s2: s1 + s2 ** 2 + s2 ** 4)
+
+
+def _griewank_factor(i, xi):
+    return math.cos(xi / math.sqrt(i + 1.0))
+
+
+def _griewank(s, p):
+    return s / 4000.0 - p + 1.0
+
+
+def griewank(x):
+    x = x.tolist()
+    return _griewank(_total(_terms(0.0, _square, x)),
+                     reduce(mul, _terms(1.0, _griewank_factor, x)))
+
+
+def _griewank_view(x):
+    # the product is folded as the sum is, with mul
+    x = x.tolist()
+    squares = _fold(_terms(0.0, _square, x))
+    factors = _terms(1.0, _griewank_factor, x)
+    products = list(accumulate(factors, mul))
+
+    def view(i, z):
+        p = products[i] * _griewank_factor(i, z)
+        for t in factors[i + 2:]:
+            p *= t
+        return _griewank(_resum(squares, i + 1, _square(i, z)), p)
+    return view
+
+
+VIEWS[griewank] = _griewank_view
+
+
+def _dixon_price_term(i, xi, xp):
+    return (i + 1) * (2.0 * xi * xi - xp) ** 2
+
+
+def _dixon_price_probe(fold, x):
+    n = len(x)
+
+    def view(i, z):
+        own = (_square_from_one(z) if i == 0
+               else _dixon_price_term(i, z, x[i - 1]))
+        if i == n - 1:
+            return _resum(fold, i + 1, own)
+        return _resum(fold, i + 1, own,
+                      _dixon_price_term(i + 1, x[i + 1], z))
+    return view
+
+
+dixon_price = _one_sum(
+    # the term of x[i] at position i + 1 also reads x[i - 1]
+    "dixon_price", lambda x: [
+        0.0, _square_from_one(x[0]),
+        *map(_dixon_price_term, range(1, len(x)), x[1:], x)],
+    _dixon_price_probe)
+
+
+# levy's terms: the head reads x[0], the middle term of x[i] each x[i] for
+# i < n - 1 and the end term x[n - 1] (x[0] again at n = 1)
+def _levy_head(xi):
+    return math.sin(math.pi * (1.0 + (xi - 1.0) / 4.0)) ** 2
+
+
+def _levy_middle(xi):
+    w = 1.0 + (xi - 1.0) / 4.0
+    return (w - 1.0) ** 2 * (1.0 + 10.0 * math.sin(math.pi * w + 1.0) ** 2)
+
+
+def _levy_end(xi):
+    wn = 1.0 + (xi - 1.0) / 4.0
+    return (wn - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * wn) ** 2)
+
+
+def _levy_probe(fold, x):
+    n = len(x)
+
+    def view(i, z):
+        last = _levy_middle(z) if i < n - 1 else _levy_end(z)
+        if i == 0:
+            return _resum(fold, 1, _levy_head(z), last)
+        return _resum(fold, i + 2, last)
+    return view
+
+
+levy = _one_sum(
+    "levy", lambda x: [0.0, _levy_head(x[0]), *map(_levy_middle, x[:-1]),
+                       _levy_end(x[-1])],
+    _levy_probe)
+
+
+def _powell_term(a, b, c, d):
+    return ((a + 10.0 * b) ** 2 + 5.0 * (c - d) ** 2
+            + (b - 2.0 * c) ** 4 + 10.0 * (a - d) ** 4)
+
+
+def _powell_probe(fold, x):
+    groups = len(x) // 4
+
+    def view(i, z):
+        j = i // 4
+        if j == groups:  # the kernel reads no coordinate past its groups
+            return fold[1][-1]
+        group = x[4 * j:4 * j + 4]
+        group[i - 4 * j] = z
+        return _resum(fold, j + 1, _powell_term(*group))
+    return view
+
+
+powell = _one_sum(
+    "powell", lambda x: [0.0, *[_powell_term(*x[4 * j:4 * j + 4])
+                                for j in range(len(x) // 4)]],
+    _powell_probe)
+
+
+def _rosenbrock_term(xi, xn):
+    return 100.0 * (xn - xi * xi) ** 2 + (xi - 1.0) ** 2
+
+
+def _rosenbrock_probe(fold, x):
+    n = len(x)
+
+    def view(i, z):
+        if i == 0:
+            return _resum(fold, 1, _rosenbrock_term(z, x[1]))
+        if i == n - 1:
+            return _resum(fold, i, _rosenbrock_term(x[i - 1], z))
+        return _resum(fold, i, _rosenbrock_term(x[i - 1], z),
+                      _rosenbrock_term(z, x[i + 1]))
+    return view
+
+
+rosenbrock = _one_sum(
+    # the term at position k + 1 reads x[k] and x[k + 1]
+    "rosenbrock", lambda x: [0.0, *map(_rosenbrock_term, x, x[1:])],
+    _rosenbrock_probe)
+
+
+def _trid_cross(xp, xi):
+    return -(xi * xp)
+
+
+def _trid_probe(fold, x):
+    n = len(x)
+    terms, running = fold
+
+    def view(i, z):
+        acc = running[i] + _square_from_one(z)
+        for t in terms[i + 2:n + i if i > 0 else n + 1]:
+            acc += t
+        if i > 0:
+            acc += _trid_cross(x[i - 1], z)
+        if i < n - 1:
+            acc += _trid_cross(z, x[i + 1])
+        for t in terms[n + i + 2:]:
+            acc += t
+        return acc
+    return view
+
+
+trid = _one_sum(
+    # one sum: the square of x[i] at position i + 1, then the negated
+    # product of x[k] and x[k + 1] at position n + 1 + k
+    "trid", lambda x: [0.0, *map(_square_from_one, x),
+                       *map(_trid_cross, x, x[1:])],
+    _trid_probe)
+
+
 KERNELS = {
     "ackley": ackley,
     "dixon-price": dixon_price,
@@ -284,230 +447,6 @@ KERNELS = {
     "S10": shekel10,
     "H3": hartman3,
     "H6": hartman6,
-}
-
-
-
-
-# -- coordinate views ------------------------------------------------------
-#
-# A kernel's sum is a fold: a start value, then each term added in the
-# order the kernel computes it. A view keeps its point's terms in that
-# order, behind the start value, with the running sum after each, and a
-# probe adds from the running sum before the first term it changes. A
-# kernel that assigns its first term (`total = t`) is folded from 0.0: that
-# term is a square, never -0.0, and 0.0 + t is t.
-
-
-def _fold(terms):
-    """A kernel's sum over `terms`, as (terms, running sums): running[k] is
-    terms[0] + terms[1] + ... + terms[k], added left to right."""
-    return terms, list(accumulate(terms))
-
-
-def _resum(fold, pos, *new):
-    """The fold's sum with the terms from position `pos` (above 0) on
-    replaced by `new`, then the cached terms after them, in order."""
-    terms, running = fold
-    acc = running[pos - 1]
-    for t in new:
-        acc += t
-    for t in terms[pos + len(new):]:
-        acc += t
-    return acc
-
-
-def _separable_view(start, term):
-    """The view builder of a kernel `total = start(n)`, then
-    `total += term(i, x[i])` for each coordinate in order."""
-    def build(x):
-        x = x.tolist()
-        fold = _fold([start(len(x)), *map(term, range(len(x)), x)])
-        return lambda i, z: _resum(fold, i + 1, term(i, z))
-    return build
-
-
-def _ackley_view(x):
-    x = x.tolist()
-    n = len(x)
-    squares = _fold([0.0, *[xi * xi for xi in x]])
-    cosines = _fold([0.0, *[math.cos(2.0 * math.pi * xi) for xi in x]])
-
-    def view(i, z):
-        s2 = _resum(squares, i + 1, z * z)
-        sc = _resum(cosines, i + 1, math.cos(2.0 * math.pi * z))
-        return (-20.0 * math.exp(-0.2 * math.sqrt(s2 / n))
-                - math.exp(sc / n) + 20.0 + math.e)
-    return view
-
-
-def _dixon_price_term(i, xi, xp):
-    return (i + 1) * (2.0 * xi * xi - xp) ** 2
-
-
-def _dixon_price_view(x):
-    # the term of x[i] at position i + 1 also reads x[i - 1]
-    x = x.tolist()
-    n = len(x)
-    fold = _fold([0.0, (x[0] - 1.0) ** 2,
-                  *[_dixon_price_term(i, x[i], x[i - 1])
-                    for i in range(1, n)]])
-
-    def view(i, z):
-        own = ((z - 1.0) ** 2 if i == 0
-               else _dixon_price_term(i, z, x[i - 1]))
-        if i == n - 1:
-            return _resum(fold, i + 1, own)
-        return _resum(fold, i + 1, own,
-                      _dixon_price_term(i + 1, x[i + 1], z))
-    return view
-
-
-def _griewank_view(x):
-    x = x.tolist()
-    squares = _fold([0.0, *[xi * xi for xi in x]])
-    # the product, folded as the sums are
-    factors = [1.0, *[math.cos(xi / math.sqrt(i + 1.0))
-                      for i, xi in enumerate(x)]]
-    products = list(accumulate(factors, mul))
-
-    def view(i, z):
-        s = _resum(squares, i + 1, z * z)
-        p = products[i] * math.cos(z / math.sqrt(i + 1.0))
-        for t in factors[i + 2:]:
-            p *= t
-        return s / 4000.0 - p + 1.0
-    return view
-
-
-# levy's terms: the head reads x[0], the middle term of x[i] each x[i] for
-# i < n - 1 and the end term x[n - 1] (x[0] again at n = 1)
-def _levy_head(xi):
-    return math.sin(math.pi * (1.0 + (xi - 1.0) / 4.0)) ** 2
-
-
-def _levy_middle(xi):
-    w = 1.0 + (xi - 1.0) / 4.0
-    return (w - 1.0) ** 2 * (1.0 + 10.0 * math.sin(math.pi * w + 1.0) ** 2)
-
-
-def _levy_end(xi):
-    wn = 1.0 + (xi - 1.0) / 4.0
-    return (wn - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * wn) ** 2)
-
-
-def _levy_view(x):
-    x = x.tolist()
-    n = len(x)
-    fold = _fold([0.0, _levy_head(x[0]), *map(_levy_middle, x[:-1]),
-                  _levy_end(x[-1])])
-
-    def view(i, z):
-        last = _levy_middle(z) if i < n - 1 else _levy_end(z)
-        if i == 0:
-            return _resum(fold, 1, _levy_head(z), last)
-        return _resum(fold, i + 2, last)
-    return view
-
-
-def _powell_term(a, b, c, d):
-    return ((a + 10.0 * b) ** 2 + 5.0 * (c - d) ** 2
-            + (b - 2.0 * c) ** 4 + 10.0 * (a - d) ** 4)
-
-
-def _powell_view(x):
-    x = x.tolist()
-    groups = len(x) // 4
-    fold = _fold([0.0, *[_powell_term(*x[4 * j:4 * j + 4])
-                         for j in range(groups)]])
-
-    def view(i, z):
-        j = i // 4
-        if j == groups:  # the kernel reads no coordinate past its groups
-            return fold[1][-1]
-        group = x[4 * j:4 * j + 4]
-        group[i - 4 * j] = z
-        return _resum(fold, j + 1, _powell_term(*group))
-    return view
-
-
-def _rosenbrock_term(xi, xn):
-    return 100.0 * (xn - xi * xi) ** 2 + (xi - 1.0) ** 2
-
-
-def _rosenbrock_view(x):
-    # the term at position k + 1 reads x[k] and x[k + 1]
-    x = x.tolist()
-    n = len(x)
-    fold = _fold([0.0, *map(_rosenbrock_term, x, x[1:])])
-
-    def view(i, z):
-        if i == 0:
-            return _resum(fold, 1, _rosenbrock_term(z, x[1]))
-        if i == n - 1:
-            return _resum(fold, i, _rosenbrock_term(x[i - 1], z))
-        return _resum(fold, i, _rosenbrock_term(x[i - 1], z),
-                      _rosenbrock_term(z, x[i + 1]))
-    return view
-
-
-def _trid_view(x):
-    # one sum: the square of x[i] at position i + 1, then the negated
-    # product of x[k] and x[k + 1] at position n + 1 + k
-    x = x.tolist()
-    n = len(x)
-    terms, running = _fold([0.0, *[(xi - 1.0) ** 2 for xi in x],
-                            *[-(xi * xp) for xp, xi in zip(x, x[1:])]])
-
-    def view(i, z):
-        acc = running[i] + (z - 1.0) ** 2
-        for t in terms[i + 2:n + i if i > 0 else n + 1]:
-            acc += t
-        if i > 0:
-            acc += -(z * x[i - 1])
-        if i < n - 1:
-            acc += -(x[i + 1] * z)
-        for t in terms[n + i + 2:]:
-            acc += t
-        return acc
-    return view
-
-
-def _zakharov_view(x):
-    x = x.tolist()
-    squares = _fold([0.0, *[xi * xi for xi in x]])
-    weighted = _fold([0.0, *[0.5 * (i + 1) * xi for i, xi in enumerate(x)]])
-
-    def view(i, z):
-        s1 = _resum(squares, i + 1, z * z)
-        s2 = _resum(weighted, i + 1, 0.5 * (i + 1) * z)
-        return s1 + s2 ** 2 + s2 ** 4
-    return view
-
-
-#: kernel function -> view builder, for the thirteen Hedar kernels
-VIEWS = {
-    ackley: _ackley_view,
-    dixon_price: _dixon_price_view,
-    griewank: _griewank_view,
-    levy: _levy_view,
-    michalewicz: _separable_view(
-        lambda n: 0.0,
-        lambda i, xi: -(math.sin(xi)
-                        * math.sin((i + 1) * xi * xi / math.pi) ** 20)),
-    powell: _powell_view,
-    rastrigin: _separable_view(
-        lambda n: 10.0 * n,
-        lambda i, xi: xi * xi - 10.0 * math.cos(2.0 * math.pi * xi)),
-    rosenbrock: _rosenbrock_view,
-    schwefel: _separable_view(
-        lambda n: SCHWEFEL_OFFSET * n,
-        lambda i, xi: -(xi * math.sin(math.sqrt(abs(xi))))),
-    sphere: _separable_view(lambda n: 0.0, lambda i, xi: xi * xi),
-    sum_squares: _separable_view(lambda n: 0.0,
-                                 lambda i, xi: (i + 1) * xi * xi),
-    trid: _trid_view,
-    zakharov: _zakharov_view,
 }
 
 

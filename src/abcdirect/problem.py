@@ -84,12 +84,6 @@ class Bounds:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, x: np.ndarray, atol: float = 1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(
-            (x >= self.lower - atol).all() and (x <= self.upper + atol).all()
-        )
-
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).clip(self.lower, self.upper)
 

@@ -166,20 +166,25 @@ def _pin_dims(name):
     return [dims[0]] + [d for d in (6, 12, 18) if d > dims[0]]
 
 
+def kernel_digest(name):
+    """The digest `KERNEL_SHA256` pins for the function `name`."""
+    kernel = kernels.KERNELS[registry._REGISTRY[name].kernel_name]
+    digest = hashlib.sha256()
+    for n in _pin_dims(name):
+        _, meta = get_function(name, n, adjust=False)
+        mid = 0.5 * (meta.bounds.lower + meta.bounds.upper)
+        half = 0.6 * meta.bounds.width
+        pts = np.random.default_rng(0).uniform(mid - half, mid + half,
+                                               size=(500, n))
+        values = np.array([kernel(p) for p in pts], dtype="<f8")
+        digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
 class TestKernelValues:
     @pytest.mark.parametrize("name", list_functions())
     def test_values_are_pinned(self, name):
-        kernel = kernels.KERNELS[registry._REGISTRY[name].kernel_name]
-        digest = hashlib.sha256()
-        for n in _pin_dims(name):
-            _, meta = get_function(name, n, adjust=False)
-            mid = 0.5 * (meta.bounds.lower + meta.bounds.upper)
-            half = 0.6 * meta.bounds.width
-            pts = np.random.default_rng(0).uniform(mid - half, mid + half,
-                                                   size=(500, n))
-            values = np.array([kernel(p) for p in pts], dtype="<f8")
-            digest.update(values.tobytes())
-        assert digest.hexdigest() == KERNEL_SHA256[name]
+        assert kernel_digest(name) == KERNEL_SHA256[name]
 
     def test_objective_is_the_kernel(self):
         for name in list_functions():
@@ -302,6 +307,13 @@ class TestCoordinateViews:
                               *terms[pos + len(new):]])
         monkeypatch.setattr(kernels, "_resum", regrouped)
         assert view_mismatches(name, 18) > 0
+
+    @pytest.mark.parametrize("name", ["rastrigin", "levy", "zakharov"])
+    def test_a_regrouped_kernel_sum_fails_its_pin(self, name, monkeypatch):
+        # the negative control of the pins: a kernel that adds its terms
+        # exactly rounded, not left to right, no longer matches its digest
+        monkeypatch.setattr(kernels, "_total", math.fsum)
+        assert kernel_digest(name) != KERNEL_SHA256[name]
 
     def test_every_hedar_kernel_and_no_jones_kernel_has_a_view(self):
         hedar = {kernels.KERNELS[registry._REGISTRY[name].kernel_name]

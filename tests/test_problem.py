@@ -39,8 +39,6 @@ class TestBounds:
         b = Bounds(np.array([-1.0, 0.0]), np.array([1.0, 4.0]))
         assert b.n == 2
         assert np.array_equal(b.width, [2.0, 4.0])
-        assert b.contains([0.0, 2.0])
-        assert not b.contains([0.0, 5.0])
         assert np.array_equal(b.clip([-3.0, 9.0]), [-1.0, 4.0])
 
     @pytest.mark.parametrize("lower,upper", [
@@ -223,5 +221,5 @@ class TestNormalization:
         n = z.size
         b = Bounds(np.full(n, -3.0), np.full(n, 7.0))
         x = denormalize(z, b)
-        assert b.contains(x)
+        assert ((b.lower <= x) & (x <= b.upper)).all()
         assert np.allclose((x - b.lower) / b.width, z, atol=1e-12)
