@@ -26,9 +26,9 @@ probe builds its point, the one the counter's best pair and `x_min` keep.
 
 A block of one coordinate, the bulk of ABCD's subproblems, runs on an
 interval store instead (`IntervalState`, divided by `divide_interval`):
-levels, numerators and values in three lists, with no tuples, no split
-cache and no rebuilt centers. It makes the same evaluations in the same
-order, bit for bit, so the rectangle store stays the reference and the
+levels, numerators and values in three lists, with no level tuples, no
+level records and no rebuilt centers. It makes the same evaluations in the
+same order, bit for bit, so the rectangle store stays the reference and the
 subject of the certificates; a run with `keep_state`, whose caller reads
 the partition, always gets a rectangle store.
 """
@@ -84,27 +84,11 @@ def _shared_group_key(levels: tuple) -> float:
     return round(measure(np.array(levels, dtype=np.int16)), GROUP_KEY_DIGITS)
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    """Read-only view of one partition cell."""
-
-    id: int
-    center: np.ndarray  # a full user-space point, rebuilt for the view
-    levels: np.ndarray
-    # integer numerators; unit-cube center_i = exact[i] / (2*3^levels[i])
-    exact: tuple
-    value: float
-
-    @property
-    def measure(self) -> float:
-        return measure(self.levels)
-
-
 class PartitionState:
     """Rectangle store with a measure-keyed group index.
 
     The partition is over `n` block dimensions; `coords[d]` is the problem
-    coordinate of block dimension d (`range(n)` by default, plain DIRECT).
+    coordinate of block dimension d (`range(n)` for plain DIRECT).
 
     Centers are not stored. The center of a rectangle (`center`) is a full
     user-space point of the problem: `base` outside the block and, in block
@@ -120,47 +104,32 @@ class PartitionState:
     Layout, by problem coordinate:
     - `lower`, `width`: the box's lower bounds and widths as Python floats,
       which centers and probes are mapped with: one IEEE multiply and one
-      add, the two operations numpy does per element. A state built
-      without `bounds` is over the unit cube.
+      add, the two operations numpy does per element.
     - `base`: a float64 array, the run's start center (`_block`); its
-      block coordinates are never read. A state built without `base` gets
-      the box midpoint.
+      block coordinates are never read.
 
     Layout, by rectangle id:
-    - `_level_tuples`: one level tuple of length n per rectangle, interned
-      per state, so every rectangle with the same levels (both children of
-      a division step and the rekeyed parent) shares one tuple object.
-      `_levels` builds the int16 `(size, n)` array from them on demand, for
-      readers off the hot path.
+    - `_level_tuples`: one level tuple of length n per rectangle, the one
+      `_intern` returns, so every rectangle with the same levels (both
+      children of a division step and the rekeyed parent) shares one tuple
+      object. `_levels` builds the int16 `(size, n)` array from them on
+      demand, for readers off the hot path.
     - `_values`, `_exact`, `_keys`: Python lists of the value, the integer
       numerators (length n) and the current group key.
 
     Levels and numerators are unit-cube quantities of the block, so the
     tiling certificates never look at the user-space centers.
 
-    Groups map a rounded measure to a lazy min-heap of (value, id) entries;
-    stale entries (rectangles whose measure changed after division) are purged
-    on access.
-
-    Group keys are cached in two layers (see `group_key`): a per-state dict
-    that holds every level vector this partition has seen, and behind it a
-    small process-wide cache that carries keys over to new partitions, such
-    as ABCD's many short subproblem runs.
+    Groups map a group key (see `_intern`) to a lazy min-heap of
+    (value, id) entries; stale entries (rectangles whose measure changed
+    after division) are purged on access. `min_measure` is the smallest
+    key a rectangle has had.
     """
 
-    def __init__(self, n: int, counter: Optional[EvalCounter] = None,
-                 coords: Optional[tuple] = None,
-                 bounds: Optional[Bounds] = None,
-                 base: Optional[np.ndarray] = None):
-        self.n = n
-        self.coords = tuple(range(n)) if coords is None else coords
-        self.counter = counter if counter is not None else EvalCounter()
-        if bounds is None:
-            lower, width = np.zeros(n), np.ones(n)
-        else:
-            lower, width = bounds.lower, bounds.width
-        self.lower, self.width = lower.tolist(), width.tolist()
-        self.base = lower + 0.5 * width if base is None else base
+    def __init__(self, n: int, counter: EvalCounter, coords: tuple,
+                 bounds: Bounds, base: np.ndarray):
+        self.n, self.counter, self.coords, self.base = n, counter, coords, base
+        self.lower, self.width = bounds.lower.tolist(), bounds.width.tolist()
         self._explicit: dict[int, np.ndarray] = {}
         self._level_tuples: list[tuple] = []
         self._values: list[float] = []
@@ -168,15 +137,12 @@ class PartitionState:
         self.size = 0
         self._heaps: dict[float, list] = {}
         self._keys: list[float] = []  # current group key per id
-        # level tuple -> (its interned tuple, its group key)
-        self._key_of: dict[tuple, tuple[tuple, float]] = {}
+        # level tuple -> its record (see `_intern`)
+        self._records: dict[tuple, tuple] = {}
         self._deep: set[tuple] = set()  # interned tuples past EXACT_LEVEL
-        # parent level tuple -> (its longest dimensions, their probes'
-        # denominator), what a division derives from the levels alone
-        self._splits: dict[tuple, tuple[tuple, float]] = {}
+        self.min_measure = np.inf
         self.f_min = np.inf
         self.x_min: Optional[np.ndarray] = None
-        self._min_key = np.inf
 
     # -- storage ---------------------------------------------------------
 
@@ -186,43 +152,40 @@ class PartitionState:
         return np.array(self._level_tuples,
                         dtype=np.int16).reshape(self.size, self.n)
 
-    def _intern(self, levels) -> tuple[tuple, float]:
-        """The interned tuple and the group key of a level vector (tuple,
-        list or integer array), with one dict lookup for a tuple."""
-        if type(levels) is not tuple:
-            levels = tuple(np.asarray(levels).tolist())
-        entry = self._key_of.get(levels)
-        if entry is None:
-            entry = self._key_of[levels] = (levels, _shared_group_key(levels))
-            if max(levels, default=0) > EXACT_LEVEL:
-                self._deep.add(levels)
-        return entry
+    def _intern(self, levels: tuple) -> tuple[tuple, float, tuple, float]:
+        """The record of a level tuple, what the store derives from the
+        levels alone: (the interned tuple, its group key, its longest
+        dimensions, their probes' denominator 2*3^(min level + 1)).
 
-    def group_key(self, levels) -> float:
-        """Group key `round(measure(levels), GROUP_KEY_DIGITS)` of a level
-        vector (list, tuple or integer array), computed with `measure` on
-        int16 levels so the bits never depend on the input's type.
-
-        The per-state dict is unbounded, so a long run never recomputes a key,
-        and dies with the partition. On a miss the key comes from a 256-entry
-        process-wide LRU cache, so a new partition reuses the keys earlier
-        ones computed. Neither layer alone serves both: a process-wide cache
-        large enough for one long run's distinct vectors would hold thousands
-        of keys for the life of the process, and a small one alone thrashes
-        on a long run.
+        The group key is `round(measure(levels), GROUP_KEY_DIGITS)`, computed
+        with `measure` on int16 levels. Keys are cached in two layers: the
+        per-state records, unbounded, so a long run never recomputes a key,
+        and behind them a 256-entry process-wide LRU cache
+        (`_shared_group_key`), so a new partition, such as one of ABCD's many
+        short subproblem runs, reuses the keys earlier ones computed.
+        Neither layer alone serves both: a process-wide cache large enough
+        for one long run's distinct vectors would hold thousands of keys for
+        the life of the process, and a small one alone thrashes on a long
+        run.
         """
-        return self._intern(levels)[1]
+        record = self._records.get(levels)
+        if record is None:
+            low = min(levels)
+            record = self._records[levels] = (
+                levels, _shared_group_key(levels),
+                tuple(d for d, level in enumerate(levels) if level == low),
+                2.0 * 3.0 ** (low + 1))
+            if max(levels) > EXACT_LEVEL:
+                self._deep.add(levels)
+        return record
 
-    def add(self, center: np.ndarray, levels, exact: tuple, value: float,
-            key: Optional[float] = None) -> int:
-        """Store a rectangle. `center`, a float array, is kept (not copied)
-        as `x_min` when the rectangle is the best, and as its center only
-        when its levels pass `EXACT_LEVEL`; otherwise the center is rebuilt
-        from `exact` and `levels`. `levels` is a tuple, list or integer
-        array; with `key` a tuple is taken as given, as the interned tuple
-        whose group key is `key`."""
-        if key is None or type(levels) is not tuple:
-            levels, key = self._intern(levels)
+    def add(self, center: np.ndarray, levels: tuple, exact: tuple,
+            value: float, key: float) -> int:
+        """Store a rectangle with the interned level tuple `levels` and its
+        group key `key` (`_intern`). `center`, a float array, is kept (not
+        copied) as `x_min` when the rectangle is the best, and as its center
+        only when its levels pass `EXACT_LEVEL`; otherwise the center is
+        rebuilt from `exact` and `levels`."""
         rid = self.size
         self.size = rid + 1
         if self._deep and levels in self._deep:
@@ -236,34 +199,28 @@ class PartitionState:
             self._heaps[key] = [(value, rid)]
         else:
             heappush(heap, (value, rid))
-        if key < self._min_key:
-            self._min_key = key
+        if key < self.min_measure:
+            self.min_measure = key
         if value < self.f_min:
             self.f_min = value
             self.x_min = center
         return rid
 
-    def rekey(self, rid: int, levels, exact: tuple,
-              key: Optional[float] = None) -> None:
+    def rekey(self, rid: int, levels: tuple, exact: tuple,
+              key: float) -> None:
         """Re-index a rectangle after its levels changed in a division;
-        `levels` and `key` as in `add`. A rectangle whose levels pass
-        `EXACT_LEVEL` here keeps its center, rebuilt from its old
+        `levels` and `key` as in `add`. A division adds both children under
+        the parent's new key before it rekeys the parent, so the key's group
+        exists and `min_measure` has seen the key. A rectangle whose levels
+        pass `EXACT_LEVEL` here keeps its center, rebuilt from its old
         numerators."""
-        if key is None or type(levels) is not tuple:
-            levels, key = self._intern(levels)
         if (self._deep and levels in self._deep
                 and rid not in self._explicit):
             self._explicit[rid] = self.center(rid)
         self._level_tuples[rid] = levels
         self._exact[rid] = exact
         self._keys[rid] = key
-        heap = self._heaps.get(key)
-        if heap is None:
-            self._heaps[key] = [(self._values[rid], rid)]
-        else:
-            heappush(heap, (self._values[rid], rid))
-        if key < self._min_key:
-            self._min_key = key
+        heappush(self._heaps[key], (self._values[rid], rid))
 
     def center(self, rid: int) -> np.ndarray:
         """The center of rectangle `rid` (see the class docstring), a new
@@ -277,22 +234,6 @@ class PartitionState:
                                  self._level_tuples[rid]):
             x[c] = lower[c] + num / _DENOMS[level] * width[c]
         return x
-
-    def rectangle(self, rid: int) -> Rectangle:
-        return Rectangle(
-            id=rid,
-            center=self.center(rid),
-            levels=np.array(self._level_tuples[rid], dtype=int),
-            exact=self._exact[rid],
-            value=float(self._values[rid]),
-        )
-
-    def rectangles(self):
-        return [self.rectangle(i) for i in range(self.size)]
-
-    @property
-    def min_measure(self) -> float:
-        return self._min_key
 
     # -- group index -----------------------------------------------------
 
@@ -332,7 +273,8 @@ class IntervalState:
     order, so `identify_poh` selects the same ids from the same
     representatives and a run evaluates the same points, bit for bit. What
     the store leaves out is the n-dimensional bookkeeping: level and
-    numerator tuples, the split cache, `add`, `rekey` and rebuilt centers.
+    numerator tuples, the level records, `add`, `rekey` and rebuilt
+    centers.
 
     Every probe moves coordinate `coord` of `base`, so one coordinate
     view of the objective at `base` (`view`, None for an objective
@@ -426,13 +368,7 @@ def sample_and_divide(rid: int, state: PartitionState,
     # the level bookkeeping runs on a list copy of the parent's tuple
     parent_levels = state._level_tuples[rid]
     levels = list(parent_levels)
-    split = state._splits.get(parent_levels)
-    if split is None:
-        min_lvl = min(levels)
-        split = state._splits[parent_levels] = (
-            tuple(d for d, lvl in enumerate(levels) if lvl == min_lvl),
-            2.0 * 3.0 ** (min_lvl + 1))
-    I, denom = split
+    _, _, I, denom = state._records[parent_levels]
     center = state.center(rid)
     view = coordinate_view(problem.objective, center)
     tmpl_exact = list(state._exact[rid])
@@ -473,16 +409,16 @@ def sample_and_divide(rid: int, state: PartitionState,
     new_ids = []
     for _, dim, num_p, x_p, f_p, num_m, x_m, f_m in probes:
         levels[dim] += 1
-        level_tuple, key = state._intern(tuple(levels))
+        level_tuple, key, _, _ = state._intern(tuple(levels))
         num = tmpl_exact[dim]
         tmpl_exact[dim] = num_p
         new_ids.append(state.add(x_p, level_tuple, tuple(tmpl_exact), f_p,
-                                 key=key))
+                                 key))
         tmpl_exact[dim] = num_m
         new_ids.append(state.add(x_m, level_tuple, tuple(tmpl_exact), f_m,
-                                 key=key))
+                                 key))
         tmpl_exact[dim] = 3 * num
-    state.rekey(rid, level_tuple, tuple(tmpl_exact), key=key)
+    state.rekey(rid, level_tuple, tuple(tmpl_exact), key)
     return new_ids
 
 
@@ -621,33 +557,40 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     config = config or DirectConfig()
     if not config.poh_eps > 0:
         raise ConfigError(f"poh_eps must be positive, got {config.poh_eps}")
+    if config.max_evals is not None and config.max_evals < 1:
+        raise ConfigError(f"max_evals must be positive, got "
+                          f"{config.max_evals}")
     counter = counter if counter is not None else EvalCounter()
     coords, x = _block(problem, coords, base)
     counter.arm(problem, config.target_accuracy, config.max_seconds)
 
     start_count, f_before = counter.count, counter.best_f
+    m, bounds = len(coords), problem.bounds
+    intervals = m == 1 and not keep_state
+    # an interval store's one view, at the start center, values the start
+    # center too
+    view = coordinate_view(problem.objective, x) if intervals else None
+    c = coords[0]
     reason = None
     # the start rectangle is stored even when the counter stops the run on
     # the target at its evaluation, whose value the counter then holds, so
     # the partition tiles
     try:
-        value = evaluate_counted(problem, x, counter)
+        value = evaluate_counted(problem, x, counter, view, c, float(x[c]))
     except Stop as stop:
         reason = stop.reason
         if counter.count == start_count:  # stopped before the evaluation
             return DirectResult(np.inf, x, 0, 0, reason, [])
         value = counter.best_f
-    m, bounds = len(coords), problem.bounds
-    if m == 1 and not keep_state:
-        c = coords[0]
+    if intervals:
         state = IntervalState(counter, c, float(bounds.lower[c]),
-                              float(bounds.width[c]), x, value,
-                              coordinate_view(problem.objective, x))
+                              float(bounds.width[c]), x, value, view)
         divide = divide_interval
     else:
         # the start center is the state's base
         state = PartitionState(m, counter, coords, bounds, x)
-        state.add(x, (0,) * m, (1,) * m, value)
+        levels, key, _, _ = state._intern((0,) * m)
+        state.add(x, levels, (1,) * m, value, key)
         divide = sample_and_divide
 
     # this run's evaluations are counter.count - start_count

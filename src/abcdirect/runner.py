@@ -232,8 +232,7 @@ def _spec_rows(spec: RunSpec) -> list[RunReport]:
         )]
 
 
-def run_suite(specs: list[RunSpec], parallelism: int = 1,
-              report_sink=None) -> SuiteReport:
+def run_suite(specs: list[RunSpec], parallelism: int = 1) -> SuiteReport:
     """Run every spec (optionally across processes) and aggregate.
 
     Individual run failures are recorded as rows with termination 'error'
@@ -245,24 +244,15 @@ def run_suite(specs: list[RunSpec], parallelism: int = 1,
     if parallelism < 1:
         raise ConfigError(f"parallelism must be at least 1, got "
                           f"{parallelism}")
-    reports: list[RunReport] = []
-
-    def collect(results):
-        for result in results:
-            reports.extend(result)
-            if report_sink is not None:
-                for r in result:
-                    report_sink(r)
-
     # the pool forks all its workers at the first submit, so it gets no
     # more than the suite can use
     workers = min(parallelism, len(specs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            collect(pool.map(_spec_rows, specs))
+            rows = list(pool.map(_spec_rows, specs))
     else:
-        collect(map(_spec_rows, specs))
-    return aggregate(reports)
+        rows = list(map(_spec_rows, specs))
+    return aggregate([r for result in rows for r in result])
 
 
 def export_trace(report: RunReport, path) -> None:

@@ -63,9 +63,8 @@ def brute_force_poh_grid(state, eps, grid):
     admissible-K window of a rectangle has pairwise slopes as endpoints, and
     windows narrower than the grid spacing do occur, so the grid alone would
     miss genuinely potentially optimal rectangles."""
-    rects = state.rectangles()
-    ds = np.array([r.measure for r in rects])
-    fs = np.array([r.value for r in rects])
+    ds = np.array([measure(np.array(lv)) for lv in state._level_tuples])
+    fs = np.array(state._values)
     dd = ds[:, None] - ds[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         slopes = (fs[:, None] - fs[None, :]) / dd
@@ -78,18 +77,27 @@ def brute_force_poh_grid(state, eps, grid):
     return set(np.flatnonzero(hit))
 
 
+def make_state(n, counter, bounds):
+    """A rectangle store over all n coordinates of `bounds`, its base the
+    box's midpoint, as `direct_solve` builds one for plain DIRECT."""
+    return PartitionState(n, counter, tuple(range(n)), bounds,
+                          bounds.lower + 0.5 * bounds.width)
+
+
 def test_1_poh_oracle_equivalence():
     rng = np.random.default_rng(2024)
+    unit = Bounds(np.zeros(2), np.ones(2))
     grid = np.logspace(-6, 6, 1201)
     t0 = time.perf_counter()
     mismatches = 0
     for _ in range(500):
-        state = PartitionState(2, EvalCounter())
+        state = make_state(2, EvalCounter(), unit)
         for _ in range(rng.integers(2, 13)):
-            lv = rng.integers(0, 6, size=2).astype(np.int16)
+            lv = tuple(rng.integers(0, 6, size=2).tolist())
+            levels, key, _, _ = state._intern(lv)
             for _ in range(rng.integers(1, 4)):
-                state.add(np.full(2, 0.5), lv, (1, 1),
-                          float(rng.normal(0, 5)))
+                state.add(np.full(2, 0.5), levels, (1, 1),
+                          float(rng.normal(0, 5)), key)
         if set(identify_poh(state, 1e-4)) != brute_force_poh_grid(
                 state, 1e-4, grid):
             mismatches += 1
@@ -107,9 +115,10 @@ def test_2_measure_after_repeated_division():
             Bounds(np.zeros(n), np.ones(n)),
         )
         counter = EvalCounter()
-        state = PartitionState(n, counter, bounds=problem.bounds)
-        state.add(np.full(n, 0.5), np.zeros(n, dtype=np.int16), (1,) * n,
-                  evaluate_counted(problem, np.full(n, 0.5), counter))
+        state = make_state(n, counter, problem.bounds)
+        levels, key, _, _ = state._intern((0,) * n)
+        state.add(np.full(n, 0.5), levels, (1,) * n,
+                  evaluate_counted(problem, np.full(n, 0.5), counter), key)
 
         def formula(r):
             k, p = divmod(r, n)

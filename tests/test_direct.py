@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abcdirect.direct as direct_mod
+import abcdirect.functions.kernels as kernels
 import abcdirect.problem as problem_mod
 from abcdirect.abcd import (
     DEEP_CAP_FACTOR,
@@ -46,6 +47,36 @@ def box_problem(fn, n, lo=0.0, hi=1.0, target=None):
                    known_optimum=target)
 
 
+def make_state(n, counter=None, bounds=None):
+    """A rectangle store as `direct_solve` builds one for plain DIRECT: its
+    block all n coordinates of `bounds` (the unit cube by default), its base
+    the box's midpoint."""
+    if bounds is None:
+        bounds = Bounds(np.zeros(n), np.ones(n))
+    return PartitionState(n, EvalCounter() if counter is None else counter,
+                          tuple(range(n)), bounds,
+                          bounds.lower + 0.5 * bounds.width)
+
+
+def add(state, center, levels, exact, value):
+    """`state.add` of a level vector, interned first, as a division adds."""
+    levels, key, _, _ = state._intern(tuple(levels))
+    return state.add(center, levels, exact, value, key)
+
+
+def rectangle(state, rid):
+    """Rectangle `rid` of a store, read from its center, level tuple,
+    numerators and value."""
+    levels = np.array(state._level_tuples[rid], dtype=int)
+    return SimpleNamespace(id=rid, center=state.center(rid), levels=levels,
+                           exact=state._exact[rid],
+                           value=state._values[rid], measure=measure(levels))
+
+
+def rectangles(state):
+    return [rectangle(state, rid) for rid in range(state.size)]
+
+
 def brute_force_poh(state, eps, grid=None):
     """Literal rate-of-change-constant sweep: a rectangle is potentially
     optimal when some candidate K makes it best and nontrivially below the
@@ -55,7 +86,7 @@ def brute_force_poh(state, eps, grid=None):
     (the exact window endpoints) is added to the candidates."""
     if grid is None:
         grid = np.logspace(-6, 6, 1201)
-    rects = state.rectangles()
+    rects = rectangles(state)
     ds = np.array([r.measure for r in rects])
     fs = np.array([r.value for r in rects])
     dd = ds[:, None] - ds[None, :]
@@ -75,12 +106,12 @@ def brute_force_poh(state, eps, grid=None):
 
 
 def random_partition(rng, n=2, max_groups=12):
-    state = PartitionState(n, EvalCounter())
+    state = make_state(n)
     groups = rng.integers(2, max_groups + 1)
     for _ in range(groups):
-        lv = rng.integers(0, 6, size=n).astype(np.int16)
+        lv = rng.integers(0, 6, size=n).tolist()
         for _ in range(rng.integers(1, 4)):
-            state.add(np.full(n, 0.5), lv, (1,) * n, float(rng.normal(0, 5)))
+            add(state, np.full(n, 0.5), lv, (1,) * n, float(rng.normal(0, 5)))
     return state
 
 
@@ -105,47 +136,46 @@ class TestGroupKey:
         # arbitrary vectors, not only DIRECT-shaped ones (levels within one),
         # and more of them than the process-wide cache holds
         rng = np.random.default_rng(11)
-        first, second = PartitionState(1), PartitionState(1)
-        vectors = [rng.integers(0, 31, size=rng.integers(1, 21))
+        first, second = make_state(1), make_state(1)
+        vectors = [rng.integers(0, 31, size=rng.integers(1, 21)).tolist()
                    for _ in range(400)]
+        vectors = [tuple(v) for v in vectors]
         for v in vectors:
-            want = round(measure(v), GROUP_KEY_DIGITS).hex()
-            for form in (v.tolist(), tuple(v.tolist()), v.astype(np.int16)):
-                assert first.group_key(form).hex() == want
+            want = round(measure(np.array(v)), GROUP_KEY_DIGITS).hex()
+            assert first._intern(v)[1].hex() == want
         for v in vectors:
-            assert (second.group_key(v.tolist()).hex()
-                    == first.group_key(v.tolist()).hex())
+            assert second._intern(v)[1].hex() == first._intern(v)[1].hex()
 
     def test_rejects_negative_levels(self):
-        state = PartitionState(2)
-        for form in ([0, -1], (0, -1), np.array([0, -1], dtype=np.int16)):
-            with pytest.raises(ValueError):
-                state.group_key(form)
+        state = make_state(2)
+        with pytest.raises(ValueError):
+            state._intern((0, -1))
+        assert not state._records
 
 
 class TestStore:
     def test_levels_array_matches_the_inputs(self):
         # `_levels` is built from the level tuples; the reference is built
-        # from what `add` and `rekey` were given, in every accepted form
+        # from what `add` and `rekey` were given. A rekey moves a rectangle
+        # into a group that an earlier `add` made, as in a division
         rng = np.random.default_rng(3)
         n = 4
-        state = PartitionState(n)
+        state = make_state(n)
         want = []
         for i in range(40):
             lv = rng.integers(0, 7, size=n)
-            forms = (lv.tolist(), tuple(lv.tolist()), lv.astype(np.int16))
-            form = forms[i % 3]
-            state.add(np.full(n, 0.5), form, (1,) * n, float(i))
+            add(state, np.full(n, 0.5), lv.tolist(), (1,) * n, float(i))
             want.append(lv)
             if i % 4 == 3:
                 rid = int(rng.integers(0, i + 1))
-                lv = rng.integers(0, 7, size=n)
-                state.rekey(rid, lv.tolist(), (1,) * n)
+                lv = want[int(rng.integers(0, i + 1))]
+                levels, key, _, _ = state._intern(tuple(lv.tolist()))
+                state.rekey(rid, levels, (1,) * n, key)
                 want[rid] = lv
         levels = state._levels
         assert levels.dtype == np.int16 and levels.shape == (40, n)
         assert np.array_equal(levels, np.array(want, dtype=np.int16))
-        assert PartitionState(3)._levels.shape == (0, 3)
+        assert make_state(3)._levels.shape == (0, 3)
 
     def test_level_tuples_are_interned(self):
         def f(x):
@@ -159,24 +189,26 @@ class TestStore:
         for t in tuples:
             assert all(type(v) is int for v in t)
 
-    def test_add_accepts_any_level_form(self):
-        # without a key every form is looked up and the interned tuple is
-        # stored; with a key a tuple is stored as given (the division passes
-        # the interned one), other forms are still looked up
-        state = PartitionState(3)
-        key = state.group_key([2, 1, 1])
-        interned = state._intern([2, 1, 1])[0]
-        given = tuple([2, 1, 1])
-        cases = [([2, 1, 1], None, interned), (given, None, interned),
-                 (np.array([2, 1, 1], dtype=np.int16), None, interned),
-                 ([2, 1, 1], key, interned), (given, key, given),
-                 (np.array([2, 1, 1], dtype=np.int16), key, interned)]
-        for levels, k, stored in cases:
-            rid = state.add(np.full(3, 0.5), levels, (1, 1, 1), 1.0, key=k)
-            assert state._level_tuples[rid] is stored
+    def test_intern_keeps_one_record_per_level_vector(self):
+        # an equal tuple, another object, gets the first one's record: the
+        # interned tuple, its group key, its longest dimensions and their
+        # probes' denominator; `add` stores the tuple and key it is given
+        state = make_state(3)
+        record = state._intern((2, 1, 1))
+        assert state._intern(tuple([2, 1, 1])) is record
+        levels, key, longest, denom = record
+        assert levels == (2, 1, 1) and longest == (1, 2)
+        assert key == round(measure(np.array([2, 1, 1])), GROUP_KEY_DIGITS)
+        assert denom == 2 * 3.0 ** 2
+        for value in (1.0, 2.0):
+            rid = state.add(np.full(3, 0.5), levels, (1, 1, 1), value, key)
+            assert state._level_tuples[rid] is levels
             assert state._keys[rid] == key
-        for r in state.rectangles():
+        for r in rectangles(state):
             assert r.measure == measure(np.array([2, 1, 1]))
+        # a tuple past EXACT_LEVEL is marked deep when it is interned
+        assert not state._deep
+        assert state._intern((33, 32, 33))[0] in state._deep
 
     def test_result_x_min_is_the_callers_copy(self):
         # the state keeps the best center as stored, with no copy; the
@@ -188,24 +220,22 @@ class TestStore:
         res = direct_solve(box_problem(f, 3), DirectConfig(max_evals=300),
                            keep_state=True)
         state = res.state
-        best = min(state.rectangles(), key=lambda r: (r.value, r.id))
+        best = min(rectangles(state), key=lambda r: (r.value, r.id))
         kept = best.center.tobytes()
         assert res.x_min.tobytes() == state.x_min.tobytes() == kept
         res.x_min[:] = -1.0
         assert state.x_min.tobytes() == kept
-        assert state.rectangle(best.id).center.tobytes() == kept
+        assert state.center(best.id).tobytes() == kept
 
     def test_rectangle_center_is_a_copy(self):
-        # a state built without bounds is over the unit cube; the center
-        # handed out is rebuilt from the numerators, the added array is
-        # kept as x_min
-        state = PartitionState(2)
+        # the center handed out is rebuilt from the numerators, the added
+        # array is kept as x_min
+        state = make_state(2)
         center = np.array([1 / 6, 5 / 6])
-        rid = state.add(center, (1, 1), (1, 5), 0.0)
-        state.rectangle(rid).center[:] = 9.0
-        assert state.rectangle(rid).center.tobytes() == center.tobytes()
+        rid = add(state, center, (1, 1), (1, 5), 0.0)
+        state.center(rid)[:] = 9.0
+        assert state.center(rid).tobytes() == center.tobytes()
         assert state.x_min is center
-        assert state.base.tolist() == [0.5, 0.5]
 
     def test_partition_memory_per_rectangle(self):
         # the store keeps no array per rectangle: a 12,000-evaluation
@@ -224,26 +254,29 @@ class TestStore:
         assert not res.state._explicit
         assert (after - before) / res.state.size < 400
 
-    def test_rekey_into_a_level_vector_with_no_group_yet(self):
-        state = PartitionState(2)
-        old_key = state.group_key((0, 0))
-        rid = state.add(np.full(2, 0.5), (0, 0), (1, 1), 1.0)
-        other = state.add(np.full(2, 0.5), (0, 0), (1, 1), 2.0)
-        new_key = state.group_key((1, 0))
+    def test_rekey_joins_the_group_its_children_made(self):
+        # a division adds its children under the parent's new key, which
+        # makes the group and lowers `min_measure`, before the rekey; the
+        # parent's entry in its old group is stale and purged on access
+        state = make_state(2)
+        old_key = state._intern((0, 0))[1]
+        rid = add(state, np.full(2, 0.5), (0, 0), (1, 1), 1.0)
+        other = add(state, np.full(2, 0.5), (0, 0), (1, 1), 2.0)
+        levels, new_key, _, _ = state._intern((1, 0))
         assert new_key not in state._heaps
-        state.rekey(rid, (1, 0), (3, 1))
+        child = state.add(np.full(2, 0.5), levels, (5, 1), 3.0, new_key)
         assert state.min_measure == new_key < old_key
+        state.rekey(rid, levels, (3, 1), new_key)
         assert state.group_representatives() == [(new_key, 1.0, rid),
                                                   (old_key, 2.0, other)]
+        assert sorted(state._heaps[new_key]) == [(1.0, rid), (3.0, child)]
 
     def test_rectangle_levels_and_volume_fraction(self):
-        state = PartitionState(2)
+        state = make_state(2)
         vectors = [(0, 1), (2, 1), (1, 1), (3, 0)]
         for i, lv in enumerate(vectors):
-            state.add(np.full(2, 0.5), lv, (1, 1), float(i))
-        for r, lv in zip(state.rectangles(), vectors):
-            assert r.levels.dtype == np.dtype(int)
-            assert r.levels.tolist() == list(lv)
+            add(state, np.full(2, 0.5), lv, (1, 1), float(i))
+        assert state._level_tuples == vectors
         assert volume_fraction(state) == sum(
             Fraction(1, 3 ** sum(lv)) for lv in vectors)
 
@@ -257,16 +290,16 @@ class TestDivision:
 
         problem = box_problem(f, 2)
         counter = EvalCounter()
-        state = PartitionState(2, counter, bounds=problem.bounds)
-        state.add(np.full(2, 0.5), np.zeros(2, dtype=np.int16), (1, 1),
-                  evaluate_counted(problem, np.full(2, 0.5), counter))
+        state = make_state(2, counter, problem.bounds)
+        add(state, np.full(2, 0.5), (0, 0), (1, 1),
+            evaluate_counted(problem, np.full(2, 0.5), counter))
 
         new_ids = sample_and_divide(0, state, problem)
         assert counter.count == 5
         assert len(new_ids) == 4
 
         got = {tuple(np.round(r.center, 12)): tuple(r.levels)
-               for r in state.rectangles()}
+               for r in rectangles(state)}
         third = 1.0 / 3.0
         assert got[(0.5, 0.5)] == (1, 1)                 # parent, rekeyed
         assert got[(round(0.5 - third, 12), 0.5)] == (1, 0)
@@ -282,12 +315,12 @@ class TestDivision:
 
         problem = box_problem(f, 2)
         counter = EvalCounter()
-        state = PartitionState(2, counter, bounds=problem.bounds)
-        state.add(np.full(2, 0.5), np.zeros(2, dtype=np.int16), (1, 1),
-                  evaluate_counted(problem, np.full(2, 0.5), counter))
+        state = make_state(2, counter, problem.bounds)
+        add(state, np.full(2, 0.5), (0, 0), (1, 1),
+            evaluate_counted(problem, np.full(2, 0.5), counter))
         sample_and_divide(0, state, problem)
         got = {tuple(np.round(r.center, 12)): tuple(r.levels)
-               for r in state.rectangles()}
+               for r in rectangles(state)}
         third = 1.0 / 3.0
         assert got[(round(0.5 - third, 12), 0.5)] == (1, 0)
         assert got[(0.5, round(0.5 - third, 12))] == (1, 1)
@@ -299,7 +332,7 @@ class TestDivision:
         problem = box_problem(f, 2)
         res = direct_solve(problem, DirectConfig(max_evals=500),
                            keep_state=True)
-        for r in res.state.rectangles():
+        for r in rectangles(res.state):
             exact = [num / (2.0 * 3.0 ** lv)
                      for num, lv in zip(r.exact, r.levels)]
             assert np.allclose(exact, r.center, atol=1e-15)
@@ -318,7 +351,7 @@ class TestDivision:
 
         res = direct_solve(Problem(f, bounds), DirectConfig(max_evals=600),
                            keep_state=True)
-        rects = res.state.rectangles()
+        rects = rectangles(res.state)
         assert len(rects) == res.evals
         for r in rects:
             z = np.array(r.exact) / (2 * 3.0 ** r.levels)
@@ -346,13 +379,13 @@ class TestDivision:
             return bounds.lower + z * bounds.width
 
         counter = EvalCounter()
-        state = PartitionState(3, counter, bounds=bounds)
-        state.add(user(exact, levels), levels, exact, 1.0)
+        state = make_state(3, counter, bounds)
+        add(state, user(exact, levels), levels, exact, 1.0)
         before = state.center(0).tobytes()
         assert before == user(exact, levels).tobytes()
         assert sample_and_divide(0, state, problem) == [1, 2]
         assert counter.count == 2
-        children = [r for r in state.rectangles() if r.id in (1, 2)]
+        children = [rectangle(state, rid) for rid in (1, 2)]
         assert [r.exact for r in children] == [(5, 5, 3), (5, 1, 3)]
         for r in children:
             assert r.levels.tolist() == [2, 2, 2]
@@ -360,8 +393,8 @@ class TestDivision:
             assert r.value == problem(r.center)
         assert state.center(0).tobytes() == before
         # a spent counter stops the division before its first evaluation
-        spent = PartitionState(3, EvalCounter(count=1, cap=1), bounds=bounds)
-        spent.add(user(exact, levels), levels, exact, 1.0)
+        spent = make_state(3, EvalCounter(count=1, cap=1), bounds)
+        add(spent, user(exact, levels), levels, exact, 1.0)
         with pytest.raises(Stop):
             sample_and_divide(0, spent, problem)
         assert spent.size == 1 and spent.center(0).tobytes() == before
@@ -393,10 +426,10 @@ class TestDivision:
             return x
 
         problem = Problem(f, bounds)
-        state = PartitionState(2, EvalCounter(), bounds=bounds)
+        state = make_state(2, bounds=bounds)
         exact = (3382709024365471, 3465416158634719)
         start = mapped(exact, (32, 32))
-        state.add(start, (32, 32), exact, f(start))
+        add(state, start, (32, 32), exact, f(start))
         assert not state._explicit          # level 32 is rebuilt, exactly
         assert state.center(0).tobytes() == start.tobytes()
         del seen[:]
@@ -412,7 +445,7 @@ class TestDivision:
         assert (mapped(state._exact[0], state._level_tuples[0]).tobytes()
                 != start.tobytes())
         for cid in children:
-            r = state.rectangle(cid)
+            r = rectangle(state, cid)
             moved = [d for d in (0, 1)
                      if r.levels[d] == 33 and r.exact[d] % 3 != 0]
             assert len(moved) == 1
@@ -443,8 +476,8 @@ class TestPoh:
                 identify_poh(state, eps)
 
     def test_single_rectangle_is_selected(self):
-        state = PartitionState(2, EvalCounter())
-        state.add(np.full(2, 0.5), np.zeros(2, dtype=np.int16), (1, 1), 3.0)
+        state = make_state(2)
+        add(state, np.full(2, 0.5), (0, 0), (1, 1), 3.0)
         assert identify_poh(state, 1e-4) == [0]
 
     def test_largest_measure_always_included(self):
@@ -452,8 +485,7 @@ class TestPoh:
         for _ in range(50):
             state = random_partition(rng)
             poh = identify_poh(state, 1e-4)
-            keys = [state._keys[r.id] for r in state.rectangles()]
-            assert max(state._keys[i] for i in poh) == max(keys)
+            assert max(state._keys[i] for i in poh) == max(state._keys)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9))
@@ -621,6 +653,21 @@ class TestDirectSolve:
 
         with pytest.raises(ConfigError, match="poh_eps"):
             direct_solve(box_problem(f, 2), DirectConfig(poh_eps=eps))
+        assert not calls
+
+    @pytest.mark.parametrize("max_evals", [0, -5])
+    def test_rejects_max_evals_below_one_before_evaluating(self, max_evals):
+        # such a cap used to spend one evaluation and stop on eval_budget
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return float(np.sum(x * x))
+
+        for coords in (None, [1]):
+            with pytest.raises(ConfigError, match="max_evals"):
+                direct_solve(box_problem(f, 2),
+                             DirectConfig(max_evals=max_evals), coords=coords)
         assert not calls
 
     def test_trace_is_monotone(self):
@@ -973,6 +1020,30 @@ class TestIntervalStore:
         values = res.state._values
         assert (values.count(res.f_min) > 1) == plateau
 
+    def test_a_view_values_the_start_center(self, monkeypatch):
+        # a kernel with a coordinate view is called for none of a
+        # one-coordinate run's evaluations, its start center included, and
+        # the run is the one the kernel makes without a view, bit for bit
+        problem = get_function("rastrigin", 7)[0]
+        kernel, bounds = problem.objective, problem.bounds
+        base = bounds.lower + 0.3 * bounds.width
+        config = DirectConfig(max_evals=60, target_accuracy=0.0)
+        runs = []
+        for viewed in (False, True):
+            calls = []
+
+            def f(x):
+                calls.append(x.tobytes())
+                return kernel(x)
+            if viewed:
+                monkeypatch.setitem(kernels.VIEWS, f, kernels.VIEWS[kernel])
+            res = direct_solve(Problem(f, bounds), config, coords=[3],
+                               base=base)
+            runs.append((res.f_min, res.x_min.tobytes(), res.evals,
+                         res.trace))
+            assert len(calls) == (0 if viewed else res.evals)
+        assert runs[0] == runs[1]
+
     def test_levels_past_the_last_group_key(self, monkeypatch):
         # at level 26 and deeper the measure rounds to the group key 0.0,
         # so every such interval shares one group
@@ -990,4 +1061,4 @@ class TestIntervalStore:
                                          target_accuracy=0.0))
         deepest = max(res.state._level_tuples)
         assert deepest >= (26,)
-        assert res.state.group_key(deepest) == 0.0 == res.state.min_measure
+        assert res.state._intern(deepest)[1] == 0.0 == res.state.min_measure

@@ -237,13 +237,6 @@ class TestRunSuite:
         with pytest.raises(ConfigError, match="parallelism"):
             run_suite([spec], parallelism=parallelism)
 
-    def test_report_sink_sees_every_report(self):
-        got = []
-        specs = [RunSpec(function="sphere", dim=2, algorithm="direct",
-                         max_evals=500, max_wall_seconds=None, repetitions=2)]
-        run_suite(specs, report_sink=got.append)
-        assert len(got) == 2
-
 
 class TestExportTrace:
     def test_csv_round_trip_exact(self, tmp_path):
