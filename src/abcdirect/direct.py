@@ -10,11 +10,11 @@ rectangle carries its trisection levels and exact base-3 integer numerators
 dimensions, so repeated trisection never drifts and tiling/disjointness can
 be certified with integer arithmetic. A center is a full point of the
 problem, in its user space: lower + z*width in each block coordinate and
-the base elsewhere. The store keeps no centers; a division rebuilds its
-parent's from the numerators, bit for bit the point its probe evaluated,
-and each probe maps only the coordinate it moves, on the box's Python
-floats, and is charged once, through `evaluate_counted` like every other
-evaluation of a run.
+the base elsewhere. The store keeps no centers; `center` rebuilds one from
+the numerators, at any depth bit for bit the point its probe evaluated, and
+each probe maps only the coordinate it moves, on the box's Python floats,
+and is charged once, through `evaluate_counted` like every other evaluation
+of a run.
 
 Every probe is its parent's center with one coordinate moved. So when the
 objective is a Hedar kernel, a division builds a coordinate view of the
@@ -24,13 +24,13 @@ terms the moved coordinate touches, bit for bit the kernel's value. Every
 other objective has no view, and each probe calls it. Either way the
 probe builds its point, the one the counter's best pair and `x_min` keep.
 
-A block of one coordinate, the bulk of ABCD's subproblems, runs on an
-interval store instead (`IntervalState`, divided by `divide_interval`):
-levels, numerators and values in three lists, with no level tuples, no
-level records and no rebuilt centers. It makes the same evaluations in the
-same order, bit for bit, so the rectangle store stays the reference and the
-subject of the certificates; a run with `keep_state`, whose caller reads
-the partition, always gets a rectangle store.
+Every run keeps one rectangle store, and the block size alone picks its
+division. A block of one coordinate, the bulk of ABCD's subproblems, is
+DIRECT in its original one-dimensional form (Jones, Perttunen & Stuckman
+1993): `divide_interval` trisects an interval in place on the store's
+lists, and every probe of the run moves the one coordinate of the start
+center, so one coordinate view, made there, values them all. Every larger
+block divides with `sample_and_divide`.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ from .problem import (
 #: powers of 1/9 and only drift in the last bits
 GROUP_KEY_DIGITS = 12
 
-#: deepest level at which a center is rebuilt from its numerators: up to it
-#: 2*3^level and every numerator below it are exact doubles, so the rebuilt
-#: coordinate is the correctly rounded quotient its probe computed
+#: deepest level whose numerators and denominator 2*3^level are all exact
+#: doubles: up to it a center coordinate rebuilt at its stored level is the
+#: correctly rounded quotient its probe computed
 EXACT_LEVEL = 32
 _DENOMS = tuple(2 * 3.0 ** level for level in range(EXACT_LEVEL + 1))
 _first = operator.itemgetter(0)
@@ -93,13 +93,13 @@ class PartitionState:
     Centers are not stored. The center of a rectangle (`center`) is a full
     user-space point of the problem: `base` outside the block and, in block
     coordinate `coords[d]`, `lower + num / (2 * 3.0**level) * width` for
-    the rectangle's numerator and level in dimension d. While no level
-    passes `EXACT_LEVEL`, that quotient is the correctly rounded value of
-    the fraction a probe divided to set the coordinate, so the rebuilt
-    center is the point the rectangle's probe evaluated, bit for bit. A
-    rectangle whose deepest level passes `EXACT_LEVEL` keeps its center in
-    `_explicit` (by id), the only stored centers. `x_min` refers to the
-    best evaluated array; readers that hand it out copy it.
+    the numerator and level of the probe that last moved the coordinate,
+    bit for bit the point that probe evaluated. The store holds num * 3^k
+    at level + k, k the trisections since; up to `EXACT_LEVEL` that gives
+    the same correctly rounded quotient, and past it `center` divides the
+    3s out (a probe's numerator, 3*num +/- 2 or 1, is no multiple of 3).
+    `x_min` refers to the best evaluated array; readers that hand it out
+    copy it.
 
     Layout, by problem coordinate:
     - `lower`, `width`: the box's lower bounds and widths as Python floats,
@@ -107,13 +107,16 @@ class PartitionState:
       add, the two operations numpy does per element.
     - `base`: a float64 array, the run's start center (`_block`); its
       block coordinates are never read.
+    - `view`: a one-coordinate run's coordinate view of the objective at
+      `base`, which values every probe of `divide_interval`; None for an
+      objective without one and for larger blocks.
 
     Layout, by rectangle id:
     - `_level_tuples`: one level tuple of length n per rectangle, the one
-      `_intern` returns, so every rectangle with the same levels (both
-      children of a division step and the rekeyed parent) shares one tuple
-      object. `_levels` builds the int16 `(size, n)` array from them on
-      demand, for readers off the hot path.
+      `_intern` returns (`divide_interval` makes one 1-tuple a division),
+      so the rectangles of a division step share one tuple object.
+      `_levels` builds the int16 `(size, n)` array from them on demand, for
+      readers off the hot path.
     - `_values`, `_exact`, `_keys`: Python lists of the value, the integer
       numerators (length n) and the current group key.
 
@@ -126,25 +129,33 @@ class PartitionState:
     key a rectangle has had.
     """
 
+    __slots__ = ("n", "counter", "coords", "base", "lower", "width", "view",
+                 "_level_tuples", "_values", "_exact", "_heaps", "_keys",
+                 "_records", "_deep", "min_measure", "f_min", "x_min")
+
     def __init__(self, n: int, counter: EvalCounter, coords: tuple,
-                 bounds: Bounds, base: np.ndarray):
+                 bounds: Bounds, base: np.ndarray, view=None):
         self.n, self.counter, self.coords, self.base = n, counter, coords, base
         self.lower, self.width = bounds.lower.tolist(), bounds.width.tolist()
-        self._explicit: dict[int, np.ndarray] = {}
+        self.view = view
         self._level_tuples: list[tuple] = []
         self._values: list[float] = []
         self._exact: list[tuple] = []
-        self.size = 0
         self._heaps: dict[float, list] = {}
         self._keys: list[float] = []  # current group key per id
         # level tuple -> its record (see `_intern`)
         self._records: dict[tuple, tuple] = {}
-        self._deep: set[tuple] = set()  # interned tuples past EXACT_LEVEL
+        self._deep: set[tuple] = set()  # level tuples past EXACT_LEVEL
         self.min_measure = np.inf
         self.f_min = np.inf
         self.x_min: Optional[np.ndarray] = None
 
     # -- storage ---------------------------------------------------------
+
+    @property
+    def size(self) -> int:
+        """The number of rectangles."""
+        return len(self._values)
 
     @property
     def _levels(self) -> np.ndarray:
@@ -183,13 +194,9 @@ class PartitionState:
             value: float, key: float) -> int:
         """Store a rectangle with the interned level tuple `levels` and its
         group key `key` (`_intern`). `center`, a float array, is kept (not
-        copied) as `x_min` when the rectangle is the best, and as its center
-        only when its levels pass `EXACT_LEVEL`; otherwise the center is
-        rebuilt from `exact` and `levels`."""
-        rid = self.size
-        self.size = rid + 1
-        if self._deep and levels in self._deep:
-            self._explicit[rid] = center
+        copied) as `x_min` when the rectangle is the best; the store
+        rebuilds the center from `exact` and `levels`."""
+        rid = len(self._values)
         self._level_tuples.append(levels)
         self._values.append(value)
         self._exact.append(exact)
@@ -211,12 +218,7 @@ class PartitionState:
         """Re-index a rectangle after its levels changed in a division;
         `levels` and `key` as in `add`. A division adds both children under
         the parent's new key before it rekeys the parent, so the key's group
-        exists and `min_measure` has seen the key. A rectangle whose levels
-        pass `EXACT_LEVEL` here keeps its center, rebuilt from its old
-        numerators."""
-        if (self._deep and levels in self._deep
-                and rid not in self._explicit):
-            self._explicit[rid] = self.center(rid)
+        exists and `min_measure` has seen the key."""
         self._level_tuples[rid] = levels
         self._exact[rid] = exact
         self._keys[rid] = key
@@ -225,13 +227,17 @@ class PartitionState:
     def center(self, rid: int) -> np.ndarray:
         """The center of rectangle `rid` (see the class docstring), a new
         array."""
-        x = self._explicit.get(rid)
-        if x is not None:
-            return x.copy()
         x = self.base.copy()
         lower, width = self.lower, self.width
-        for c, num, level in zip(self.coords, self._exact[rid],
-                                 self._level_tuples[rid]):
+        levels = self._level_tuples[rid]
+        if self._deep and levels in self._deep:
+            for c, num, level in zip(self.coords, self._exact[rid], levels):
+                while level > EXACT_LEVEL and num % 3 == 0:
+                    num //= 3
+                    level -= 1
+                x[c] = lower[c] + num / (2 * 3.0 ** level) * width[c]
+            return x
+        for c, num, level in zip(self.coords, self._exact[rid], levels):
             x[c] = lower[c] + num / _DENOMS[level] * width[c]
         return x
 
@@ -257,54 +263,8 @@ class PartitionState:
         return reps
 
 
-class IntervalState:
-    """Interval store of a one-coordinate run: DIRECT in its original
-    one-dimensional form (Jones, Perttunen & Stuckman 1993).
-
-    The partition of the block's one problem coordinate, `coord`, is a set
-    of intervals. Interval `rid` keeps three things, in three lists: its
-    trisection level, its base-3 numerator (unit-cube center
-    num / (2*3^level), num odd) and its value. Its center, never built, is
-    `base` with coordinate `coord` at `lower + num / (2 * 3.0**level) *
-    width`; `lower` and `width` are that coordinate's Python floats.
-
-    Ids, group keys, heap entries, `min_measure`, `f_min` and `x_min` are
-    those a `PartitionState` over the same block would hold, in the same
-    order, so `identify_poh` selects the same ids from the same
-    representatives and a run evaluates the same points, bit for bit. What
-    the store leaves out is the n-dimensional bookkeeping: level and
-    numerator tuples, the level records, `add`, `rekey` and rebuilt
-    centers.
-
-    Every probe moves coordinate `coord` of `base`, so one coordinate
-    view of the objective at `base` (`view`, None for an objective
-    without one) values the probes of the whole run.
-    """
-
-    __slots__ = ("counter", "coord", "lower", "width", "base", "view",
-                 "_levels", "_nums", "_values", "_keys", "_heaps",
-                 "min_measure", "f_min", "x_min")
-
-    def __init__(self, counter: EvalCounter, coord: int, lower: float,
-                 width: float, base: np.ndarray, value: float, view=None):
-        """One interval, the whole range, whose center `base` (kept, not
-        copied) evaluated to `value`; `view` is the objective's coordinate
-        view at `base`, if it has one."""
-        key = _shared_group_key((0,))
-        self.counter, self.coord, self.view = counter, coord, view
-        self.lower, self.width, self.base = lower, width, base
-        self._levels, self._nums, self._values = [0], [1], [value]
-        self._keys, self._heaps = [key], {key: [(value, 0)]}
-        self.min_measure = key
-        self.f_min, self.x_min = value, base
-
-    group_representatives = PartitionState.group_representatives
-
-
-def identify_poh(state: PartitionState | IntervalState,
-                 eps: float) -> list[int]:
-    """Ids of potentially optimal rectangles of a `PartitionState` or
-    intervals of an `IntervalState`.
+def identify_poh(state: PartitionState, eps: float) -> list[int]:
+    """Ids of potentially optimal rectangles of a `PartitionState`.
 
     Lower-right convex hull of the per-group representatives in the
     (measure, value) plane, filtered by the nontrivial-improvement condition
@@ -422,20 +382,23 @@ def sample_and_divide(rid: int, state: PartitionState,
     return new_ids
 
 
-def divide_interval(rid: int, state: IntervalState,
+def divide_interval(rid: int, state: PartitionState,
                     problem: Problem) -> list[int]:
-    """`sample_and_divide` of interval `rid`: probes the centers of its two
-    outer thirds, the plus side first, each a copy of the run's start
+    """`sample_and_divide` of interval `rid` of a one-coordinate store, on
+    the store's lists and with neither `add` nor `rekey`: probes the
+    centers of its two outer thirds, the plus side first, each the start
     center with the block coordinate moved, valued by the state's view if
     it has one; then stores them as the next two ids and trisects the
-    parent, which keeps its id. On a `Stop` from
-    the counter nothing is stored and the Stop propagates."""
-    levels, nums, values = state._levels, state._nums, state._values
-    level = levels[rid] + 1
-    num = 3 * nums[rid]
+    parent, which keeps its id. On a `Stop` from the counter nothing is
+    stored and the Stop propagates."""
+    level_tuples, exact, values = (state._level_tuples, state._exact,
+                                   state._values)
+    level = level_tuples[rid][0] + 1
+    num = 3 * exact[rid][0]
     denom = 2.0 * 3.0 ** level
-    counter, coord, base = state.counter, state.coord, state.base
-    lo, w, view = state.lower, state.width, state.view
+    counter, base, view = state.counter, state.base, state.view
+    coord = state.coords[0]
+    lo, w = state.lower[coord], state.width[coord]
     x_p = base.copy()
     x_p[coord] = z = lo + (num + 2) / denom * w
     f_p = evaluate_counted(problem, x_p, counter, view, coord, z)
@@ -444,11 +407,14 @@ def divide_interval(rid: int, state: IntervalState,
     f_m = evaluate_counted(problem, x_m, counter, view, coord, z)
 
     # the children, then the parent, pushed as `add` and `rekey` push them
-    key = _shared_group_key((level,))
+    levels = (level,)
+    if level > EXACT_LEVEL:
+        state._deep.add(levels)
+    key = _shared_group_key(levels)
     keys, cid = state._keys, len(values)
-    levels[rid], nums[rid], keys[rid] = level, num, key
-    levels += (level, level)
-    nums += (num + 2, num - 2)
+    level_tuples[rid], exact[rid], keys[rid] = levels, (num,), key
+    level_tuples += (levels, levels)
+    exact += ((num + 2,), (num - 2,))
     values += (f_p, f_m)
     keys += (key, key)
     heap = state._heaps.get(key)
@@ -540,12 +506,9 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     must lie in the box.
 
     A block of one coordinate, such as each of ABCD's coordinate-phase
-    subproblems, runs on an `IntervalState` and divides with
-    `divide_interval`: its partition is a set of intervals, and the
-    n-dimensional bookkeeping would cost more than the run's evaluations.
-    Every other run, and every run with `keep_state`, whose caller reads
-    the partition, runs on a `PartitionState` with `sample_and_divide`.
-    Both make the same evaluations in the same order, bit for bit.
+    subproblems, divides with `divide_interval`, every larger block with
+    `sample_and_divide`; both on the same rectangle store, which the result
+    holds with `keep_state`.
 
     `counter` may be a shared (capped) global counter, armed with the
     config's target and time budget unless a caller armed it first; its
@@ -565,33 +528,28 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     counter.arm(problem, config.target_accuracy, config.max_seconds)
 
     start_count, f_before = counter.count, counter.best_f
-    m, bounds = len(coords), problem.bounds
-    intervals = m == 1 and not keep_state
-    # an interval store's one view, at the start center, values the start
-    # center too
-    view = coordinate_view(problem.objective, x) if intervals else None
+    m = len(coords)
+    # the start center is the state's base; a one-coordinate run's one
+    # view, made there, values the start center too
+    state = PartitionState(m, counter, coords, problem.bounds, x,
+                           coordinate_view(problem.objective, x)
+                           if m == 1 else None)
     c = coords[0]
     reason = None
     # the start rectangle is stored even when the counter stops the run on
     # the target at its evaluation, whose value the counter then holds, so
     # the partition tiles
     try:
-        value = evaluate_counted(problem, x, counter, view, c, float(x[c]))
+        value = evaluate_counted(problem, x, counter, state.view, c,
+                                 float(x[c]))
     except Stop as stop:
         reason = stop.reason
         if counter.count == start_count:  # stopped before the evaluation
             return DirectResult(np.inf, x, 0, 0, reason, [])
         value = counter.best_f
-    if intervals:
-        state = IntervalState(counter, c, float(bounds.lower[c]),
-                              float(bounds.width[c]), x, value, view)
-        divide = divide_interval
-    else:
-        # the start center is the state's base
-        state = PartitionState(m, counter, coords, bounds, x)
-        levels, key, _, _ = state._intern((0,) * m)
-        state.add(x, levels, (1,) * m, value, key)
-        divide = sample_and_divide
+    levels, key, _, _ = state._intern((0,) * m)
+    state.add(x, levels, (1,) * m, value, key)
+    divide = divide_interval if m == 1 else sample_and_divide
 
     # this run's evaluations are counter.count - start_count
     stop_count = (math.inf if config.max_evals is None

@@ -429,10 +429,10 @@ class TestAbcdSolve:
 def test_one_coordinate_subproblems_divide_intervals(monkeypatch):
     # the run `abcd-griewank-6-seed3` of tests/test_eval_sequence.py, whose
     # block phase runs blocks of two coordinates and more: each division
-    # of a one-coordinate subproblem goes to the interval store and each
-    # division of a larger block to the rectangle store. The pins check
-    # the evaluations, which are the same on either store, so only this
-    # sees a subproblem that left the interval store
+    # of a one-coordinate subproblem goes to `divide_interval` and each
+    # division of a larger block to `sample_and_divide`. The pins check
+    # the evaluations, which are the same with either division, so only
+    # this sees a subproblem that took the other one
     runs = []  # (block size, the stores its divisions went to)
     solve = abcd_mod.direct_solve
     divide, divide_interval = (direct_mod.sample_and_divide,

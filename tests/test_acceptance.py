@@ -35,7 +35,7 @@ from abcdirect.problem import (
     Reason,
     evaluate_counted,
 )
-from abcdirect.runner import RunSpec, run_one, run_single
+from abcdirect.runner import RunSpec, run_one, run_single, run_suite
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -214,16 +214,21 @@ def test_5_jones_set_recovery():
 def test_6_hedar_ordering():
     required = ["ackley", "levy", "rastrigin", "sphere", "sum-square",
                 "griewank", "rosenbrock", "dixon-price"]
+    specs = [RunSpec(function=name, dim=dim, algorithm=algo,
+                     max_evals=200000, max_wall_seconds=None, repetitions=1,
+                     seed=0)
+             for dim in (6, 12, 18) for name in HEDAR_NAMES
+             for algo in ("abcd", "direct")]
     t0 = time.perf_counter()
-    results = {}
-    for dim in (6, 12, 18):
-        for name in HEDAR_NAMES:
-            for algo in ("abcd", "direct"):
-                spec = RunSpec(function=name, dim=dim, algorithm=algo,
-                               max_evals=200000, max_wall_seconds=None,
-                               repetitions=1, seed=0)
-                results[(name, dim, algo)] = run_single(spec, 0)
+    # two workers: the runs are independent, and the rows keep spec order
+    rows = run_suite(specs, parallelism=2).reports
     elapsed = time.perf_counter() - t0
+    # a crash is an error row, not a miss
+    errors = [(r.function, r.dim, r.algorithm) for r in rows
+              if r.termination == "error"]
+    assert not errors, f"runs that raised: {errors}"
+    results = {(s.function, s.dim, s.algorithm): r
+               for s, r in zip(specs, rows)}
 
     def successes(algo):
         return sum(1 for (n, d, a), r in results.items()

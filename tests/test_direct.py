@@ -251,8 +251,10 @@ class TestStore:
         finally:
             tracemalloc.stop()
         assert res.state.size == res.evals >= 12000
-        assert not res.state._explicit
         assert (after - before) / res.state.size < 400
+        # the centers, never stored, are rebuilt as the points evaluated
+        assert all(problem(res.state.center(rid)) == value
+                   for rid, value in enumerate(res.state._values))
 
     def test_rekey_joins_the_group_its_children_made(self):
         # a division adds its children under the parent's new key, which
@@ -403,10 +405,11 @@ class TestDivision:
     def test_centers_past_the_exact_level_are_kept(self):
         # up to EXACT_LEVEL a center is rebuilt from its numerators; a
         # division past it makes numerators and denominators that are not
-        # exact doubles, so the children keep the arrays their probes
-        # evaluated and the parent the center it had before the division.
-        # Every probe moves one coordinate of its parent's center to
-        # lower + num / (2 * 3.0**level) * width.
+        # exact doubles, so a center coordinate is rebuilt from the
+        # numerator and level of the probe that set it, and the children
+        # keep the points their probes evaluated and the parent the center
+        # it had before the division. Every probe moves one coordinate of
+        # its parent's center to lower + num / (2 * 3.0**level) * width.
         assert direct_mod.EXACT_LEVEL == 32
         bounds = Bounds(np.array([-5.12, 3.0]), np.array([2.0, 1000.0]))
         lower, width = bounds.lower.tolist(), bounds.width.tolist()
@@ -430,7 +433,6 @@ class TestDivision:
         exact = (3382709024365471, 3465416158634719)
         start = mapped(exact, (32, 32))
         add(state, start, (32, 32), exact, f(start))
-        assert not state._explicit          # level 32 is rebuilt, exactly
         assert state.center(0).tobytes() == start.tobytes()
         del seen[:]
 
@@ -438,7 +440,7 @@ class TestDivision:
         want = [probe(start, d, 3 * exact[d] + s, 33)
                 for d in (0, 1) for s in (2, -2)]
         assert seen == [x.tobytes() for x in want]
-        assert sorted(state._explicit) == [0] + sorted(children)
+        assert [state.center(c).tobytes() for c in children] == seen
         assert state.center(0).tobytes() == start.tobytes()
         # the premise: the parent's refined numerators round, so a rebuild
         # at level 33 would not give its center
@@ -466,6 +468,39 @@ class TestDivision:
         assert [state.center(g).tobytes() for g in grandchildren] == seen
         assert state.center(cid).tobytes() == center.tobytes()
         assert volume_fraction(state) == Fraction(1, 3 ** 64)
+
+    def test_deep_one_coordinate_centers_are_their_probes(self):
+        # a one-coordinate store rooted at level 32, as above, divided by
+        # `divide_interval` far past EXACT_LEVEL: every center is rebuilt
+        # as the point its probe evaluated, bit for bit, while a rebuild at
+        # the stored level would not give some of them
+        bounds = Bounds(np.array([-5.12, 3.0]), np.array([2.0, 1000.0]))
+        lower, width = bounds.lower.tolist(), bounds.width.tolist()
+        seen = []
+
+        def f(x):
+            seen.append(x.tobytes())
+            return float(np.sin(x[0]) + 1e-3 * x[1])
+
+        problem = Problem(f, bounds)
+        base = bounds.lower + 0.3 * bounds.width
+        state = PartitionState(1, EvalCounter(), (1,), bounds, base)
+        num = 3465416158634719
+        start = base.copy()
+        start[1] = lower[1] + num / (2 * 3.0 ** 32) * width[1]
+        add(state, start, (32,), (num,), f(start))
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            rid = int(rng.integers(0, state.size))
+            assert direct_mod.divide_interval(rid, state, problem) == [
+                state.size - 2, state.size - 1]
+        assert max(state._level_tuples) > (direct_mod.EXACT_LEVEL + 5,)
+        assert [state.center(rid).tobytes()
+                for rid in range(state.size)] == seen
+        naive = [lower[1] + n / (2 * 3.0 ** lv) * width[1]
+                 for (n,), (lv,) in zip(state._exact, state._level_tuples)]
+        assert any(z != np.frombuffer(x)[1] for z, x in zip(naive, seen))
+        assert volume_fraction(state) == Fraction(1, 3 ** 32)
 
 
 class TestPoh:
@@ -830,8 +865,7 @@ class TestBlockView:
                            keep_state=True, coords=[1, 5], base=base)
         assert base.tobytes() == self.BASE.tobytes()
         assert not np.shares_memory(res.x_min, base)
-        kept = [res.state.x_min, res.state.base,
-                *res.state._explicit.values()]
+        kept = [res.state.x_min, res.state.base]
         assert not any(np.shares_memory(res.x_min, c) for c in kept)
         assert problem(res.x_min) == res.f_min
 
@@ -854,46 +888,50 @@ class TestBlockView:
 
 
 class TestIntervalStore:
-    """A one-coordinate run without `keep_state` divides intervals
-    (`IntervalState`, `divide_interval`); with `keep_state` it divides
-    rectangles. The two make the same evaluations in the same order and
-    report the same, bit for bit, however the run stops."""
+    """A one-coordinate run divides with `divide_interval`. With
+    `sample_and_divide` swapped in for it on the same store, the run makes
+    the same evaluations in the same order, leaves the same store and
+    reports the same, bit for bit, however it stops."""
 
     BASE = TestBlockView.BASE
 
     def run_both(self, monkeypatch, make_problem, config,
                  make_counter=EvalCounter, **block):
-        """Run `direct_solve` on the interval store, then on the rectangle
-        store, each on a fresh problem from `make_problem()` (a problem and
-        the list it records its evaluations in) and a fresh counter; checks
-        that each run divided on its own store alone and that the two
-        agree. Returns the rectangle store's result."""
-        stores = []
+        """Run `direct_solve` with `divide_interval`, then with
+        `sample_and_divide` in its place, each with `keep_state` on a fresh
+        problem from `make_problem()` (a problem and the list it records
+        its evaluations in) and a fresh counter; checks that each run
+        divided with its own division alone and that the two agree, store
+        and centers included. Returns the reference run's result."""
+        divisions = []
         divide, divide_interval = (direct_mod.sample_and_divide,
                                    direct_mod.divide_interval)
 
         def rectangles(*args):
-            stores.append("rectangle")
+            divisions.append("rectangle")
             return divide(*args)
 
         def intervals(*args):
-            stores.append("interval")
+            divisions.append("interval")
             return divide_interval(*args)
 
         monkeypatch.setattr(direct_mod, "sample_and_divide", rectangles)
-        monkeypatch.setattr(direct_mod, "divide_interval", intervals)
         outcomes, used = [], []
-        for keep_state in (False, True):
+        for division in (intervals, rectangles):
+            monkeypatch.setattr(direct_mod, "divide_interval", division)
             problem, seen = make_problem()
             counter = make_counter()
-            stores.clear()
-            res = direct_solve(problem, config, counter, keep_state,
+            divisions.clear()
+            res = direct_solve(problem, config, counter, keep_state=True,
                                **block)
-            used.append(set(stores))
+            used.append(set(divisions))
+            state = res.state
             outcomes.append((
                 seen, res.f_min, res.x_min.tobytes(), res.evals,
                 res.iterations, res.reason, res.trace, counter.count,
-                counter.best_f, counter.best_x.tobytes()))
+                counter.best_f, counter.best_x.tobytes(),
+                state._level_tuples, state._exact, state._values,
+                [state.center(rid).tobytes() for rid in range(state.size)]))
         assert used[0] <= {"interval"} and used[1] <= {"rectangle"}
         assert bool(used[0]) == bool(used[1])
         assert outcomes[0] == outcomes[1]
@@ -920,6 +958,36 @@ class TestIntervalStore:
             assert res.evals == 96 > res.state.size
         else:
             assert res.evals == res.state.size >= 300
+
+    @pytest.mark.parametrize("capped", [False, True],
+                             ids=["uncapped", "capped"])
+    def test_every_division_tiles(self, monkeypatch, capped):
+        # acceptance 3 on the one-coordinate division: each division is
+        # certified against the partition it leaves, and the last partition
+        # of each run, a capped one cut in the middle of a division
+        # included, tiles the block's interval
+        divide_interval = direct_mod.divide_interval
+        divisions = 0
+
+        def certified(rid, state, problem):
+            nonlocal divisions
+            children = divide_interval(rid, state, problem)
+            assert_disjoint_interiors(state, [rid, *children])
+            divisions += 1
+            return children
+
+        monkeypatch.setattr(direct_mod, "divide_interval", certified)
+        for coord in range(7):
+            counter = (EvalCounter(count=7, cap=7 + 96) if capped
+                       else EvalCounter(count=7))
+            res = direct_solve(recording_block_problem()[0],
+                               DirectConfig(max_evals=300,
+                                            target_accuracy=0.0),
+                               counter, keep_state=True, coords=[coord],
+                               base=self.BASE.copy())
+            assert volume_fraction(res.state) == 1
+            assert res.evals == (96 if capped else res.state.size)
+        assert divisions >= 7 * 47
 
     def test_target_at_the_start_center(self, monkeypatch):
         problem, _ = recording_block_problem()

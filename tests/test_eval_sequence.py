@@ -218,14 +218,12 @@ def unit_cube_probes(monkeypatch):
     every other coordinate equals, bit for bit, the start's base or the
     parent's center, rebuilt from its numerators. `_block` is wrapped to
     learn the base, `sample_and_divide` and `divide_interval`, the
-    divisions of the rectangle and the interval store, to learn the
-    parent, and `evaluate_counted`, through which DIRECT makes every
+    divisions of larger and of one-coordinate blocks, to learn the parent,
+    and `evaluate_counted`, through which DIRECT makes every
     evaluation, to check and record it."""
     seen = []
     context = []  # [start?, point before, {coordinate: candidate z}]
-    block, divide = direct_mod._block, direct_mod.sample_and_divide
-    divide_interval = direct_mod.divide_interval
-    evaluate = direct_mod.evaluate_counted
+    block, evaluate = direct_mod._block, direct_mod.evaluate_counted
 
     def recording_block(problem, coords, base):
         coords, x = block(problem, coords, base)
@@ -235,28 +233,19 @@ def unit_cube_probes(monkeypatch):
         context[:] = [True, before, {c: (0.5,) for c in coords}]
         return coords, x
 
-    def recording_divide(rid, state, problem):
-        levels, exact = state._level_tuples[rid], state._exact[rid]
-        low = min(levels)
-        denom = 2.0 * 3.0 ** (low + 1)
-        # a probe moves one block dimension at the lowest level a third of
-        # its side either way: numerator 3*num +/- 2 one level down
-        moves = {state.coords[d]: ((3 * exact[d] + 2) / denom,
-                                   (3 * exact[d] - 2) / denom)
-                 for d in range(state.n) if levels[d] == low}
-        context[:] = [False, state.center(rid), moves]
-        return divide(rid, state, problem)
-
-    def recording_interval(rid, state, problem):
-        # the same moves in the interval's one coordinate, from the
-        # parent's center rebuilt as `PartitionState.center` rebuilds it
-        level, num, c = state._levels[rid], state._nums[rid], state.coord
-        denom = 2.0 * 3.0 ** (level + 1)
-        parent = state.base.copy()
-        parent[c] = state.lower + num / (2.0 * 3.0 ** level) * state.width
-        moves = {c: ((3 * num + 2) / denom, (3 * num - 2) / denom)}
-        context[:] = [False, parent, moves]
-        return divide_interval(rid, state, problem)
+    def recording(divide):
+        def recording_divide(rid, state, problem):
+            levels, exact = state._level_tuples[rid], state._exact[rid]
+            low = min(levels)
+            denom = 2.0 * 3.0 ** (low + 1)
+            # a probe moves one block dimension at the lowest level a third
+            # of its side either way: numerator 3*num +/- 2 one level down
+            moves = {state.coords[d]: ((3 * exact[d] + 2) / denom,
+                                       (3 * exact[d] - 2) / denom)
+                     for d in range(state.n) if levels[d] == low}
+            context[:] = [False, state.center(rid), moves]
+            return divide(rid, state, problem)
+        return recording_divide
 
     def recording_evaluate(problem, x, counter, *view):
         start, before, moves = context
@@ -278,8 +267,9 @@ def unit_cube_probes(monkeypatch):
         return evaluate(problem, x, counter, *view)
 
     monkeypatch.setattr(direct_mod, "_block", recording_block)
-    monkeypatch.setattr(direct_mod, "sample_and_divide", recording_divide)
-    monkeypatch.setattr(direct_mod, "divide_interval", recording_interval)
+    for name in ("sample_and_divide", "divide_interval"):
+        monkeypatch.setattr(direct_mod, name,
+                            recording(getattr(direct_mod, name)))
     monkeypatch.setattr(direct_mod, "evaluate_counted", recording_evaluate)
     return seen
 

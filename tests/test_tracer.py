@@ -44,10 +44,10 @@ def test_every_rectangle_goes_through_add_and_rekey(monkeypatch):
     # `max_evals`, checked between divisions, and has no target and an
     # uncapped counter, so no stop cuts a division short: one `add` per
     # evaluation (the center and two per probed dimension) and one `rekey`
-    # per division. A one-coordinate run without `keep_state` fills the
-    # interval store instead, with neither `add` nor `rekey`: its division
-    # is not wrapped, so its time lands in `direct_solve`'s self time,
-    # which is still the `direct` layer.
+    # per division. A one-coordinate run adds its start center the same
+    # way, but its division, `divide_interval`, fills the store with
+    # neither `add` nor `rekey`: it is not wrapped, so its time lands in
+    # `direct_solve`'s self time, which is still the `direct` layer.
     monkeypatch.syspath_prepend(str(BENCH))
     from tracer import Tracer
 
