@@ -22,7 +22,7 @@ kernel at the parent's center (`functions.kernels.coordinate_view`), and
 its probes take their values from the view, which recomputes only the
 terms the moved coordinate touches, bit for bit the kernel's value. Every
 other objective has no view, and each probe calls it. Either way the
-probe builds its point, the one the counter's best pair and `x_min` keep.
+probe builds its point, the one the counter's best pair keeps.
 
 Every run keeps one rectangle store, and the block size alone picks its
 division. A block of one coordinate, the bulk of ABCD's subproblems, is
@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -98,8 +99,6 @@ class PartitionState:
     at level + k, k the trisections since; up to `EXACT_LEVEL` that gives
     the same correctly rounded quotient, and past it `center` divides the
     3s out (a probe's numerator, 3*num +/- 2 or 1, is no multiple of 3).
-    `x_min` refers to the best evaluated array; readers that hand it out
-    copy it.
 
     Layout, by problem coordinate:
     - `lower`, `width`: the box's lower bounds and widths as Python floats,
@@ -123,15 +122,20 @@ class PartitionState:
     Levels and numerators are unit-cube quantities of the block, so the
     tiling certificates never look at the user-space centers.
 
-    Groups map a group key (see `_intern`) to a lazy min-heap of
+    Groups (`_heaps`) map a group key (see `_intern`) to a lazy min-heap of
     (value, id) entries; stale entries (rectangles whose measure changed
-    after division) are purged on access. `min_measure` is the smallest
-    key a rectangle has had.
+    after division) are purged on access. A rectangle's key only shrinks,
+    so the group of the smallest key any rectangle has had never empties:
+    it is the smallest key in `_heaps`.
+    `f_min` is the smallest value and `best` the first id that has it.
+
+    `add` and `rekey` write the lists, the heaps, `f_min` and `best`;
+    `divide_interval` writes them inline, in the same order.
     """
 
     __slots__ = ("n", "counter", "coords", "base", "lower", "width", "view",
                  "_level_tuples", "_values", "_exact", "_heaps", "_keys",
-                 "_records", "_deep", "min_measure", "f_min", "x_min")
+                 "_records", "_deep", "f_min", "best")
 
     def __init__(self, n: int, counter: EvalCounter, coords: tuple,
                  bounds: Bounds, base: np.ndarray, view=None):
@@ -141,14 +145,13 @@ class PartitionState:
         self._level_tuples: list[tuple] = []
         self._values: list[float] = []
         self._exact: list[tuple] = []
-        self._heaps: dict[float, list] = {}
+        self._heaps: defaultdict[float, list] = defaultdict(list)
         self._keys: list[float] = []  # current group key per id
         # level tuple -> its record (see `_intern`)
         self._records: dict[tuple, tuple] = {}
         self._deep: set[tuple] = set()  # level tuples past EXACT_LEVEL
-        self.min_measure = np.inf
         self.f_min = np.inf
-        self.x_min: Optional[np.ndarray] = None
+        self.best: Optional[int] = None
 
     # -- storage ---------------------------------------------------------
 
@@ -190,35 +193,27 @@ class PartitionState:
                 self._deep.add(levels)
         return record
 
-    def add(self, center: np.ndarray, levels: tuple, exact: tuple,
-            value: float, key: float) -> int:
+    def add(self, levels: tuple, exact: tuple, value: float,
+            key: float) -> int:
         """Store a rectangle with the interned level tuple `levels` and its
-        group key `key` (`_intern`). `center`, a float array, is kept (not
-        copied) as `x_min` when the rectangle is the best; the store
-        rebuilds the center from `exact` and `levels`."""
+        group key `key` (`_intern`); return its id, which becomes `best` if
+        `value` is below `f_min`."""
         rid = len(self._values)
         self._level_tuples.append(levels)
         self._values.append(value)
         self._exact.append(exact)
         self._keys.append(key)
-        heap = self._heaps.get(key)
-        if heap is None:
-            self._heaps[key] = [(value, rid)]
-        else:
-            heappush(heap, (value, rid))
-        if key < self.min_measure:
-            self.min_measure = key
+        heappush(self._heaps[key], (value, rid))
         if value < self.f_min:
-            self.f_min = value
-            self.x_min = center
+            self.f_min, self.best = value, rid
         return rid
 
     def rekey(self, rid: int, levels: tuple, exact: tuple,
               key: float) -> None:
         """Re-index a rectangle after its levels changed in a division;
         `levels` and `key` as in `add`. A division adds both children under
-        the parent's new key before it rekeys the parent, so the key's group
-        exists and `min_measure` has seen the key."""
+        the parent's new key before it rekeys the parent, so the parent's
+        entry follows theirs in the key's group."""
         self._level_tuples[rid] = levels
         self._exact[rid] = exact
         self._keys[rid] = key
@@ -277,8 +272,6 @@ def identify_poh(state: PartitionState, eps: float) -> list[int]:
     reps = state.group_representatives()
     if not reps:
         return []
-    if len(reps) == 1:
-        return [reps[0][2]]
 
     # lower convex hull, measures ascending; collinear middles dropped
     hull: list[tuple[float, float, int]] = []
@@ -339,7 +332,7 @@ def sample_and_divide(rid: int, state: PartitionState,
     # the unit cube.
     counter, coords = state.counter, state.coords
     lower, width = state.lower, state.width
-    # (w, dim, num_plus, x_plus, f_plus, num_minus, x_minus, f_minus)
+    # (w, dim, num_plus, f_plus, num_minus, f_minus)
     probes = []
     for dim in I:
         scaled = 3 * tmpl_exact[dim]
@@ -353,8 +346,8 @@ def sample_and_divide(rid: int, state: PartitionState,
         x_m[coord] = z = lo + num_m / denom * w
         f_m = evaluate_counted(problem, x_m, counter, view, coord, z)
         # w = min(f+, f-), as `min` picks it, NaNs included
-        probes.append((f_m if f_m < f_p else f_p, dim, num_p, x_p, f_p,
-                       num_m, x_m, f_m))
+        probes.append((f_m if f_m < f_p else f_p, dim, num_p, f_p, num_m,
+                       f_m))
 
     # the sort is stable and the probes are in dimension order, so ties on
     # w keep the lower dimension first
@@ -367,16 +360,14 @@ def sample_and_divide(rid: int, state: PartitionState,
     # rekeyed parent share one interned level tuple; the parent's center
     # does not move.
     new_ids = []
-    for _, dim, num_p, x_p, f_p, num_m, x_m, f_m in probes:
+    for _, dim, num_p, f_p, num_m, f_m in probes:
         levels[dim] += 1
         level_tuple, key, _, _ = state._intern(tuple(levels))
         num = tmpl_exact[dim]
         tmpl_exact[dim] = num_p
-        new_ids.append(state.add(x_p, level_tuple, tuple(tmpl_exact), f_p,
-                                 key))
+        new_ids.append(state.add(level_tuple, tuple(tmpl_exact), f_p, key))
         tmpl_exact[dim] = num_m
-        new_ids.append(state.add(x_m, level_tuple, tuple(tmpl_exact), f_m,
-                                 key))
+        new_ids.append(state.add(level_tuple, tuple(tmpl_exact), f_m, key))
         tmpl_exact[dim] = 3 * num
     state.rekey(rid, level_tuple, tuple(tmpl_exact), key)
     return new_ids
@@ -406,7 +397,8 @@ def divide_interval(rid: int, state: PartitionState,
     x_m[coord] = z = lo + (num - 2) / denom * w
     f_m = evaluate_counted(problem, x_m, counter, view, coord, z)
 
-    # the children, then the parent, pushed as `add` and `rekey` push them
+    # the children, then the parent, pushed as `add` and `rekey` push them;
+    # calling the two here cost `abcd-hedar18` about 2% of its wall time
     levels = (level,)
     if level > EXACT_LEVEL:
         state._deep.add(levels)
@@ -417,18 +409,14 @@ def divide_interval(rid: int, state: PartitionState,
     exact += ((num + 2,), (num - 2,))
     values += (f_p, f_m)
     keys += (key, key)
-    heap = state._heaps.get(key)
-    if heap is None:
-        heap = state._heaps[key] = []
+    heap = state._heaps[key]
     heappush(heap, (f_p, cid))
     heappush(heap, (f_m, cid + 1))
     heappush(heap, (values[rid], rid))
-    if key < state.min_measure:
-        state.min_measure = key
     if f_p < state.f_min:
-        state.f_min, state.x_min = f_p, x_p
+        state.f_min, state.best = f_p, cid
     if f_m < state.f_min:
-        state.f_min, state.x_min = f_m, x_m
+        state.f_min, state.best = f_m, cid + 1
     return [cid, cid + 1]
 
 
@@ -523,6 +511,12 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     if config.max_evals is not None and config.max_evals < 1:
         raise ConfigError(f"max_evals must be positive, got "
                           f"{config.max_evals}")
+    if not config.target_accuracy >= 0:
+        raise ConfigError(f"target_accuracy must be nonnegative, got "
+                          f"{config.target_accuracy}")
+    if config.max_seconds is not None and not config.max_seconds > 0:
+        raise ConfigError(f"max_seconds must be positive, got "
+                          f"{config.max_seconds}")
     counter = counter if counter is not None else EvalCounter()
     coords, x = _block(problem, coords, base)
     counter.arm(problem, config.target_accuracy, config.max_seconds)
@@ -548,7 +542,7 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             return DirectResult(np.inf, x, 0, 0, reason, [])
         value = counter.best_f
     levels, key, _, _ = state._intern((0,) * m)
-    state.add(x, levels, (1,) * m, value, key)
+    state.add(levels, (1,) * m, value, key)
     divide = divide_interval if m == 1 else sample_and_divide
 
     # this run's evaluations are counter.count - start_count
@@ -563,7 +557,8 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             reason = Reason.GLOBAL_STALL
         elif counter.count >= stop_count:
             reason = Reason.EVAL_BUDGET
-        elif state.min_measure < config.min_measure:
+        elif (config.min_measure > 0
+              and min(state._heaps) < config.min_measure):
             reason = Reason.GLOBAL_STALL
         if reason is not None:
             break
@@ -584,8 +579,8 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             stall_streak = 0
         prev_fmin = state.f_min
 
-    # the state keeps the array of the best probe
-    x_min, f_min = counter.run_best(f_before, state.x_min.copy(), state.f_min)
+    x_min, f_min = counter.run_best(f_before, state.center(state.best),
+                                    state.f_min)
     return DirectResult(f_min, x_min, counter.count - start_count, t, reason,
                         trace, state if keep_state else None)
 

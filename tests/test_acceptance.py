@@ -96,8 +96,7 @@ def test_1_poh_oracle_equivalence():
             lv = tuple(rng.integers(0, 6, size=2).tolist())
             levels, key, _, _ = state._intern(lv)
             for _ in range(rng.integers(1, 4)):
-                state.add(np.full(2, 0.5), levels, (1, 1),
-                          float(rng.normal(0, 5)), key)
+                state.add(levels, (1, 1), float(rng.normal(0, 5)), key)
         if set(identify_poh(state, 1e-4)) != brute_force_poh_grid(
                 state, 1e-4, grid):
             mismatches += 1
@@ -117,7 +116,7 @@ def test_2_measure_after_repeated_division():
         counter = EvalCounter()
         state = make_state(n, counter, problem.bounds)
         levels, key, _, _ = state._intern((0,) * n)
-        state.add(np.full(n, 0.5), levels, (1,) * n,
+        state.add(levels, (1,) * n,
                   evaluate_counted(problem, np.full(n, 0.5), counter), key)
 
         def formula(r):

@@ -58,10 +58,10 @@ def make_state(n, counter=None, bounds=None):
                           bounds.lower + 0.5 * bounds.width)
 
 
-def add(state, center, levels, exact, value):
+def add(state, levels, exact, value):
     """`state.add` of a level vector, interned first, as a division adds."""
     levels, key, _, _ = state._intern(tuple(levels))
-    return state.add(center, levels, exact, value, key)
+    return state.add(levels, exact, value, key)
 
 
 def rectangle(state, rid):
@@ -111,7 +111,7 @@ def random_partition(rng, n=2, max_groups=12):
     for _ in range(groups):
         lv = rng.integers(0, 6, size=n).tolist()
         for _ in range(rng.integers(1, 4)):
-            add(state, np.full(n, 0.5), lv, (1,) * n, float(rng.normal(0, 5)))
+            add(state, lv, (1,) * n, float(rng.normal(0, 5)))
     return state
 
 
@@ -164,7 +164,7 @@ class TestStore:
         want = []
         for i in range(40):
             lv = rng.integers(0, 7, size=n)
-            add(state, np.full(n, 0.5), lv.tolist(), (1,) * n, float(i))
+            add(state, lv.tolist(), (1,) * n, float(i))
             want.append(lv)
             if i % 4 == 3:
                 rid = int(rng.integers(0, i + 1))
@@ -201,7 +201,7 @@ class TestStore:
         assert key == round(measure(np.array([2, 1, 1])), GROUP_KEY_DIGITS)
         assert denom == 2 * 3.0 ** 2
         for value in (1.0, 2.0):
-            rid = state.add(np.full(3, 0.5), levels, (1, 1, 1), value, key)
+            rid = state.add(levels, (1, 1, 1), value, key)
             assert state._level_tuples[rid] is levels
             assert state._keys[rid] == key
         for r in rectangles(state):
@@ -222,20 +222,22 @@ class TestStore:
         state = res.state
         best = min(rectangles(state), key=lambda r: (r.value, r.id))
         kept = best.center.tobytes()
-        assert res.x_min.tobytes() == state.x_min.tobytes() == kept
+        assert state.best == best.id
+        assert (res.x_min.tobytes() == state.center(state.best).tobytes()
+                == kept)
         res.x_min[:] = -1.0
-        assert state.x_min.tobytes() == kept
+        assert state.center(state.best).tobytes() == kept
         assert state.center(best.id).tobytes() == kept
 
     def test_rectangle_center_is_a_copy(self):
-        # the center handed out is rebuilt from the numerators, the added
-        # array is kept as x_min
+        # the center handed out is rebuilt from the numerators, and the
+        # best is kept as an id
         state = make_state(2)
         center = np.array([1 / 6, 5 / 6])
-        rid = add(state, center, (1, 1), (1, 5), 0.0)
+        rid = add(state, (1, 1), (1, 5), 0.0)
         state.center(rid)[:] = 9.0
         assert state.center(rid).tobytes() == center.tobytes()
-        assert state.x_min is center
+        assert state.best == rid
 
     def test_partition_memory_per_rectangle(self):
         # the store keeps no array per rectangle: a 12,000-evaluation
@@ -258,16 +260,16 @@ class TestStore:
 
     def test_rekey_joins_the_group_its_children_made(self):
         # a division adds its children under the parent's new key, which
-        # makes the group and lowers `min_measure`, before the rekey; the
+        # makes the group with the smallest key, before the rekey; the
         # parent's entry in its old group is stale and purged on access
         state = make_state(2)
         old_key = state._intern((0, 0))[1]
-        rid = add(state, np.full(2, 0.5), (0, 0), (1, 1), 1.0)
-        other = add(state, np.full(2, 0.5), (0, 0), (1, 1), 2.0)
+        rid = add(state, (0, 0), (1, 1), 1.0)
+        other = add(state, (0, 0), (1, 1), 2.0)
         levels, new_key, _, _ = state._intern((1, 0))
         assert new_key not in state._heaps
-        child = state.add(np.full(2, 0.5), levels, (5, 1), 3.0, new_key)
-        assert state.min_measure == new_key < old_key
+        child = state.add(levels, (5, 1), 3.0, new_key)
+        assert min(state._heaps) == new_key < old_key
         state.rekey(rid, levels, (3, 1), new_key)
         assert state.group_representatives() == [(new_key, 1.0, rid),
                                                   (old_key, 2.0, other)]
@@ -277,7 +279,7 @@ class TestStore:
         state = make_state(2)
         vectors = [(0, 1), (2, 1), (1, 1), (3, 0)]
         for i, lv in enumerate(vectors):
-            add(state, np.full(2, 0.5), lv, (1, 1), float(i))
+            add(state, lv, (1, 1), float(i))
         assert state._level_tuples == vectors
         assert volume_fraction(state) == sum(
             Fraction(1, 3 ** sum(lv)) for lv in vectors)
@@ -293,7 +295,7 @@ class TestDivision:
         problem = box_problem(f, 2)
         counter = EvalCounter()
         state = make_state(2, counter, problem.bounds)
-        add(state, np.full(2, 0.5), (0, 0), (1, 1),
+        add(state, (0, 0), (1, 1),
             evaluate_counted(problem, np.full(2, 0.5), counter))
 
         new_ids = sample_and_divide(0, state, problem)
@@ -318,7 +320,7 @@ class TestDivision:
         problem = box_problem(f, 2)
         counter = EvalCounter()
         state = make_state(2, counter, problem.bounds)
-        add(state, np.full(2, 0.5), (0, 0), (1, 1),
+        add(state, (0, 0), (1, 1),
             evaluate_counted(problem, np.full(2, 0.5), counter))
         sample_and_divide(0, state, problem)
         got = {tuple(np.round(r.center, 12)): tuple(r.levels)
@@ -382,7 +384,7 @@ class TestDivision:
 
         counter = EvalCounter()
         state = make_state(3, counter, bounds)
-        add(state, user(exact, levels), levels, exact, 1.0)
+        add(state, levels, exact, 1.0)
         before = state.center(0).tobytes()
         assert before == user(exact, levels).tobytes()
         assert sample_and_divide(0, state, problem) == [1, 2]
@@ -396,7 +398,7 @@ class TestDivision:
         assert state.center(0).tobytes() == before
         # a spent counter stops the division before its first evaluation
         spent = make_state(3, EvalCounter(count=1, cap=1), bounds)
-        add(spent, user(exact, levels), levels, exact, 1.0)
+        add(spent, levels, exact, 1.0)
         with pytest.raises(Stop):
             sample_and_divide(0, spent, problem)
         assert spent.size == 1 and spent.center(0).tobytes() == before
@@ -432,7 +434,7 @@ class TestDivision:
         state = make_state(2, bounds=bounds)
         exact = (3382709024365471, 3465416158634719)
         start = mapped(exact, (32, 32))
-        add(state, start, (32, 32), exact, f(start))
+        add(state, (32, 32), exact, f(start))
         assert state.center(0).tobytes() == start.tobytes()
         del seen[:]
 
@@ -488,7 +490,7 @@ class TestDivision:
         num = 3465416158634719
         start = base.copy()
         start[1] = lower[1] + num / (2 * 3.0 ** 32) * width[1]
-        add(state, start, (32,), (num,), f(start))
+        add(state, (32,), (num,), f(start))
         rng = np.random.default_rng(5)
         for _ in range(60):
             rid = int(rng.integers(0, state.size))
@@ -512,7 +514,7 @@ class TestPoh:
 
     def test_single_rectangle_is_selected(self):
         state = make_state(2)
-        add(state, np.full(2, 0.5), (0, 0), (1, 1), 3.0)
+        add(state, (0, 0), (1, 1), 3.0)
         assert identify_poh(state, 1e-4) == [0]
 
     def test_largest_measure_always_included(self):
@@ -705,6 +707,33 @@ class TestDirectSolve:
                              DirectConfig(max_evals=max_evals), coords=coords)
         assert not calls
 
+    @pytest.mark.parametrize("field,value", [
+        ("target_accuracy", -1.0), ("target_accuracy", math.nan),
+        ("max_seconds", -1.0), ("max_seconds", 0.0),
+        ("max_seconds", math.nan)])
+    def test_rejects_a_target_or_time_budget_no_run_can_use(self, field,
+                                                            value):
+        # on BR these used to stop on time_budget before the first
+        # evaluation (max_seconds <= 0), run with no deadline (a NaN
+        # max_seconds) or run to the evaluation budget with a target that
+        # can never be reached (a negative or NaN target_accuracy)
+        problem = get_function("BR")[0]
+        counter = EvalCounter()
+        with pytest.raises(ConfigError, match=field):
+            direct_solve(problem, DirectConfig(max_evals=500,
+                                               **{field: value}), counter)
+        assert counter.count == 0 and not counter.armed
+
+    def test_a_budget_of_one_evaluation_stops_before_the_first_division(
+            self):
+        # the loop-top budget check: the start center spends the whole
+        # budget, so no iteration runs
+        res = direct_solve(get_function("BR")[0], DirectConfig(max_evals=1),
+                           keep_state=True)
+        assert (res.evals, res.iterations, res.reason) == (
+            1, 0, Reason.EVAL_BUDGET)
+        assert res.state.size == 1 and res.state.best == 0
+
     def test_trace_is_monotone(self):
         problem = box_problem(lambda x: float(np.sum((x - 0.37) ** 2)), 2)
         res = direct_solve(problem, DirectConfig(max_evals=300))
@@ -865,9 +894,13 @@ class TestBlockView:
                            keep_state=True, coords=[1, 5], base=base)
         assert base.tobytes() == self.BASE.tobytes()
         assert not np.shares_memory(res.x_min, base)
-        kept = [res.state.x_min, res.state.base]
-        assert not any(np.shares_memory(res.x_min, c) for c in kept)
+        state = res.state
+        assert not np.shares_memory(res.x_min, state.base)
+        kept = state.center(state.best).tobytes()
+        assert res.x_min.tobytes() == kept
         assert problem(res.x_min) == res.f_min
+        res.x_min[:] = 0.0
+        assert state.center(state.best).tobytes() == kept
 
     def test_spent_counter_returns_the_base_with_the_block_at_its_midpoint(
             self):
@@ -1061,7 +1094,7 @@ class TestIntervalStore:
         else:
             assert res.reason is Reason.GLOBAL_STALL
             assert res.evals < SUB_CAP
-            assert ((res.state.min_measure < config.min_measure)
+            assert ((min(res.state._heaps) < config.min_measure)
                     == (stop == "min_measure"))
 
     @pytest.mark.parametrize("plateau", [False, True],
@@ -1129,4 +1162,4 @@ class TestIntervalStore:
                                          target_accuracy=0.0))
         deepest = max(res.state._level_tuples)
         assert deepest >= (26,)
-        assert res.state._intern(deepest)[1] == 0.0 == res.state.min_measure
+        assert res.state._intern(deepest)[1] == 0.0 == min(res.state._heaps)

@@ -127,6 +127,14 @@ class TestRunSingle:
         assert rep.termination == "target_reached"
         assert rep.evals == 869
 
+    def test_sqp_stops_in_its_start_sample(self):
+        # the cap ends the run inside the start sample, before any polish
+        rep = run_single(RunSpec("S5", algorithm="sqp", max_evals=3,
+                                 repetitions=1), 0)
+        assert rep.termination == "eval_budget"
+        assert rep.evals == 3
+        assert rep.trace == []
+
     def test_sqp_polish_checks_time_budget(self, monkeypatch):
         # a clock that every reading advances by one second: the counter
         # reads it once when armed (1 s, so the deadline is 11.5 s) and once
@@ -384,6 +392,46 @@ class TestCli:
     def test_unreadable_config_is_io_error(self):
         res = self.invoke("run", "--config", "/nonexistent/cfg.json")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    def test_invalid_json_config_is_config_error(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"function": "sphere",')
+        res = self.invoke(command, "--config", str(cfg))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "invalid JSON config" in res.output
+
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    def test_config_neither_object_nor_list_is_config_error(self, tmp_path,
+                                                           command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps("sphere"))
+        res = self.invoke(command, "--config", str(cfg))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "config must be a JSON object or list of objects" in res.output
+
+    def test_unwritable_report_out_is_io_error(self, tmp_path):
+        out = tmp_path / "missing" / "reports.jsonl"
+        res = self.invoke("run", "--function", "sphere", "--dim", "2",
+                          "--algo", "direct", "--max-evals", "50",
+                          "--reps", "1", "--report-out", str(out))
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "cannot write report" in res.output
+        assert str(out) in res.output
+
+    def test_unwritable_trace_out_is_io_error(self, tmp_path):
+        out = tmp_path / "missing" / "trace.csv"
+        res = self.invoke("run", "--function", "sphere", "--dim", "2",
+                          "--algo", "direct", "--max-evals", "50",
+                          "--reps", "1", "--report-out", "-",
+                          "--trace-out", str(out))
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert str(out) in res.output
+        assert not out.parent.exists()
 
     def test_suite_rejects_parallel_below_one(self, tmp_path):
         cfg = tmp_path / "suite.json"
