@@ -21,8 +21,11 @@ objective is a Hedar kernel, a division builds a coordinate view of the
 kernel at the parent's center (`functions.kernels.coordinate_view`), and
 its probes take their values from the view, which recomputes only the
 terms the moved coordinate touches, bit for bit the kernel's value. Every
-other objective has no view, and each probe calls it. Either way the
-probe builds its point, the one the counter's best pair keeps.
+other objective has no view, and each probe calls it. A division passes
+each probe to `evaluate_counted` as `(center, i, z)`, the parent's center
+with coordinate i moved to z, and builds no point: with a view, only a
+probe whose value improves the counter's best becomes an array, the one
+the counter's best pair keeps.
 
 Every run keeps one rectangle store, and the block size alone picks its
 division. A block of one coordinate, the bulk of ABCD's subproblems, is
@@ -314,9 +317,11 @@ def sample_and_divide(rid: int, state: PartitionState,
     unit-cube coordinate z (2 evaluations per dimension, valued by one
     coordinate view of the objective at the parent's center if it has
     one), then trisects in ascending order of w_i = min(f+, f-), ties
-    resolved to the lower dimension index. The state stays a tiling; on a
-    `Stop` from the counter nothing is mutated (already-spent evaluations
-    stay counted) and the Stop propagates.
+    resolved to the lower dimension index. Each probe goes to
+    `evaluate_counted` as `(center, coords[i], z)`, and no probe's point
+    is built here. The state stays a tiling; on a `Stop` from the counter
+    nothing is mutated (already-spent evaluations stay counted) and the
+    Stop propagates.
     """
     # the level bookkeeping runs on a list copy of the parent's tuple
     parent_levels = state._level_tuples[rid]
@@ -326,8 +331,8 @@ def sample_and_divide(rid: int, state: PartitionState,
     view = coordinate_view(problem.objective, center)
     tmpl_exact = list(state._exact[rid])
 
-    # evaluate all probe points before touching any state; each probe is a
-    # copy of the parent's user-space center with one coordinate moved, the
+    # evaluate all probe points before touching any state; each probe is
+    # the parent's user-space center with one coordinate moved to z, the
     # child's center. The base-3 numerators keep every z strictly inside
     # the unit cube.
     counter, coords = state.counter, state.coords
@@ -339,12 +344,10 @@ def sample_and_divide(rid: int, state: PartitionState,
         num_p, num_m = scaled + 2, scaled - 2
         coord = coords[dim]
         lo, w = lower[coord], width[coord]
-        x_p = center.copy()
-        x_p[coord] = z = lo + num_p / denom * w
-        f_p = evaluate_counted(problem, x_p, counter, view, coord, z)
-        x_m = center.copy()
-        x_m[coord] = z = lo + num_m / denom * w
-        f_m = evaluate_counted(problem, x_m, counter, view, coord, z)
+        f_p = evaluate_counted(problem, center, counter, view, coord,
+                               lo + num_p / denom * w)
+        f_m = evaluate_counted(problem, center, counter, view, coord,
+                               lo + num_m / denom * w)
         # w = min(f+, f-), as `min` picks it, NaNs included
         probes.append((f_m if f_m < f_p else f_p, dim, num_p, f_p, num_m,
                        f_m))
@@ -377,11 +380,12 @@ def divide_interval(rid: int, state: PartitionState,
                     problem: Problem) -> list[int]:
     """`sample_and_divide` of interval `rid` of a one-coordinate store, on
     the store's lists and with neither `add` nor `rekey`: probes the
-    centers of its two outer thirds, the plus side first, each the start
-    center with the block coordinate moved, valued by the state's view if
-    it has one; then stores them as the next two ids and trisects the
-    parent, which keeps its id. On a `Stop` from the counter nothing is
-    stored and the Stop propagates."""
+    centers of its two outer thirds, the plus side first, each passed as
+    `(state.base, coord, z)`, the start center with the block coordinate
+    moved to z, and valued by the state's view if it has one; then stores
+    them as the next two ids and trisects the parent, which keeps its id.
+    On a `Stop` from the counter nothing is stored and the Stop
+    propagates."""
     level_tuples, exact, values = (state._level_tuples, state._exact,
                                    state._values)
     level = level_tuples[rid][0] + 1
@@ -390,12 +394,10 @@ def divide_interval(rid: int, state: PartitionState,
     counter, base, view = state.counter, state.base, state.view
     coord = state.coords[0]
     lo, w = state.lower[coord], state.width[coord]
-    x_p = base.copy()
-    x_p[coord] = z = lo + (num + 2) / denom * w
-    f_p = evaluate_counted(problem, x_p, counter, view, coord, z)
-    x_m = base.copy()
-    x_m[coord] = z = lo + (num - 2) / denom * w
-    f_m = evaluate_counted(problem, x_m, counter, view, coord, z)
+    f_p = evaluate_counted(problem, base, counter, view, coord,
+                           lo + (num + 2) / denom * w)
+    f_m = evaluate_counted(problem, base, counter, view, coord,
+                           lo + (num - 2) / denom * w)
 
     # the children, then the parent, pushed as `add` and `rekey` push them;
     # calling the two here cost `abcd-hedar18` about 2% of its wall time

@@ -63,9 +63,10 @@ def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
     forward probe would leave the upper bound. In a box narrower than the
     step, where the backward probe would leave the lower bound too, the
     probe is the bound with more room. The steps are computed on Python
-    floats, the same IEEE operations as on numpy scalars; each probe is a
-    fresh array. Each probe moves one coordinate of x, so when the
-    objective is a Hedar kernel one coordinate view of it at x
+    floats, the same IEEE operations as on numpy scalars. Each probe moves
+    one coordinate of x and goes to `evaluate_counted` as `(x, i, z)`,
+    which builds its point only if it needs one; x is not written. When
+    the objective is a Hedar kernel one coordinate view of it at x
     (`functions.kernels.coordinate_view`) values every probe, bit for bit
     as the kernel would; any other objective is called per probe.
     """
@@ -80,14 +81,12 @@ def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
         h = GRAD_STEP * max(1.0, abs(xi))
         if xi + h > upper[i]:
             h = -h
-        probe = x.copy()
-        probe[i] = z = xi + h
+        z = xi + h
         if z < lower[i]:
             # a box narrower than the step: probe the bound with more room
             z = max(upper[i], lower[i], key=lambda b: abs(b - xi))
-            probe[i], h = z, z - xi
-        g[i] = (evaluate_counted(problem, probe, counter, view, i, z)
-                - f0) / h
+            h = z - xi
+        g[i] = (evaluate_counted(problem, x, counter, view, i, z) - f0) / h
     return g
 
 

@@ -7,10 +7,12 @@ lives in the unit hypercube, and DIRECT maps each probe into the box
 itself.
 
 Every evaluation of a run goes through `evaluate_counted`, which charges
-the run's one `EvalCounter` and shows it the value. The value is the
-problem's, or a coordinate view's (`functions.kernels.coordinate_view`)
-for a probe that moves one coordinate of the view's point; both keep the
-rules of `finite_value`. The counter raises
+the run's one `EvalCounter` and shows it the value. The point is a full
+point x, or a probe `(x, i, z)`: its base x with coordinate i moved to z.
+The value is the problem's, or, for a probe, a coordinate view's
+(`functions.kernels.coordinate_view`) at the base; both keep the rules of
+`finite_value`. A probe valued by a view is never built as an array unless
+its value improves the counter's best, which keeps it. The counter raises
 `Stop` at the evaluation where the cap, the deadline or the target holds,
 whatever phase the run is in.
 """
@@ -105,23 +107,34 @@ class Problem:
         return self.bounds.n
 
     def __call__(self, x: np.ndarray) -> float:
-        return finite_value(x, self.objective, np.asarray(x, dtype=float))
+        return finite_value(self.objective, np.asarray(x, dtype=float))
 
 
-def finite_value(x: np.ndarray, f: Callable[..., float], *args) -> float:
-    """`f(*args)`, the objective's value at x, by the rules of every
-    evaluation: converted to a float, inf where the computation raises
-    OverflowError (Python-float arithmetic raises where numpy would give
-    inf), and NonFiniteValueError unless the value is finite."""
+def finite_value(f: Callable[..., float], x: np.ndarray,
+                 i: Optional[int] = None, z: float = 0.0) -> float:
+    """The objective's value at x, `f(x)`, or, for `i` given, at the probe
+    x with x[i] = z, `f(i, z)` for f a coordinate view at x; by the rules
+    of every evaluation: converted to a float, inf where the computation
+    raises OverflowError (Python-float arithmetic raises where numpy would
+    give inf), and NonFiniteValueError unless the value is finite. Only
+    that error's message builds the probe."""
     try:
-        value = float(f(*args))
+        value = float(f(x) if i is None else f(i, z))
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
+        point = x if i is None else _probe(x, i, z)
         raise NonFiniteValueError(
-            f"objective returned non-finite value {value!r} at {x!r}"
+            f"objective returned non-finite value {value!r} at {point!r}"
         )
     return value
+
+
+def _probe(x: np.ndarray, i: int, z: float) -> np.ndarray:
+    """x, a float array, with x[i] = z, as a new array; x is not written."""
+    point = x.copy()
+    point[i] = z
+    return point
 
 
 @dataclass
@@ -180,8 +193,9 @@ class EvalCounter:
 
     def improve(self, x: np.ndarray, f: float) -> None:
         """Keep (x, f), evaluated below `best_f`, as the best pair; raise
-        `Stop` if f is within `tol` of the target."""
-        self.best_x, self.best_f = np.array(x, dtype=float), f
+        `Stop` if f is within `tol` of the target. x is kept as it is
+        handed over, a float array that nothing else holds."""
+        self.best_x, self.best_f = x, f
         if self.target is not None and abs(f - self.target) <= self.tol:
             self.stop(Reason.TARGET_REACHED)
 
@@ -202,21 +216,34 @@ class EvalCounter:
 
 def evaluate_counted(problem: Problem, x: np.ndarray, counter: EvalCounter,
                      view: Optional[Callable[[int, float], float]] = None,
-                     i: int = 0, z: float = 0.0) -> float:
-    """Evaluate f(x), charging exactly one unit of budget; Stop is raised
-    before the evaluation on the cap or deadline, after it on the target.
-    Every solver evaluates through this function.
+                     i: Optional[int] = None, z: float = 0.0) -> float:
+    """Evaluate f at one point, charging exactly one unit of budget; Stop
+    is raised before the evaluation on the cap or deadline, after it on
+    the target. Every solver evaluates through this function.
 
-    `view`, if given, is a coordinate view of the problem's objective
-    (`functions.kernels.coordinate_view`) at a point that x equals except
-    in coordinate i, where x holds z. The value is then `view(i, z)`, the
-    objective's value at x bit for bit, under the rules of
-    `Problem.__call__` (`finite_value`), and the objective is not called.
+    With `i` None the point is x. With `i` given it is the probe x with
+    x[i] = z, and x, its base, is never written. `view`, which needs `i`,
+    is a coordinate view of the problem's objective at x
+    (`functions.kernels.coordinate_view`): the value is then `view(i, z)`,
+    the objective's value at the probe bit for bit, under the rules of
+    `Problem.__call__` (`finite_value`); the objective is not called, and
+    the probe is built only if its value improves the counter's best.
+    Without a view the probe is built once and the problem called on it.
+
+    The counter keeps the array it is handed: a view's probe, built for
+    it, or a copy of a point the objective has seen, since the objective
+    may keep that array.
     """
     counter.charge()
-    value = problem(x) if view is None else finite_value(x, view, i, z)
+    if view is None:
+        if i is not None:  # built once; from here on a full point
+            x, i = _probe(x, i, z), None
+        value = problem(x)
+    else:
+        value = finite_value(view, x, i, z)
     if value < counter.best_f:
-        counter.improve(x, value)
+        counter.improve(np.array(x, dtype=float) if i is None
+                        else _probe(x, i, z), value)
     return value
 
 

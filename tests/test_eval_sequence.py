@@ -86,6 +86,17 @@ def recording(problem):
     return Problem(obj, problem.bounds, problem.known_optimum), entries
 
 
+def probe_point(x, i, z):
+    """The point an `evaluate_counted(problem, x, counter, view, i, z)`
+    evaluates: x itself for i None, else the probe x with x[i] = z, built
+    here as a new array."""
+    if i is None:
+        return x
+    point = np.array(x, dtype=float)
+    point[i] = z
+    return point
+
+
 def digest(entries):
     """The sha256 the pins record: every entry, in order."""
     return hashlib.sha256(b"".join(entries)).hexdigest()
@@ -220,7 +231,10 @@ def unit_cube_probes(monkeypatch):
     learn the base, `sample_and_divide` and `divide_interval`, the
     divisions of larger and of one-coordinate blocks, to learn the parent,
     and `evaluate_counted`, through which DIRECT makes every
-    evaluation, to check and record it."""
+    evaluation, to check and record it. A probe reaches `evaluate_counted`
+    as its base with one coordinate moved, `(x, i, z)`; the point checked
+    is the probe, and the base must come out of the evaluation
+    byte-identical."""
     seen = []
     context = []  # [start?, point before, {coordinate: candidate z}]
     block, evaluate = direct_mod._block, direct_mod.evaluate_counted
@@ -247,10 +261,13 @@ def unit_cube_probes(monkeypatch):
             return divide(rid, state, problem)
         return recording_divide
 
-    def recording_evaluate(problem, x, counter, *view):
+    def recording_evaluate(problem, base, counter, view=None, i=None,
+                           z=0.0):
         start, before, moves = context
         bounds = problem.bounds
         lower, width = bounds.lower.tolist(), bounds.width.tolist()
+        base_bytes = base.tobytes()
+        x = probe_point(base, i, z)
         assert x.shape == before.shape
         assert ((bounds.lower <= x) & (x <= bounds.upper)).all()
         moved = list(moves) if start else np.flatnonzero(x != before).tolist()
@@ -264,7 +281,10 @@ def unit_cube_probes(monkeypatch):
         assert (np.delete(x, moved).tobytes()
                 == np.delete(before, moved).tobytes())
         seen.append(np.array(zs))
-        return evaluate(problem, x, counter, *view)
+        try:
+            return evaluate(problem, base, counter, view, i, z)
+        finally:
+            assert base.tobytes() == base_bytes
 
     monkeypatch.setattr(direct_mod, "_block", recording_block)
     for name in ("sample_and_divide", "divide_interval"):
@@ -301,7 +321,9 @@ def test_the_pins_hold_through_the_views(case, monkeypatch):
     # view, so the pins above call the kernel at every evaluation. Here
     # the problem keeps its kernel and each evaluation is recorded where
     # it is made, so a Hedar kernel's probes take their values from views;
-    # the pins must hold all the same
+    # the pins must hold all the same. Each probe is recorded as the point
+    # it stands for, rebuilt from its base and (i, z), and the base must
+    # come out of the evaluation byte-identical
     entries, viewed = [], []
     evaluate = direct_mod.evaluate_counted
 
@@ -309,16 +331,20 @@ def test_the_pins_hold_through_the_views(case, monkeypatch):
         entries.append(np.asarray(x, dtype="<f8").tobytes()
                        + struct.pack("<d", value))
 
-    def recording_evaluate(problem, x, counter, *view):
-        count = counter.count
+    def recording_evaluate(problem, base, counter, view=None, i=None,
+                           z=0.0):
+        count, base_bytes = counter.count, base.tobytes()
+        x = probe_point(base, i, z)
         try:
-            value = evaluate(problem, x, counter, *view)
+            value = evaluate(problem, base, counter, view, i, z)
         except Stop:
             if counter.count > count:  # the target, after the evaluation
                 record(x, counter.best_f)
             raise
+        finally:
+            assert base.tobytes() == base_bytes
         record(x, value)
-        viewed.append(bool(view) and view[0] is not None)
+        viewed.append(view is not None)
         return value
 
     for module in (direct_mod, local_mod, abcd_mod):

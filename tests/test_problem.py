@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import abcdirect
+from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.functions import get_function
 from abcdirect.functions.kernels import coordinate_view
 from abcdirect.functions.registry import HEDAR_NAMES
@@ -139,24 +140,90 @@ class TestEvalCounter:
             1.0, 0.5, deadline)
 
 
+class TestProbes:
+    # a probe `(x, i, z)` is its base x with coordinate i at z: x is never
+    # written, and the counter's best is an array of its own
+    def test_without_a_view_the_objective_gets_the_probe(self):
+        seen = []  # the arrays the objective was called on, kept
+        p = Problem(lambda x: seen.append(x) or float(x.sum()),
+                    Bounds(np.zeros(3), np.ones(3)))
+        x = np.array([0.1, 0.2, 0.3])
+        counter = EvalCounter()
+        value = evaluate_counted(p, x, counter, None, 1, 0.9)
+        assert [a.tolist() for a in seen] == [[0.1, 0.9, 0.3]]
+        assert value == float(seen[0].sum())
+        assert x.tolist() == [0.1, 0.2, 0.3]
+        # the objective kept its array, so the counter holds a copy
+        assert counter.best_x is not seen[0]
+        seen[0][:] = 0.0
+        assert counter.best_x.tolist() == [0.1, 0.9, 0.3]
+
+    def test_a_view_probe_becomes_an_array_only_as_the_best(self):
+        problem = get_function("rastrigin", 4)[0]
+        x = problem.bounds.lower + 0.3 * problem.bounds.width
+        base = x.tobytes()
+        view = coordinate_view(problem.objective, x)
+        counter = EvalCounter()
+        probe = x.copy()
+        probe[2] = z = 0.0  # rastrigin's best value of a coordinate
+        value = evaluate_counted(problem, x, counter, view, 2, z)
+        assert value == problem(probe)
+        assert counter.best_x.tobytes() == probe.tobytes()
+        assert not np.shares_memory(counter.best_x, x)
+        assert x.tobytes() == base
+        # a probe that does not improve leaves the best as it is
+        best = counter.best_x
+        assert evaluate_counted(problem, x, counter, view, 2, 0.5) > value
+        assert counter.best_x is best and x.tobytes() == base
+        x[:] = 0.0
+        assert counter.best_x.tobytes() == probe.tobytes()
+
+    def test_a_division_keeps_no_base_as_the_best(self):
+        # a one-coordinate run values every probe through the view at its
+        # start center, the store's base; its best is the best probe, an
+        # array of its own
+        problem = get_function("rastrigin", 4)[0]
+        counter = EvalCounter()
+        result = direct_solve(problem, DirectConfig(max_evals=50), counter,
+                              keep_state=True, coords=[1])
+        base = result.state.base
+        assert result.evals > 1 and counter.best_f < result.state._values[0]
+        assert not np.shares_memory(counter.best_x, base)
+        assert (counter.best_x.tobytes()
+                == result.state.center(result.state.best).tobytes())
+
+    def test_a_full_point_is_copied(self):
+        p = sphere_problem(2)
+        x = np.array([1.0, 2.0])
+        counter = EvalCounter()
+        evaluate_counted(p, x, counter)
+        x[0] = 7.0
+        assert counter.best_x.tolist() == [1.0, 2.0]
+
+
 class TestViewParity:
     # a probe valued by a coordinate view is charged and checked as one
     # that calls the kernel: an OverflowError is inf and a value that is
-    # not finite raises, after the evaluation is counted
+    # not finite raises, after the evaluation is counted, naming the probe
     @staticmethod
     def both_paths(problem, x, i, z):
-        """The counters of one probe at x with x[i] = z, charged through
-        the view at x and through the kernel; both must raise
-        NonFiniteValueError."""
+        """The counters of one probe `(x, i, z)`, x with x[i] = z, charged
+        through the view at x and through the kernel; both must raise
+        NonFiniteValueError with the probe's point, not its base's, in the
+        message, and leave x as it was."""
         view = coordinate_view(problem.objective, x)
         assert view is not None
         probe = x.copy()
         probe[i] = z
+        base = x.tobytes()
         counters = []
-        for args in ((view, i, z), ()):
+        for path in (view, None):
             counter = EvalCounter(cap=10)
-            with pytest.raises(NonFiniteValueError):
-                evaluate_counted(problem, probe, counter, *args)
+            with pytest.raises(NonFiniteValueError) as error:
+                evaluate_counted(problem, x, counter, path, i, z)
+            assert repr(probe) in str(error.value)
+            assert repr(x) not in str(error.value)
+            assert x.tobytes() == base
             counters.append((counter.count, counter.best_f))
         return counters
 
