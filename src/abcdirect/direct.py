@@ -16,23 +16,21 @@ each probe maps only the coordinate it moves, on the box's Python floats,
 and is charged once, through `evaluate_counted` like every other evaluation
 of a run.
 
-Every probe is its parent's center with one coordinate moved. So when the
-objective is a Hedar kernel, a division builds a coordinate view of the
-kernel at the parent's center (`functions.kernels.coordinate_view`), and
-its probes take their values from the view, which recomputes only the
-terms the moved coordinate touches, bit for bit the kernel's value. Every
-other objective has no view, and each probe calls it. A division passes
-each probe to `evaluate_counted` as `(center, i, z)`, the parent's center
-with coordinate i moved to z, and builds no point: with a view, only a
-probe whose value improves the counter's best becomes an array, the one
-the counter's best pair keeps.
+Every probe is its parent's center with one coordinate moved. So a
+division builds the problem's coordinate view at the parent's center
+(`Problem.coordinate_view`), and passes each probe to `evaluate_counted` as
+`(center, i, z)`, the center with coordinate i moved to z, valued by that
+view. A Hedar kernel's view recomputes only the terms the moved coordinate
+touches, bit for bit the kernel's value, and builds no point: only a probe
+whose value improves the counter's best becomes an array, the one the
+counter's best pair keeps.
 
 Every run keeps one rectangle store, and the block size alone picks its
 division. A block of one coordinate, the bulk of ABCD's subproblems, is
 DIRECT in its original one-dimensional form (Jones, Perttunen & Stuckman
 1993): `divide_interval` trisects an interval in place on the store's
 lists, and every probe of the run moves the one coordinate of the start
-center, so one coordinate view, made there, values them all. Every larger
+center, so the store's view, made there, values them all. Every larger
 block divides with `sample_and_divide`.
 """
 
@@ -40,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -49,7 +48,6 @@ from typing import Optional
 
 import numpy as np
 
-from .functions.kernels import coordinate_view
 from .problem import (
     Bounds,
     ConfigError,
@@ -109,9 +107,9 @@ class PartitionState:
       add, the two operations numpy does per element.
     - `base`: a float64 array, the run's start center (`_block`); its
       block coordinates are never read.
-    - `view`: a one-coordinate run's coordinate view of the objective at
-      `base`, which values every probe of `divide_interval`; None for an
-      objective without one and for larger blocks.
+    - `view`: the problem's coordinate view at `base`
+      (`Problem.coordinate_view`), which values the start center and every
+      probe of `divide_interval`; a store that neither reads may have None.
 
     Layout, by rectangle id:
     - `_level_tuples`: one level tuple of length n per rectangle, the one
@@ -315,20 +313,19 @@ def sample_and_divide(rid: int, state: PartitionState,
     Samples c +/- delta*e_i for each longest block dimension i, which moves
     problem coordinate `state.coords[i]` to `lower + z * width` for its
     unit-cube coordinate z (2 evaluations per dimension, valued by one
-    coordinate view of the objective at the parent's center if it has
-    one), then trisects in ascending order of w_i = min(f+, f-), ties
-    resolved to the lower dimension index. Each probe goes to
-    `evaluate_counted` as `(center, coords[i], z)`, and no probe's point
-    is built here. The state stays a tiling; on a `Stop` from the counter
-    nothing is mutated (already-spent evaluations stay counted) and the
-    Stop propagates.
+    coordinate view of the problem at the parent's center), then trisects
+    in ascending order of w_i = min(f+, f-), ties resolved to the lower
+    dimension index. Each probe goes to `evaluate_counted` as
+    `(center, coords[i], z)`, and no probe's point is built here. The
+    state stays a tiling; on a `Stop` from the counter nothing is mutated
+    (already-spent evaluations stay counted) and the Stop propagates.
     """
     # the level bookkeeping runs on a list copy of the parent's tuple
     parent_levels = state._level_tuples[rid]
     levels = list(parent_levels)
     _, _, I, denom = state._records[parent_levels]
     center = state.center(rid)
-    view = coordinate_view(problem.objective, center)
+    view = problem.coordinate_view(center)
     tmpl_exact = list(state._exact[rid])
 
     # evaluate all probe points before touching any state; each probe is
@@ -382,8 +379,8 @@ def divide_interval(rid: int, state: PartitionState,
     the store's lists and with neither `add` nor `rekey`: probes the
     centers of its two outer thirds, the plus side first, each passed as
     `(state.base, coord, z)`, the start center with the block coordinate
-    moved to z, and valued by the state's view if it has one; then stores
-    them as the next two ids and trisects the parent, which keeps its id.
+    moved to z, and valued by the store's view; then stores them as the
+    next two ids and trisects the parent, which keeps its id.
     On a `Stop` from the counter nothing is stored and the Stop
     propagates."""
     level_tuples, exact, values = (state._level_tuples, state._exact,
@@ -519,17 +516,24 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     if config.max_seconds is not None and not config.max_seconds > 0:
         raise ConfigError(f"max_seconds must be positive, got "
                           f"{config.max_seconds}")
+    for name in ("min_measure", "stall_eps"):
+        if not getattr(config, name) >= 0:
+            raise ConfigError(f"{name} must be nonnegative, got "
+                              f"{getattr(config, name)}")
+    if not (isinstance(config.stall_iters, numbers.Integral)
+            and config.stall_iters >= 0):
+        raise ConfigError(f"stall_iters must be a nonnegative integer, got "
+                          f"{config.stall_iters!r}")
     counter = counter if counter is not None else EvalCounter()
     coords, x = _block(problem, coords, base)
     counter.arm(problem, config.target_accuracy, config.max_seconds)
 
     start_count, f_before = counter.count, counter.best_f
     m = len(coords)
-    # the start center is the state's base; a one-coordinate run's one
-    # view, made there, values the start center too
+    # the start center is the state's base, and its view, made there,
+    # values the start center too
     state = PartitionState(m, counter, coords, problem.bounds, x,
-                           coordinate_view(problem.objective, x)
-                           if m == 1 else None)
+                           problem.coordinate_view(x))
     c = coords[0]
     reason = None
     # the start rectangle is stored even when the counter stops the run on

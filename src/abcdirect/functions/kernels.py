@@ -28,14 +28,14 @@ and for ackley, griewank and zakharov a finishing expression over the sums
 written as the addition of the negated term, which IEEE arithmetic defines
 it to be, and a first term that is a square is added to a start of 0.0,
 which leaves it as it is. The kernel adds a point's terms left to right
-(`_total`). Its coordinate view (`coordinate_view`, found in `VIEWS` by
-the kernel's identity) is built once from a point x and gives the kernel
-at x with coordinate i at z: it keeps x's terms and the running sum after
-each (`_fold`), and a probe adds the recomputed terms, then the cached
-later ones, to the running sum before the first term that i changes
-(`_resum`). The operations and their order are the kernel's, so the values
-are too, bit for bit. Any other objective, a Jones kernel or a wrapped
-kernel included, has no view and is called as it is.
+(`_total`). Each Hedar kernel carries the builder of its coordinate view
+as its `view` attribute. `kernel.view(x)`, built once at a point x, gives
+the kernel at x with coordinate i at z as a function of (i, z): it keeps
+x's terms and the running sum after each (`_fold`), and a probe adds the
+recomputed terms, then the cached later ones, to the running sum before
+the first term that i changes (`_resum`). The operations and their order
+are the kernel's, so the values are too, bit for bit. The Jones kernels
+have no `view`; `Problem.coordinate_view` stands in for them.
 """
 
 from __future__ import annotations
@@ -179,13 +179,9 @@ def _terms(start, term, x):
     return [start, *map(term, range(len(x)), x)]
 
 
-#: kernel function -> view builder, for the thirteen Hedar kernels
-VIEWS = {}
-
-
 def _one_sum(name, terms, probe):
     """The kernel `name`, which adds terms(x) left to right, with its view
-    builder in `VIEWS`: probe(fold, x) over the fold of the same terms.
+    builder as `view`: probe(fold, x) over the fold of the same terms.
     Both hand `terms` and `probe` the point as a list of floats."""
     def kernel(x):
         return _total(terms(x.tolist()))
@@ -194,7 +190,7 @@ def _one_sum(name, terms, probe):
         x = x.tolist()
         return probe(_fold(terms(x)), x)
     kernel.__name__ = kernel.__qualname__ = name
-    VIEWS[kernel] = build
+    kernel.view = build
     return kernel
 
 
@@ -207,8 +203,8 @@ def _separable(name, start, term):
 
 def _two_sums(name, first, second, finish):
     """The kernel `name`, finish(n, s1, s2) of the sums from 0.0 of
-    first(i, x[i]) and of second(i, x[i]), with its view builder in
-    `VIEWS`."""
+    first(i, x[i]) and of second(i, x[i]), with its view builder as
+    `view`."""
     def kernel(x):
         x = x.tolist()
         return finish(len(x), _total(_terms(0.0, first, x)),
@@ -222,7 +218,7 @@ def _two_sums(name, first, second, finish):
         return lambda i, z: finish(n, _resum(s1, i + 1, first(i, z)),
                                    _resum(s2, i + 1, second(i, z)))
     kernel.__name__ = kernel.__qualname__ = name
-    VIEWS[kernel] = build
+    kernel.view = build
     return kernel
 
 
@@ -286,7 +282,7 @@ def _griewank_view(x):
     return view
 
 
-VIEWS[griewank] = _griewank_view
+griewank.view = _griewank_view
 
 
 def _dixon_price_term(i, xi, xp):
@@ -448,20 +444,3 @@ KERNELS = {
     "H3": hartman3,
     "H6": hartman6,
 }
-
-
-def coordinate_view(objective, x):
-    """The view of `objective` at x, a float64 array: a function of
-    (i, z) that returns objective(x with x[i] = z), bit for bit. None for
-    an objective that is not itself one of the `VIEWS` kernels, and for an
-    x at which building the view overflows."""
-    try:
-        build = VIEWS.get(objective)
-    except TypeError:  # an unhashable objective is no kernel
-        return None
-    if build is None:
-        return None
-    try:
-        return build(x)
-    except OverflowError:
-        return None

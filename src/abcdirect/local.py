@@ -18,7 +18,6 @@ import numpy as np
 # dispatcher; np.minimum/np.maximum would differ from it on signed zeros
 from numpy._core.umath import clip as _clip
 
-from .functions.kernels import coordinate_view
 from .problem import (
     Bounds,
     ConfigError,
@@ -65,17 +64,15 @@ def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
     probe is the bound with more room. The steps are computed on Python
     floats, the same IEEE operations as on numpy scalars. Each probe moves
     one coordinate of x and goes to `evaluate_counted` as `(x, i, z)`,
-    which builds its point only if it needs one; x is not written. When
-    the objective is a Hedar kernel one coordinate view of it at x
-    (`functions.kernels.coordinate_view`) values every probe, bit for bit
-    as the kernel would; any other objective is called per probe.
+    valued by the problem's one coordinate view at x
+    (`Problem.coordinate_view`); x is not written.
     """
     x = np.asarray(x, dtype=float)
     if f0 is None:
         f0 = evaluate_counted(problem, x, counter)
     lower = problem.bounds.lower.tolist()
     upper = problem.bounds.upper.tolist()
-    view = coordinate_view(problem.objective, x)
+    view = problem.coordinate_view(x)
     g = np.empty_like(x)
     for i, xi in enumerate(x.tolist()):
         h = GRAD_STEP * max(1.0, abs(xi))
@@ -145,18 +142,21 @@ def sqp_local(problem: Problem, x0: np.ndarray,
     """Quasi-Newton descent from x0, at most `max_iters` steps; returns the
     best point seen.
 
-    `f0`, if given, is the value at x0, which must then lie in the closed
-    box: one outside it (a NaN coordinate included) raises ConfigError
-    before any evaluation. The search evaluates x0 only without `f0`, and
-    clips it into the box. Powell-damped BFGS keeps the model
-    positive definite. A line-search trial whose bytes equal the iterate's
-    ends the search as stationary: halving the step only keeps it rounded
-    away, and every later trial and gradient would repeat a point already
-    evaluated. A non-finite value raises NonFiniteValueError, as in every
-    phase. A `Stop` from the counter (its cap, deadline or target) ends the
-    search with the stop's `Reason` as its status, and its best pair then is
-    the counter's if a trial or gradient probe of this search is lower.
+    `max_iters` below 1 raises ConfigError before any evaluation. `f0`, if
+    given, is the value at x0, which must then lie in the closed box: one
+    outside it (a NaN coordinate included) raises ConfigError too. The
+    search evaluates x0 only without `f0`, and clips it into the box.
+    Powell-damped BFGS keeps the model positive definite. A line-search
+    trial whose bytes equal the iterate's ends the search as stationary:
+    halving the step only keeps it rounded away, and every later trial and
+    gradient would repeat a point already evaluated. A non-finite value
+    raises NonFiniteValueError, as in every phase. A `Stop` from the
+    counter (its cap, deadline or target) ends the search with the stop's
+    `Reason` as its status, and its best pair then is the counter's if a
+    trial or gradient probe of this search is lower.
     """
+    if not max_iters >= 1:
+        raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
     counter = counter if counter is not None else EvalCounter()
     bounds = problem.bounds
     x = np.asarray(x0, dtype=float)

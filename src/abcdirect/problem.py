@@ -8,13 +8,13 @@ itself.
 
 Every evaluation of a run goes through `evaluate_counted`, which charges
 the run's one `EvalCounter` and shows it the value. The point is a full
-point x, or a probe `(x, i, z)`: its base x with coordinate i moved to z.
-The value is the problem's, or, for a probe, a coordinate view's
-(`functions.kernels.coordinate_view`) at the base; both keep the rules of
-`finite_value`. A probe valued by a view is never built as an array unless
-its value improves the counter's best, which keeps it. The counter raises
-`Stop` at the evaluation where the cap, the deadline or the target holds,
-whatever phase the run is in.
+point x, valued by the problem, or a probe `(x, i, z)`, its base x with
+coordinate i moved to z, valued by a coordinate view at the base
+(`Problem.coordinate_view`); both keep the rules of `finite_value`. A probe
+is built as an array only where its view needs one or its value improves
+the counter's best, which keeps it. The counter raises `Stop` at the
+evaluation where the cap, the deadline or the target holds, whatever phase
+the run is in.
 """
 
 from __future__ import annotations
@@ -108,6 +108,26 @@ class Problem:
 
     def __call__(self, x: np.ndarray) -> float:
         return finite_value(self.objective, np.asarray(x, dtype=float))
+
+    def coordinate_view(self, x: np.ndarray) -> Callable[[int, float], float]:
+        """The objective at x, a float array, with one coordinate moved: a
+        function of (i, z) that returns objective(x with x[i] = z), bit for
+        bit, and never writes x.
+
+        An objective may carry a `view` attribute, a builder of such a
+        function from x that recomputes only what coordinate i touches; the
+        Hedar kernels do (`functions.kernels`). Its view is returned. For an
+        objective without one, a wrapped kernel included, and where building
+        it raises OverflowError, the view calls the objective on the probe,
+        built afresh."""
+        build = getattr(self.objective, "view", None)
+        if build is not None:
+            try:
+                return build(x)
+            except OverflowError:
+                pass
+        objective = self.objective
+        return lambda i, z: objective(_probe(x, i, z))
 
 
 def finite_value(f: Callable[..., float], x: np.ndarray,
@@ -221,26 +241,17 @@ def evaluate_counted(problem: Problem, x: np.ndarray, counter: EvalCounter,
     is raised before the evaluation on the cap or deadline, after it on
     the target. Every solver evaluates through this function.
 
-    With `i` None the point is x. With `i` given it is the probe x with
-    x[i] = z, and x, its base, is never written. `view`, which needs `i`,
-    is a coordinate view of the problem's objective at x
-    (`functions.kernels.coordinate_view`): the value is then `view(i, z)`,
-    the objective's value at the probe bit for bit, under the rules of
-    `Problem.__call__` (`finite_value`); the objective is not called, and
-    the probe is built only if its value improves the counter's best.
-    Without a view the probe is built once and the problem called on it.
+    With `i` None the point is x, and the value `problem(x)`. With `i`
+    given it is the probe x with x[i] = z, and x, its base, is never
+    written; `view` is then the problem's `coordinate_view` at x, and the
+    value `view(i, z)`, under the rules of `Problem.__call__`
+    (`finite_value`).
 
-    The counter keeps the array it is handed: a view's probe, built for
-    it, or a copy of a point the objective has seen, since the objective
-    may keep that array.
+    The counter keeps the array it is handed: a probe, built for it, or a
+    copy of a full point, since the objective may keep that array.
     """
     counter.charge()
-    if view is None:
-        if i is not None:  # built once; from here on a full point
-            x, i = _probe(x, i, z), None
-        value = problem(x)
-    else:
-        value = finite_value(view, x, i, z)
+    value = problem(x) if i is None else finite_value(view, x, i, z)
     if value < counter.best_f:
         counter.improve(np.array(x, dtype=float) if i is None
                         else _probe(x, i, z), value)

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abcdirect.direct as direct_mod
-import abcdirect.functions.kernels as kernels
 import abcdirect.problem as problem_mod
 from abcdirect.abcd import (
     DEEP_CAP_FACTOR,
@@ -486,7 +485,8 @@ class TestDivision:
 
         problem = Problem(f, bounds)
         base = bounds.lower + 0.3 * bounds.width
-        state = PartitionState(1, EvalCounter(), (1,), bounds, base)
+        state = PartitionState(1, EvalCounter(), (1,), bounds, base,
+                               problem.coordinate_view(base))
         num = 3465416158634719
         start = base.copy()
         start[1] = lower[1] + num / (2 * 3.0 ** 32) * width[1]
@@ -723,6 +723,30 @@ class TestDirectSolve:
             direct_solve(problem, DirectConfig(max_evals=500,
                                                **{field: value}), counter)
         assert counter.count == 0 and not counter.armed
+
+    @pytest.mark.parametrize("field,stops", [
+        ("stall_iters", dict(stall_iters=-1)),
+        ("stall_iters", dict(stall_iters=2.5)),
+        ("stall_iters", dict(stall_iters=math.nan)),
+        ("stall_eps", dict(stall_iters=5, stall_eps=math.nan)),
+        ("stall_eps", dict(stall_iters=5, stall_eps=-1.0)),
+        ("min_measure", dict(min_measure=math.nan)),
+        ("min_measure", dict(min_measure=-1.0))])
+    def test_rejects_a_stall_stop_that_can_never_fire(self, field, stops):
+        # on sphere-2 each of these but the fractional streak, which counts
+        # no iterations, used to disable its stop without a word: the run
+        # spent its whole budget, 3003 evaluations, and ended on
+        # eval_budget, where the valid stop ends it at 567
+        problem = get_function("sphere", 2)[0]
+        counter = EvalCounter()
+        with pytest.raises(ConfigError, match=field):
+            direct_solve(problem, DirectConfig(max_evals=3000, **stops),
+                         counter)
+        assert counter.count == 0 and not counter.armed
+        res = direct_solve(problem, DirectConfig(
+            max_evals=3000, target_accuracy=0.0, stall_iters=5,
+            stall_eps=1e-8))
+        assert (res.evals, res.reason) == (567, Reason.GLOBAL_STALL)
 
     def test_a_budget_of_one_evaluation_stops_before_the_first_division(
             self):
@@ -1121,7 +1145,7 @@ class TestIntervalStore:
         values = res.state._values
         assert (values.count(res.f_min) > 1) == plateau
 
-    def test_a_view_values_the_start_center(self, monkeypatch):
+    def test_a_view_values_the_start_center(self):
         # a kernel with a coordinate view is called for none of a
         # one-coordinate run's evaluations, its start center included, and
         # the run is the one the kernel makes without a view, bit for bit
@@ -1137,7 +1161,7 @@ class TestIntervalStore:
                 calls.append(x.tobytes())
                 return kernel(x)
             if viewed:
-                monkeypatch.setitem(kernels.VIEWS, f, kernels.VIEWS[kernel])
+                f.view = kernel.view
             res = direct_solve(Problem(f, bounds), config, coords=[3],
                                base=base)
             runs.append((res.f_min, res.x_min.tobytes(), res.evals,

@@ -58,7 +58,6 @@ import sys
 import numpy as np
 import pytest
 
-import abcdirect.abcd as abcd_mod
 import abcdirect.direct as direct_mod
 import abcdirect.local as local_mod
 import abcdirect.runner as runner_mod
@@ -66,22 +65,47 @@ from abcdirect.abcd import AbcdConfig, abcd_solve, choose_start, start_samples
 from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.functions import get_function
 from abcdirect.local import sqp_local
-from abcdirect.problem import EvalCounter, Problem, Reason, Stop
+from abcdirect.problem import EvalCounter, Problem, Reason
 from abcdirect.runner import RunSpec, run_single
+
+
+class Entries(list):
+    """The entries of a `recording`, and how many of them its forwarded
+    coordinate view made."""
+
+    viewed = 0
 
 
 def recording(problem):
     """Wrap a problem so every evaluation appends one entry, the bytes of
     its user-space point and of its value, to `entries`, in evaluation
-    order."""
-    entries = []
+    order. An objective with a coordinate view keeps it: the wrapper's
+    `view` values each probe through the objective's, and records it as
+    its point, rebuilt from the view's base and (i, z), so the pins cover
+    the path a run takes unwrapped."""
+    entries = Entries()
     base = problem.objective
+
+    def record(x, value):
+        entries.append(np.asarray(x, dtype="<f8").tobytes()
+                       + struct.pack("<d", float(value)))
 
     def obj(x):
         value = base(x)
-        entries.append(np.asarray(x, dtype="<f8").tobytes()
-                       + struct.pack("<d", float(value)))
+        record(x, value)
         return value
+
+    if hasattr(base, "view"):
+        def build(x):
+            view = base.view(x)
+
+            def recorded(i, z):
+                value = view(i, z)
+                record(probe_point(x, i, z), value)
+                entries.viewed += 1
+                return value
+            return recorded
+        obj.view = build
 
     return Problem(obj, problem.bounds, problem.known_optimum), entries
 
@@ -234,10 +258,11 @@ def unit_cube_probes(monkeypatch):
     evaluation, to check and record it. A probe reaches `evaluate_counted`
     as its base with one coordinate moved, `(x, i, z)`; the point checked
     is the probe, and the base must come out of the evaluation
-    byte-identical."""
+    byte-identical, as it must from every evaluation of the polish."""
     seen = []
     context = []  # [start?, point before, {coordinate: candidate z}]
     block, evaluate = direct_mod._block, direct_mod.evaluate_counted
+    local_evaluate = local_mod.evaluate_counted
 
     def recording_block(problem, coords, base):
         coords, x = block(problem, coords, base)
@@ -286,11 +311,19 @@ def unit_cube_probes(monkeypatch):
         finally:
             assert base.tobytes() == base_bytes
 
+    def polish_evaluate(problem, base, counter, view=None, i=None, z=0.0):
+        base_bytes = base.tobytes()
+        try:
+            return local_evaluate(problem, base, counter, view, i, z)
+        finally:
+            assert base.tobytes() == base_bytes
+
     monkeypatch.setattr(direct_mod, "_block", recording_block)
     for name in ("sample_and_divide", "divide_interval"):
         monkeypatch.setattr(direct_mod, name,
                             recording(getattr(direct_mod, name)))
     monkeypatch.setattr(direct_mod, "evaluate_counted", recording_evaluate)
+    monkeypatch.setattr(local_mod, "evaluate_counted", polish_evaluate)
     return seen
 
 
@@ -300,6 +333,8 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
     run, *want = CASES[case]
     entries, *trace = run()
     assert (digest(entries), len(entries), *trace) == tuple(want)
+    # a Hedar kernel's probes take their values from the kernel's own view
+    assert (entries.viewed > 0) == ("griewank" in case or "rastrigin" in case)
     count = len(entries)
     if case.startswith("sqp-"):
         # the polish evaluates in user space only
@@ -313,48 +348,6 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
         assert len(unit_cube_probes) == count
     z = np.concatenate(unit_cube_probes)
     assert ((z > 0.0) & (z < 1.0)).all()
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_the_pins_hold_through_the_views(case, monkeypatch):
-    # `recording` wraps the kernel, and a wrapped kernel has no coordinate
-    # view, so the pins above call the kernel at every evaluation. Here
-    # the problem keeps its kernel and each evaluation is recorded where
-    # it is made, so a Hedar kernel's probes take their values from views;
-    # the pins must hold all the same. Each probe is recorded as the point
-    # it stands for, rebuilt from its base and (i, z), and the base must
-    # come out of the evaluation byte-identical
-    entries, viewed = [], []
-    evaluate = direct_mod.evaluate_counted
-
-    def record(x, value):
-        entries.append(np.asarray(x, dtype="<f8").tobytes()
-                       + struct.pack("<d", value))
-
-    def recording_evaluate(problem, base, counter, view=None, i=None,
-                           z=0.0):
-        count, base_bytes = counter.count, base.tobytes()
-        x = probe_point(base, i, z)
-        try:
-            value = evaluate(problem, base, counter, view, i, z)
-        except Stop:
-            if counter.count > count:  # the target, after the evaluation
-                record(x, counter.best_f)
-            raise
-        finally:
-            assert base.tobytes() == base_bytes
-        record(x, value)
-        viewed.append(view is not None)
-        return value
-
-    for module in (direct_mod, local_mod, abcd_mod):
-        monkeypatch.setattr(module, "evaluate_counted", recording_evaluate)
-    monkeypatch.setattr(sys.modules[__name__], "recording",
-                        lambda problem: (problem, entries))
-    run, *want = CASES[case]
-    _, *trace = run()
-    assert (digest(entries), len(entries), *trace) == tuple(want)
-    assert any(viewed) == ("griewank" in case or "rastrigin" in case)
 
 
 def test_target_stop_only_cuts_the_tail():

@@ -17,7 +17,7 @@ from abcdirect.functions.registry import (
     list_functions,
     validate_registry,
 )
-from abcdirect.problem import Bounds
+from abcdirect.problem import Bounds, Problem
 
 # pins every Shekel/Hartman coefficient: an edit to any entry fails here
 DATA_SHA256 = "a8fe8e8326898dbc154b854ae542aeb1f298b991b9574aa9ce4ded8b8a487aee"
@@ -281,7 +281,7 @@ def view_mismatches(name, n, points=40):
     zs = [*special, *rng.uniform(mid - half, mid + half, size=(len(xs), n))]
     bad = 0
     for k, x in enumerate(xs):
-        view = kernels.coordinate_view(kernel, x)
+        view = kernel.view(x)
         for i in range(n):
             for z in (*zs[:len(special)], zs[len(special) + k]):
                 probe = x.copy()
@@ -318,35 +318,52 @@ class TestCoordinateViews:
     def test_every_hedar_kernel_and_no_jones_kernel_has_a_view(self):
         hedar = {kernels.KERNELS[registry._REGISTRY[name].kernel_name]
                  for name in HEDAR_NAMES}
-        assert set(kernels.VIEWS) == hedar and len(hedar) == 13
+        viewed = {k for k in kernels.KERNELS.values() if hasattr(k, "view")}
+        assert viewed == hedar and len(hedar) == 13
         for name in JONES_NAMES:
             problem, _ = get_function(name)
             assert problem.objective in kernels.KERNELS.values()
-            assert kernels.coordinate_view(
-                problem.objective, problem.bounds.lower) is None
+            assert not hasattr(problem.objective, "view")
 
     def test_only_the_kernel_itself_has_a_view(self):
-        # a view is found by the objective's identity: a wrapped kernel and
-        # an unhashable callable have none
-        x = np.zeros(4)
-        assert kernels.coordinate_view(kernels.sphere, x)(0, 2.0) == 4.0
-        assert kernels.coordinate_view(lambda x: kernels.sphere(x),
-                                       x) is None
+        # a wrapped kernel has no view of its own: each probe calls the
+        # wrapper once, on the probe's point, and takes its value byte for
+        # byte; the base is not written
+        seen = []
 
-        class Unhashable:
-            __hash__ = None
-
-            def __call__(self, x):
-                return 0.0
-        assert kernels.coordinate_view(Unhashable(), x) is None
+        def wrapped(x):
+            seen.append(x.tolist())
+            return kernels.sphere(x)
+        problem = Problem(wrapped, Bounds(np.full(4, -5.0), np.full(4, 5.0)))
+        x = np.array([0.5, -1.0, 2.0, 3.0])
+        view = problem.coordinate_view(x)
+        assert seen == []
+        for i in range(x.size):
+            probe = x.copy()
+            probe[i] = z = 0.25 * i - 1.5
+            got = view(i, z)
+            assert seen == [probe.tolist()]
+            assert struct.pack("<d", got) == struct.pack("<d", wrapped(probe))
+            seen.clear()
+        assert x.tolist() == [0.5, -1.0, 2.0, 3.0]
 
     def test_a_view_is_not_built_where_the_kernel_overflows(self):
         # rosenbrock's `** 2` raises OverflowError past about 1e154, where
-        # the kernel's value is inf; the probes then call the kernel
+        # the kernel's value is inf: its view is not built there, and the
+        # probes call the kernel
         x = np.array([1e154, 0.0, 0.0, 0.0])
         with pytest.raises(OverflowError):
             kernels.rosenbrock(x)
-        assert kernels.coordinate_view(kernels.rosenbrock, x) is None
+        with pytest.raises(OverflowError):
+            kernels.rosenbrock.view(x)
+        problem = Problem(kernels.rosenbrock,
+                          Bounds(np.full(4, -2e154), np.full(4, 2e154)))
+        view = problem.coordinate_view(x)
+        probe = np.array([0.5, 0.0, 0.0, 0.0])
+        assert (struct.pack("<d", view(0, 0.5))
+                == struct.pack("<d", kernels.rosenbrock(probe)))
+        with pytest.raises(OverflowError):
+            view(1, 0.5)
 
     def test_a_wrapped_kernel_evaluates_through_the_kernel(self):
         # an ABCD run on a problem whose objective wraps the kernel calls

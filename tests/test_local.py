@@ -353,6 +353,19 @@ class TestSqpLocal:
         res = sqp_local(p, np.array([1.0]), counter, f0=1.0)
         assert res.f < 1.0
 
+    def test_an_iteration_cap_below_one_is_refused(self):
+        # max_iters 0 or -3 used to spend 3 evaluations on sphere-2, x0 and
+        # a gradient no step used, then report iter_cap after 0 iterations
+        p, pts = recording(Problem(lambda x: float(x @ x),
+                                   Bounds(np.full(2, -5.0), np.full(2, 5.0))))
+        counter = EvalCounter()
+        for max_iters in (0, -3, math.nan):
+            with pytest.raises(ConfigError, match="max_iters"):
+                sqp_local(p, np.ones(2), counter, max_iters=max_iters)
+        assert counter.count == 0 and not pts
+        res = sqp_local(p, np.ones(2), counter, max_iters=1)
+        assert res.iterations == 1 and res.f < 2.0
+
     def test_start_value_from_the_caller_is_not_evaluated_again(self):
         # with f0 the search makes the same evaluations as without it but
         # the first, the start point, and ends the same, bit for bit

@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 import abcdirect
 from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.functions import get_function
-from abcdirect.functions.kernels import coordinate_view
 from abcdirect.functions.registry import HEDAR_NAMES
+from abcdirect.local import fd_gradient
 from abcdirect.problem import (
     Bounds,
     ConfigError,
@@ -149,7 +149,7 @@ class TestProbes:
                     Bounds(np.zeros(3), np.ones(3)))
         x = np.array([0.1, 0.2, 0.3])
         counter = EvalCounter()
-        value = evaluate_counted(p, x, counter, None, 1, 0.9)
+        value = evaluate_counted(p, x, counter, p.coordinate_view(x), 1, 0.9)
         assert [a.tolist() for a in seen] == [[0.1, 0.9, 0.3]]
         assert value == float(seen[0].sum())
         assert x.tolist() == [0.1, 0.2, 0.3]
@@ -162,7 +162,7 @@ class TestProbes:
         problem = get_function("rastrigin", 4)[0]
         x = problem.bounds.lower + 0.3 * problem.bounds.width
         base = x.tobytes()
-        view = coordinate_view(problem.objective, x)
+        view = problem.coordinate_view(x)
         counter = EvalCounter()
         probe = x.copy()
         probe[2] = z = 0.0  # rastrigin's best value of a coordinate
@@ -201,26 +201,95 @@ class TestProbes:
         assert counter.best_x.tolist() == [1.0, 2.0]
 
 
+class UserView:
+    """A user's objective that is no kernel but has a coordinate view of
+    its own: the weighted squares of x - 0.3, added left to right on Python
+    floats, by the objective and by the view alike. `calls` counts the
+    objective's calls and `probes` the view's."""
+
+    def __init__(self, with_view=True):
+        self.calls = self.probes = 0
+        if with_view:
+            self.view = self.build
+
+    @staticmethod
+    def value(xs):
+        acc = 0.0
+        for k, v in enumerate(xs):
+            acc += (k + 1) * (v - 0.3) ** 2
+        return acc
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.value(x.tolist())
+
+    def build(self, x):
+        xs = x.tolist()
+
+        def view(i, z):
+            self.probes += 1
+            probe = list(xs)
+            probe[i] = z
+            return self.value(probe)
+        return view
+
+
+class TestUserViews:
+    # an objective's own `view` values every probe, whoever wrote it; the
+    # objective itself is then called only at full points
+    BOUNDS = Bounds(np.full(3, -1.0), np.full(3, 2.0))
+
+    def test_direct_probes_take_the_objectives_view(self):
+        runs = []
+        for objective in (UserView(), UserView(with_view=False)):
+            res = direct_solve(Problem(objective, self.BOUNDS),
+                               DirectConfig(max_evals=200,
+                                            target_accuracy=0.0))
+            runs.append((res.f_min, res.x_min.tobytes(), res.evals,
+                         res.trace))
+            viewed = hasattr(objective, "view")
+            assert (objective.calls, objective.probes) == (
+                (0, res.evals) if viewed else (res.evals, 0))
+        assert runs[0] == runs[1]
+
+    def test_fd_gradient_probes_take_the_objectives_view(self):
+        x = np.array([0.1, 1.5, -0.4])
+        grads = []
+        for objective in (UserView(), UserView(with_view=False)):
+            problem = Problem(objective, self.BOUNDS)
+            counter = EvalCounter()
+            grads.append(fd_gradient(problem, x, counter).tobytes())
+            viewed = hasattr(objective, "view")
+            assert counter.count == 4
+            assert (objective.calls, objective.probes) == (
+                (1, 3) if viewed else (4, 0))
+        assert grads[0] == grads[1]
+
+
 class TestViewParity:
-    # a probe valued by a coordinate view is charged and checked as one
-    # that calls the kernel: an OverflowError is inf and a value that is
-    # not finite raises, after the evaluation is counted, naming the probe
+    # a probe is charged and checked by the same rules through the kernel's
+    # own view and through the view of an objective without one: an
+    # OverflowError is inf and a value that is not finite raises, after
+    # the evaluation is counted, naming the probe
     @staticmethod
     def both_paths(problem, x, i, z):
         """The counters of one probe `(x, i, z)`, x with x[i] = z, charged
-        through the view at x and through the kernel; both must raise
-        NonFiniteValueError with the probe's point, not its base's, in the
-        message, and leave x as it was."""
-        view = coordinate_view(problem.objective, x)
-        assert view is not None
+        through the kernel's view at x and through the view of a wrapper of
+        the kernel, which calls it; both must raise NonFiniteValueError with
+        the probe's point, not its base's, in the message, and leave x as
+        it was."""
+        kernel = problem.objective
+        assert hasattr(kernel, "view")
+        wrapped = Problem(lambda p: kernel(p), problem.bounds)
         probe = x.copy()
         probe[i] = z
         base = x.tobytes()
         counters = []
-        for path in (view, None):
+        for owner in (problem, wrapped):
             counter = EvalCounter(cap=10)
             with pytest.raises(NonFiniteValueError) as error:
-                evaluate_counted(problem, x, counter, path, i, z)
+                evaluate_counted(owner, x, counter, owner.coordinate_view(x),
+                                 i, z)
             assert repr(probe) in str(error.value)
             assert repr(x) not in str(error.value)
             assert x.tobytes() == base
@@ -258,6 +327,51 @@ def test_evaluate_counted_is_the_one_evaluation_site():
                     sites.append((path.name, fn.name, node.func.attr))
     assert sorted(sites) == [("problem.py", "evaluate_counted", "charge"),
                              ("problem.py", "evaluate_counted", "improve")]
+
+
+def _reads_a_view(node):
+    """Whether `node` reads an objective's `view`: `getattr` or `hasattr`
+    of "view", or `.view` of an `objective`."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return (node.func.id in ("getattr", "hasattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "view")
+    if isinstance(node, ast.Attribute) and node.attr == "view":
+        owner = node.value
+        return isinstance(node.ctx, ast.Load) and (
+            isinstance(owner, ast.Name) and owner.id == "objective"
+            or isinstance(owner, ast.Attribute) and owner.attr == "objective")
+    return False
+
+
+def test_the_problem_alone_finds_an_objectives_view():
+    # solver code takes a coordinate view from `Problem.coordinate_view`:
+    # no module outside `functions/` imports the kernels, and no other
+    # function reads an objective's `view`
+    root = pathlib.Path(abcdirect.__file__).parent
+    imports, reads = [], set()
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}"
+                           for alias in node.names]
+            else:
+                continue
+            if (any(m.split(".")[-1] == "kernels" or ".kernels." in m
+                    for m in modules)
+                    and not name.startswith("functions/")):
+                imports.append(name)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                reads.update((name, fn.name) for node in ast.walk(fn)
+                             if _reads_a_view(node))
+    assert imports == []
+    assert reads == {("problem.py", "coordinate_view")}
 
 
 class TestNormalization:

@@ -70,7 +70,10 @@ def test_direct_solve_calls_count_abcd_subproblems(monkeypatch):
     # ABCD runs each subproblem as `direct_solve` over a block of the full
     # problem, so the tracer's `direct.solve_calls` counts the subproblems;
     # the counters of the standalone `make_subproblem` restriction stay at
-    # zero, and every evaluation goes through `Problem.__call__` once
+    # zero, and every evaluation calls the kernel once. A probe is valued
+    # by a coordinate view, which calls a wrapped kernel itself, so only
+    # the full points, the start samples and the polish's own points, go
+    # through `Problem.__call__`
     monkeypatch.syspath_prepend(str(BENCH))
     from tracer import Tracer
 
@@ -87,7 +90,11 @@ def test_direct_solve_calls_count_abcd_subproblems(monkeypatch):
     assert metrics["abcd.subproblems"][0] == 0
     assert metrics["abcd.make_subproblem_s"][0] == 0.0
     assert tracer.calls["block_objective"] == 0
-    assert tracer.calls["Problem.__call__"] == tracer.evals == result.evals
+    assert tracer.calls["kernel"] == tracer.evals == result.evals
+    obs = tracer.obs
+    assert obs["local.fd_evals"] > 0
+    assert tracer.calls["Problem.__call__"] == (
+        obs["abcd.evals_start"] + obs["local.evals"] - obs["local.fd_evals"])
 
 
 # two pins of tests/test_eval_sequence.py: coordinate-only with two
