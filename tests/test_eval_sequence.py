@@ -58,14 +58,16 @@ import sys
 import numpy as np
 import pytest
 
+import abcdirect.abcd as abcd_mod
 import abcdirect.direct as direct_mod
 import abcdirect.local as local_mod
+import abcdirect.problem as problem_mod
 import abcdirect.runner as runner_mod
 from abcdirect.abcd import AbcdConfig, abcd_solve, choose_start, start_samples
 from abcdirect.direct import DirectConfig, direct_solve
 from abcdirect.functions import get_function
 from abcdirect.local import sqp_local
-from abcdirect.problem import EvalCounter, Problem, Reason
+from abcdirect.problem import EvalCounter, Problem, Reason, Stop
 from abcdirect.runner import RunSpec, run_single
 
 
@@ -348,6 +350,43 @@ def test_evaluation_sequence_is_pinned(case, unit_cube_probes):
         assert len(unit_cube_probes) == count
     z = np.concatenate(unit_cube_probes)
     assert ((z > 0.0) & (z < 1.0)).all()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_pins_hold_through_the_views(case, monkeypatch):
+    # the pins above record each evaluation in the objective, through the
+    # view the recorder forwards. Here the problem keeps its own kernel and
+    # each evaluation is recorded where it is charged, in
+    # `evaluate_counted`, the probe rebuilt from its base and (i, z); the
+    # pins must hold all the same
+    entries, viewed = [], []
+    evaluate = problem_mod.evaluate_counted
+
+    def record(x, value):
+        entries.append(np.asarray(x, dtype="<f8").tobytes()
+                       + struct.pack("<d", value))
+
+    def recording_evaluate(problem, x, counter, view=None, i=None, z=0.0):
+        count = counter.count
+        try:
+            value = evaluate(problem, x, counter, view, i, z)
+        except Stop:
+            if counter.count > count:  # the target, after the evaluation
+                record(probe_point(x, i, z), counter.best_f)
+            raise
+        record(probe_point(x, i, z), value)
+        # every probe is valued through a view; a Hedar kernel's is its own
+        viewed.append(i is not None and hasattr(problem.objective, "view"))
+        return value
+
+    for module in (direct_mod, local_mod, abcd_mod):
+        monkeypatch.setattr(module, "evaluate_counted", recording_evaluate)
+    monkeypatch.setattr(sys.modules[__name__], "recording",
+                        lambda problem: (problem, entries))
+    run, *want = CASES[case]
+    _, *trace = run()
+    assert (digest(entries), len(entries), *trace) == tuple(want)
+    assert any(viewed) == ("griewank" in case or "rastrigin" in case)
 
 
 def test_target_stop_only_cuts_the_tail():
