@@ -20,7 +20,7 @@ Every probe is its parent's center with one coordinate moved. So a
 division builds the problem's coordinate view at the parent's center
 (`Problem.coordinate_view`), and passes each probe to `evaluate_counted` as
 `(center, i, z)`, the center with coordinate i moved to z, valued by that
-view. A Hedar kernel's view recomputes only the terms the moved coordinate
+view. A kernel's view recomputes only the terms the moved coordinate
 touches, bit for bit the kernel's value, and builds no point: only a probe
 whose value improves the counter's best becomes an array, the one the
 counter's best pair keeps.
@@ -108,8 +108,9 @@ class PartitionState:
     - `base`: a float64 array, the run's start center (`_block`); its
       block coordinates are never read.
     - `view`: the problem's coordinate view at `base`
-      (`Problem.coordinate_view`), which values the start center and every
-      probe of `divide_interval`; a store that neither reads may have None.
+      (`Problem.coordinate_view`), which values `direct_solve`'s start
+      center and every probe of `divide_interval`. A one-coordinate store
+      without one raises ConfigError; a larger one may have None.
 
     Layout, by rectangle id:
     - `_level_tuples`: one level tuple of length n per rectangle, the one
@@ -140,6 +141,9 @@ class PartitionState:
 
     def __init__(self, n: int, counter: EvalCounter, coords: tuple,
                  bounds: Bounds, base: np.ndarray, view=None):
+        if n == 1 and view is None:
+            # `divide_interval` would charge its first probe, then fail
+            raise ConfigError("a one-coordinate store needs a view")
         self.n, self.counter, self.coords, self.base = n, counter, coords, base
         self.lower, self.width = bounds.lower.tolist(), bounds.width.tolist()
         self.view = view

@@ -34,8 +34,13 @@ the kernel at x with coordinate i at z as a function of (i, z): it keeps
 x's terms and the running sum after each (`_fold`), and a probe adds the
 recomputed terms, then the cached later ones, to the running sum before
 the first term that i changes (`_resum`). The operations and their order
-are the kernel's, so the values are too, bit for bit. The Jones kernels
-have no `view`; `Problem.coordinate_view` stands in for them.
+are the kernel's, so the values are too, bit for bit.
+
+The nine Jones kernels carry a `view` too. A Shekel or Hartman view keeps,
+per coordinate, the terms of each well or exponent that the coordinate does
+not touch, and a probe recomputes the one it does and adds them all in the
+kernel's order; the Shubert view keeps both one-coordinate sums, and the
+other two-coordinate views bind the coordinate a probe keeps.
 """
 
 from __future__ import annotations
@@ -68,17 +73,27 @@ _HARTMAN6_TERMS = [(c, *a, *p) for c, a, p in zip(
     HARTMAN6_C.tolist(), HARTMAN6_A.tolist(), HARTMAN6_P.tolist())]
 
 
-def branin(x):
-    x1, x2 = x.tolist()
-    b = 5.1 / (4.0 * math.pi ** 2)
-    c = 5.0 / math.pi
-    t = 1.0 / (8.0 * math.pi)
-    return ((x2 - b * x1 * x1 + c * x1 - 6.0) ** 2
-            + 10.0 * (1.0 - t) * math.cos(x1) + 10.0)
+# -- the Jones functions: kernels and views ----------------------------
+#
+# A Shekel or Hartman view keeps, per coordinate i, one row per well or
+# exponent: x[i]'s data, the running sum of the terms before x[i]'s and the
+# terms after it, all built once at the view's point. A probe at i computes
+# x[i]'s term afresh and adds the row left to right, as the kernel does. At
+# i = 0 no term comes before it, so the sum starts from it. Each coordinate
+# has its own unrolled loop over its rows: with an inner loop over a slice
+# of cached terms per row, a probe of S10 cost more than the kernel.
+
+_BRANIN_B = 5.1 / (4.0 * math.pi ** 2)
+_BRANIN_C = 5.0 / math.pi
+_BRANIN_T = 1.0 / (8.0 * math.pi)
 
 
-def goldstein_price(x):
-    x1, x2 = x.tolist()
+def _branin(x1, x2):
+    return ((x2 - _BRANIN_B * x1 * x1 + _BRANIN_C * x1 - 6.0) ** 2
+            + 10.0 * (1.0 - _BRANIN_T) * math.cos(x1) + 10.0)
+
+
+def _goldstein_price(x1, x2):
     a = (1.0 + (x1 + x2 + 1.0) ** 2
          * (19.0 - 14.0 * x1 + 3.0 * x1 * x1 - 14.0 * x2
             + 6.0 * x1 * x2 + 3.0 * x2 * x2))
@@ -88,20 +103,50 @@ def goldstein_price(x):
     return a * b
 
 
-def camel6(x):
-    x1, x2 = x.tolist()
+def _camel6(x1, x2):
     return ((4.0 - 2.1 * x1 * x1 + x1 ** 4 / 3.0) * x1 * x1
             + x1 * x2 + (-4.0 + 4.0 * x2 * x2) * x2 * x2)
 
 
+def _two_d(name, formula):
+    """The kernel `name`, formula(x1, x2), with its view builder as
+    `view`: a probe binds the coordinate it does not move."""
+    def kernel(x):
+        x1, x2 = x.tolist()
+        return formula(x1, x2)
+
+    def build(x):
+        x1, x2 = x.tolist()
+        return lambda i, z: formula(z, x2) if i == 0 else formula(x1, z)
+    kernel.__name__ = kernel.__qualname__ = name
+    kernel.view = build
+    return kernel
+
+
+branin = _two_d("branin", _branin)
+goldstein_price = _two_d("goldstein_price", _goldstein_price)
+camel6 = _two_d("camel6", _camel6)
+
+
+def _shubert_sum(xk):
+    s = 0.0
+    for j in range(1, 6):
+        s += j * math.cos((j + 1) * xk + j)
+    return s
+
+
 def shubert(x):
     x1, x2 = x.tolist()
-    s1 = 0.0
-    s2 = 0.0
-    for j in range(1, 6):
-        s1 += j * math.cos((j + 1) * x1 + j)
-        s2 += j * math.cos((j + 1) * x2 + j)
-    return s1 * s2
+    return _shubert_sum(x1) * _shubert_sum(x2)
+
+
+def _shubert_view(x):
+    s1, s2 = map(_shubert_sum, x.tolist())
+    return lambda i, z: (_shubert_sum(z) * s2 if i == 0
+                         else s1 * _shubert_sum(z))
+
+
+shubert.view = _shubert_view
 
 
 def _shekel(x, wells):
@@ -111,6 +156,43 @@ def _shekel(x, wells):
         total -= 1.0 / ((x0 - a0) ** 2 + (x1 - a1) ** 2 + (x2 - a2) ** 2
                         + (x3 - a3) ** 2 + c)
     return total
+
+
+def _shekel_view(wells):
+    """The view builder of the Shekel kernel over `wells`. A row is
+    (a_i, the sum of the terms before x[i]'s (none at i = 0), the terms
+    after it, c)."""
+    def build(x):
+        x0, x1, x2, x3 = x.tolist()
+        rows0, rows1, rows2, rows3 = [], [], [], []
+        for a0, a1, a2, a3, c in wells:
+            t0 = (x0 - a0) ** 2
+            t1 = (x1 - a1) ** 2
+            t2 = (x2 - a2) ** 2
+            t3 = (x3 - a3) ** 2
+            rows0.append((a0, t1, t2, t3, c))
+            rows1.append((a1, t0, t2, t3, c))
+            s = t0 + t1
+            rows2.append((a2, s, t3, c))
+            rows3.append((a3, s + t2, c))
+
+        def view(i, z):
+            total = 0.0
+            if i == 0:
+                for a, t1, t2, t3, c in rows0:
+                    total -= 1.0 / ((z - a) ** 2 + t1 + t2 + t3 + c)
+            elif i == 1:
+                for a, s, t2, t3, c in rows1:
+                    total -= 1.0 / (s + (z - a) ** 2 + t2 + t3 + c)
+            elif i == 2:
+                for a, s, t3, c in rows2:
+                    total -= 1.0 / (s + (z - a) ** 2 + t3 + c)
+            else:
+                for a, s, c in rows3:
+                    total -= 1.0 / (s + (z - a) ** 2 + c)
+            return total
+        return view
+    return build
 
 
 def shekel5(x):
@@ -125,6 +207,11 @@ def shekel10(x):
     return _shekel(x, _SHEKEL_WELLS)
 
 
+shekel5.view = _shekel_view(_SHEKEL5)
+shekel7.view = _shekel_view(_SHEKEL7)
+shekel10.view = _shekel_view(_SHEKEL_WELLS)
+
+
 def hartman3(x):
     x0, x1, x2 = x.tolist()
     total = 0.0
@@ -132,6 +219,37 @@ def hartman3(x):
         total -= c * math.exp(-(a0 * (x0 - p0) ** 2 + a1 * (x1 - p1) ** 2
                                 + a2 * (x2 - p2) ** 2))
     return total
+
+
+def _hartman3_view(x):
+    # a row is (c, a_i, p_i, the sum of the exponent's terms before x[i]'s
+    # (none at i = 0), the terms after it)
+    x0, x1, x2 = x.tolist()
+    rows0, rows1, rows2 = [], [], []
+    for c, a0, a1, a2, p0, p1, p2 in _HARTMAN3_TERMS:
+        e0 = a0 * (x0 - p0) ** 2
+        e1 = a1 * (x1 - p1) ** 2
+        e2 = a2 * (x2 - p2) ** 2
+        rows0.append((c, a0, p0, e1, e2))
+        rows1.append((c, a1, p1, e0, e2))
+        rows2.append((c, a2, p2, e0 + e1))
+
+    def view(i, z):
+        total = 0.0
+        if i == 0:
+            for c, a, p, e1, e2 in rows0:
+                total -= c * math.exp(-(a * (z - p) ** 2 + e1 + e2))
+        elif i == 1:
+            for c, a, p, s, e2 in rows1:
+                total -= c * math.exp(-(s + a * (z - p) ** 2 + e2))
+        else:
+            for c, a, p, s in rows2:
+                total -= c * math.exp(-(s + a * (z - p) ** 2))
+        return total
+    return view
+
+
+hartman3.view = _hartman3_view
 
 
 def hartman6(x):
@@ -142,6 +260,57 @@ def hartman6(x):
                                 + a2 * (x2 - p2) ** 2 + a3 * (x3 - p3) ** 2
                                 + a4 * (x4 - p4) ** 2 + a5 * (x5 - p5) ** 2))
     return total
+
+
+def _hartman6_view(x):
+    # the rows of `_hartman3_view`
+    x0, x1, x2, x3, x4, x5 = x.tolist()
+    rows0, rows1, rows2, rows3, rows4, rows5 = [], [], [], [], [], []
+    for c, a0, a1, a2, a3, a4, a5, p0, p1, p2, p3, p4, p5 in _HARTMAN6_TERMS:
+        e0 = a0 * (x0 - p0) ** 2
+        e1 = a1 * (x1 - p1) ** 2
+        e2 = a2 * (x2 - p2) ** 2
+        e3 = a3 * (x3 - p3) ** 2
+        e4 = a4 * (x4 - p4) ** 2
+        e5 = a5 * (x5 - p5) ** 2
+        rows0.append((c, a0, p0, e1, e2, e3, e4, e5))
+        s = e0
+        rows1.append((c, a1, p1, s, e2, e3, e4, e5))
+        s += e1
+        rows2.append((c, a2, p2, s, e3, e4, e5))
+        s += e2
+        rows3.append((c, a3, p3, s, e4, e5))
+        s += e3
+        rows4.append((c, a4, p4, s, e5))
+        rows5.append((c, a5, p5, s + e4))
+
+    def view(i, z):
+        total = 0.0
+        if i == 0:
+            for c, a, p, e1, e2, e3, e4, e5 in rows0:
+                total -= c * math.exp(-(a * (z - p) ** 2
+                                        + e1 + e2 + e3 + e4 + e5))
+        elif i == 1:
+            for c, a, p, s, e2, e3, e4, e5 in rows1:
+                total -= c * math.exp(-(s + a * (z - p) ** 2
+                                        + e2 + e3 + e4 + e5))
+        elif i == 2:
+            for c, a, p, s, e3, e4, e5 in rows2:
+                total -= c * math.exp(-(s + a * (z - p) ** 2 + e3 + e4 + e5))
+        elif i == 3:
+            for c, a, p, s, e4, e5 in rows3:
+                total -= c * math.exp(-(s + a * (z - p) ** 2 + e4 + e5))
+        elif i == 4:
+            for c, a, p, s, e5 in rows4:
+                total -= c * math.exp(-(s + a * (z - p) ** 2 + e5))
+        else:
+            for c, a, p, s in rows5:
+                total -= c * math.exp(-(s + a * (z - p) ** 2))
+        return total
+    return view
+
+
+hartman6.view = _hartman6_view
 
 
 # -- the Hedar functions: terms, kernels and views ----------------------

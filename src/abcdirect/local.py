@@ -103,8 +103,21 @@ def box_qp_step(g: np.ndarray, B: np.ndarray, x: np.ndarray,
     working-set changes, or at a singular or non-finite reduced solve, the
     current p is returned. Every p is feasible, and a p whose QP objective
     rounds above 0 becomes the zero step.
+
+    The first pass is solved before the loop, on the full B: with no bound
+    fixed, the reduced system is B and -g bit for bit, and a finite
+    solution inside the box is what the loop returns too, whatever its
+    multiplier test reads (a NaN multiplier releases nothing until the
+    cap). Any other first pass goes on into the loop, which solves it
+    again.
     """
     lo, hi = bounds.lower - x, bounds.upper - x
+    try:
+        y = np.linalg.solve(B, -g)
+    except np.linalg.LinAlgError:  # a singular model: the zero step
+        return np.zeros_like(g)
+    if np.isfinite(y).all() and ((lo <= y) & (y <= hi)).all():
+        return np.zeros_like(g) if g @ y + 0.5 * y @ B @ y > 0.0 else y
     p, fixed = np.zeros_like(g), np.zeros(g.size, dtype=bool)
     for _ in range(QP_CHANGES):
         free, y = ~fixed, p.copy()

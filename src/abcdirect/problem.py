@@ -115,8 +115,8 @@ class Problem:
         bit, and never writes x.
 
         An objective may carry a `view` attribute, a builder of such a
-        function from x that recomputes only what coordinate i touches; the
-        Hedar kernels do (`functions.kernels`). Its view is returned. For an
+        function from x that recomputes only what coordinate i touches; every
+        kernel of `functions.kernels` does. Its view is returned. For an
         objective without one, a wrapped kernel included, and where building
         it raises OverflowError, the view calls the objective on the probe,
         built afresh."""

@@ -77,11 +77,14 @@ def brute_force_poh_grid(state, eps, grid):
     return set(np.flatnonzero(hit))
 
 
-def make_state(n, counter, bounds):
+def make_state(n, counter, bounds, problem=None):
     """A rectangle store over all n coordinates of `bounds`, its base the
-    box's midpoint, as `direct_solve` builds one for plain DIRECT."""
-    return PartitionState(n, counter, tuple(range(n)), bounds,
-                          bounds.lower + 0.5 * bounds.width)
+    box's midpoint, as `direct_solve` builds one for plain DIRECT; its view
+    is `problem`'s at the base, which a one-coordinate store needs."""
+    base = bounds.lower + 0.5 * bounds.width
+    return PartitionState(n, counter, tuple(range(n)), bounds, base,
+                          None if problem is None
+                          else problem.coordinate_view(base))
 
 
 def test_1_poh_oracle_equivalence():
@@ -114,7 +117,7 @@ def test_2_measure_after_repeated_division():
             Bounds(np.zeros(n), np.ones(n)),
         )
         counter = EvalCounter()
-        state = make_state(n, counter, problem.bounds)
+        state = make_state(n, counter, problem.bounds, problem)
         levels, key, _, _ = state._intern((0,) * n)
         state.add(levels, (1,) * n,
                   evaluate_counted(problem, np.full(n, 0.5), counter), key)

@@ -46,15 +46,21 @@ def box_problem(fn, n, lo=0.0, hi=1.0, target=None):
                    known_optimum=target)
 
 
+def unvalued(i, z):
+    """The view of a store that values no probe through its view."""
+    raise AssertionError(f"probe ({i}, {z!r}) valued by a store's view")
+
+
 def make_state(n, counter=None, bounds=None):
     """A rectangle store as `direct_solve` builds one for plain DIRECT: its
     block all n coordinates of `bounds` (the unit cube by default), its base
-    the box's midpoint."""
+    the box's midpoint. Its view, `unvalued`, fails the test if a probe is
+    valued through it."""
     if bounds is None:
         bounds = Bounds(np.zeros(n), np.ones(n))
     return PartitionState(n, EvalCounter() if counter is None else counter,
                           tuple(range(n)), bounds,
-                          bounds.lower + 0.5 * bounds.width)
+                          bounds.lower + 0.5 * bounds.width, unvalued)
 
 
 def add(state, levels, exact, value):
@@ -175,6 +181,18 @@ class TestStore:
         assert levels.dtype == np.int16 and levels.shape == (40, n)
         assert np.array_equal(levels, np.array(want, dtype=np.int16))
         assert make_state(3)._levels.shape == (0, 3)
+
+    def test_a_one_coordinate_store_needs_a_view(self):
+        # `divide_interval` charges each probe, then values it through the
+        # store's view: a one-coordinate store without one is refused before
+        # any charge. A larger block divides without the store's view
+        counter = EvalCounter()
+        bounds = Bounds(np.zeros(2), np.ones(2))
+        with pytest.raises(ConfigError, match="view"):
+            PartitionState(1, counter, (1,), bounds, np.full(2, 0.5))
+        assert counter.count == 0
+        assert PartitionState(2, counter, (0, 1), bounds,
+                              np.full(2, 0.5)).view is None
 
     def test_level_tuples_are_interned(self):
         def f(x):

@@ -259,14 +259,16 @@ class TestUnrolledTableKernels:
 
 
 def _view_dims(name):
-    """The smallest allowed dimension of a Hedar function, then those of
-    2, 5, 12, 18 and 50 it allows."""
-    low = registry._REGISTRY[name].dims[0]
-    return [low] + [n for n in (2, 5, 12, 18, 50) if n > low]
+    """A Jones function's dimension; the smallest allowed dimension of a
+    Hedar function, then those of 2, 5, 12, 18 and 50 it allows."""
+    dims = registry._REGISTRY[name].dims
+    if isinstance(dims, int):
+        return [dims]
+    return [dims[0]] + [n for n in (2, 5, 12, 18, 50) if n > dims[0]]
 
 
 def view_mismatches(name, n, points=40):
-    """Probes at which the view of a Hedar kernel and the kernel itself
+    """Probes at which the view of a kernel and the kernel itself
     differ in any bit, over every coordinate of seeded points in the box
     stretched 1.2x about its centre, the two corners of the box and x*;
     each coordinate is probed at a seeded value, both bounds and x*'s."""
@@ -291,8 +293,29 @@ def view_mismatches(name, n, points=40):
     return bad
 
 
+def regrouped_shekel5_view(x):
+    """S5's view with the terms after the moved coordinate's and c added
+    as one group, summed before they join the sum."""
+    x = x.tolist()
+
+    def view(i, z):
+        total = 0.0
+        for *a, c in kernels._SHEKEL5:
+            terms = [(xk - ak) ** 2 for xk, ak in zip(x, a)]
+            terms[i] = (z - a[i]) ** 2
+            s = terms[0]
+            for t in terms[1:i + 1]:
+                s += t
+            later = -0.0
+            for t in (*terms[i + 1:], c):
+                later += t
+            total -= 1.0 / (s + later)
+        return total
+    return view
+
+
 class TestCoordinateViews:
-    @pytest.mark.parametrize("name", HEDAR_NAMES)
+    @pytest.mark.parametrize("name", list_functions())
     def test_bytes_equal_the_kernel(self, name):
         for n in _view_dims(name):
             assert view_mismatches(name, n) == 0, n
@@ -308,6 +331,12 @@ class TestCoordinateViews:
         monkeypatch.setattr(kernels, "_resum", regrouped)
         assert view_mismatches(name, 18) > 0
 
+    def test_a_regrouped_shekel_row_fails(self, monkeypatch):
+        # the negative control of the Jones views: S5's view with its later
+        # terms and c pre-summed, not added one by one
+        monkeypatch.setattr(kernels.shekel5, "view", regrouped_shekel5_view)
+        assert view_mismatches("S5", 4) > 0
+
     @pytest.mark.parametrize("name", ["rastrigin", "levy", "zakharov"])
     def test_a_regrouped_kernel_sum_fails_its_pin(self, name, monkeypatch):
         # the negative control of the pins: a kernel that adds its terms
@@ -315,15 +344,13 @@ class TestCoordinateViews:
         monkeypatch.setattr(kernels, "_total", math.fsum)
         assert kernel_digest(name) != KERNEL_SHA256[name]
 
-    def test_every_hedar_kernel_and_no_jones_kernel_has_a_view(self):
-        hedar = {kernels.KERNELS[registry._REGISTRY[name].kernel_name]
-                 for name in HEDAR_NAMES}
-        viewed = {k for k in kernels.KERNELS.values() if hasattr(k, "view")}
-        assert viewed == hedar and len(hedar) == 13
-        for name in JONES_NAMES:
-            problem, _ = get_function(name)
+    def test_every_kernel_has_a_view(self):
+        assert len(kernels.KERNELS) == 22
+        assert all(callable(getattr(kernel, "view", None))
+                   for kernel in kernels.KERNELS.values())
+        for name in list_functions():
+            problem, _ = get_function(name, _view_dims(name)[0])
             assert problem.objective in kernels.KERNELS.values()
-            assert not hasattr(problem.objective, "view")
 
     def test_only_the_kernel_itself_has_a_view(self):
         # a wrapped kernel has no view of its own: each probe calls the

@@ -147,7 +147,75 @@ class TestFdGradient:
         assert res.x[0] == 5.0
 
 
+def loop_box_qp_step(g, B, x, bounds):
+    """`box_qp_step` as it was before its first pass was solved on the full
+    B: every pass in the loop, on reduced systems. The oracle the step
+    must match byte for byte."""
+    lo, hi = bounds.lower - x, bounds.upper - x
+    p, fixed = np.zeros_like(g), np.zeros(g.size, dtype=bool)
+    for _ in range(local_mod.QP_CHANGES):
+        free, y = ~fixed, p.copy()
+        try:
+            y[free] = np.linalg.solve(
+                B[np.ix_(free, free)],
+                -g[free] - B[np.ix_(free, fixed)] @ p[fixed])
+        except np.linalg.LinAlgError:
+            break
+        if not np.isfinite(y).all():
+            break
+        out = np.flatnonzero((y < lo) | (y > hi))
+        if out.size:
+            step = (local_mod._clip(y, lo, hi) - p)[out] / (y - p)[out]
+            k = out[np.argmin(step)]
+            p = local_mod._clip(p + step.min() * (y - p), lo, hi)
+            p[k], fixed[k] = (lo[k] if y[k] < lo[k] else hi[k]), True
+            continue
+        p = y
+        lam = np.where(p == lo, 1.0, -1.0) * (g + B @ p) * fixed
+        if lam.min() >= 0.0:
+            break
+        fixed[np.argmin(lam)] = False
+    return np.zeros_like(g) if g @ p + 0.5 * p @ B @ p > 0.0 else p
+
+
+# a model whose Newton step is finite and inside a box of radius 10 while
+# g + B @ y, the loop's multipliers, overflow: a seeded draw at the edge
+# of the float range
+OVERFLOW_B = np.array([
+    [2.0856476369845093e+307, 1.2166829481967705e+307,
+     -9.317039050079755e+306, -1.119443745010411e+307],
+    [1.2166829481967705e+307, 3.727201958503952e+307,
+     -3.835419974754065e+305, -2.3134897983952284e+307],
+    [-9.317039050079755e+306, -3.835419974754065e+305,
+     1.9068395474894633e+307, -1.0625229688320471e+307],
+    [-1.119443745010411e+307, -2.3134897983952284e+307,
+     -1.0625229688320471e+307, 6.799317675958991e+307]])
+OVERFLOW_G = np.array([-8.465335674110613e+306, 2.509593078929435e+307,
+                       -1.26409507145472e+307, 1.3109198107979985e+308])
+
+
 class TestBoxQpStep:
+    def test_bytes_equal_the_loop_form(self):
+        # random models in boxes where the Newton step is inside and where
+        # bounds bind, and the model whose multipliers overflow
+        inside = binding = 0
+        cases = [*random_qps(23, radii=(10.0, 0.05, 1e6)),
+                 (OVERFLOW_G, OVERFLOW_B, np.zeros(4),
+                  Bounds(np.full(4, -10.0), np.full(4, 10.0)))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.linalg.solve(OVERFLOW_B, -OVERFLOW_G)
+            assert np.isfinite(y).all() and (np.abs(y) < 10.0).all()
+            assert not np.isfinite(OVERFLOW_G + OVERFLOW_B @ y).all()
+            for g, B, x, bounds in cases:
+                want = loop_box_qp_step(g, B, x, bounds)
+                assert box_qp_step(g, B, x, bounds).tobytes() == want.tobytes()
+                lo, hi = bounds.lower - x, bounds.upper - x
+                if ((want == lo) | (want == hi)).any():
+                    binding += 1
+                else:
+                    inside += 1
+        assert inside >= 40 and binding >= 40
+
     def test_unconstrained_newton_step(self):
         B = np.diag([2.0, 4.0])
         g = np.array([2.0, -4.0])
