@@ -18,20 +18,22 @@ of a run.
 
 Every probe is its parent's center with one coordinate moved. So a
 division builds the problem's coordinate view at the parent's center
-(`Problem.coordinate_view`), and passes each probe to `evaluate_counted` as
-`(center, i, z)`, the center with coordinate i moved to z, valued by that
-view. A kernel's view recomputes only the terms the moved coordinate
-touches, bit for bit the kernel's value, and builds no point: only a probe
-whose value improves the counter's best becomes an array, the one the
-counter's best pair keeps.
+(`Problem.coordinate_view`), binds the probe of each coordinate it moves
+once (`view(i)`), and passes each probe to `evaluate_counted` as `(center,
+i, z)`, the center with coordinate i moved to z, valued by that probe. A
+kernel's probe recomputes only the terms the moved coordinate touches, bit
+for bit the kernel's value, and builds no point: only a probe whose value
+improves the counter's best becomes an array, the one the counter's best
+pair keeps.
 
 Every run keeps one rectangle store, and the block size alone picks its
 division. A block of one coordinate, the bulk of ABCD's subproblems, is
 DIRECT in its original one-dimensional form (Jones, Perttunen & Stuckman
-1993): `divide_interval` trisects an interval in place on the store's
-lists, and every probe of the run moves the one coordinate of the start
-center, so the store's view, made there, values them all. Every larger
-block divides with `sample_and_divide`.
+1993): `divide_interval` trisects every interval of a selection in one call,
+in place on the store's lists, and every probe of the run moves the one
+coordinate of the start center, so the store's probe, bound there once,
+values them all. Every larger block divides each rectangle with
+`sample_and_divide`.
 """
 
 from __future__ import annotations
@@ -107,15 +109,16 @@ class PartitionState:
       add, the two operations numpy does per element.
     - `base`: a float64 array, the run's start center (`_block`); its
       block coordinates are never read.
-    - `view`: the problem's coordinate view at `base`
-      (`Problem.coordinate_view`), which values `direct_solve`'s start
-      center and every probe of `divide_interval`. A one-coordinate store
-      without one raises ConfigError; a larger one may have None.
+    - `probe`: the probe of block coordinate `coords[0]` of the problem's
+      coordinate view at `base` (`Problem.coordinate_view`), bound once,
+      which values `direct_solve`'s start center and every probe of
+      `divide_interval`. A one-coordinate store without a view raises
+      ConfigError; a larger one may have None.
 
     Layout, by rectangle id:
     - `_level_tuples`: one level tuple of length n per rectangle, the one
-      `_intern` returns (`divide_interval` makes one 1-tuple a division),
-      so the rectangles of a division step share one tuple object.
+      `_intern` (or `_divisions`) holds, so the rectangles of a level share
+      one tuple object.
       `_levels` builds the int16 `(size, n)` array from them on demand, for
       readers off the hot path.
     - `_values`, `_exact`, `_keys`: Python lists of the value, the integer
@@ -126,18 +129,24 @@ class PartitionState:
 
     Groups (`_heaps`) map a group key (see `_intern`) to a lazy min-heap of
     (value, id) entries; stale entries (rectangles whose measure changed
-    after division) are purged on access. A rectangle's key only shrinks,
-    so the group of the smallest key any rectangle has had never empties:
-    it is the smallest key in `_heaps`.
+    after division) are purged on access. `divide_interval` pops its
+    parent's entry instead, so a one-coordinate store holds none. A group
+    is a key, not a level: keys are rounded, and every level from 26 on has
+    key 0.0. A rectangle's key only shrinks, so the group of the smallest
+    key any rectangle has had never empties: it is the smallest key in
+    `_heaps`.
     `f_min` is the smallest value and `best` the first id that has it.
+    `_divisions` maps a level to what `divide_interval` needs to divide an
+    interval there: its children's level tuple, their group key and their
+    probes' denominator, made once per store and level.
 
     `add` and `rekey` write the lists, the heaps, `f_min` and `best`;
     `divide_interval` writes them inline, in the same order.
     """
 
-    __slots__ = ("n", "counter", "coords", "base", "lower", "width", "view",
+    __slots__ = ("n", "counter", "coords", "base", "lower", "width", "probe",
                  "_level_tuples", "_values", "_exact", "_heaps", "_keys",
-                 "_records", "_deep", "f_min", "best")
+                 "_records", "_deep", "_divisions", "f_min", "best")
 
     def __init__(self, n: int, counter: EvalCounter, coords: tuple,
                  bounds: Bounds, base: np.ndarray, view=None):
@@ -145,8 +154,8 @@ class PartitionState:
             # `divide_interval` would charge its first probe, then fail
             raise ConfigError("a one-coordinate store needs a view")
         self.n, self.counter, self.coords, self.base = n, counter, coords, base
-        self.lower, self.width = bounds.lower.tolist(), bounds.width.tolist()
-        self.view = view
+        self.lower, self.width = bounds.float_lists
+        self.probe = None if view is None else view(coords[0])
         self._level_tuples: list[tuple] = []
         self._values: list[float] = []
         self._exact: list[tuple] = []
@@ -155,6 +164,7 @@ class PartitionState:
         # level tuple -> its record (see `_intern`)
         self._records: dict[tuple, tuple] = {}
         self._deep: set[tuple] = set()  # level tuples past EXACT_LEVEL
+        self._divisions: dict[int, tuple] = {}
         self.f_min = np.inf
         self.best: Optional[int] = None
 
@@ -316,13 +326,14 @@ def sample_and_divide(rid: int, state: PartitionState,
 
     Samples c +/- delta*e_i for each longest block dimension i, which moves
     problem coordinate `state.coords[i]` to `lower + z * width` for its
-    unit-cube coordinate z (2 evaluations per dimension, valued by one
-    coordinate view of the problem at the parent's center), then trisects
-    in ascending order of w_i = min(f+, f-), ties resolved to the lower
-    dimension index. Each probe goes to `evaluate_counted` as
-    `(center, coords[i], z)`, and no probe's point is built here. The
-    state stays a tiling; on a `Stop` from the counter nothing is mutated
-    (already-spent evaluations stay counted) and the Stop propagates.
+    unit-cube coordinate z (2 evaluations per dimension, valued by the
+    probe of that coordinate, bound once, of one coordinate view of the
+    problem at the parent's center), then trisects in ascending order of
+    w_i = min(f+, f-), ties resolved to the lower dimension index. Each
+    probe goes to `evaluate_counted` as `(center, coords[i], z)`, and no
+    probe's point is built here. The state stays a tiling; on a `Stop`
+    from the counter nothing is mutated (already-spent evaluations stay
+    counted) and the Stop propagates.
     """
     # the level bookkeeping runs on a list copy of the parent's tuple
     parent_levels = state._level_tuples[rid]
@@ -344,10 +355,10 @@ def sample_and_divide(rid: int, state: PartitionState,
         scaled = 3 * tmpl_exact[dim]
         num_p, num_m = scaled + 2, scaled - 2
         coord = coords[dim]
-        lo, w = lower[coord], width[coord]
-        f_p = evaluate_counted(problem, center, counter, view, coord,
+        lo, w, probe = lower[coord], width[coord], view(coord)
+        f_p = evaluate_counted(problem, center, counter, probe, coord,
                                lo + num_p / denom * w)
-        f_m = evaluate_counted(problem, center, counter, view, coord,
+        f_m = evaluate_counted(problem, center, counter, probe, coord,
                                lo + num_m / denom * w)
         # w = min(f+, f-), as `min` picks it, NaNs included
         probes.append((f_m if f_m < f_p else f_p, dim, num_p, f_p, num_m,
@@ -377,50 +388,89 @@ def sample_and_divide(rid: int, state: PartitionState,
     return new_ids
 
 
-def divide_interval(rid: int, state: PartitionState,
-                    problem: Problem) -> list[int]:
-    """`sample_and_divide` of interval `rid` of a one-coordinate store, on
-    the store's lists and with neither `add` nor `rekey`: probes the
-    centers of its two outer thirds, the plus side first, each passed as
-    `(state.base, coord, z)`, the start center with the block coordinate
-    moved to z, and valued by the store's view; then stores them as the
-    next two ids and trisects the parent, which keeps its id.
-    On a `Stop` from the counter nothing is stored and the Stop
-    propagates."""
-    level_tuples, exact, values = (state._level_tuples, state._exact,
-                                   state._values)
-    level = level_tuples[rid][0] + 1
-    num = 3 * exact[rid][0]
-    denom = 2.0 * 3.0 ** level
-    counter, base, view = state.counter, state.base, state.view
+def divide_interval(rids: list[int], state: PartitionState,
+                    problem: Problem, stop_count: float) -> Optional[Reason]:
+    """`sample_and_divide` of each interval of `rids` of a one-coordinate
+    store in turn, on the store's lists and with neither `add` nor `rekey`;
+    returns why the run stops, or None.
+
+    An interval's division probes the centers of its two outer thirds, the
+    plus side first, each passed as `(state.base, coord, z)`, the start
+    center with the block coordinate moved to z, and valued by the store's
+    probe; then stores them as the next two ids and trisects the parent,
+    which keeps its id. A `Stop` from the counter ends the call with its
+    reason, and nothing of that interval is stored; reaching `stop_count`
+    evaluations after a division ends it with EVAL_BUDGET.
+
+    `rids` are the ids `identify_poh` returns: group representatives in
+    ascending key order, at most one per group. A division pushes only into
+    keys no larger than its own, so no earlier division of the call
+    touched a parent's heap, and its entry is still that heap's top: it is
+    popped before the pushes, which may go into the same heap where deep
+    levels share a key.
+    """
+    level_tuples, exact, values, keys, heaps, divisions = (
+        state._level_tuples, state._exact, state._values, state._keys,
+        state._heaps, state._divisions)
+    counter, base, probe = state.counter, state.base, state.probe
     coord = state.coords[0]
     lo, w = state.lower[coord], state.width[coord]
-    f_p = evaluate_counted(problem, base, counter, view, coord,
-                           lo + (num + 2) / denom * w)
-    f_m = evaluate_counted(problem, base, counter, view, coord,
-                           lo + (num - 2) / denom * w)
+    try:
+        for rid in rids:
+            level = level_tuples[rid][0]
+            division = divisions.get(level)
+            if division is None:
+                levels = (level + 1,)
+                if level >= EXACT_LEVEL:
+                    state._deep.add(levels)
+                division = divisions[level] = (
+                    levels, _shared_group_key(levels),
+                    2.0 * 3.0 ** (level + 1))
+            levels, key, denom = division
+            num = 3 * exact[rid][0]
+            f_p = evaluate_counted(problem, base, counter, probe, coord,
+                                   lo + (num + 2) / denom * w)
+            f_m = evaluate_counted(problem, base, counter, probe, coord,
+                                   lo + (num - 2) / denom * w)
 
-    # the children, then the parent, pushed as `add` and `rekey` push them;
-    # calling the two here cost `abcd-hedar18` about 2% of its wall time
-    levels = (level,)
-    if level > EXACT_LEVEL:
-        state._deep.add(levels)
-    key = _shared_group_key(levels)
-    keys, cid = state._keys, len(values)
-    level_tuples[rid], exact[rid], keys[rid] = levels, (num,), key
-    level_tuples += (levels, levels)
-    exact += ((num + 2,), (num - 2,))
-    values += (f_p, f_m)
-    keys += (key, key)
-    heap = state._heaps[key]
-    heappush(heap, (f_p, cid))
-    heappush(heap, (f_m, cid + 1))
-    heappush(heap, (values[rid], rid))
-    if f_p < state.f_min:
-        state.f_min, state.best = f_p, cid
-    if f_m < state.f_min:
-        state.f_min, state.best = f_m, cid + 1
-    return [cid, cid + 1]
+            # the children, then the parent, pushed as `add` and `rekey`
+            # push them; calling the two here cost `abcd-hedar18` about 2%
+            # of its wall time
+            heappop(heaps[keys[rid]])
+            cid = len(values)
+            level_tuples[rid], exact[rid], keys[rid] = levels, (num,), key
+            level_tuples += (levels, levels)
+            exact += ((num + 2,), (num - 2,))
+            values += (f_p, f_m)
+            keys += (key, key)
+            heap = heaps[key]
+            heappush(heap, (f_p, cid))
+            heappush(heap, (f_m, cid + 1))
+            heappush(heap, (values[rid], rid))
+            if f_p < state.f_min:
+                state.f_min, state.best = f_p, cid
+            if f_m < state.f_min:
+                state.f_min, state.best = f_m, cid + 1
+            if counter.count >= stop_count:
+                return Reason.EVAL_BUDGET
+    except Stop as stop:
+        return stop.reason
+    return None
+
+
+def _divide_rectangles(rids: list[int], state: PartitionState,
+                      problem: Problem, stop_count: float) -> Optional[Reason]:
+    """`sample_and_divide` of each rectangle of `rids` in turn, with the
+    stops of `divide_interval`; returns why the run stops, or None."""
+    counter = state.counter
+    for rid in rids:
+        try:
+            sample_and_divide(rid, state, problem)
+        except Stop as stop:
+            return stop.reason
+        if counter.count >= stop_count:
+            return Reason.EVAL_BUDGET
+    return None
 
 
 @dataclass
@@ -472,7 +522,7 @@ def _block(problem: Problem, coords, base) -> tuple[tuple, np.ndarray]:
     x = np.array(base, dtype=float)
     if x.shape != (n,):
         raise ConfigError(f"base must have shape ({n},), got {x.shape}")
-    lower, width = bounds.lower.tolist(), bounds.width.tolist()
+    lower, width = bounds.float_lists
     for c in coords:
         x[c] = lower[c] + 0.5 * width[c]
     inside = (bounds.lower <= x) & (x <= bounds.upper)
@@ -497,9 +547,10 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     must lie in the box.
 
     A block of one coordinate, such as each of ABCD's coordinate-phase
-    subproblems, divides with `divide_interval`, every larger block with
-    `sample_and_divide`; both on the same rectangle store, which the result
-    holds with `keep_state`.
+    subproblems, divides each selection with `divide_interval`, every
+    larger block with `_divide_rectangles` (`sample_and_divide` per
+    rectangle); both on the same rectangle store, which the result holds
+    with `keep_state`.
 
     `counter` may be a shared (capped) global counter, armed with the
     config's target and time budget unless a caller armed it first; its
@@ -534,7 +585,7 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
 
     start_count, f_before = counter.count, counter.best_f
     m = len(coords)
-    # the start center is the state's base, and its view, made there,
+    # the start center is the state's base, and its probe, bound there,
     # values the start center too
     state = PartitionState(m, counter, coords, problem.bounds, x,
                            problem.coordinate_view(x))
@@ -544,7 +595,7 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
     # the target at its evaluation, whose value the counter then holds, so
     # the partition tiles
     try:
-        value = evaluate_counted(problem, x, counter, state.view, c,
+        value = evaluate_counted(problem, x, counter, state.probe, c,
                                  float(x[c]))
     except Stop as stop:
         reason = stop.reason
@@ -553,7 +604,7 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
         value = counter.best_f
     levels, key, _, _ = state._intern((0,) * m)
     state.add(levels, (1,) * m, value, key)
-    divide = divide_interval if m == 1 else sample_and_divide
+    divide = divide_interval if m == 1 else _divide_rectangles
 
     # this run's evaluations are counter.count - start_count
     stop_count = (math.inf if config.max_evals is None
@@ -572,15 +623,8 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
             reason = Reason.GLOBAL_STALL
         if reason is not None:
             break
-        for rid in identify_poh(state, config.poh_eps):
-            try:
-                divide(rid, state, problem)
-            except Stop as stop:
-                reason = stop.reason
-                break
-            if counter.count >= stop_count:
-                reason = Reason.EVAL_BUDGET
-                break
+        reason = divide(identify_poh(state, config.poh_eps), state, problem,
+                        stop_count)
         t += 1
         trace.append((counter.count - start_count, t, state.f_min))
         if prev_fmin - state.f_min <= config.stall_eps:
@@ -595,7 +639,7 @@ def direct_solve(problem: Problem, config: Optional[DirectConfig] = None,
                         trace, state if keep_state else None)
 
 
-# -- exact tiling certificates (test/validation helpers) -----------------
+# -- exact tiling certificate ----------------------------------------------
 
 def volume_fraction(state: PartitionState) -> Fraction:
     """Exact total volume of the partition as a fraction of the unit cube."""
@@ -610,54 +654,3 @@ def volume_fraction(state: PartitionState) -> Fraction:
             powers[s] = 3 ** (L - s)
         total += powers[s]
     return Fraction(total, 3 ** L)
-
-
-def interval_table(state: PartitionState):
-    """Per-dimension base-3 integer intervals at a common refinement level.
-
-    Returns (starts, ends, L): rectangle i spans
-    [starts[i,d], ends[i,d]] / 3^L in dimension d.
-    """
-    levels = state._levels.astype(np.int64)
-    L = int(levels.max())
-    if L > 38:
-        raise OverflowError("refinement too deep for int64 interval table")
-    starts = np.empty((state.size, state.n), dtype=np.int64)
-    scale = 3 ** (L - levels)
-    for i in range(state.size):
-        ex = state._exact[i]
-        for d in range(state.n):
-            starts[i, d] = ((ex[d] - 1) // 2) * scale[i, d]
-    ends = starts + scale
-    return starts, ends, L
-
-
-def assert_disjoint_interiors(state: PartitionState, changed=None,
-                              chunk: int = 512) -> None:
-    """Certify that no two rectangles share an interior point, using exact
-    integer interval arithmetic.
-
-    With `changed` (ids whose geometry moved since the last certified
-    partition) only changed-vs-all pairs are tested; unchanged pairs were
-    disjoint before and their boxes are identical, so this is a complete
-    inductive certificate. Without it every pair is tested (O(N^2) in
-    chunks). Intended for tests.
-    """
-    starts, ends, _ = interval_table(state)
-    N = state.size
-    rows = np.arange(N) if changed is None else np.asarray(changed, dtype=int)
-    for lo in range(0, rows.size, chunk):
-        sel = rows[lo:lo + chunk]
-        s, e = starts[sel], ends[sel]
-        # pair (i in sel, j in all): overlap iff open intervals intersect in
-        # every dimension
-        overlap = np.logical_and(
-            s[:, None, :] < ends[None, :, :],
-            starts[None, :, :] < e[:, None, :],
-        ).all(axis=2)
-        overlap[np.arange(sel.size), sel] = False  # self-pairs
-        if overlap.any():
-            i, j = np.argwhere(overlap)[0]
-            raise AssertionError(
-                f"rectangles {sel[i]} and {j} share interior points"
-            )

@@ -28,19 +28,24 @@ and for ackley, griewank and zakharov a finishing expression over the sums
 written as the addition of the negated term, which IEEE arithmetic defines
 it to be, and a first term that is a square is added to a start of 0.0,
 which leaves it as it is. The kernel adds a point's terms left to right
-(`_total`). Each Hedar kernel carries the builder of its coordinate view
-as its `view` attribute. `kernel.view(x)`, built once at a point x, gives
-the kernel at x with coordinate i at z as a function of (i, z): it keeps
-x's terms and the running sum after each (`_fold`), and a probe adds the
-recomputed terms, then the cached later ones, to the running sum before
-the first term that i changes (`_resum`). The operations and their order
-are the kernel's, so the values are too, bit for bit.
+(`_total`).
 
-The nine Jones kernels carry a `view` too. A Shekel or Hartman view keeps,
-per coordinate, the terms of each well or exponent that the coordinate does
-not touch, and a probe recomputes the one it does and adds them all in the
-kernel's order; the Shubert view keeps both one-coordinate sums, and the
-other two-coordinate views bind the coordinate a probe keeps.
+Every kernel carries the builder of its coordinate view as its `view`
+attribute, curried: `kernel.view(x)`, built once at a point x, returns
+`at`, and `at(i)` returns the probe `z -> kernel(x with x[i] = z)`, bit for
+bit. A caller binds a coordinate once and probes it many times. A Hedar
+view keeps x's terms and the running sum after each (`_fold`); `at(i)`
+takes the running sum before the first term that i changes and the slice
+of the cached terms after the ones it changes, and the probe adds the
+recomputed terms, then that tail, left to right. The operations and their
+order are the kernel's, so the values are too.
+
+The nine Jones views build every coordinate's probe when the view is
+built, so `at` is a tuple's `__getitem__`. A Shekel or Hartman probe keeps
+the terms of each well or exponent that its coordinate does not touch,
+recomputes the one it does and adds them all in the kernel's order; the
+Shubert view keeps both one-coordinate sums, and the other two-coordinate
+views bind the coordinate a probe keeps.
 """
 
 from __future__ import annotations
@@ -77,11 +82,14 @@ _HARTMAN6_TERMS = [(c, *a, *p) for c, a, p in zip(
 #
 # A Shekel or Hartman view keeps, per coordinate i, one row per well or
 # exponent: x[i]'s data, the running sum of the terms before x[i]'s and the
-# terms after it, all built once at the view's point. A probe at i computes
-# x[i]'s term afresh and adds the row left to right, as the kernel does. At
-# i = 0 no term comes before it, so the sum starts from it. Each coordinate
-# has its own unrolled loop over its rows: with an inner loop over a slice
-# of cached terms per row, a probe of S10 cost more than the kernel.
+# terms after it, all built once at the view's point, with i's probe over
+# them. A probe computes x[i]'s term afresh and adds the row left to right,
+# as the kernel does. At i = 0 no term comes before it, so the sum starts
+# from it. Each coordinate has its own unrolled loop over its rows: with an
+# inner loop over a slice of cached terms per row, a probe of S10 cost more
+# than the kernel. The rows are not built on a coordinate's first `at(i)`:
+# `fd_gradient` binds every coordinate, and a prototype of that lazy build
+# read the Shekel runs about 3% slower.
 
 _BRANIN_B = 5.1 / (4.0 * math.pi ** 2)
 _BRANIN_C = 5.0 / math.pi
@@ -117,7 +125,8 @@ def _two_d(name, formula):
 
     def build(x):
         x1, x2 = x.tolist()
-        return lambda i, z: formula(z, x2) if i == 0 else formula(x1, z)
+        return (lambda z: formula(z, x2),
+                lambda z: formula(x1, z)).__getitem__
     kernel.__name__ = kernel.__qualname__ = name
     kernel.view = build
     return kernel
@@ -142,8 +151,8 @@ def shubert(x):
 
 def _shubert_view(x):
     s1, s2 = map(_shubert_sum, x.tolist())
-    return lambda i, z: (_shubert_sum(z) * s2 if i == 0
-                         else s1 * _shubert_sum(z))
+    return (lambda z: _shubert_sum(z) * s2,
+            lambda z: s1 * _shubert_sum(z)).__getitem__
 
 
 shubert.view = _shubert_view
@@ -176,22 +185,30 @@ def _shekel_view(wells):
             rows2.append((a2, s, t3, c))
             rows3.append((a3, s + t2, c))
 
-        def view(i, z):
+        def probe0(z):
             total = 0.0
-            if i == 0:
-                for a, t1, t2, t3, c in rows0:
-                    total -= 1.0 / ((z - a) ** 2 + t1 + t2 + t3 + c)
-            elif i == 1:
-                for a, s, t2, t3, c in rows1:
-                    total -= 1.0 / (s + (z - a) ** 2 + t2 + t3 + c)
-            elif i == 2:
-                for a, s, t3, c in rows2:
-                    total -= 1.0 / (s + (z - a) ** 2 + t3 + c)
-            else:
-                for a, s, c in rows3:
-                    total -= 1.0 / (s + (z - a) ** 2 + c)
+            for a, t1, t2, t3, c in rows0:
+                total -= 1.0 / ((z - a) ** 2 + t1 + t2 + t3 + c)
             return total
-        return view
+
+        def probe1(z):
+            total = 0.0
+            for a, s, t2, t3, c in rows1:
+                total -= 1.0 / (s + (z - a) ** 2 + t2 + t3 + c)
+            return total
+
+        def probe2(z):
+            total = 0.0
+            for a, s, t3, c in rows2:
+                total -= 1.0 / (s + (z - a) ** 2 + t3 + c)
+            return total
+
+        def probe3(z):
+            total = 0.0
+            for a, s, c in rows3:
+                total -= 1.0 / (s + (z - a) ** 2 + c)
+            return total
+        return (probe0, probe1, probe2, probe3).__getitem__
     return build
 
 
@@ -234,19 +251,24 @@ def _hartman3_view(x):
         rows1.append((c, a1, p1, e0, e2))
         rows2.append((c, a2, p2, e0 + e1))
 
-    def view(i, z):
+    def probe0(z):
         total = 0.0
-        if i == 0:
-            for c, a, p, e1, e2 in rows0:
-                total -= c * math.exp(-(a * (z - p) ** 2 + e1 + e2))
-        elif i == 1:
-            for c, a, p, s, e2 in rows1:
-                total -= c * math.exp(-(s + a * (z - p) ** 2 + e2))
-        else:
-            for c, a, p, s in rows2:
-                total -= c * math.exp(-(s + a * (z - p) ** 2))
+        for c, a, p, e1, e2 in rows0:
+            total -= c * math.exp(-(a * (z - p) ** 2 + e1 + e2))
         return total
-    return view
+
+    def probe1(z):
+        total = 0.0
+        for c, a, p, s, e2 in rows1:
+            total -= c * math.exp(-(s + a * (z - p) ** 2 + e2))
+        return total
+
+    def probe2(z):
+        total = 0.0
+        for c, a, p, s in rows2:
+            total -= c * math.exp(-(s + a * (z - p) ** 2))
+        return total
+    return (probe0, probe1, probe2).__getitem__
 
 
 hartman3.view = _hartman3_view
@@ -284,30 +306,44 @@ def _hartman6_view(x):
         rows4.append((c, a4, p4, s, e5))
         rows5.append((c, a5, p5, s + e4))
 
-    def view(i, z):
+    def probe0(z):
         total = 0.0
-        if i == 0:
-            for c, a, p, e1, e2, e3, e4, e5 in rows0:
-                total -= c * math.exp(-(a * (z - p) ** 2
-                                        + e1 + e2 + e3 + e4 + e5))
-        elif i == 1:
-            for c, a, p, s, e2, e3, e4, e5 in rows1:
-                total -= c * math.exp(-(s + a * (z - p) ** 2
-                                        + e2 + e3 + e4 + e5))
-        elif i == 2:
-            for c, a, p, s, e3, e4, e5 in rows2:
-                total -= c * math.exp(-(s + a * (z - p) ** 2 + e3 + e4 + e5))
-        elif i == 3:
-            for c, a, p, s, e4, e5 in rows3:
-                total -= c * math.exp(-(s + a * (z - p) ** 2 + e4 + e5))
-        elif i == 4:
-            for c, a, p, s, e5 in rows4:
-                total -= c * math.exp(-(s + a * (z - p) ** 2 + e5))
-        else:
-            for c, a, p, s in rows5:
-                total -= c * math.exp(-(s + a * (z - p) ** 2))
+        for c, a, p, e1, e2, e3, e4, e5 in rows0:
+            total -= c * math.exp(-(a * (z - p) ** 2
+                                    + e1 + e2 + e3 + e4 + e5))
         return total
-    return view
+
+    def probe1(z):
+        total = 0.0
+        for c, a, p, s, e2, e3, e4, e5 in rows1:
+            total -= c * math.exp(-(s + a * (z - p) ** 2
+                                    + e2 + e3 + e4 + e5))
+        return total
+
+    def probe2(z):
+        total = 0.0
+        for c, a, p, s, e3, e4, e5 in rows2:
+            total -= c * math.exp(-(s + a * (z - p) ** 2 + e3 + e4 + e5))
+        return total
+
+    def probe3(z):
+        total = 0.0
+        for c, a, p, s, e4, e5 in rows3:
+            total -= c * math.exp(-(s + a * (z - p) ** 2 + e4 + e5))
+        return total
+
+    def probe4(z):
+        total = 0.0
+        for c, a, p, s, e5 in rows4:
+            total -= c * math.exp(-(s + a * (z - p) ** 2 + e5))
+        return total
+
+    def probe5(z):
+        total = 0.0
+        for c, a, p, s in rows5:
+            total -= c * math.exp(-(s + a * (z - p) ** 2))
+        return total
+    return (probe0, probe1, probe2, probe3, probe4, probe5).__getitem__
 
 
 hartman6.view = _hartman6_view
@@ -331,16 +367,12 @@ def _fold(terms):
     return terms, list(accumulate(terms))
 
 
-def _resum(fold, pos, *new):
-    """The fold's sum with the terms from position `pos` (above 0) on
-    replaced by `new`, then the cached terms after them, in order."""
+def _split(fold, pos, count):
+    """What a probe that replaces the fold's `count` terms from position
+    `pos` (above 0) on adds its new terms between: the running sum before
+    `pos`, and the cached terms after the replaced ones."""
     terms, running = fold
-    acc = running[pos - 1]
-    for t in new:
-        acc += t
-    for t in terms[pos + len(new):]:
-        acc += t
-    return acc
+    return running[pos - 1], terms[pos + count:]
 
 
 def _terms(start, term, x):
@@ -348,16 +380,16 @@ def _terms(start, term, x):
     return [start, *map(term, range(len(x)), x)]
 
 
-def _one_sum(name, terms, probe):
+def _one_sum(name, terms, at):
     """The kernel `name`, which adds terms(x) left to right, with its view
-    builder as `view`: probe(fold, x) over the fold of the same terms.
-    Both hand `terms` and `probe` the point as a list of floats."""
+    builder as `view`: at(fold, x) over the fold of the same terms. Both
+    hand `terms` and `at` the point as a list of floats."""
     def kernel(x):
         return _total(terms(x.tolist()))
 
     def build(x):
         x = x.tolist()
-        return probe(_fold(terms(x)), x)
+        return at(_fold(terms(x)), x)
     kernel.__name__ = kernel.__qualname__ = name
     kernel.view = build
     return kernel
@@ -365,9 +397,18 @@ def _one_sum(name, terms, probe):
 
 def _separable(name, start, term):
     """`_one_sum` of start(n) + term(0, x[0]) + ... + term(n - 1, x[n - 1])."""
-    return _one_sum(
-        name, lambda x: _terms(start(len(x)), term, x),
-        lambda fold, x: lambda i, z: _resum(fold, i + 1, term(i, z)))
+    def view(fold, x):
+        def at(i):
+            head, tail = _split(fold, i + 1, 1)
+
+            def probe(z):
+                acc = head + term(i, z)
+                for t in tail:
+                    acc += t
+                return acc
+            return probe
+        return at
+    return _one_sum(name, lambda x: _terms(start(len(x)), term, x), view)
 
 
 def _two_sums(name, first, second, finish):
@@ -384,8 +425,21 @@ def _two_sums(name, first, second, finish):
         n = len(x)
         s1 = _fold(_terms(0.0, first, x))
         s2 = _fold(_terms(0.0, second, x))
-        return lambda i, z: finish(n, _resum(s1, i + 1, first(i, z)),
-                                   _resum(s2, i + 1, second(i, z)))
+
+        def at(i):
+            head1, tail1 = _split(s1, i + 1, 1)
+            head2, tail2 = _split(s2, i + 1, 1)
+
+            def probe(z):
+                a = head1 + first(i, z)
+                for t in tail1:
+                    a += t
+                b = head2 + second(i, z)
+                for t in tail2:
+                    b += t
+                return finish(n, a, b)
+            return probe
+        return at
     kernel.__name__ = kernel.__qualname__ = name
     kernel.view = build
     return kernel
@@ -441,14 +495,22 @@ def _griewank_view(x):
     x = x.tolist()
     squares = _fold(_terms(0.0, _square, x))
     factors = _terms(1.0, _griewank_factor, x)
-    products = list(accumulate(factors, mul))
+    products = factors, list(accumulate(factors, mul))
 
-    def view(i, z):
-        p = products[i] * _griewank_factor(i, z)
-        for t in factors[i + 2:]:
-            p *= t
-        return _griewank(_resum(squares, i + 1, _square(i, z)), p)
-    return view
+    def at(i):
+        s_head, s_tail = _split(squares, i + 1, 1)
+        p_head, p_tail = _split(products, i + 1, 1)
+
+        def probe(z):
+            p = p_head * _griewank_factor(i, z)
+            for t in p_tail:
+                p *= t
+            s = s_head + _square(i, z)
+            for t in s_tail:
+                s += t
+            return _griewank(s, p)
+        return probe
+    return at
 
 
 griewank.view = _griewank_view
@@ -458,17 +520,25 @@ def _dixon_price_term(i, xi, xp):
     return (i + 1) * (2.0 * xi * xi - xp) ** 2
 
 
-def _dixon_price_probe(fold, x):
+def _dixon_price_view(fold, x):
+    # x[i]'s term at position i + 1 reads x[i - 1], and the next one x[i]
     n = len(x)
 
-    def view(i, z):
-        own = (_square_from_one(z) if i == 0
-               else _dixon_price_term(i, z, x[i - 1]))
-        if i == n - 1:
-            return _resum(fold, i + 1, own)
-        return _resum(fold, i + 1, own,
-                      _dixon_price_term(i + 1, x[i + 1], z))
-    return view
+    def at(i):
+        right = i < n - 1
+        head, tail = _split(fold, i + 1, 1 + right)
+        xp, xn = x[i - 1], x[i + 1] if right else None
+
+        def probe(z):
+            acc = head + (_dixon_price_term(i, z, xp) if i
+                          else _square_from_one(z))
+            if right:
+                acc += _dixon_price_term(i + 1, xn, z)
+            for t in tail:
+                acc += t
+            return acc
+        return probe
+    return at
 
 
 dixon_price = _one_sum(
@@ -476,7 +546,7 @@ dixon_price = _one_sum(
     "dixon_price", lambda x: [
         0.0, _square_from_one(x[0]),
         *map(_dixon_price_term, range(1, len(x)), x[1:], x)],
-    _dixon_price_probe)
+    _dixon_price_view)
 
 
 # levy's terms: the head reads x[0], the middle term of x[i] each x[i] for
@@ -495,21 +565,35 @@ def _levy_end(xi):
     return (wn - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * wn) ** 2)
 
 
-def _levy_probe(fold, x):
+def _levy_view(fold, x):
     n = len(x)
 
-    def view(i, z):
-        last = _levy_middle(z) if i < n - 1 else _levy_end(z)
+    def at(i):
+        last = _levy_middle if i < n - 1 else _levy_end
         if i == 0:
-            return _resum(fold, 1, _levy_head(z), last)
-        return _resum(fold, i + 2, last)
-    return view
+            head, tail = _split(fold, 1, 2)
+
+            def probe(z):
+                acc = head + _levy_head(z) + last(z)
+                for t in tail:
+                    acc += t
+                return acc
+            return probe
+        head, tail = _split(fold, i + 2, 1)
+
+        def probe(z):
+            acc = head + last(z)
+            for t in tail:
+                acc += t
+            return acc
+        return probe
+    return at
 
 
 levy = _one_sum(
     "levy", lambda x: [0.0, _levy_head(x[0]), *map(_levy_middle, x[:-1]),
                        _levy_end(x[-1])],
-    _levy_probe)
+    _levy_view)
 
 
 def _powell_term(a, b, c, d):
@@ -517,68 +601,95 @@ def _powell_term(a, b, c, d):
             + (b - 2.0 * c) ** 4 + 10.0 * (a - d) ** 4)
 
 
-def _powell_probe(fold, x):
+def _powell_view(fold, x):
     groups = len(x) // 4
 
-    def view(i, z):
-        j = i // 4
+    def at(i):
+        j, k = divmod(i, 4)
         if j == groups:  # the kernel reads no coordinate past its groups
-            return fold[1][-1]
+            total = fold[1][-1]
+            return lambda z: total
         group = x[4 * j:4 * j + 4]
-        group[i - 4 * j] = z
-        return _resum(fold, j + 1, _powell_term(*group))
-    return view
+        head, tail = _split(fold, j + 1, 1)
+
+        def probe(z):
+            moved = group.copy()
+            moved[k] = z
+            acc = head + _powell_term(*moved)
+            for t in tail:
+                acc += t
+            return acc
+        return probe
+    return at
 
 
 powell = _one_sum(
     "powell", lambda x: [0.0, *[_powell_term(*x[4 * j:4 * j + 4])
                                 for j in range(len(x) // 4)]],
-    _powell_probe)
+    _powell_view)
 
 
 def _rosenbrock_term(xi, xn):
     return 100.0 * (xn - xi * xi) ** 2 + (xi - 1.0) ** 2
 
 
-def _rosenbrock_probe(fold, x):
+def _rosenbrock_view(fold, x):
+    # the term of x[i - 1] and x[i] is at position i, that of x[i] and
+    # x[i + 1] at i + 1
     n = len(x)
 
-    def view(i, z):
-        if i == 0:
-            return _resum(fold, 1, _rosenbrock_term(z, x[1]))
-        if i == n - 1:
-            return _resum(fold, i, _rosenbrock_term(x[i - 1], z))
-        return _resum(fold, i, _rosenbrock_term(x[i - 1], z),
-                      _rosenbrock_term(z, x[i + 1]))
-    return view
+    def at(i):
+        left, right = i > 0, i < n - 1
+        head, tail = _split(fold, max(i, 1), left + right)
+        xp, xn = x[i - 1], x[i + 1] if right else None
+
+        def probe(z):
+            acc = head
+            if left:
+                acc += _rosenbrock_term(xp, z)
+            if right:
+                acc += _rosenbrock_term(z, xn)
+            for t in tail:
+                acc += t
+            return acc
+        return probe
+    return at
 
 
 rosenbrock = _one_sum(
     # the term at position k + 1 reads x[k] and x[k + 1]
     "rosenbrock", lambda x: [0.0, *map(_rosenbrock_term, x, x[1:])],
-    _rosenbrock_probe)
+    _rosenbrock_view)
 
 
 def _trid_cross(xp, xi):
     return -(xi * xp)
 
 
-def _trid_probe(fold, x):
+def _trid_view(fold, x):
     n = len(x)
     terms, running = fold
 
-    def view(i, z):
-        acc = running[i] + _square_from_one(z)
-        for t in terms[i + 2:n + i if i > 0 else n + 1]:
-            acc += t
-        if i > 0:
-            acc += _trid_cross(x[i - 1], z)
-        if i < n - 1:
-            acc += _trid_cross(z, x[i + 1])
-        for t in terms[n + i + 2:]:
-            acc += t
-        return acc
-    return view
+    def at(i):
+        left, right = i > 0, i < n - 1
+        head = running[i]
+        middle = terms[i + 2:n + i if left else n + 1]
+        tail = terms[n + i + 2:]
+        xp, xn = x[i - 1], x[i + 1] if right else None
+
+        def probe(z):
+            acc = head + _square_from_one(z)
+            for t in middle:
+                acc += t
+            if left:
+                acc += _trid_cross(xp, z)
+            if right:
+                acc += _trid_cross(z, xn)
+            for t in tail:
+                acc += t
+            return acc
+        return probe
+    return at
 
 
 trid = _one_sum(
@@ -586,7 +697,7 @@ trid = _one_sum(
     # product of x[k] and x[k + 1] at position n + 1 + k
     "trid", lambda x: [0.0, *map(_square_from_one, x),
                        *map(_trid_cross, x, x[1:])],
-    _trid_probe)
+    _trid_view)
 
 
 KERNELS = {

@@ -64,8 +64,8 @@ def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
     probe is the bound with more room. The steps are computed on Python
     floats, the same IEEE operations as on numpy scalars. Each probe moves
     one coordinate of x and goes to `evaluate_counted` as `(x, i, z)`,
-    valued by the problem's one coordinate view at x
-    (`Problem.coordinate_view`); x is not written.
+    valued by the probe `view(i)` of the problem's one coordinate view at
+    x (`Problem.coordinate_view`); x is not written.
     """
     x = np.asarray(x, dtype=float)
     if f0 is None:
@@ -83,7 +83,8 @@ def fd_gradient(problem: Problem, x: np.ndarray, counter: EvalCounter,
             # a box narrower than the step: probe the bound with more room
             z = max(upper[i], lower[i], key=lambda b: abs(b - xi))
             h = z - xi
-        g[i] = (evaluate_counted(problem, x, counter, view, i, z) - f0) / h
+        g[i] = (evaluate_counted(problem, x, counter, view(i), i, z)
+                - f0) / h
     return g
 
 
@@ -108,8 +109,8 @@ def box_qp_step(g: np.ndarray, B: np.ndarray, x: np.ndarray,
     fixed, the reduced system is B and -g bit for bit, and a finite
     solution inside the box is what the loop returns too, whatever its
     multiplier test reads (a NaN multiplier releases nothing until the
-    cap). Any other first pass goes on into the loop, which solves it
-    again.
+    cap). Any other first pass is the loop's first, which solves only the
+    passes after it.
     """
     lo, hi = bounds.lower - x, bounds.upper - x
     try:
@@ -119,14 +120,15 @@ def box_qp_step(g: np.ndarray, B: np.ndarray, x: np.ndarray,
     if np.isfinite(y).all() and ((lo <= y) & (y <= hi)).all():
         return np.zeros_like(g) if g @ y + 0.5 * y @ B @ y > 0.0 else y
     p, fixed = np.zeros_like(g), np.zeros(g.size, dtype=bool)
-    for _ in range(QP_CHANGES):
-        free, y = ~fixed, p.copy()
-        try:
-            y[free] = np.linalg.solve(
-                B[np.ix_(free, free)],
-                -g[free] - B[np.ix_(free, fixed)] @ p[fixed])
-        except np.linalg.LinAlgError:  # a singular reduced model
-            break
+    for change in range(QP_CHANGES):
+        if change:  # the first pass is the full solve above
+            free, y = ~fixed, p.copy()
+            try:
+                y[free] = np.linalg.solve(
+                    B[np.ix_(free, free)],
+                    -g[free] - B[np.ix_(free, fixed)] @ p[fixed])
+            except np.linalg.LinAlgError:  # a singular reduced model
+                break
         if not np.isfinite(y).all():
             break
         out = np.flatnonzero((y < lo) | (y > hi))

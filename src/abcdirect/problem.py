@@ -9,17 +9,24 @@ itself.
 Every evaluation of a run goes through `evaluate_counted`, which charges
 the run's one `EvalCounter` and shows it the value. The point is a full
 point x, valued by the problem, or a probe `(x, i, z)`, its base x with
-coordinate i moved to z, valued by a coordinate view at the base
-(`Problem.coordinate_view`); both keep the rules of `finite_value`. A probe
-is built as an array only where its view needs one or its value improves
-the counter's best, which keeps it. The counter raises `Stop` at the
-evaluation where the cap, the deadline or the target holds, whatever phase
-the run is in.
+coordinate i moved to z, valued by the probe `view(i)` of a coordinate view
+at the base (`Problem.coordinate_view`); both keep the rules of
+`finite_value`. A view is curried: `view(i)` binds coordinate i once, and
+the probe it returns takes z alone, so a caller that moves one coordinate
+many times binds it once. A probe is built as an array only where its view
+needs one or its value improves the counter's best, which keeps it. The
+counter raises `Stop` at the evaluation where the cap, the deadline or the
+target holds, whatever phase the run is in.
+
+`check_view` checks an objective's view against the objective itself, bit
+for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -82,9 +89,16 @@ class Bounds:
     def n(self) -> int:
         return self.lower.size
 
-    @property
+    @functools.cached_property
     def width(self) -> np.ndarray:
+        """upper - lower, computed once; not to be written."""
         return self.upper - self.lower
+
+    @functools.cached_property
+    def float_lists(self) -> tuple[list[float], list[float]]:
+        """`lower` and `width` as lists of Python floats, computed once,
+        which DIRECT maps its probes with; not to be written."""
+        return self.lower.tolist(), self.width.tolist()
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).clip(self.lower, self.upper)
@@ -109,17 +123,18 @@ class Problem:
     def __call__(self, x: np.ndarray) -> float:
         return finite_value(self.objective, np.asarray(x, dtype=float))
 
-    def coordinate_view(self, x: np.ndarray) -> Callable[[int, float], float]:
-        """The objective at x, a float array, with one coordinate moved: a
-        function of (i, z) that returns objective(x with x[i] = z), bit for
-        bit, and never writes x.
+    def coordinate_view(
+            self, x: np.ndarray) -> Callable[[int], Callable[[float], float]]:
+        """The objective at x, a float array, with one coordinate moved, as
+        a curried function: `view(i)` is the probe `z -> objective(x with
+        x[i] = z)`, bit for bit, and neither writes x.
 
         An objective may carry a `view` attribute, a builder of such a
-        function from x that recomputes only what coordinate i touches; every
-        kernel of `functions.kernels` does. Its view is returned. For an
-        objective without one, a wrapped kernel included, and where building
-        it raises OverflowError, the view calls the objective on the probe,
-        built afresh."""
+        function from x whose probes recompute only what coordinate i
+        touches; every kernel of `functions.kernels` does. Its view is
+        returned. For an objective without one, a wrapped kernel included,
+        and where building it raises OverflowError, each probe calls the
+        objective on the probe's point, built afresh."""
         build = getattr(self.objective, "view", None)
         if build is not None:
             try:
@@ -127,19 +142,19 @@ class Problem:
             except OverflowError:
                 pass
         objective = self.objective
-        return lambda i, z: objective(_probe(x, i, z))
+        return lambda i: lambda z: objective(_probe(x, i, z))
 
 
 def finite_value(f: Callable[..., float], x: np.ndarray,
                  i: Optional[int] = None, z: float = 0.0) -> float:
     """The objective's value at x, `f(x)`, or, for `i` given, at the probe
-    x with x[i] = z, `f(i, z)` for f a coordinate view at x; by the rules
-    of every evaluation: converted to a float, inf where the computation
-    raises OverflowError (Python-float arithmetic raises where numpy would
-    give inf), and NonFiniteValueError unless the value is finite. Only
-    that error's message builds the probe."""
+    x with x[i] = z, `f(z)` for f the probe `view(i)` of a coordinate view
+    at x; by the rules of every evaluation: converted to a float, inf where
+    the computation raises OverflowError (Python-float arithmetic raises
+    where numpy would give inf), and NonFiniteValueError unless the value
+    is finite. Only that error's message builds the probe."""
     try:
-        value = float(f(x) if i is None else f(i, z))
+        value = float(f(x) if i is None else f(z))
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -235,7 +250,7 @@ class EvalCounter:
 
 
 def evaluate_counted(problem: Problem, x: np.ndarray, counter: EvalCounter,
-                     view: Optional[Callable[[int, float], float]] = None,
+                     probe: Optional[Callable[[float], float]] = None,
                      i: Optional[int] = None, z: float = 0.0) -> float:
     """Evaluate f at one point, charging exactly one unit of budget; Stop
     is raised before the evaluation on the cap or deadline, after it on
@@ -243,19 +258,55 @@ def evaluate_counted(problem: Problem, x: np.ndarray, counter: EvalCounter,
 
     With `i` None the point is x, and the value `problem(x)`. With `i`
     given it is the probe x with x[i] = z, and x, its base, is never
-    written; `view` is then the problem's `coordinate_view` at x, and the
-    value `view(i, z)`, under the rules of `Problem.__call__`
-    (`finite_value`).
+    written; `probe` is then `view(i)` for `view` the problem's
+    `coordinate_view` at x, and the value `probe(z)`, under the rules of
+    `Problem.__call__` (`finite_value`).
 
     The counter keeps the array it is handed: a probe, built for it, or a
     copy of a full point, since the objective may keep that array.
     """
     counter.charge()
-    value = problem(x) if i is None else finite_value(view, x, i, z)
+    value = problem(x) if i is None else finite_value(probe, x, i, z)
     if value < counter.best_f:
         counter.improve(np.array(x, dtype=float) if i is None
                         else _probe(x, i, z), value)
     return value
+
+
+def check_view(objective: Callable[[np.ndarray], float], bounds: Bounds,
+               points: int = 40, seed: int = 0, extra=()) -> list[tuple]:
+    """The probes at which an objective's coordinate view and the
+    objective itself differ in any bit, as (base point, i, z, the view's
+    value, the objective's value); an empty list passes.
+
+    The view is the one `Problem.coordinate_view` gives, so an objective
+    without a `view` of its own passes. Base points: `points` seeded ones
+    in the box stretched 1.2x about its centre, both corners of the box and
+    each point of `extra`. At each base every coordinate's probe is bound
+    first, as DIRECT and the gradient bind them, then each is probed at the
+    corners', the `extra` points' and one seeded point's coordinate, one
+    probe after another and every coordinate in turn."""
+    problem = Problem(objective, bounds)
+    lower, upper = bounds.lower, bounds.upper
+    mid, half = 0.5 * (lower + upper), 0.6 * bounds.width
+    rng = np.random.default_rng(seed)
+    special = [lower, upper, *(np.asarray(p, dtype=float) for p in extra)]
+    xs = [*rng.uniform(mid - half, mid + half, size=(points, bounds.n)),
+          *special]
+    zs = [*special,
+          *rng.uniform(mid - half, mid + half, size=(len(xs), bounds.n))]
+    pack = struct.Struct("<d").pack
+    bad = []
+    for k, x in enumerate(xs):
+        view = problem.coordinate_view(x)
+        probes = [view(i) for i in range(bounds.n)]
+        for z in (*zs[:len(special)], zs[len(special) + k]):
+            for i, probe in enumerate(probes):
+                zi = float(z[i])
+                got, want = probe(zi), objective(_probe(x, i, zi))
+                if pack(got) != pack(want):
+                    bad.append((x, i, zi, got, want))
+    return bad
 
 
 def denormalize(z: np.ndarray, bounds: Bounds) -> np.ndarray:

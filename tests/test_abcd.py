@@ -428,7 +428,7 @@ class TestAbcdSolve:
 
 def test_one_coordinate_subproblems_divide_intervals(monkeypatch):
     # the run `abcd-griewank-6-seed3` of tests/test_eval_sequence.py, whose
-    # block phase runs blocks of two coordinates and more: each division
+    # block phase runs blocks of two coordinates and more: each selection
     # of a one-coordinate subproblem goes to `divide_interval` and each
     # division of a larger block to `sample_and_divide`. The pins check
     # the evaluations, which are the same with either division, so only

@@ -18,7 +18,6 @@ from abcdirect.abcd import AbcdConfig, abcd_solve
 from abcdirect.direct import (
     DirectConfig,
     PartitionState,
-    assert_disjoint_interiors,
     direct_solve,
     identify_poh,
     measure,
@@ -36,6 +35,7 @@ from abcdirect.problem import (
     evaluate_counted,
 )
 from abcdirect.runner import RunSpec, run_one, run_single, run_suite
+from tiling import assert_disjoint_interiors
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

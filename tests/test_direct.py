@@ -23,7 +23,6 @@ from abcdirect.direct import (
     GROUP_KEY_DIGITS,
     DirectConfig,
     PartitionState,
-    assert_disjoint_interiors,
     direct_solve,
     identify_poh,
     measure,
@@ -39,6 +38,7 @@ from abcdirect.problem import (
     Stop,
     evaluate_counted,
 )
+from tiling import assert_disjoint_interiors
 
 
 def box_problem(fn, n, lo=0.0, hi=1.0, target=None):
@@ -46,9 +46,11 @@ def box_problem(fn, n, lo=0.0, hi=1.0, target=None):
                    known_optimum=target)
 
 
-def unvalued(i, z):
+def unvalued(i):
     """The view of a store that values no probe through its view."""
-    raise AssertionError(f"probe ({i}, {z!r}) valued by a store's view")
+    def probe(z):
+        raise AssertionError(f"probe ({i}, {z!r}) valued by a store's view")
+    return probe
 
 
 def make_state(n, counter=None, bounds=None):
@@ -100,14 +102,21 @@ def brute_force_poh(state, eps, grid=None):
     slopes = slopes[np.isfinite(slopes) & (slopes > 0)]
     grid = np.concatenate([grid, slopes])
     f_min = fs.min()
-    out = set()
-    for j in range(len(rects)):
-        for K in grid:
-            lhs = fs[j] - K * ds[j]
-            if (lhs <= fs - K * ds).all() and lhs <= f_min - eps * abs(f_min):
-                out.add(j)
-                break
-    return out
+    # lhs[j, k] = f_j - K_k d_j: rectangle j at candidate K_k is best when
+    # no rectangle's is lower, and nontrivial below the threshold
+    lhs = fs[:, None] - grid[None, :] * ds[:, None]
+    hit = (lhs <= lhs.min(axis=0)) & (lhs <= f_min - eps * abs(f_min))
+    return set(np.flatnonzero(hit.any(axis=1)).tolist())
+
+
+def assert_heaps_live(state):
+    """Every heap entry of a store is live, under its rectangle's key and
+    value, and every rectangle has exactly one: no stale entry waits."""
+    entries = sorted(rid for key, heap in state._heaps.items()
+                     for value, rid in heap
+                     if state._keys[rid] == key
+                     and state._values[rid] == value)
+    assert entries == list(range(state.size))
 
 
 def random_partition(rng, n=2, max_groups=12):
@@ -184,15 +193,15 @@ class TestStore:
 
     def test_a_one_coordinate_store_needs_a_view(self):
         # `divide_interval` charges each probe, then values it through the
-        # store's view: a one-coordinate store without one is refused before
-        # any charge. A larger block divides without the store's view
+        # store's probe: a one-coordinate store without a view is refused
+        # before any charge. A larger block divides without the store's view
         counter = EvalCounter()
         bounds = Bounds(np.zeros(2), np.ones(2))
         with pytest.raises(ConfigError, match="view"):
             PartitionState(1, counter, (1,), bounds, np.full(2, 0.5))
         assert counter.count == 0
         assert PartitionState(2, counter, (0, 1), bounds,
-                              np.full(2, 0.5)).view is None
+                              np.full(2, 0.5)).probe is None
 
     def test_level_tuples_are_interned(self):
         def f(x):
@@ -490,9 +499,10 @@ class TestDivision:
 
     def test_deep_one_coordinate_centers_are_their_probes(self):
         # a one-coordinate store rooted at level 32, as above, divided by
-        # `divide_interval` far past EXACT_LEVEL: every center is rebuilt
-        # as the point its probe evaluated, bit for bit, while a rebuild at
-        # the stored level would not give some of them
+        # `divide_interval` far past EXACT_LEVEL, a selection at a time:
+        # every center is rebuilt as the point its probe evaluated, bit for
+        # bit, while a rebuild at the stored level would not give some of
+        # them
         bounds = Bounds(np.array([-5.12, 3.0]), np.array([2.0, 1000.0]))
         lower, width = bounds.lower.tolist(), bounds.width.tolist()
         seen = []
@@ -509,11 +519,17 @@ class TestDivision:
         start = base.copy()
         start[1] = lower[1] + num / (2 * 3.0 ** 32) * width[1]
         add(state, (32,), (num,), f(start))
-        rng = np.random.default_rng(5)
         for _ in range(60):
-            rid = int(rng.integers(0, state.size))
-            assert direct_mod.divide_interval(rid, state, problem) == [
-                state.size - 2, state.size - 1]
+            # every level from 26 on shares the group key 0.0, so each
+            # selection divides one interval, the lowest
+            poh = identify_poh(state, 1e-4)
+            size = state.size
+            assert direct_mod.divide_interval(poh, state, problem,
+                                              math.inf) is None
+            assert state.size == size + 2 * len(poh)
+            # a child below its parent tops the shared heap: the parent's
+            # entry was popped before it came
+            assert_heaps_live(state)
         assert max(state._level_tuples) > (direct_mod.EXACT_LEVEL + 5,)
         assert [state.center(rid).tobytes()
                 for rid in range(state.size)] == seen
@@ -964,18 +980,20 @@ class TestBlockView:
 
 class TestIntervalStore:
     """A one-coordinate run divides with `divide_interval`. With
-    `sample_and_divide` swapped in for it on the same store, the run makes
-    the same evaluations in the same order, leaves the same store and
-    reports the same, bit for bit, however it stops."""
+    `sample_and_divide` swapped in for it on the same store, one interval
+    of each selection after another, the run makes the same evaluations in
+    the same order, leaves the same store and reports the same, bit for
+    bit, however it stops."""
 
     BASE = TestBlockView.BASE
 
     def run_both(self, monkeypatch, make_problem, config,
                  make_counter=EvalCounter, **block):
         """Run `direct_solve` with `divide_interval`, then with
-        `sample_and_divide` in its place, each with `keep_state` on a fresh
-        problem from `make_problem()` (a problem and the list it records
-        its evaluations in) and a fresh counter; checks that each run
+        `sample_and_divide` in its place, each interval of a selection in
+        turn, each with `keep_state` on a fresh problem from
+        `make_problem()` (a problem and the list it records its
+        evaluations in) and a fresh counter; checks that each run
         divided with its own division alone and that the two agree, store
         and centers included. Returns the reference run's result."""
         divisions = []
@@ -992,7 +1010,9 @@ class TestIntervalStore:
 
         monkeypatch.setattr(direct_mod, "sample_and_divide", rectangles)
         outcomes, used = [], []
-        for division in (intervals, rectangles):
+        # `_divide_rectangles` divides a selection with `sample_and_divide`,
+        # here `rectangles`
+        for division in (intervals, direct_mod._divide_rectangles):
             monkeypatch.setattr(direct_mod, "divide_interval", division)
             problem, seen = make_problem()
             counter = make_counter()
@@ -1044,12 +1064,19 @@ class TestIntervalStore:
         divide_interval = direct_mod.divide_interval
         divisions = 0
 
-        def certified(rid, state, problem):
+        def certified(rids, state, problem, stop_count):
+            # one interval of the selection at a time: each division stores
+            # its children as the next two ids, unless a stop cut it
             nonlocal divisions
-            children = divide_interval(rid, state, problem)
-            assert_disjoint_interiors(state, [rid, *children])
-            divisions += 1
-            return children
+            for rid in rids:
+                size = state.size
+                reason = divide_interval([rid], state, problem, stop_count)
+                if state.size > size:
+                    assert_disjoint_interiors(state, [rid, size, size + 1])
+                    divisions += 1
+                if reason is not None:
+                    return reason
+            return None
 
         monkeypatch.setattr(direct_mod, "divide_interval", certified)
         for coord in range(7):
@@ -1186,6 +1213,38 @@ class TestIntervalStore:
                          res.trace))
             assert len(calls) == (0 if viewed else res.evals)
         assert runs[0] == runs[1]
+
+    def test_the_eager_pop_where_keys_collide(self, monkeypatch):
+        # a run with no measure or stall stop whose best value, 0, is its
+        # start center's: every selection divides the interval that holds
+        # it, one level deeper each time, far past level 26, from where
+        # parent and children share the group key 0.0. `divide_interval`
+        # pops each parent's entry before it pushes into the same heap. At
+        # every selection the ids are the brute-force sweep's, every heap
+        # entry is live (each id's one entry, under its key and value),
+        # and the store tiles
+        def f(x):
+            return math.sqrt(abs(x[0] - 0.5)) + 0.25 * (x[0] - 0.5)
+
+        select = direct_mod.identify_poh
+        collisions = 0
+
+        def checked(state, eps):
+            nonlocal collisions
+            assert_heaps_live(state)
+            assert volume_fraction(state) == 1
+            poh = select(state, eps)
+            assert set(poh) == brute_force_poh(state, eps)
+            collisions += any(state._keys[rid] == 0.0 for rid in poh)
+            return poh
+
+        monkeypatch.setattr(direct_mod, "identify_poh", checked)
+        res = direct_solve(Problem(f, Bounds(np.zeros(1), np.ones(1))),
+                           DirectConfig(max_evals=150, target_accuracy=0.0),
+                           keep_state=True)
+        assert res.reason is Reason.EVAL_BUDGET and res.f_min == 0.0
+        assert max(res.state._level_tuples) > (30,) and collisions >= 4
+        assert volume_fraction(res.state) == 1
 
     def test_levels_past_the_last_group_key(self, monkeypatch):
         # at level 26 and deeper the measure rounds to the group key 0.0,

@@ -86,8 +86,9 @@ def recording(problem):
     """Wrap a problem so every evaluation appends one entry, the bytes of
     its user-space point and of its value, to `entries`, in evaluation
     order. An objective with a coordinate view keeps it: the wrapper's
-    `view` values each probe through the objective's, and records it as
-    its point, rebuilt from the view's base and (i, z), so the pins cover
+    `view` values each probe through the objective's, bound at the same
+    coordinate, and records it as its point, rebuilt from the view's base
+    and (i, z), so the pins cover
     the path a run takes unwrapped."""
     entries = Entries()
     base = problem.objective
@@ -105,19 +106,23 @@ def recording(problem):
         def build(x):
             view = base.view(x)
 
-            def recorded(i, z):
-                value = view(i, z)
-                record(probe_point(x, i, z), value)
-                entries.viewed += 1
-                return value
-            return recorded
+            def at(i):
+                probe = view(i)
+
+                def recorded(z):
+                    value = probe(z)
+                    record(probe_point(x, i, z), value)
+                    entries.viewed += 1
+                    return value
+                return recorded
+            return at
         obj.view = build
 
     return Problem(obj, problem.bounds, problem.known_optimum), entries
 
 
 def probe_point(x, i, z):
-    """The point an `evaluate_counted(problem, x, counter, view, i, z)`
+    """The point an `evaluate_counted(problem, x, counter, probe, i, z)`
     evaluates: x itself for i None, else the probe x with x[i] = z, built
     here as a new array."""
     if i is None:
@@ -272,8 +277,9 @@ def unit_cube_probes(monkeypatch):
     every other coordinate equals, bit for bit, the start's base or the
     parent's center, rebuilt from its numerators. `_block` is wrapped to
     learn the base, `sample_and_divide` and `divide_interval`, the
-    divisions of larger and of one-coordinate blocks, to learn the parent,
-    and `evaluate_counted`, through which DIRECT makes every
+    divisions of larger and of one-coordinate blocks, to learn the parent
+    (`divide_interval` is handed one id of its selection per call), and
+    `evaluate_counted`, through which DIRECT makes every
     evaluation, to check and record it. A probe reaches `evaluate_counted`
     as its base with one coordinate moved, `(x, i, z)`; the point checked
     is the probe, and the base must come out of the evaluation
@@ -281,6 +287,8 @@ def unit_cube_probes(monkeypatch):
     seen = []
     context = []  # [start?, point before, {coordinate: candidate z}]
     block, evaluate = direct_mod._block, direct_mod.evaluate_counted
+    divide, divide_interval = (direct_mod.sample_and_divide,
+                               direct_mod.divide_interval)
     local_evaluate = local_mod.evaluate_counted
 
     def recording_block(problem, coords, base):
@@ -291,21 +299,31 @@ def unit_cube_probes(monkeypatch):
         context[:] = [True, before, {c: (0.5,) for c in coords}]
         return coords, x
 
-    def recording(divide):
-        def recording_divide(rid, state, problem):
-            levels, exact = state._level_tuples[rid], state._exact[rid]
-            low = min(levels)
-            denom = 2.0 * 3.0 ** (low + 1)
-            # a probe moves one block dimension at the lowest level a third
-            # of its side either way: numerator 3*num +/- 2 one level down
-            moves = {state.coords[d]: ((3 * exact[d] + 2) / denom,
-                                       (3 * exact[d] - 2) / denom)
-                     for d in range(state.n) if levels[d] == low}
-            context[:] = [False, state.center(rid), moves]
-            return divide(rid, state, problem)
-        return recording_divide
+    def parent(rid, state):
+        levels, exact = state._level_tuples[rid], state._exact[rid]
+        low = min(levels)
+        denom = 2.0 * 3.0 ** (low + 1)
+        # a probe moves one block dimension at the lowest level a third of
+        # its side either way: numerator 3*num +/- 2 one level down
+        moves = {state.coords[d]: ((3 * exact[d] + 2) / denom,
+                                   (3 * exact[d] - 2) / denom)
+                 for d in range(state.n) if levels[d] == low}
+        context[:] = [False, state.center(rid), moves]
 
-    def recording_evaluate(problem, base, counter, view=None, i=None,
+    def recording_divide(rid, state, problem):
+        parent(rid, state)
+        return divide(rid, state, problem)
+
+    def recording_intervals(rids, state, problem, stop_count):
+        # the selection one id per call, each after its parent is learnt
+        for rid in rids:
+            parent(rid, state)
+            reason = divide_interval([rid], state, problem, stop_count)
+            if reason is not None:
+                return reason
+        return None
+
+    def recording_evaluate(problem, base, counter, probe=None, i=None,
                            z=0.0):
         start, before, moves = context
         bounds = problem.bounds
@@ -326,21 +344,20 @@ def unit_cube_probes(monkeypatch):
                 == np.delete(before, moved).tobytes())
         seen.append(np.array(zs))
         try:
-            return evaluate(problem, base, counter, view, i, z)
+            return evaluate(problem, base, counter, probe, i, z)
         finally:
             assert base.tobytes() == base_bytes
 
-    def polish_evaluate(problem, base, counter, view=None, i=None, z=0.0):
+    def polish_evaluate(problem, base, counter, probe=None, i=None, z=0.0):
         base_bytes = base.tobytes()
         try:
-            return local_evaluate(problem, base, counter, view, i, z)
+            return local_evaluate(problem, base, counter, probe, i, z)
         finally:
             assert base.tobytes() == base_bytes
 
     monkeypatch.setattr(direct_mod, "_block", recording_block)
-    for name in ("sample_and_divide", "divide_interval"):
-        monkeypatch.setattr(direct_mod, name,
-                            recording(getattr(direct_mod, name)))
+    monkeypatch.setattr(direct_mod, "sample_and_divide", recording_divide)
+    monkeypatch.setattr(direct_mod, "divide_interval", recording_intervals)
     monkeypatch.setattr(direct_mod, "evaluate_counted", recording_evaluate)
     monkeypatch.setattr(local_mod, "evaluate_counted", polish_evaluate)
     return seen
@@ -383,10 +400,10 @@ def test_the_pins_hold_through_the_views(case, monkeypatch):
         entries.append(np.asarray(x, dtype="<f8").tobytes()
                        + struct.pack("<d", value))
 
-    def recording_evaluate(problem, x, counter, view=None, i=None, z=0.0):
+    def recording_evaluate(problem, x, counter, probe=None, i=None, z=0.0):
         count = counter.count
         try:
-            value = evaluate(problem, x, counter, view, i, z)
+            value = evaluate(problem, x, counter, probe, i, z)
         except Stop:
             if counter.count > count:  # the target, after the evaluation
                 record(probe_point(x, i, z), counter.best_f)

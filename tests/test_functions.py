@@ -17,7 +17,7 @@ from abcdirect.functions.registry import (
     list_functions,
     validate_registry,
 )
-from abcdirect.problem import Bounds, Problem
+from abcdirect.problem import Bounds, Problem, check_view
 
 # pins every Shekel/Hartman coefficient: an edit to any entry fails here
 DATA_SHA256 = "a8fe8e8326898dbc154b854ae542aeb1f298b991b9574aa9ce4ded8b8a487aee"
@@ -268,29 +268,12 @@ def _view_dims(name):
 
 
 def view_mismatches(name, n, points=40):
-    """Probes at which the view of a kernel and the kernel itself
-    differ in any bit, over every coordinate of seeded points in the box
-    stretched 1.2x about its centre, the two corners of the box and x*;
-    each coordinate is probed at a seeded value, both bounds and x*'s."""
+    """`check_view` of the kernel of function `name` at dimension n, over
+    its box, with x* as a further point where the function has one."""
     kernel = kernels.KERNELS[registry._REGISTRY[name].kernel_name]
     _, meta = get_function(name, n, adjust=False)
-    lower, upper = meta.bounds.lower, meta.bounds.upper
-    mid, half = 0.5 * (lower + upper), 0.6 * meta.bounds.width
-    rng = np.random.default_rng(21)
-    special = [lower, upper] + ([] if meta.x_star is None
-                                else [meta.x_star])
-    xs = [*rng.uniform(mid - half, mid + half, size=(points, n)), *special]
-    zs = [*special, *rng.uniform(mid - half, mid + half, size=(len(xs), n))]
-    bad = 0
-    for k, x in enumerate(xs):
-        view = kernel.view(x)
-        for i in range(n):
-            for z in (*zs[:len(special)], zs[len(special) + k]):
-                probe = x.copy()
-                probe[i] = zi = float(z[i])
-                bad += (struct.pack("<d", view(i, zi))
-                        != struct.pack("<d", kernel(probe)))
-    return bad
+    return check_view(kernel, meta.bounds, points=points, seed=21,
+                      extra=[] if meta.x_star is None else [meta.x_star])
 
 
 def regrouped_shekel5_view(x):
@@ -298,44 +281,76 @@ def regrouped_shekel5_view(x):
     as one group, summed before they join the sum."""
     x = x.tolist()
 
-    def view(i, z):
-        total = 0.0
-        for *a, c in kernels._SHEKEL5:
-            terms = [(xk - ak) ** 2 for xk, ak in zip(x, a)]
-            terms[i] = (z - a[i]) ** 2
-            s = terms[0]
-            for t in terms[1:i + 1]:
-                s += t
-            later = -0.0
-            for t in (*terms[i + 1:], c):
-                later += t
-            total -= 1.0 / (s + later)
-        return total
-    return view
+    def at(i):
+        def probe(z):
+            total = 0.0
+            for *a, c in kernels._SHEKEL5:
+                terms = [(xk - ak) ** 2 for xk, ak in zip(x, a)]
+                terms[i] = (z - a[i]) ** 2
+                s = terms[0]
+                for t in terms[1:i + 1]:
+                    s += t
+                later = -0.0
+                for t in (*terms[i + 1:], c):
+                    later += t
+                total -= 1.0 / (s + later)
+            return total
+        return probe
+    return at
 
 
 class TestCoordinateViews:
     @pytest.mark.parametrize("name", list_functions())
     def test_bytes_equal_the_kernel(self, name):
         for n in _view_dims(name):
-            assert view_mismatches(name, n) == 0, n
+            assert view_mismatches(name, n) == [], n
+
+    @pytest.mark.parametrize("name", list_functions())
+    def test_a_probe_bound_once_serves_many(self, name):
+        # as a one-coordinate store uses its probe: bound once at a base,
+        # then probed at many values of its coordinate in a row, each
+        # value the kernel's at the probe's point, bit for bit; the base is
+        # not written
+        n = [d for d in _view_dims(name) if d <= 18][-1]
+        kernel = kernels.KERNELS[registry._REGISTRY[name].kernel_name]
+        _, meta = get_function(name, n, adjust=False)
+        lower, upper = meta.bounds.lower, meta.bounds.upper
+        rng = np.random.default_rng(8)
+        x = rng.uniform(lower, upper)
+        before = x.tobytes()
+        view = Problem(kernel, meta.bounds).coordinate_view(x)
+        for i in range(n):
+            probe = view(i)
+            for z in rng.uniform(lower[i], upper[i], size=100).tolist():
+                point = x.copy()
+                point[i] = z
+                assert (struct.pack("<d", probe(z))
+                        == struct.pack("<d", kernel(point))), (i, z)
+        assert x.tobytes() == before
 
     @pytest.mark.parametrize("name", ["rastrigin", "levy", "zakharov"])
     def test_a_regrouped_tail_fails(self, name, monkeypatch):
         # the negative control: the same check fails a view that adds its
         # cached terms exactly rounded, in one group, not one by one
-        def regrouped(fold, pos, *new):
+        def regrouped(fold, pos, count):
             terms, running = fold
-            return math.fsum([running[pos - 1], *new,
-                              *terms[pos + len(new):]])
-        monkeypatch.setattr(kernels, "_resum", regrouped)
-        assert view_mismatches(name, 18) > 0
+            tail = terms[pos + count:]
+            return running[pos - 1], [math.fsum(tail)] if tail else []
+        monkeypatch.setattr(kernels, "_split", regrouped)
+        assert view_mismatches(name, 18) != []
 
     def test_a_regrouped_shekel_row_fails(self, monkeypatch):
         # the negative control of the Jones views: S5's view with its later
         # terms and c pre-summed, not added one by one
         monkeypatch.setattr(kernels.shekel5, "view", regrouped_shekel5_view)
-        assert view_mismatches("S5", 4) > 0
+        bad = view_mismatches("S5", 4)
+        assert bad != []
+        # each names the base, the coordinate, the probe's value and both
+        # values, which differ
+        for x, i, z, got, want in bad:
+            point = x.copy()
+            point[i] = z
+            assert want == kernels.shekel5(point) != got
 
     @pytest.mark.parametrize("name", ["rastrigin", "levy", "zakharov"])
     def test_a_regrouped_kernel_sum_fails_its_pin(self, name, monkeypatch):
@@ -368,7 +383,7 @@ class TestCoordinateViews:
         for i in range(x.size):
             probe = x.copy()
             probe[i] = z = 0.25 * i - 1.5
-            got = view(i, z)
+            got = view(i)(z)
             assert seen == [probe.tolist()]
             assert struct.pack("<d", got) == struct.pack("<d", wrapped(probe))
             seen.clear()
@@ -387,10 +402,10 @@ class TestCoordinateViews:
                           Bounds(np.full(4, -2e154), np.full(4, 2e154)))
         view = problem.coordinate_view(x)
         probe = np.array([0.5, 0.0, 0.0, 0.0])
-        assert (struct.pack("<d", view(0, 0.5))
+        assert (struct.pack("<d", view(0)(0.5))
                 == struct.pack("<d", kernels.rosenbrock(probe)))
         with pytest.raises(OverflowError):
-            view(1, 0.5)
+            view(1)(0.5)
 
     def test_a_wrapped_kernel_evaluates_through_the_kernel(self):
         # an ABCD run on a problem whose objective wraps the kernel calls

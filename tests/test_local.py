@@ -197,11 +197,18 @@ OVERFLOW_G = np.array([-8.465335674110613e+306, 2.509593078929435e+307,
 class TestBoxQpStep:
     def test_bytes_equal_the_loop_form(self):
         # random models in boxes where the Newton step is inside and where
-        # bounds bind, and the model whose multipliers overflow
-        inside = binding = 0
+        # bounds bind, the model whose multipliers overflow, and boxes where
+        # the first pass leaves the box: the loop starts from that pass,
+        # finite or not, and solves only the passes after it
+        inside = binding = left = 0
+        one = Bounds(np.array([-1.0]), np.array([1.0]))
         cases = [*random_qps(23, radii=(10.0, 0.05, 1e6)),
                  (OVERFLOW_G, OVERFLOW_B, np.zeros(4),
-                  Bounds(np.full(4, -10.0), np.full(4, 10.0)))]
+                  Bounds(np.full(4, -10.0), np.full(4, 10.0))),
+                 # a Newton step that overflows to inf, and one past a
+                 # bound in a box of one coordinate
+                 (np.array([1.0]), np.array([[1e-320]]), np.zeros(1), one),
+                 (np.array([-3.0]), np.array([[1.0]]), np.zeros(1), one)]
         with np.errstate(over="ignore", invalid="ignore"):
             y = np.linalg.solve(OVERFLOW_B, -OVERFLOW_G)
             assert np.isfinite(y).all() and (np.abs(y) < 10.0).all()
@@ -214,7 +221,9 @@ class TestBoxQpStep:
                     binding += 1
                 else:
                     inside += 1
-        assert inside >= 40 and binding >= 40
+                first = np.linalg.solve(B, -g)
+                left += not ((lo <= first) & (first <= hi)).all()
+        assert inside >= 40 and binding >= 40 and left >= 40
 
     def test_unconstrained_newton_step(self):
         B = np.diag([2.0, 4.0])

@@ -149,7 +149,8 @@ class TestProbes:
                     Bounds(np.zeros(3), np.ones(3)))
         x = np.array([0.1, 0.2, 0.3])
         counter = EvalCounter()
-        value = evaluate_counted(p, x, counter, p.coordinate_view(x), 1, 0.9)
+        value = evaluate_counted(p, x, counter, p.coordinate_view(x)(1), 1,
+                                 0.9)
         assert [a.tolist() for a in seen] == [[0.1, 0.9, 0.3]]
         assert value == float(seen[0].sum())
         assert x.tolist() == [0.1, 0.2, 0.3]
@@ -166,22 +167,22 @@ class TestProbes:
         counter = EvalCounter()
         probe = x.copy()
         probe[2] = z = 0.0  # rastrigin's best value of a coordinate
-        value = evaluate_counted(problem, x, counter, view, 2, z)
+        value = evaluate_counted(problem, x, counter, view(2), 2, z)
         assert value == problem(probe)
         assert counter.best_x.tobytes() == probe.tobytes()
         assert not np.shares_memory(counter.best_x, x)
         assert x.tobytes() == base
         # a probe that does not improve leaves the best as it is
         best = counter.best_x
-        assert evaluate_counted(problem, x, counter, view, 2, 0.5) > value
+        assert evaluate_counted(problem, x, counter, view(2), 2, 0.5) > value
         assert counter.best_x is best and x.tobytes() == base
         x[:] = 0.0
         assert counter.best_x.tobytes() == probe.tobytes()
 
     def test_a_division_keeps_no_base_as_the_best(self):
-        # a one-coordinate run values every probe through the view at its
-        # start center, the store's base; its best is the best probe, an
-        # array of its own
+        # a one-coordinate run values every probe through the probe it binds
+        # at its start center, the store's base; its best is the best
+        # probe, an array of its own
         problem = get_function("rastrigin", 4)[0]
         counter = EvalCounter()
         result = direct_solve(problem, DirectConfig(max_evals=50), counter,
@@ -226,12 +227,14 @@ class UserView:
     def build(self, x):
         xs = x.tolist()
 
-        def view(i, z):
-            self.probes += 1
-            probe = list(xs)
-            probe[i] = z
-            return self.value(probe)
-        return view
+        def at(i):
+            def probe(z):
+                self.probes += 1
+                point = list(xs)
+                point[i] = z
+                return self.value(point)
+            return probe
+        return at
 
 
 class TestUserViews:
@@ -288,8 +291,8 @@ class TestViewParity:
         for owner in (problem, wrapped):
             counter = EvalCounter(cap=10)
             with pytest.raises(NonFiniteValueError) as error:
-                evaluate_counted(owner, x, counter, owner.coordinate_view(x),
-                                 i, z)
+                evaluate_counted(owner, x, counter,
+                                 owner.coordinate_view(x)(i), i, z)
             assert repr(probe) in str(error.value)
             assert repr(x) not in str(error.value)
             assert x.tobytes() == base
